@@ -15,7 +15,7 @@ from .buchberger_oracle import (
 from .cohomology import normal_form, standard_basis
 from .dual_classes import wbar_recurrence
 from .f2poly import ParseError, Poly, format_poly, grlex_key, parse
-from .groebner_family import GrassmannContext, GroebnerFamily, build_family
+from .groebner_family import GrassmannContext, GroebnerFamily
 from .steenrod import immersion_obstruction_check
 
 __all__ = ["run", "main"]
@@ -84,7 +84,7 @@ def _cmd_generate(args) -> int:
             raise ValueError(f"--only-m needs {ctx.k - 1} nonnegative entries")
         if sum(only_m) > ctx.n + 1:
             raise ValueError("--only-m index has entry sum above n+1")
-    family = GroebnerFamily(ctx) if only_m is not None else build_family(ctx)
+    family = GroebnerFamily(ctx)
     if args.format == "json":
         records = [
             {
@@ -119,7 +119,7 @@ def _cmd_dual(args) -> int:
 def _cmd_verify(args) -> int:
     ctx = _context(args)
     if oracle_equals_family(ctx, cap=args.cap):
-        count = len(build_family(ctx))
+        count = len(GroebnerFamily(ctx))
         print(f"OK: reduced Groebner basis matches oracle ({count} elements)")
         return 0
     print(f"MISMATCH: family and oracle disagree for k={args.k}, n={args.n}")

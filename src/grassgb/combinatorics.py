@@ -15,8 +15,6 @@ __all__ = [
     "binom_int",
     "binom_parity",
     "multinomial_parity",
-    "p_factor",
-    "p_product",
     "tuple_sum",
     "weighted_sum",
     "index_sum",
@@ -89,29 +87,5 @@ def multinomial_parity(a: tuple[int, ...]) -> int:
     suf = _suffix_sums(a, k)
     for t in range(2, k + 1):
         if not binom_parity(suf[t - 2], a[t - 2]):
-            return 0
-    return 1
-
-
-def p_factor(t: int, a: tuple[int, ...], m: tuple[int, ...]) -> int:
-    """Parity of binom(sum_{j>=t-1} a_j - sum_{j>=t} m_j, a_{t-1}).
-
-    Entries of ``a`` may be negative (shifted tuples occur in the
-    recurrence bookkeeping); 2 <= t <= k is required.
-    """
-    k = len(a)
-    if not 2 <= t <= k:
-        raise ValueError(f"t must be in 2..{k}, got {t}")
-    upper = sum(a[t - 2 :]) - sum(m[t - 2 :])
-    return binom_parity(upper, a[t - 2])
-
-
-def p_product(a: tuple[int, ...], m: tuple[int, ...]) -> int:
-    """Product of p_factor(t, a, m) over t = 2..k."""
-    k = len(a)
-    asuf = _suffix_sums(a, k)
-    msuf = _suffix_sums(m, k)
-    for t in range(2, k + 1):
-        if not binom_parity(asuf[t - 2] - msuf[t - 2], a[t - 2]):
             return 0
     return 1

@@ -7,7 +7,6 @@ Addition is symmetric difference, so the zero polynomial is the empty set.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -44,7 +43,6 @@ def weighted_degree(mono: Monomial) -> int:
     return sum(j * a for j, a in enumerate(mono, start=1))
 
 
-@lru_cache(maxsize=None)
 def monomials_of_weighted_degree(d: int, k: int) -> tuple[Monomial, ...]:
     """All exponent tuples of length k with weighted degree exactly d."""
     if d < 0:

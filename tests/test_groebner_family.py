@@ -1,10 +1,12 @@
 import math
+import random
 
 import pytest
+from reference import g_direct_reference
 
 from grassgb.combinatorics import binom_parity, index_sum
 from grassgb.dual_classes import wbar_recurrence
-from grassgb.f2poly import Poly, grlex_key, parse
+from grassgb.f2poly import Poly, grlex_key, monomials_of_weighted_degree, parse
 from grassgb.groebner_family import (
     GrassmannContext,
     GroebnerFamily,
@@ -187,3 +189,50 @@ def test_index_validation():
         g_direct(CTX22, (1, 1))
     with pytest.raises(ValueError):
         g_direct(CTX22, (-1,))
+
+
+def test_parity_rule_matches_binom_parity():
+    # the kernel's admissibility test for a coordinate x with offset c
+    for c in range(-299, 300):
+        for x in range(200):
+            assert (x & c == 0) == bool(binom_parity(x + c, x)), (x, c)
+
+
+def test_g_direct_matches_reference_on_random_indices():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        k = rng.randint(2, 6)
+        n = rng.randint(k, 14)
+        m = tuple(rng.randint(0, n + 1) for _ in range(k - 1))
+        if sum(m) > n + 3:
+            m = tuple(x * (n + 3) // sum(m) for x in m)
+        ctx = GrassmannContext(k, n)
+        assert g_direct(ctx, m) == g_direct_reference(k, n, m), (k, n, m)
+
+
+def test_g_direct_matches_reference_on_edge_indices():
+    for k, n in ((2, 2), (2, 7), (3, 5), (4, 6), (5, 8), (6, 6)):
+        ctx = GrassmannContext(k, n)
+        indices = {(0,) * (k - 1)}
+        for pos in range(k - 1):
+            for value in (n - 1, n, n + 1):
+                m = [0] * (k - 1)
+                m[pos] = value
+                indices.add(tuple(m))
+        # S_M = n+1 and S_M > n+1, with the mass spread out
+        indices.add((1,) * (k - 2) + (n + 1 - (k - 2),))
+        indices.add((1,) * (k - 2) + (n + 3 - (k - 2),))
+        indices.add((n + 2,) + (0,) * (k - 2))
+        for m in sorted(indices):
+            assert g_direct(ctx, m) == g_direct_reference(k, n, m), (k, n, m)
+
+
+def test_memo_lives_on_the_family():
+    ctx = GrassmannContext(3, 4)
+    first, second = GroebnerFamily(ctx), GroebnerFamily(ctx)
+    g = first.element((1, 2))
+    assert first.element([1, 2]) is g
+    assert second.element((1, 2)) == g
+    assert second.element((1, 2)) is not g
+    assert not hasattr(g_direct, "cache_info")
+    assert not hasattr(monomials_of_weighted_degree, "cache_info")
