@@ -15,9 +15,6 @@ __all__ = [
     "binom_int",
     "binom_parity",
     "multinomial_parity",
-    "tuple_sum",
-    "weighted_sum",
-    "index_sum",
     "index_weight",
 ]
 
@@ -45,21 +42,6 @@ def binom_parity(alpha: int, beta: int) -> int:
         alpha = beta - alpha - 1
     # Lucas: odd iff the bits of beta are a subset of the bits of alpha
     return 1 if alpha & beta == beta else 0
-
-
-def tuple_sum(a: tuple[int, ...]) -> int:
-    """Sum of the entries of an exponent tuple A = (a_1, ..., a_k)."""
-    return sum(a)
-
-
-def weighted_sum(a: tuple[int, ...]) -> int:
-    """Weighted sum of A: sum of j * a_j with j = 1..k (the cohomological degree)."""
-    return sum(j * x for j, x in enumerate(a, start=1))
-
-
-def index_sum(m: tuple[int, ...]) -> int:
-    """Sum of the entries of a multi-index M = (m_2, ..., m_k)."""
-    return sum(m)
 
 
 def index_weight(m: tuple[int, ...]) -> int:

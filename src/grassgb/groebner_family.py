@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .combinatorics import index_sum, index_weight
+from .combinatorics import index_weight
 from .f2poly import Monomial, Poly
 
 __all__ = [
@@ -86,7 +86,7 @@ def raised2(m: MultiIndex, i: int, j: int) -> MultiIndex:
 def leading_term_of(ctx: GrassmannContext, m: MultiIndex) -> Monomial:
     """The grlex leading monomial (n+1-S_M, m_2, ..., m_k) of g_M."""
     _check_index(ctx, m)
-    s = index_sum(m)
+    s = sum(m)
     if s > ctx.n + 1:
         raise ValueError(f"S_M = {s} exceeds n+1 = {ctx.n + 1}")
     return (ctx.n + 1 - s,) + tuple(m)
@@ -134,7 +134,7 @@ def g_closed_form(ctx: GrassmannContext, m: MultiIndex) -> Optional[Poly]:
     """
     _check_index(ctx, m)
     k, n = ctx.k, ctx.n
-    if index_sum(m) <= n + 1 and index_weight(m) > (k - 1) * n - 1:
+    if sum(m) <= n + 1 and index_weight(m) > (k - 1) * n - 1:
         return Poly.monomial(leading_term_of(ctx, m))
     if m[-1] == n - 1:
         head, mk = m[:-1], m[-1]
@@ -198,12 +198,15 @@ class GroebnerFamily:
     Elements are computed by g_direct on first access, so reductions at
     large n only ever materialize the indices they touch.  The memo is a
     dict on the instance: an element lives as long as its family, and two
-    families never share one.
+    families never share one.  ``packed`` is the same kind of memo for
+    cohomology.normal_form: (packed lt, packed terms) of g_M keyed by
+    (M, field width).
     """
 
     def __init__(self, context: GrassmannContext):
         self.context = context
         self._memo: dict[MultiIndex, Poly] = {}
+        self.packed: dict[tuple[MultiIndex, int], tuple[int, tuple[int, ...]]] = {}
 
     def __len__(self) -> int:
         k, n = self.context.k, self.context.n

@@ -123,13 +123,17 @@ def sq(i: int, f: Poly) -> Poly:
 # -- splitting-principle computation of w(gamma_k (x) gamma_k) -------------
 
 
-def _mul_roots(a: frozenset, b: frozenset, trunc: int) -> frozenset:
+def _mul_roots(
+    a: frozenset, b: frozenset, trunc: Optional[int] = None
+) -> frozenset:
+    """Product in the root variables, keeping only terms of degree <= trunc
+    when trunc is given."""
     out: set = set()
     toggle = out.symmetric_difference_update
     for x in a:
         for y in b:
             s = tuple(map(sum, zip(x, y)))
-            if sum(s) <= trunc:
+            if trunc is None or sum(s) <= trunc:
                 toggle((s,))
     return frozenset(out)
 
@@ -151,7 +155,7 @@ def _elementary_product(k: int, powers: tuple[int, ...]) -> frozenset:
     for i, c in enumerate(powers, start=1):
         base = _elementary_symmetric(k, i)
         for _ in range(c):
-            acc = _mul_roots(acc, base, 10**9)
+            acc = _mul_roots(acc, base)
     return acc
 
 
@@ -180,20 +184,23 @@ def tensor_square_sw(k: int, max_weighted_degree: int) -> Poly:
 
     Mod 2 the splitting-principle product over all ordered root pairs
     collapses to the square of the product over unordered pairs, so each
-    factor contributes 1 + x_i^2 + x_j^2.
+    factor contributes 1 + x_i^2 + x_j^2 = (1 + x_i + x_j)^2.  Squaring is
+    a ring map over F_2, so the product of the 1 + x_i + x_j is expanded to
+    half the degree, rewritten in the w variables and squared there.
     """
     if not 2 <= k:
         raise ValueError("need k >= 2")
     if max_weighted_degree > k * k:
         raise ValueError(f"truncation degree exceeds the top dimension {k * k}")
+    half = max_weighted_degree // 2
     prod = frozenset(((0,) * k,))
     for i in range(k):
         for j in range(i + 1, k):
             factor = set()
             factor.add((0,) * k)
-            factor.add(tuple(2 if v == i else 0 for v in range(k)))
-            factor.add(tuple(2 if v == j else 0 for v in range(k)))
-            prod = _mul_roots(prod, frozenset(factor), max_weighted_degree)
+            factor.add(tuple(1 if v == i else 0 for v in range(k)))
+            factor.add(tuple(1 if v == j else 0 for v in range(k)))
+            prod = _mul_roots(prod, frozenset(factor), half)
     # convert degree by degree; each homogeneous root component of degree d
     # becomes the weighted-degree-d component in the w variables
     result = Poly.zero(k)
@@ -202,7 +209,7 @@ def tensor_square_sw(k: int, max_weighted_degree: int) -> Poly:
         by_degree.setdefault(sum(t), set()).add(t)
     for d in sorted(by_degree):
         result = result + _symmetric_to_elementary(frozenset(by_degree[d]), k)
-    return result
+    return result.square()
 
 
 def normal_bundle_sw(

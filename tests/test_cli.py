@@ -1,8 +1,12 @@
 import json
+import random
 
 import pytest
+from reference import normal_form_reference
 
 from grassgb.cli import run
+from grassgb.f2poly import Poly, format_poly
+from grassgb.groebner_family import GrassmannContext, GroebnerFamily
 
 
 def invoke(capsys, *argv):
@@ -47,6 +51,25 @@ def test_reduce(capsys):
     code, out, _ = invoke(capsys, "reduce", "-k", "2", "-n", "2", "w1^2*w2")
     assert code == 0
     assert out.strip() == "w2^2"
+
+
+@pytest.mark.parametrize("k,n", [(4, 10), (5, 8)])
+def test_reduce_matches_reference(capsys, k, n):
+    rng = random.Random(k * 1000 + n)
+    ctx = GrassmannContext(k, n)
+    family = GroebnerFamily(ctx)
+    for _ in range(8):
+        # a mix of terms near the standard range and terms up to w_j^(2n)
+        hi = rng.choice((n // 2, 2 * n))
+        terms = [
+            tuple(rng.randint(0, hi) for _ in range(k))
+            for _ in range(rng.randint(1, 4))
+        ]
+        f = Poly(k, terms)
+        argv = ("reduce", "-k", str(k), "-n", str(n), format_poly(f))
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        assert out == format_poly(normal_form_reference(ctx, f, family)) + "\n"
 
 
 def test_reduce_bad_poly(capsys):

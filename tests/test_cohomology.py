@@ -2,7 +2,9 @@ import math
 import random
 
 import pytest
+from reference import normal_form_reference
 
+from grassgb import cohomology
 from grassgb.cohomology import (
     CohomologyClass,
     cup,
@@ -11,7 +13,13 @@ from grassgb.cohomology import (
     standard_basis,
 )
 from grassgb.dual_classes import wbar_recurrence
-from grassgb.f2poly import Poly, grlex_key, parse, weighted_degree
+from grassgb.f2poly import (
+    Poly,
+    grlex_key,
+    monomials_of_weighted_degree,
+    parse,
+    weighted_degree,
+)
 from grassgb.groebner_family import GrassmannContext, GroebnerFamily, build_family
 
 from conftest import random_poly
@@ -64,6 +72,88 @@ def test_cup_context_mismatch():
     b = normal_form(other, parse("w1", 2))
     with pytest.raises(ValueError):
         cup(CTX22, a, b, family)
+
+
+def test_family_context_mismatch():
+    # a family of G_{2,3} reduces w1^3 to w1*w2 + w2^2, which is wrong in G_{2,2}
+    family = GroebnerFamily(GrassmannContext(2, 3))
+    with pytest.raises(ValueError, match="family"):
+        normal_form(CTX22, parse("w1^3", 2), family)
+    a = normal_form(CTX22, parse("w1^2", 2))
+    b = normal_form(CTX22, parse("w1", 2))
+    with pytest.raises(ValueError, match="family"):
+        cup(CTX22, a, b, family)
+
+
+def test_normal_form_matches_reference_on_random_polys():
+    rng = random.Random(9151)
+    families = {}
+    for _ in range(300):
+        k = rng.randint(2, 6)
+        n = rng.randint(k, 12)
+        ctx = GrassmannContext(k, n)
+        family = families.setdefault((k, n), GroebnerFamily(ctx))
+        f = random_poly(rng, k, max_exp=rng.choice((n // 2, n, 2 * n)))
+        assert normal_form(ctx, f, family).value == normal_form_reference(
+            ctx, f, family
+        ), (k, n, f)
+
+
+def _edge_inputs(rng, k, n):
+    yield Poly.zero(k)
+    yield Poly.one(k)
+    yield Poly(k, rng.sample(standard_basis(GrassmannContext(k, n)), 5))
+    # the field width is the bit length of the largest weighted degree plus
+    # one, so degrees 2^j - 1 and 2^j sit on either side of a width change
+    for j in range(1, 7):
+        for d in (2**j - 1, 2**j):
+            monos = monomials_of_weighted_degree(d, k)
+            yield Poly.monomial(monos[0])  # w_1^d
+            yield Poly.monomial(monos[-1])
+            yield Poly.monomial(rng.choice(monos))
+            yield Poly(k, [monos[0], (1,) + (0,) * (k - 1)])
+
+
+@pytest.mark.parametrize("k,n", [(2, 2), (3, 4), (4, 5), (5, 8)])
+def test_normal_form_matches_reference_on_edge_inputs(k, n):
+    rng = random.Random(k * 100 + n)
+    ctx = GrassmannContext(k, n)
+    family = GroebnerFamily(ctx)
+    for f in _edge_inputs(rng, k, n):
+        assert normal_form(ctx, f, family).value == normal_form_reference(
+            ctx, f, family
+        ), f
+    assert not normal_form(ctx, Poly.zero(k), family)
+    assert normal_form(ctx, Poly.one(k), family).value == Poly.one(k)
+
+
+def test_normal_form_large_exponent():
+    for k, n in ((2, 2), (3, 3), (4, 5)):
+        ctx = GrassmannContext(k, n)
+        big = Poly.monomial((0,) * (k - 1) + (2**20,))
+        w1 = Poly.variable(k, 1)
+        assert not normal_form(ctx, big)
+        assert normal_form(ctx, big + w1).value == w1
+        mixed = Poly.monomial((n + 1,) + (0,) * (k - 2) + (2**20,)) + w1
+        assert normal_form(ctx, mixed).value == normal_form_reference(ctx, mixed)
+
+
+def test_packed_memo_belongs_to_the_family():
+    ctx = GrassmannContext(3, 4)
+    first, second = GroebnerFamily(ctx), GroebnerFamily(ctx)
+    f = parse("w1^5*w2 + w2^4*w3", 3)
+    normal_form(ctx, f, first)
+    assert first.packed and not second.packed
+    normal_form(ctx, f, second)
+    assert first.packed.keys() == second.packed.keys()
+    assert first.packed is not second.packed
+    module_state = [
+        name
+        for name, value in vars(cohomology).items()
+        if not name.startswith("__")
+        and (isinstance(value, dict) or hasattr(value, "cache_info"))
+    ]
+    assert module_state == []
 
 
 def test_standard_basis():

@@ -4,7 +4,7 @@ import random
 import pytest
 from reference import g_direct_reference
 
-from grassgb.combinatorics import binom_parity, index_sum
+from grassgb.combinatorics import binom_parity
 from grassgb.dual_classes import wbar_recurrence
 from grassgb.f2poly import Poly, grlex_key, monomials_of_weighted_degree, parse
 from grassgb.groebner_family import (
