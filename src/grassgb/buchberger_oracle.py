@@ -1,9 +1,21 @@
 """Generic reduced-Groebner-basis engine over F2 (the validation oracle).
 
 Deliberately independent of the structured family: divisors are found by
-scanning the basis, never by the O(k) exponent-stripping shortcut.  Pair
-bookkeeping uses the normal selection strategy with the standard
-Gebauer-Moller criteria (which subsume the coprime-lead skip).
+scanning the basis in order, never by the O(k) exponent-stripping shortcut,
+so a wrong g_M cannot make the oracle agree with it.  Pair bookkeeping uses
+the normal selection strategy with the standard Gebauer-Moller criteria
+(which subsume the coprime-lead skip).
+
+Leading terms are packed into one int each: every exponent sits in a W-bit
+field topped by a guard bit.  With G the mask of guard bits, a | b iff
+``((b | G) - a) & G == G``: a field's guard survives the subtraction iff
+b_i >= a_i, and no borrow crosses a guard.  The surviving guards select, per
+field, the larger exponent, which gives the lcm; two leads are coprime iff
+their lcm equals their sum.  W is the bit length of the largest exponent
+among the leads and widens (repacking every lead) when a new lead outgrows
+it.  A probed term's exponents are clamped to 2^W - 1 before packing, which
+is exact because no lead exponent exceeds that.  Terms themselves stay
+exponent tuples.
 """
 
 from __future__ import annotations
@@ -32,18 +44,6 @@ class OracleCapExceeded(ValueError):
     """The requested instance is larger than the configured oracle cap."""
 
 
-def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x if x >= y else y for x, y in zip(a, b))
-
-
-def _coprime(a: Monomial, b: Monomial) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
 def _neg_key(t: Monomial):
     # heapq is a min-heap; this key pops the grlex-largest monomial first
     return (-sum(t), tuple(-x for x in t), t)
@@ -55,7 +55,7 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
         raise ValueError("S-polynomial of the zero polynomial is undefined")
     f._check_compatible(g)
     ltf, ltg = f.leading_term(), g.leading_term()
-    lcm = _lcm(ltf, ltg)
+    lcm = tuple(map(max, ltf, ltg))
     qf = Poly.monomial(tuple(a - b for a, b in zip(lcm, ltf)))
     qg = Poly.monomial(tuple(a - b for a, b in zip(lcm, ltg)))
     return qf * f + qg * g
@@ -64,6 +64,7 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
 class _Reducer:
     """Normal forms against a growing basis, with generic divisor search.
 
+    ``plts[i]`` is the packed lead of basis element i (module docstring).
     Divisor hits and shifted basis multiples are memoized per monomial;
     cache entries stay valid when the basis grows because any recorded
     divisor keeps dividing its monomial.
@@ -72,15 +73,40 @@ class _Reducer:
     def __init__(self, k: int):
         self.k = k
         self.lts: list[Monomial] = []
+        self.plts: list[int] = []
         self.polys: list[frozenset] = []
+        self._widen(0)
         self._div: dict[Monomial, int | None] = {}
         self._scanned: dict[Monomial, int] = {}
         self._prod: dict[tuple[int, Monomial], frozenset] = {}
+
+    def _pack(self, t: Monomial) -> int:
+        shift, top = self.width + 1, self._top
+        v = 0
+        for e in t:
+            v = v << shift | (e if e < top else top)
+        return v
+
+    def _widen(self, width: int) -> None:
+        self.width = width
+        self._top = (1 << width) - 1
+        field = 1 << (width + 1)
+        self.guard = (1 << width) * (field**self.k - 1) // (field - 1)
+        self.plts = [self._pack(t) for t in self.lts]
+
+    def lcm(self, a: int, b: int) -> int:
+        """The packed lcm of two packed leads."""
+        m = ((b | self.guard) - a) & self.guard
+        return a ^ ((a ^ b) & (m - (m >> self.width)))
 
     def add(self, terms: frozenset) -> int:
         lt = max(terms, key=grlex_key)
         self.lts.append(lt)
         self.polys.append(terms)
+        if max(lt) > self._top:
+            self._widen(max(lt).bit_length())
+        else:
+            self.plts.append(self._pack(lt))
         return len(self.lts) - 1
 
     def divisor(self, t: Monomial) -> int | None:
@@ -88,11 +114,14 @@ class _Reducer:
         if found is not None:
             return found
         start = self._scanned.get(t, 0)
-        for gi in range(start, len(self.lts)):
-            if _divides(self.lts[gi], t):
-                self._div[t] = gi
-                return gi
-        self._scanned[t] = len(self.lts)
+        plts, guard = self.plts, self.guard
+        if start < len(plts):
+            probe = self._pack(t) | guard
+            for gi in range(start, len(plts)):
+                if (probe - plts[gi]) & guard == guard:
+                    self._div[t] = gi
+                    return gi
+        self._scanned[t] = len(plts)
         return None
 
     def _product(self, gi: int, q: Monomial) -> frozenset:
@@ -129,32 +158,37 @@ class _Reducer:
 
 
 def _update_pairs(
-    lts: list[Monomial], pairs: set[tuple[int, int]], h: int
-) -> set[tuple[int, int]]:
-    """Gebauer-Moller pair update after appending basis element h."""
-    lth = lts[h]
-    lcm_h = {g: _lcm(lth, lts[g]) for g in range(h)}
-    candidates = list(range(h))
+    red: _Reducer, pairs: dict[tuple[int, int], int], h: int
+) -> list[int]:
+    """Gebauer-Moller pair update after appending basis element h.
+
+    ``pairs`` maps each queued pair to the packed lcm of its leads and is
+    updated in place; returns the g of the new pairs (g, h), in the order
+    the chain criterion kept them.
+    """
+    guard, lth = red.guard, red.plts[h]
+    lcms = [red.lcm(lth, ltg) for ltg in red.plts[:h]]
+    coprime = [l == lth + ltg for l, ltg in zip(lcms, red.plts)]
     kept: list[int] = []
-    while candidates:
-        g = candidates.pop()
-        l = lcm_h[g]
-        if _coprime(lth, lts[g]) or (
-            not any(_divides(lcm_h[g2], l) for g2 in candidates)
-            and not any(_divides(lcm_h[g2], l) for g2 in kept)
-        ):
-            kept.append(g)
-    fresh = {(g, h) for g in kept if not _coprime(lth, lts[g])}
-    surviving = set()
-    for g1, g2 in pairs:
-        l12 = _lcm(lts[g1], lts[g2])
+    for g in range(h - 1, -1, -1):
+        if not coprime[g]:
+            probe = lcms[g] | guard
+            if any((probe - l) & guard == guard for l in lcms[:g]) or any(
+                (probe - lcms[j]) & guard == guard for j in kept
+            ):
+                continue
+        kept.append(g)
+    for pair, l12 in list(pairs.items()):
         if (
-            not _divides(lth, l12)
-            or _lcm(lts[g1], lth) == l12
-            or _lcm(lth, lts[g2]) == l12
+            ((l12 | guard) - lth) & guard == guard
+            and lcms[pair[0]] != l12
+            and lcms[pair[1]] != l12
         ):
-            surviving.add((g1, g2))
-    return surviving | fresh
+            del pairs[pair]
+    fresh = [g for g in kept if not coprime[g]]
+    for g in fresh:
+        pairs[(g, h)] = lcms[g]
+    return fresh
 
 
 def buchberger(generators: list[Poly]) -> list[Poly]:
@@ -169,76 +203,61 @@ def buchberger(generators: list[Poly]) -> list[Poly]:
             raise ValueError("generators have mixed variable counts")
 
     reducer = _Reducer(k)
-    pairs: set[tuple[int, int]] = set()
+    pairs: dict[tuple[int, int], int] = {}
     heap: list = []
-    for g in generators:
-        reduced = reducer.normal_form(g.terms)
+
+    def insert(terms) -> None:
+        reduced = reducer.normal_form(terms)
         if not reduced:
-            continue
+            return
+        width = reducer.width
         h = reducer.add(reduced)
-        pairs = _update_pairs(reducer.lts, pairs, h)
-        for p in pairs:
-            heapq.heappush(heap, (grlex_key(_lcm(reducer.lts[p[0]], reducer.lts[p[1]])), p))
+        if reducer.width != width:  # the queued packed lcms are stale
+            for g1, g2 in pairs:
+                pairs[(g1, g2)] = reducer.lcm(reducer.plts[g1], reducer.plts[g2])
+        lth = reducer.lts[h]
+        for g in _update_pairs(reducer, pairs, h):
+            lcm = tuple(map(max, reducer.lts[g], lth))
+            heapq.heappush(heap, (grlex_key(lcm), (g, h)))
+
+    for g in generators:
+        insert(g.terms)
     if not reducer.polys:
         raise ValueError("generators span the zero ideal")
 
     while heap:
-        _, pair = heapq.heappop(heap)
+        (_, lcm), pair = heapq.heappop(heap)
         if pair not in pairs:
             continue
-        pairs.discard(pair)
+        del pairs[pair]
         g1, g2 = pair
-        lt1, lt2 = reducer.lts[g1], reducer.lts[g2]
-        lcm = _lcm(lt1, lt2)
-        s_terms = set()
-        q1 = tuple(a - b for a, b in zip(lcm, lt1))
-        q2 = tuple(a - b for a, b in zip(lcm, lt2))
-        s_terms.symmetric_difference_update(reducer._product(g1, q1))
-        s_terms.symmetric_difference_update(reducer._product(g2, q2))
-        reduced = reducer.normal_form(s_terms)
-        if not reduced:
-            continue
-        h = reducer.add(reduced)
-        before = pairs
-        pairs = _update_pairs(reducer.lts, pairs, h)
-        for p in pairs - before:
-            heapq.heappush(
-                heap, (grlex_key(_lcm(reducer.lts[p[0]], reducer.lts[p[1]])), p)
-            )
+        q1 = tuple(a - b for a, b in zip(lcm, reducer.lts[g1]))
+        q2 = tuple(a - b for a, b in zip(lcm, reducer.lts[g2]))
+        insert(reducer._product(g1, q1) ^ reducer._product(g2, q2))
 
     return [Poly._make(k, terms) for terms in reducer.polys]
 
 
 def reduce_basis(gb: list[Poly]) -> list[Poly]:
     """The unique reduced basis: minimal leads, every element tail-reduced,
-    sorted by grlex of the leading term."""
+    sorted by grlex of the leading term.
+
+    One pass over one reducer of the minimal basis suffices: a tail term is
+    grlex-smaller than its own lead, so that lead never divides it, and the
+    reduced tails contain no term any lead divides.
+    """
     if not gb:
         raise ValueError("empty basis")
     k = gb[0].k
     entries = sorted(((g.leading_term(), g) for g in gb), key=lambda e: grlex_key(e[0]))
-    minimal: list[tuple[Monomial, Poly]] = []
+    reducer = _Reducer(k)
     for lt, g in entries:
-        if not any(_divides(prev_lt, lt) for prev_lt, _ in minimal):
-            minimal.append((lt, g))
-
-    current = [g for _, g in minimal]
-    while True:
-        updated = []
-        changed = False
-        for idx, g in enumerate(current):
-            reducer = _Reducer(k)
-            for jdx, other in enumerate(current):
-                if jdx != idx:
-                    reducer.add(other.terms)
-            reduced = Poly._make(k, reducer.normal_form(g.terms))
-            if reduced != g:
-                changed = True
-            updated.append(reduced)
-        current = updated
-        if not changed:
-            break
-    current.sort(key=lambda g: grlex_key(g.leading_term()))
-    return current
+        if reducer.divisor(lt) is None:
+            reducer.add(g.terms)
+    return [
+        Poly._make(k, reducer.normal_form(terms - {lt}) | {lt})
+        for lt, terms in zip(reducer.lts, reducer.polys)
+    ]
 
 
 def oracle_reduce(f: Poly, basis: list[Poly]) -> Poly:

@@ -10,15 +10,22 @@ term at every step, on exponent tuples; the package reduces packed ints
 from a heap.  The tensor-square class expands the product of the
 1 + x_i^2 + x_j^2 to full degree; the package expands the product of the
 1 + x_i + x_j to half the degree and squares.
+
+The Buchberger oracle tests divisibility on exponent tuples, recomputes the
+lcm of every queued pair at each Gebauer-Moller update and inter-reduces
+each element against a fresh reducer of the others until nothing changes;
+the package tests packed leads, keeps each pair's lcm and inter-reduces in
+one pass over one shared reducer.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Optional
 
 from grassgb.cohomology import structured_divisor
 from grassgb.combinatorics import binom_parity, index_weight
-from grassgb.f2poly import Poly, grlex_key, monomials_of_weighted_degree
+from grassgb.f2poly import Monomial, Poly, grlex_key, monomials_of_weighted_degree
 from grassgb.groebner_family import GrassmannContext, GroebnerFamily
 from grassgb.steenrod import _mul_roots, _symmetric_to_elementary
 
@@ -92,3 +99,208 @@ def tensor_square_sw_reference(k: int, max_weighted_degree: int) -> Poly:
     for d in sorted(by_degree):
         result = result + _symmetric_to_elementary(frozenset(by_degree[d]), k)
     return result
+
+
+def _divides(a: Monomial, b: Monomial) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _lcm(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(x if x >= y else y for x, y in zip(a, b))
+
+
+def _coprime(a: Monomial, b: Monomial) -> bool:
+    return all(x == 0 or y == 0 for x, y in zip(a, b))
+
+
+def _neg_key(t: Monomial):
+    # heapq is a min-heap; this key pops the grlex-largest monomial first
+    return (-sum(t), tuple(-x for x in t), t)
+
+
+class _Reducer:
+    """Normal forms against a growing basis, with generic divisor search.
+
+    Divisor hits and shifted basis multiples are memoized per monomial;
+    cache entries stay valid when the basis grows because any recorded
+    divisor keeps dividing its monomial.
+    """
+
+    def __init__(self, k: int):
+        self.k = k
+        self.lts: list[Monomial] = []
+        self.polys: list[frozenset] = []
+        self._div: dict[Monomial, int | None] = {}
+        self._scanned: dict[Monomial, int] = {}
+        self._prod: dict[tuple[int, Monomial], frozenset] = {}
+
+    def add(self, terms: frozenset) -> int:
+        lt = max(terms, key=grlex_key)
+        self.lts.append(lt)
+        self.polys.append(terms)
+        return len(self.lts) - 1
+
+    def divisor(self, t: Monomial) -> int | None:
+        found = self._div.get(t)
+        if found is not None:
+            return found
+        start = self._scanned.get(t, 0)
+        for gi in range(start, len(self.lts)):
+            if _divides(self.lts[gi], t):
+                self._div[t] = gi
+                return gi
+        self._scanned[t] = len(self.lts)
+        return None
+
+    def _product(self, gi: int, q: Monomial) -> frozenset:
+        key = (gi, q)
+        cached = self._prod.get(key)
+        if cached is None:
+            cached = frozenset(
+                tuple(map(sum, zip(term, q))) for term in self.polys[gi]
+            )
+            self._prod[key] = cached
+        return cached
+
+    def normal_form(self, terms) -> frozenset:
+        work = set(terms)
+        heap = [_neg_key(t) for t in work]
+        heapq.heapify(heap)
+        remainder = set()
+        while heap:
+            t = heapq.heappop(heap)[2]
+            if t not in work:
+                continue
+            gi = self.divisor(t)
+            if gi is None:
+                work.remove(t)
+                remainder.add(t)
+                continue
+            q = tuple(a - b for a, b in zip(t, self.lts[gi]))
+            prod = self._product(gi, q)
+            fresh = prod - work
+            work.symmetric_difference_update(prod)
+            for u in fresh:
+                heapq.heappush(heap, _neg_key(u))
+        return frozenset(remainder)
+
+
+def _update_pairs(
+    lts: list[Monomial], pairs: set[tuple[int, int]], h: int
+) -> set[tuple[int, int]]:
+    """Gebauer-Moller pair update after appending basis element h."""
+    lth = lts[h]
+    lcm_h = {g: _lcm(lth, lts[g]) for g in range(h)}
+    candidates = list(range(h))
+    kept: list[int] = []
+    while candidates:
+        g = candidates.pop()
+        l = lcm_h[g]
+        if _coprime(lth, lts[g]) or (
+            not any(_divides(lcm_h[g2], l) for g2 in candidates)
+            and not any(_divides(lcm_h[g2], l) for g2 in kept)
+        ):
+            kept.append(g)
+    fresh = {(g, h) for g in kept if not _coprime(lth, lts[g])}
+    surviving = set()
+    for g1, g2 in pairs:
+        l12 = _lcm(lts[g1], lts[g2])
+        if (
+            not _divides(lth, l12)
+            or _lcm(lts[g1], lth) == l12
+            or _lcm(lth, lts[g2]) == l12
+        ):
+            surviving.add((g1, g2))
+    return surviving | fresh
+
+
+def buchberger_reference(generators: list[Poly]) -> list[Poly]:
+    """A (non-reduced) Groebner basis of the ideal spanned by the input."""
+    if not generators:
+        raise ValueError("need at least one generator")
+    k = generators[0].k
+    for g in generators:
+        if not g:
+            raise ValueError("zero generator")
+        if g.k != k:
+            raise ValueError("generators have mixed variable counts")
+
+    reducer = _Reducer(k)
+    pairs: set[tuple[int, int]] = set()
+    heap: list = []
+    for g in generators:
+        reduced = reducer.normal_form(g.terms)
+        if not reduced:
+            continue
+        h = reducer.add(reduced)
+        pairs = _update_pairs(reducer.lts, pairs, h)
+        for p in pairs:
+            heapq.heappush(heap, (grlex_key(_lcm(reducer.lts[p[0]], reducer.lts[p[1]])), p))
+    if not reducer.polys:
+        raise ValueError("generators span the zero ideal")
+
+    while heap:
+        _, pair = heapq.heappop(heap)
+        if pair not in pairs:
+            continue
+        pairs.discard(pair)
+        g1, g2 = pair
+        lt1, lt2 = reducer.lts[g1], reducer.lts[g2]
+        lcm = _lcm(lt1, lt2)
+        s_terms = set()
+        q1 = tuple(a - b for a, b in zip(lcm, lt1))
+        q2 = tuple(a - b for a, b in zip(lcm, lt2))
+        s_terms.symmetric_difference_update(reducer._product(g1, q1))
+        s_terms.symmetric_difference_update(reducer._product(g2, q2))
+        reduced = reducer.normal_form(s_terms)
+        if not reduced:
+            continue
+        h = reducer.add(reduced)
+        before = pairs
+        pairs = _update_pairs(reducer.lts, pairs, h)
+        for p in pairs - before:
+            heapq.heappush(
+                heap, (grlex_key(_lcm(reducer.lts[p[0]], reducer.lts[p[1]])), p)
+            )
+
+    return [Poly._make(k, terms) for terms in reducer.polys]
+
+
+def reduce_basis_reference(gb: list[Poly]) -> list[Poly]:
+    """The unique reduced basis: minimal leads, every element tail-reduced,
+    sorted by grlex of the leading term."""
+    if not gb:
+        raise ValueError("empty basis")
+    k = gb[0].k
+    entries = sorted(((g.leading_term(), g) for g in gb), key=lambda e: grlex_key(e[0]))
+    minimal: list[tuple[Monomial, Poly]] = []
+    for lt, g in entries:
+        if not any(_divides(prev_lt, lt) for prev_lt, _ in minimal):
+            minimal.append((lt, g))
+
+    current = [g for _, g in minimal]
+    while True:
+        updated = []
+        changed = False
+        for idx, g in enumerate(current):
+            reducer = _Reducer(k)
+            for jdx, other in enumerate(current):
+                if jdx != idx:
+                    reducer.add(other.terms)
+            reduced = Poly._make(k, reducer.normal_form(g.terms))
+            if reduced != g:
+                changed = True
+            updated.append(reduced)
+        current = updated
+        if not changed:
+            break
+    current.sort(key=lambda g: grlex_key(g.leading_term()))
+    return current
+
+
+def oracle_reduce_reference(f: Poly, basis: list[Poly]) -> Poly:
+    """Full normal form of f against an arbitrary basis (generic search)."""
+    reducer = _Reducer(f.k)
+    for g in basis:
+        reducer.add(g.terms)
+    return Poly._make(f.k, reducer.normal_form(f.terms))

@@ -1,3 +1,5 @@
+import heapq
+
 import pytest
 
 from grassgb.buchberger_oracle import (
@@ -11,6 +13,23 @@ from grassgb.buchberger_oracle import (
 from grassgb.dual_classes import wbar_recurrence
 from grassgb.f2poly import Poly, grlex_key, parse
 from grassgb.groebner_family import GrassmannContext, build_family
+
+from conftest import random_poly
+from reference import (
+    buchberger_reference,
+    oracle_reduce_reference,
+    reduce_basis_reference,
+)
+
+# the ten acceptance instances, then larger ones with more pairs and wider leads
+REFERENCE_INSTANCES = [
+    (2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5), (4, 4), (4, 5), (5, 5),
+    (3, 8), (3, 12), (4, 6), (5, 4),
+]
+
+
+def dual_class_generators(k, n):
+    return [wbar_recurrence(n + j, k) for j in range(1, k + 1)]
 
 
 class TestSPolynomial:
@@ -60,6 +79,20 @@ class TestBuchberger:
             others = gb[:i] + gb[i + 1 :]
             for j, h in enumerate(others):
                 assert not oracle_reduce(s_polynomial(g, h), gb), (i, j)
+
+    def test_each_pair_queued_once(self, monkeypatch):
+        pushed = []
+        real_push = heapq.heappush
+
+        def push(heap, item):
+            if len(item) == 2:  # (lcm key, pair); normal_form pushes 3-tuples
+                pushed.append(item[1])
+            real_push(heap, item)
+
+        monkeypatch.setattr(heapq, "heappush", push)
+        buchberger(dual_class_generators(3, 4))
+        assert pushed
+        assert len(pushed) == len(set(pushed))
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -130,3 +163,82 @@ def test_becker_standard_monomials():
                 all(x <= y for x, y in zip(lt, mono)) for lt in lts
             )
             assert divisible == (sum(mono) == n + 1), mono
+
+
+class TestMatchesReference:
+    """Identical lists, in order and terms, to the tuple-based references."""
+
+    @pytest.mark.parametrize("k,n", REFERENCE_INSTANCES)
+    def test_dual_class_generators(self, k, n):
+        gens = dual_class_generators(k, n)
+        gb = buchberger_reference(gens)
+        assert buchberger(gens) == gb
+        assert reduce_basis(gb) == reduce_basis_reference(gb)
+
+    def test_random_nonhomogeneous_generators(self, rng):
+        checked = 0
+        while checked < 30:
+            k = rng.choice((2, 3))
+            gens = [g for g in (random_poly(rng, k) for _ in range(rng.randint(1, 4))) if g]
+            if not gens:
+                continue
+            gb = buchberger_reference(gens)
+            assert buchberger(gens) == gb, gens
+            assert reduce_basis(gb) == reduce_basis_reference(gb), gens
+            checked += 1
+
+    @pytest.fixture
+    def raw_basis(self):
+        return buchberger_reference(dual_class_generators(3, 5))
+
+    def test_reduce_basis_non_minimal_input(self, raw_basis, rng):
+        w1, w3 = parse("w1", 3), parse("w3", 3)
+        multiples = [w1 * g for g in raw_basis[::3]]
+        mixed = [w3 * g + h for g, h in zip(raw_basis, raw_basis[5:])]
+        basis = raw_basis + multiples + mixed
+        rng.shuffle(basis)
+        assert reduce_basis(basis) == reduce_basis_reference(basis)
+
+    def test_reduce_basis_duplicate_leads(self, raw_basis):
+        lead = lambda g: grlex_key(g.leading_term())
+        twins = [g + h for g in raw_basis for h in raw_basis if lead(h) < lead(g)][::7]
+        assert any(g.leading_term() == t.leading_term() for g in raw_basis for t in twins)
+        for basis in (twins + raw_basis, raw_basis + twins):
+            assert reduce_basis(basis) == reduce_basis_reference(basis)
+
+    def test_reduce_basis_already_reduced(self, raw_basis):
+        reduced = reduce_basis_reference(raw_basis)
+        assert reduce_basis(reduced) == reduced == reduce_basis_reference(reduced)
+
+
+class TestWidthEdges:
+    """Leads and probes at and past the packed field width."""
+
+    CASES = {
+        # lead exponents at and above 2^16 from the first generator on
+        "above_2_16": (2, ["w1^65536 + w2^3", "w1*w2^2 + w2^65537"]),
+        # the second lead outgrows the width the first one set
+        "lead_outgrows_width": (2, ["w1*w2^3", "w1^131072 + w2"]),
+        "outgrows_with_a_pair_queued": (2, ["w1*w2^3", "w1^2*w2 + w2^2", "w1^131072 + w2"]),
+        # read at the old width, a queued lcm would make the Gebauer-Moller
+        # update drop a pair whose S-polynomial adds an element
+        "queued_lcm_repacked": (2, ["w1^3*w2 + w2^2", "w1*w2", "w2^23 + w2^2"]),
+        "three_variables": (3, ["w1^3 + w2*w3", "w2^70000*w3 + w1", "w3^5 + w1*w2"]),
+        # w2^(2^20 + 7) is probed against w1 while every field is 1 bit wide
+        "probe_above_every_field": (2, ["w1 + w2", "w2^1048583 + w2"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_reference(self, case):
+        k, texts = self.CASES[case]
+        gens = [parse(text, k) for text in texts]
+        gb = buchberger_reference(gens)
+        assert buchberger(gens) == gb
+        assert reduce_basis(gb) == reduce_basis_reference(gb)
+
+    def test_oracle_reduce_probe_above_every_field(self):
+        basis = [parse(text, 3) for text in ("w1", "w2^2*w3 + w1*w3", "w3^3")]
+        probes = ("w2^1048583", "w2^1048583*w3 + w3^2097157", "w1^1048583*w2^7 + w2*w3^2")
+        for text in probes:
+            f = parse(text, 3)
+            assert oracle_reduce(f, basis) == oracle_reduce_reference(f, basis), text
