@@ -149,6 +149,10 @@ class _Reducer:
                 remainder.add(t)
                 continue
             q = tuple(a - b for a, b in zip(t, self.lts[gi]))
+            if min(q) < 0:
+                # a wrong divisor would shift terms to ever lower degrees
+                # and never finish
+                raise RuntimeError(f"lead {self.lts[gi]} does not divide {t}")
             prod = self._product(gi, q)
             fresh = prod - work
             work.symmetric_difference_update(prod)

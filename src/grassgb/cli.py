@@ -4,7 +4,6 @@ immersion checks.  All output is deterministic for fixed arguments."""
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .buchberger_oracle import (
@@ -14,7 +13,7 @@ from .buchberger_oracle import (
 )
 from .cohomology import normal_form, standard_basis
 from .dual_classes import wbar_recurrence
-from .f2poly import ParseError, Poly, format_poly, grlex_key, parse
+from .f2poly import ParseError, Poly, format_poly, parse
 from .groebner_family import GrassmannContext, GroebnerFamily
 from .steenrod import immersion_obstruction_check
 
@@ -67,36 +66,46 @@ def _context(args) -> GrassmannContext:
     return GrassmannContext(args.k, args.n)
 
 
-def _family_records(family: GroebnerFamily, only_m=None):
-    indices = [only_m] if only_m is not None else family.multi_indices()
-    for m in indices:
-        g = family.element(m)
-        ordered = sorted(g.terms, key=grlex_key, reverse=True)
-        yield m, g, ordered
+def _json_rows(count: int, indent: int) -> str:
+    return ",\n".join([" " * indent + "%d"] * count)
+
+
+def _print_json(family: GroebnerFamily, elements) -> None:
+    """Print the records {"M", "lt", "poly"} exactly as
+    json.dumps(records, indent=2) would, with one format string per
+    nesting depth; terms go in decreasing grlex order."""
+    k = family.context.k
+    head = (
+        '  {\n    "M": [\n%s\n    ],\n    "lt": [\n%s\n    ],\n    "poly": [\n'
+        % (_json_rows(k - 1, 6), _json_rows(k, 6))
+    )
+    term = "      [\n%s\n      ]" % _json_rows(k, 8)
+    records = []
+    for m, g in elements:
+        # grlex descending by two sorts on C-level keys: lex, then stably by degree
+        ordered = sorted(g.terms, reverse=True)
+        ordered.sort(key=sum, reverse=True)
+        body = ",\n".join([term % t for t in ordered])
+        records.append(head % (m + family.leading_term(m)) + body + "\n    ]\n  }")
+    print("[\n" + ",\n".join(records) + "\n]")
 
 
 def _cmd_generate(args) -> int:
     ctx = _context(args)
-    only_m = None
-    if args.only_m is not None:
+    family = GroebnerFamily(ctx)
+    if args.only_m is None:
+        elements = family.items()
+    else:
         only_m = tuple(int(x) for x in args.only_m.split(","))
         if len(only_m) != ctx.k - 1 or any(x < 0 for x in only_m):
             raise ValueError(f"--only-m needs {ctx.k - 1} nonnegative entries")
         if sum(only_m) > ctx.n + 1:
             raise ValueError("--only-m index has entry sum above n+1")
-    family = GroebnerFamily(ctx)
+        elements = [(only_m, family.element(only_m))]
     if args.format == "json":
-        records = [
-            {
-                "M": list(m),
-                "lt": list(family.leading_term(m)),
-                "poly": [list(t) for t in ordered],
-            }
-            for m, _, ordered in _family_records(family, only_m)
-        ]
-        print(json.dumps(records, indent=2))
+        _print_json(family, elements)
     else:
-        for m, g, _ in _family_records(family, only_m):
+        for m, g in elements:
             label = ",".join(str(x) for x in m)
             print(f"g[{label}] = {format_poly(g)}")
     return 0

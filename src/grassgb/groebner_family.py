@@ -15,20 +15,26 @@ x & c == 0.  The kernel walks a_k, a_{k-1}, ..., a_2 depth first through
 only the values passing that test, and a_1 is forced by the weighted
 degree, so no term with an even coefficient is ever built.
 
-Closed forms exist for indices with m_k close to n, and a three-term
-recurrence relates elements at neighboring indices; both are exposed for
+Whole families are built through the paper's three-term recurrence
+
+    g_{M^{i,j}} = w_i g_{M^j} + w_{j+1} g_{M^{i-1}} + g_{M^{i-1,j+1}},
+
+which needs no enumeration at all: only the k elements with S_M <= 1 come
+from the direct formula.  A single element asked for on its own (a
+reduction step, ``generate --only-m``) still goes through the direct
+formula, so it costs one walk and not the elements below it.  Closed forms
+exist for indices with m_k close to n; they are exposed for
 cross-validation against the direct formula.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from .combinatorics import index_weight
-from .f2poly import Monomial, Poly
+from .f2poly import MAX_EXPONENT, Monomial, Poly
 
 __all__ = [
     "GrassmannContext",
@@ -159,6 +165,14 @@ def g_closed_form(ctx: GrassmannContext, m: MultiIndex) -> Optional[Poly]:
     return None
 
 
+def _times_variable(g: Poly, j: int) -> frozenset:
+    """The terms of w_j * g: every term's j-th exponent raised by one."""
+    p = j - 1
+    if max((t[p] for t in g.terms), default=0) >= MAX_EXPONENT:
+        raise OverflowError(f"exponent overflow multiplying by w{j}")
+    return frozenset(t[:p] + (t[p] + 1,) + t[p + 1 :] for t in g.terms)
+
+
 def g_recurrence_step(
     ctx: GrassmannContext,
     m: MultiIndex,
@@ -175,32 +189,33 @@ def g_recurrence_step(
     k = ctx.k
     if not 1 <= i <= j <= k - 1:
         raise ValueError(f"need 1 <= i <= j <= {k - 1}, got i={i}, j={j}")
-    out = Poly.variable(k, i) * lookup(raised(m, j))
-    out = out + Poly.variable(k, j + 1) * lookup(raised(m, i - 1))
+    terms = _times_variable(lookup(raised(m, j)), i)
+    terms ^= _times_variable(lookup(raised(m, i - 1)), j + 1)
     if j < k - 1:
-        out = out + lookup(raised2(m, i - 1, j + 1))
-    return out
+        terms ^= lookup(raised2(m, i - 1, j + 1)).terms
+    return Poly._make(k, terms)
 
 
-def _indices_up_to(k: int, bound: int) -> Iterator[MultiIndex]:
+def _indices_up_to(k: int, bound: int) -> list[MultiIndex]:
     """All (k-1)-tuples with entry sum <= bound, increasing lex-from-the-right."""
-    everything = (
-        m
-        for m in itertools.product(range(bound + 1), repeat=k - 1)
-        if sum(m) <= bound
-    )
-    return iter(sorted(everything, key=lambda m: m[::-1]))
+    if k == 1:
+        return [()]
+    return [
+        m + (x,) for x in range(bound + 1) for m in _indices_up_to(k - 1, bound - x)
+    ]
 
 
 class GroebnerFamily:
     """Lazy view of the basis {g_M : S_M <= n+1} with memoised elements.
 
-    Elements are computed by g_direct on first access, so reductions at
-    large n only ever materialize the indices they touch.  The memo is a
-    dict on the instance: an element lives as long as its family, and two
-    families never share one.  ``packed`` is the same kind of memo for
-    cohomology.normal_form: (packed lt, packed terms) of g_M keyed by
-    (M, field width).
+    ``element`` computes one g_M by g_direct on first access, so reductions
+    at large n only ever materialize the indices they touch.  ``items``,
+    ``polynomials`` and ``build_family`` materialize the whole family
+    through the recurrence instead, keeping any element already in the
+    memo.  The memo is a dict on the instance: an element lives as long as
+    its family, and two families never share one.  ``packed`` is the same
+    kind of memo for cohomology.normal_form: (packed lt, packed terms) of
+    g_M keyed by (M, field width).
     """
 
     def __init__(self, context: GrassmannContext):
@@ -213,7 +228,7 @@ class GroebnerFamily:
         return math.comb(n + k, k - 1)
 
     def multi_indices(self) -> Iterator[MultiIndex]:
-        return _indices_up_to(self.context.k, self.context.n + 1)
+        return iter(_indices_up_to(self.context.k, self.context.n + 1))
 
     def element(self, m: MultiIndex) -> Poly:
         m = tuple(m)
@@ -225,17 +240,48 @@ class GroebnerFamily:
     def leading_term(self, m: MultiIndex) -> Monomial:
         return leading_term_of(self.context, m)
 
+    def _materialise(self) -> list[MultiIndex]:
+        """Put every g_M of the family in the memo; return the indices in
+        ``multi_indices`` order.
+
+        The elements with S_M <= 1 come from g_direct, every other T from
+        the recurrence with i and j its first and last nonzero positions
+        and M = T - e_i - e_j.  Built in order of (S_T, i): g_{M^j} and
+        g_{M^{i-1}} lie below T's level, and g_{M^{i-1,j+1}} is on it with
+        its first nonzero at i-1, so every summand is built before T.
+        """
+        ctx, memo = self.context, self._memo
+        indices = _indices_up_to(ctx.k, ctx.n + 1)
+        missing = []
+        for t in indices:
+            if t not in memo:
+                nonzero = [p for p, x in enumerate(t, start=1) if x]
+                i, j = (nonzero[0], nonzero[-1]) if nonzero else (0, 0)
+                missing.append((sum(t), i, j, t))
+        missing.sort()
+        lookup = memo.__getitem__
+        for s, i, j, t in missing:
+            if s <= 1:
+                memo[t] = g_direct(ctx, t)
+            else:
+                m = list(t)
+                m[i - 1] -= 1
+                m[j - 1] -= 1
+                memo[t] = g_recurrence_step(ctx, tuple(m), i, j, lookup)
+        return indices
+
     def items(self) -> Iterator[tuple[MultiIndex, Poly]]:
-        for m in self.multi_indices():
-            yield m, self.element(m)
+        memo = self._memo
+        for m in self._materialise():
+            yield m, memo[m]
 
     def polynomials(self) -> list[Poly]:
-        return [g for _, g in self.items()]
+        memo = self._memo
+        return [memo[m] for m in self._materialise()]
 
 
 def build_family(ctx: GrassmannContext) -> GroebnerFamily:
     """Materialize the whole family for the given context."""
     family = GroebnerFamily(ctx)
-    for m in family.multi_indices():
-        family.element(m)
+    family._materialise()
     return family

@@ -11,6 +11,11 @@ from a heap.  The tensor-square class expands the product of the
 1 + x_i^2 + x_j^2 to full degree; the package expands the product of the
 1 + x_i + x_j to half the degree and squares.
 
+The multi-indices of a family are every tuple of the box filtered by
+entry sum and then sorted; the package generates them in order.  The
+JSON of ``generate`` comes from json.dumps(indent=2) over terms sorted by
+``grlex_key``; the package prints it with one format string per depth.
+
 The Buchberger oracle tests divisibility on exponent tuples, recomputes the
 lcm of every queued pair at each Gebauer-Moller update and inter-reduces
 each element against a fresh reducer of the others until nothing changes;
@@ -21,12 +26,19 @@ one pass over one shared reducer.
 from __future__ import annotations
 
 import heapq
+import itertools
+import json
 from typing import Optional
 
 from grassgb.cohomology import structured_divisor
 from grassgb.combinatorics import binom_parity, index_weight
 from grassgb.f2poly import Monomial, Poly, grlex_key, monomials_of_weighted_degree
-from grassgb.groebner_family import GrassmannContext, GroebnerFamily
+from grassgb.groebner_family import (
+    GrassmannContext,
+    GroebnerFamily,
+    g_direct,
+    leading_term_of,
+)
 from grassgb.steenrod import _mul_roots, _symmetric_to_elementary
 
 
@@ -55,6 +67,32 @@ def g_direct_reference(k: int, n: int, m: tuple[int, ...]) -> Poly:
         a for a in monomials_of_weighted_degree(target, k) if p_product(a, m)
     )
     return Poly._make(k, terms)
+
+
+def indices_up_to_reference(k: int, bound: int) -> list[tuple[int, ...]]:
+    """All (k-1)-tuples with entry sum <= bound, increasing lex-from-the-right."""
+    everything = (
+        m
+        for m in itertools.product(range(bound + 1), repeat=k - 1)
+        if sum(m) <= bound
+    )
+    return sorted(everything, key=lambda m: m[::-1])
+
+
+def generate_json_reference(ctx: GrassmannContext, indices) -> str:
+    """``generate --format json`` output (without the final newline) for
+    the given indices, each g_M computed by g_direct."""
+    records = []
+    for m in indices:
+        ordered = sorted(g_direct(ctx, m).terms, key=grlex_key, reverse=True)
+        records.append(
+            {
+                "M": list(m),
+                "lt": list(leading_term_of(ctx, m)),
+                "poly": [list(t) for t in ordered],
+            }
+        )
+    return json.dumps(records, indent=2)
 
 
 def normal_form_reference(

@@ -4,6 +4,7 @@ import pytest
 
 from grassgb.buchberger_oracle import (
     OracleCapExceeded,
+    _Reducer,
     buchberger,
     oracle_equals_family,
     oracle_reduce,
@@ -242,3 +243,20 @@ class TestWidthEdges:
         for text in probes:
             f = parse(text, 3)
             assert oracle_reduce(f, basis) == oracle_reduce_reference(f, basis), text
+
+
+def test_wrong_divisor_raises_instead_of_running_forever(monkeypatch):
+    # lead w2^2 does not divide w1^3; reducing by it anyway would shift
+    # terms to ever lower degrees without end
+    calls = []
+
+    def wrong_divisor(self, t):
+        calls.append(t)
+        if len(calls) > 1000:
+            pytest.fail("normal_form kept reducing by a non-divisor")
+        return 0
+
+    monkeypatch.setattr(_Reducer, "divisor", wrong_divisor)
+    with pytest.raises(RuntimeError, match="does not divide"):
+        oracle_reduce(parse("w1^3", 2), [parse("w1 + w2^2", 2)])
+    assert len(calls) == 1

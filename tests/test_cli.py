@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from reference import normal_form_reference
+from reference import generate_json_reference, normal_form_reference
 
 from grassgb.cli import run
 from grassgb.f2poly import Poly, format_poly
@@ -33,6 +33,26 @@ def test_generate_json_round_trips(capsys):
     assert len(records) == 4
     assert records[0] == {"M": [0], "lt": [3, 0], "poly": [[3, 0]]}
     assert json.dumps(records, indent=2) == out.strip()
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_generate_json_matches_json_dumps(capsys, k):
+    for n in sorted({k, 7, 9}):
+        ctx = GrassmannContext(k, n)
+        argv = ("generate", "-k", str(k), "-n", str(n), "--format", "json")
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0
+        indices = GroebnerFamily(ctx).multi_indices()
+        assert out == generate_json_reference(ctx, indices) + "\n", n
+
+
+@pytest.mark.parametrize("k,n,m", [(2, 2, (1,)), (4, 9, (2, 0, 3)), (6, 7, (1, 1, 1, 1, 1))])
+def test_generate_json_only_m_matches_json_dumps(capsys, k, n, m):
+    only = ",".join(map(str, m))
+    argv = ("generate", "-k", str(k), "-n", str(n), "--only-m", only, "--format", "json")
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert out == generate_json_reference(GrassmannContext(k, n), [m]) + "\n"
 
 
 def test_generate_only_m(capsys):

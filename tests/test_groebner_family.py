@@ -2,14 +2,21 @@ import math
 import random
 
 import pytest
-from reference import g_direct_reference
+from reference import g_direct_reference, indices_up_to_reference
 
 from grassgb.combinatorics import binom_parity
 from grassgb.dual_classes import wbar_recurrence
-from grassgb.f2poly import Poly, grlex_key, monomials_of_weighted_degree, parse
+from grassgb.f2poly import (
+    MAX_EXPONENT,
+    Poly,
+    grlex_key,
+    monomials_of_weighted_degree,
+    parse,
+)
 from grassgb.groebner_family import (
     GrassmannContext,
     GroebnerFamily,
+    _indices_up_to,
     build_family,
     g_closed_form,
     g_direct,
@@ -157,6 +164,43 @@ def test_recurrence_step_validates_indices():
         g_recurrence_step(ctx, (0, 0), 2, 1, lookup)
     with pytest.raises(ValueError):
         g_recurrence_step(ctx, (0, 0), 1, 3, lookup)
+
+
+def test_recurrence_step_overflow_guard():
+    ctx = GrassmannContext(2, 2)
+    big = Poly(2, [(MAX_EXPONENT, 0)])
+    with pytest.raises(OverflowError):
+        g_recurrence_step(ctx, (0,), 1, 1, lambda m: big)
+
+
+# the k = 2..6 grid, n in {k, 7, 9}, and one larger family
+FAMILY_GRID = [(k, n) for k in range(2, 7) for n in sorted({k, 7, 9})] + [(5, 12)]
+
+
+@pytest.mark.parametrize("k,n", FAMILY_GRID)
+def test_whole_family_by_recurrence_matches_direct(k, n):
+    ctx = GrassmannContext(k, n)
+    family = build_family(ctx)
+    for m, g in family.items():
+        assert g == g_direct(ctx, m), m
+    assert list(dict(family.items())) == indices_up_to_reference(k, n + 1)
+
+
+def test_items_keeps_elements_already_filled():
+    ctx = GrassmannContext(4, 6)
+    family = GroebnerFamily(ctx)
+    filled = {m: family.element(m) for m in ((0, 0, 0), (1, 2, 0), (0, 3, 4), (2, 0, 5))}
+    table = dict(family.items())
+    for m, g in filled.items():
+        assert table[m] is g
+    assert all(table[m] == g_direct(ctx, m) for m in table)
+    assert family.polynomials() == list(table.values())
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_indices_match_reference(k):
+    for bound in range(13):
+        assert _indices_up_to(k, bound) == indices_up_to_reference(k, bound), bound
 
 
 def test_recurrence_derivation_of_eq9():
