@@ -9,9 +9,9 @@ from .buchberger_oracle import (
     s_polynomial,
 )
 from .cohomology import CohomologyClass, cup, is_zero, normal_form, standard_basis
-from .combinatorics import binom_int, binom_parity, multinomial_parity
+from .combinatorics import binom_parity, multinomial_parity
 from .dual_classes import wbar_explicit, wbar_recurrence
-from .f2poly import Poly, format_poly, grlex_compare, parse
+from .f2poly import Poly, format_poly, parse
 from .groebner_family import (
     GrassmannContext,
     GroebnerFamily,
@@ -23,7 +23,6 @@ from .groebner_family import (
 )
 from .steenrod import (
     ObstructionReport,
-    alpha,
     immersion_obstruction_check,
     normal_bundle_sw,
     sq,
@@ -37,8 +36,6 @@ __all__ = [
     "Poly",
     "parse",
     "format_poly",
-    "grlex_compare",
-    "binom_int",
     "binom_parity",
     "multinomial_parity",
     "wbar_recurrence",
@@ -65,5 +62,4 @@ __all__ = [
     "normal_bundle_sw",
     "immersion_obstruction_check",
     "ObstructionReport",
-    "alpha",
 ]

@@ -32,7 +32,7 @@ from heapq import heapify, heappop, heappush
 from typing import Callable, Optional
 
 from .f2poly import Monomial, Poly, grlex_key, weighted_degree
-from .groebner_family import GrassmannContext, GroebnerFamily
+from .groebner_family import GrassmannContext, GroebnerFamily, _indices_up_to
 
 __all__ = [
     "CohomologyClass",
@@ -157,17 +157,6 @@ def cup(
     return normal_form(ctx, a.value * b.value, family)
 
 
-def _tuples_with_sum_at_most(k: int, bound: int):
-    if k == 0:
-        yield ()
-        return
-    for head in range(bound + 1):
-        for tail in _tuples_with_sum_at_most(k - 1, bound - head):
-            yield (head,) + tail
-
-
 def standard_basis(ctx: GrassmannContext) -> list[Monomial]:
     """All monomials of exponent sum <= n, in increasing grlex order."""
-    monos = list(_tuples_with_sum_at_most(ctx.k, ctx.n))
-    monos.sort(key=grlex_key)
-    return monos
+    return sorted(_indices_up_to(ctx.k + 1, ctx.n), key=grlex_key)

@@ -1,4 +1,4 @@
-"""Integer binomial/multinomial coefficients and their parities.
+"""Parities of binomial and multinomial coefficients.
 
 Binomial coefficients follow the falling-factorial convention, so the
 upper argument may be any integer (including negative ones).  The parity
@@ -9,30 +9,14 @@ binom(a, b) = (-1)^b * binom(b - a - 1, b).
 
 from __future__ import annotations
 
-import math
-
 __all__ = [
-    "binom_int",
     "binom_parity",
     "multinomial_parity",
-    "index_weight",
 ]
 
 
-def binom_int(alpha: int, beta: int) -> int:
-    """Exact binomial coefficient for arbitrary integer arguments."""
-    if beta < 0:
-        return 0
-    if beta == 0:
-        return 1
-    num = 1
-    for i in range(beta):
-        num *= alpha - i
-    return num // math.factorial(beta)
-
-
 def binom_parity(alpha: int, beta: int) -> int:
-    """binom_int(alpha, beta) mod 2, without big-integer arithmetic."""
+    """binom(alpha, beta) mod 2, without big-integer arithmetic."""
     if beta < 0:
         return 0
     if beta == 0:
@@ -42,11 +26,6 @@ def binom_parity(alpha: int, beta: int) -> int:
         alpha = beta - alpha - 1
     # Lucas: odd iff the bits of beta are a subset of the bits of alpha
     return 1 if alpha & beta == beta else 0
-
-
-def index_weight(m: tuple[int, ...]) -> int:
-    """Weighted sum of M: sum of (j - 1) * m_j with j = 2..k."""
-    return sum(j * x for j, x in enumerate(m, start=1))
 
 
 def _suffix_sums(entries: tuple[int, ...], length: int) -> list[int]:

@@ -3,11 +3,12 @@
 Two independent constructions of the same class: the recurrence coming
 from (1 + w_1 + ... + w_k)(1 + wbar_1 + wbar_2 + ...) = 1, and the
 explicit sum over exponent vectors with odd multinomial coefficient.
+Neither caches anything between calls: the recurrence builds wbar_0, ...,
+wbar_r afresh in a list of its own, with no recursion, so any degree r
+works without reaching the interpreter's recursion limit.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .combinatorics import multinomial_parity
 from .f2poly import Poly, monomials_of_weighted_degree
@@ -22,23 +23,16 @@ def _validate(r: int, k: int) -> None:
         raise ValueError(f"need k >= 2, got {k}")
 
 
-@lru_cache(maxsize=None)
-def _wbar_rec(r: int, k: int) -> Poly:
-    if r == 0:
-        return Poly.one(k)
-    acc = Poly.zero(k)
-    for i in range(1, min(r, k) + 1):
-        acc = acc + Poly.variable(k, i) * _wbar_rec(r - i, k)
-    return acc
-
-
 def wbar_recurrence(r: int, k: int) -> Poly:
     """wbar_r via wbar_r = sum_{i=1}^{min(r,k)} w_i * wbar_{r-i}, wbar_0 = 1."""
     _validate(r, k)
-    # unroll so deep recursion never hits the interpreter limit
-    for d in range(r + 1):
-        _wbar_rec(d, k)
-    return _wbar_rec(r, k)
+    wbar = [Poly.one(k)]
+    for d in range(1, r + 1):
+        acc = Poly.zero(k)
+        for i in range(1, min(d, k) + 1):
+            acc = acc + Poly.variable(k, i) * wbar[d - i]
+        wbar.append(acc)
+    return wbar[r]
 
 
 def wbar_explicit(r: int, k: int) -> Poly:

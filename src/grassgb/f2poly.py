@@ -13,7 +13,6 @@ __all__ = [
     "Poly",
     "ParseError",
     "grlex_key",
-    "grlex_compare",
     "weighted_degree",
     "monomials_of_weighted_degree",
     "parse",
@@ -28,14 +27,6 @@ Monomial = tuple[int, ...]
 def grlex_key(mono: Monomial):
     """Sort key realizing grlex with w_1 > w_2 > ... > w_k."""
     return (sum(mono), mono)
-
-
-def grlex_compare(a: Monomial, b: Monomial) -> int:
-    """Three-way grlex comparison: -1 if a < b, 0 if equal, 1 if a > b."""
-    if len(a) != len(b):
-        raise ValueError("monomials have different variable counts")
-    ka, kb = grlex_key(a), grlex_key(b)
-    return (ka > kb) - (ka < kb)
 
 
 def weighted_degree(mono: Monomial) -> int:
@@ -162,7 +153,7 @@ class Poly:
             for b in other.terms:
                 toggle((tuple(map(sum, zip(a, b))),))
         for t in out:
-            if any(e > MAX_EXPONENT for e in t):
+            if max(t) > MAX_EXPONENT:
                 raise OverflowError(f"exponent overflow in product term {t}")
         return Poly._make(self.k, frozenset(out))
 
@@ -170,7 +161,7 @@ class Poly:
         """Frobenius: squaring doubles every exponent over F2."""
         terms = frozenset(tuple(2 * e for e in t) for t in self.terms)
         for t in terms:
-            if any(e > MAX_EXPONENT for e in t):
+            if max(t) > MAX_EXPONENT:
                 raise OverflowError(f"exponent overflow in {t}")
         return Poly._make(self.k, terms)
 

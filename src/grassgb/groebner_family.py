@@ -33,8 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .combinatorics import index_weight
-from .f2poly import MAX_EXPONENT, Monomial, Poly
+from .f2poly import MAX_EXPONENT, Monomial, Poly, weighted_degree
 
 __all__ = [
     "GrassmannContext",
@@ -128,7 +127,7 @@ def g_direct(ctx: GrassmannContext, m: MultiIndex) -> Poly:
             if not 0 < x <= top:
                 return
 
-    walk(k, ctx.n + 1 + index_weight(m), 0, ())
+    walk(k, ctx.n + 1 + weighted_degree(m), 0, ())
     return Poly._make(k, frozenset(terms))
 
 
@@ -140,7 +139,7 @@ def g_closed_form(ctx: GrassmannContext, m: MultiIndex) -> Optional[Poly]:
     """
     _check_index(ctx, m)
     k, n = ctx.k, ctx.n
-    if sum(m) <= n + 1 and index_weight(m) > (k - 1) * n - 1:
+    if sum(m) <= n + 1 and weighted_degree(m) > (k - 1) * n - 1:
         return Poly.monomial(leading_term_of(ctx, m))
     if m[-1] == n - 1:
         head, mk = m[:-1], m[-1]

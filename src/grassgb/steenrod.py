@@ -4,13 +4,17 @@ Squares of generators come from Wu's formula, products from the Cartan
 formula (with binary splitting on powers, since Sq^i(x^2) only survives
 for even i).  The tensor-square total class is computed by the splitting
 principle in formal root variables and converted back to elementary
-symmetric polynomials.
+symmetric polynomials.  A polynomial in the roots x_1, ..., x_k is a Poly
+in k variables, multiplied by Poly.__mul__ like any other.
+
+Nothing is cached between calls: every square and every tensor square is
+computed afresh from its arguments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import combinations
 from typing import Optional
 
 from .cohomology import CohomologyClass, normal_form
@@ -25,7 +29,6 @@ __all__ = [
     "normal_bundle_sw",
     "immersion_obstruction_check",
     "ObstructionReport",
-    "alpha",
 ]
 
 
@@ -39,7 +42,6 @@ class ObstructionReport:
     lift_possible: bool
 
 
-@lru_cache(maxsize=None)
 def sq_on_generator(i: int, j: int, k: int) -> Poly:
     """Wu's formula: Sq^i(w_j) = sum_t binom(j-i+t-1, t) w_{i-t} w_{j+t},
     with w_0 = 1 and w_m = 0 for m > k."""
@@ -64,7 +66,6 @@ def sq_on_generator(i: int, j: int, k: int) -> Poly:
     return Poly(k, terms)
 
 
-@lru_cache(maxsize=None)
 def _sq_power(i: int, j: int, m: int, k: int) -> Poly:
     """Sq^i(w_j^m) by binary splitting over the Cartan formula."""
     if i == 0:
@@ -88,7 +89,6 @@ def _sq_power(i: int, j: int, m: int, k: int) -> Poly:
     return acc
 
 
-@lru_cache(maxsize=None)
 def _sq_monomial(i: int, exps: Monomial, k: int) -> Poly:
     """Cartan across the variables of a single monomial."""
     partial: dict[int, Poly] = {0: Poly.one(k)}
@@ -123,48 +123,21 @@ def sq(i: int, f: Poly) -> Poly:
 # -- splitting-principle computation of w(gamma_k (x) gamma_k) -------------
 
 
-def _mul_roots(
-    a: frozenset, b: frozenset, trunc: Optional[int] = None
-) -> frozenset:
-    """Product in the root variables, keeping only terms of degree <= trunc
-    when trunc is given."""
-    out: set = set()
-    toggle = out.symmetric_difference_update
-    for x in a:
-        for y in b:
-            s = tuple(map(sum, zip(x, y)))
-            if trunc is None or sum(s) <= trunc:
-                toggle((s,))
-    return frozenset(out)
-
-
-@lru_cache(maxsize=None)
-def _elementary_symmetric(k: int, i: int) -> frozenset:
-    from itertools import combinations
-
-    out = set()
-    for picks in combinations(range(k), i):
-        out.add(tuple(1 if v in picks else 0 for v in range(k)))
-    return frozenset(out)
-
-
-@lru_cache(maxsize=None)
-def _elementary_product(k: int, powers: tuple[int, ...]) -> frozenset:
-    """Expansion of e_1^{c_1} * ... * e_k^{c_k} in the root variables."""
-    acc = frozenset(((0,) * k,))
-    for i, c in enumerate(powers, start=1):
-        base = _elementary_symmetric(k, i)
-        for _ in range(c):
-            acc = _mul_roots(acc, base)
-    return acc
-
-
 class SymmetryError(RuntimeError):
     """An intermediate polynomial was not symmetric in the formal roots."""
 
 
 def _symmetric_to_elementary(terms: frozenset, k: int) -> Poly:
-    """Classical fundamental-theorem rewriting under lex order on roots."""
+    """Classical fundamental-theorem rewriting under lex order on roots:
+    the exponent vector of the result is (c_1, ..., c_k) for e_1^{c_1} ...
+    e_k^{c_k}, and e_i becomes w_i.  Every degree is rewritten in one pass:
+    each product of the e_i is homogeneous, so it cancels terms of its own
+    degree only."""
+    roots = range(k)
+    elementary = [
+        Poly(k, (tuple(int(v in c) for v in roots) for c in combinations(roots, i)))
+        for i in range(1, k + 1)
+    ]
     remaining = set(terms)
     out: set[Monomial] = set()
     while remaining:
@@ -174,7 +147,11 @@ def _symmetric_to_elementary(terms: frozenset, k: int) -> Poly:
         powers = tuple(
             (lead[i] - lead[i + 1]) if i < k - 1 else lead[i] for i in range(k)
         )
-        remaining.symmetric_difference_update(_elementary_product(k, powers))
+        product = Poly.one(k)
+        for e, c in zip(elementary, powers):
+            if c:
+                product = product * e**c
+        remaining.symmetric_difference_update(product.terms)
         out.symmetric_difference_update((powers,))
     return Poly._make(k, frozenset(out))
 
@@ -186,30 +163,20 @@ def tensor_square_sw(k: int, max_weighted_degree: int) -> Poly:
     collapses to the square of the product over unordered pairs, so each
     factor contributes 1 + x_i^2 + x_j^2 = (1 + x_i + x_j)^2.  Squaring is
     a ring map over F_2, so the product of the 1 + x_i + x_j is expanded to
-    half the degree, rewritten in the w variables and squared there.
+    half the degree, rewritten in the w variables and squared there.  A
+    root monomial of degree d becomes a w monomial of weighted degree d.
     """
     if not 2 <= k:
         raise ValueError("need k >= 2")
     if max_weighted_degree > k * k:
         raise ValueError(f"truncation degree exceeds the top dimension {k * k}")
     half = max_weighted_degree // 2
-    prod = frozenset(((0,) * k,))
-    for i in range(k):
-        for j in range(i + 1, k):
-            factor = set()
-            factor.add((0,) * k)
-            factor.add(tuple(1 if v == i else 0 for v in range(k)))
-            factor.add(tuple(1 if v == j else 0 for v in range(k)))
-            prod = _mul_roots(prod, frozenset(factor), half)
-    # convert degree by degree; each homogeneous root component of degree d
-    # becomes the weighted-degree-d component in the w variables
-    result = Poly.zero(k)
-    by_degree: dict[int, set] = {}
-    for t in prod:
-        by_degree.setdefault(sum(t), set()).add(t)
-    for d in sorted(by_degree):
-        result = result + _symmetric_to_elementary(frozenset(by_degree[d]), k)
-    return result.square()
+    prod = Poly.one(k)
+    for i in range(1, k + 1):
+        for j in range(i + 1, k + 1):
+            prod = prod * (Poly.one(k) + Poly.variable(k, i) + Poly.variable(k, j))
+            prod = Poly._make(k, frozenset(t for t in prod.terms if sum(t) <= half))
+    return _symmetric_to_elementary(prod.terms, k).square()
 
 
 def normal_bundle_sw(
@@ -265,9 +232,3 @@ def immersion_obstruction_check(
         lift_possible=bool(sq1_value) and bool(k1_value),
     )
 
-
-def alpha(m: int) -> int:
-    """Number of ones in the binary expansion of m >= 1."""
-    if m < 1:
-        raise ValueError("alpha is defined for positive integers")
-    return m.bit_count()

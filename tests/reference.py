@@ -9,7 +9,9 @@ The normal form rescans the working set for its grlex-largest reducible
 term at every step, on exponent tuples; the package reduces packed ints
 from a heap.  The tensor-square class expands the product of the
 1 + x_i^2 + x_j^2 to full degree; the package expands the product of the
-1 + x_i + x_j to half the degree and squares.
+1 + x_i + x_j to half the degree and squares.  The reference multiplies
+frozensets of root exponent tuples (``_mul_roots``); the package keeps
+root polynomials as ``Poly`` and multiplies them like any other.
 
 The multi-indices of a family are every tuple of the box filtered by
 entry sum and then sorted; the package generates them in order.  The
@@ -21,6 +23,10 @@ lcm of every queued pair at each Gebauer-Moller update and inter-reduces
 each element against a fresh reducer of the others until nothing changes;
 the package tests packed leads, keeps each pair's lcm and inter-reduces in
 one pass over one shared reducer.
+
+``binom_int`` (exact binomials), ``grlex_compare`` (three-way grlex
+comparison) and ``alpha`` (binary digit count) have no caller in the
+package; the tests check the package's parity and order rules against them.
 """
 
 from __future__ import annotations
@@ -28,18 +34,52 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+import math
 from typing import Optional
 
 from grassgb.cohomology import structured_divisor
-from grassgb.combinatorics import binom_parity, index_weight
-from grassgb.f2poly import Monomial, Poly, grlex_key, monomials_of_weighted_degree
+from grassgb.combinatorics import binom_parity
+from grassgb.f2poly import (
+    Monomial,
+    Poly,
+    grlex_key,
+    monomials_of_weighted_degree,
+    weighted_degree,
+)
 from grassgb.groebner_family import (
     GrassmannContext,
     GroebnerFamily,
     g_direct,
     leading_term_of,
 )
-from grassgb.steenrod import _mul_roots, _symmetric_to_elementary
+from grassgb.steenrod import _symmetric_to_elementary
+
+
+def binom_int(alpha: int, beta: int) -> int:
+    """Exact binomial coefficient for arbitrary integer arguments."""
+    if beta < 0:
+        return 0
+    if beta == 0:
+        return 1
+    num = 1
+    for i in range(beta):
+        num *= alpha - i
+    return num // math.factorial(beta)
+
+
+def grlex_compare(a: Monomial, b: Monomial) -> int:
+    """Three-way grlex comparison: -1 if a < b, 0 if equal, 1 if a > b."""
+    if len(a) != len(b):
+        raise ValueError("monomials have different variable counts")
+    ka, kb = grlex_key(a), grlex_key(b)
+    return (ka > kb) - (ka < kb)
+
+
+def alpha(m: int) -> int:
+    """Number of ones in the binary expansion of m >= 1."""
+    if m < 1:
+        raise ValueError("alpha is defined for positive integers")
+    return m.bit_count()
 
 
 def p_factor(t: int, a: tuple[int, ...], m: tuple[int, ...]) -> int:
@@ -62,7 +102,7 @@ def p_product(a: tuple[int, ...], m: tuple[int, ...]) -> int:
 
 def g_direct_reference(k: int, n: int, m: tuple[int, ...]) -> Poly:
     """g_M by enumerate-then-filter over all tuples of its weighted degree."""
-    target = n + 1 + index_weight(m)
+    target = n + 1 + weighted_degree(m)
     terms = frozenset(
         a for a in monomials_of_weighted_degree(target, k) if p_product(a, m)
     )
@@ -117,6 +157,21 @@ def normal_form_reference(
             tuple(map(sum, zip(term, q))) for term in g.terms
         )
     return Poly._make(ctx.k, frozenset(work))
+
+
+def _mul_roots(
+    a: frozenset, b: frozenset, trunc: Optional[int] = None
+) -> frozenset:
+    """Product in the root variables, keeping only terms of degree <= trunc
+    when trunc is given."""
+    out: set = set()
+    toggle = out.symmetric_difference_update
+    for x in a:
+        for y in b:
+            s = tuple(map(sum, zip(x, y)))
+            if trunc is None or sum(s) <= trunc:
+                toggle((s,))
+    return frozenset(out)
 
 
 def tensor_square_sw_reference(k: int, max_weighted_degree: int) -> Poly:

@@ -8,10 +8,11 @@ import math
 import random
 
 import pytest
+from reference import binom_int
 
 from grassgb.buchberger_oracle import buchberger, oracle_reduce, reduce_basis
 from grassgb.cohomology import normal_form, standard_basis
-from grassgb.combinatorics import binom_int, binom_parity
+from grassgb.combinatorics import binom_parity
 from grassgb.dual_classes import wbar_recurrence
 from grassgb.f2poly import Poly
 from grassgb.groebner_family import (

@@ -1,10 +1,12 @@
+import importlib
 import math
+import pkgutil
 import random
 
 import pytest
 from reference import normal_form_reference
 
-from grassgb import cohomology
+import grassgb
 from grassgb.cohomology import (
     CohomologyClass,
     cup,
@@ -147,13 +149,26 @@ def test_packed_memo_belongs_to_the_family():
     normal_form(ctx, f, second)
     assert first.packed.keys() == second.packed.keys()
     assert first.packed is not second.packed
-    module_state = [
-        name
-        for name, value in vars(cohomology).items()
-        if not name.startswith("__")
-        and (isinstance(value, dict) or hasattr(value, "cache_info"))
+
+
+MODULES = ["grassgb"] + [
+    f"grassgb.{info.name}" for info in pkgutil.iter_modules(grassgb.__path__)
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_level_state(name):
+    # memos live on a GroebnerFamily or in one call; the only module-level
+    # dict is the CLI's dispatch table
+    module = importlib.import_module(name)
+    caches = [a for a, v in vars(module).items() if hasattr(v, "cache_info")]
+    dicts = [
+        f"{name}.{a}"
+        for a, v in vars(module).items()
+        if not a.startswith("__") and isinstance(v, dict)
     ]
-    assert module_state == []
+    assert caches == []
+    assert [d for d in dicts if d != "grassgb.cli._COMMANDS"] == []
 
 
 def test_standard_basis():

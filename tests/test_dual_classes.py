@@ -19,6 +19,11 @@ def test_invalid_arguments():
         wbar_explicit(2, 1)
 
 
+def test_deep_recurrence_needs_no_recursion():
+    # far past the default recursion limit of 1000
+    assert wbar_recurrence(3000, 2) == wbar_explicit(3000, 2)
+
+
 @pytest.mark.parametrize("k", range(2, 7))
 def test_explicit_equals_recurrence(k):
     for r in range(1, 21):

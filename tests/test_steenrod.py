@@ -1,10 +1,9 @@
 import pytest
-from reference import tensor_square_sw_reference
+from reference import alpha, tensor_square_sw_reference
 
 from grassgb.f2poly import Poly, parse, weighted_degree
 from grassgb.groebner_family import GrassmannContext, GroebnerFamily
 from grassgb.steenrod import (
-    alpha,
     immersion_obstruction_check,
     normal_bundle_sw,
     sq,
