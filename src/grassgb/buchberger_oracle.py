@@ -1,10 +1,14 @@
 """Generic reduced-Groebner-basis engine over F2 (the validation oracle).
 
-Deliberately independent of the structured family: divisors are found by
-scanning the basis in order, never by the O(k) exponent-stripping shortcut,
-so a wrong g_M cannot make the oracle agree with it.  Pair bookkeeping uses
-the normal selection strategy with the standard Gebauer-Moller criteria
-(which subsume the coprime-lead skip).
+Deliberately independent of the structured family: a term's divisor is the
+lowest-index lead that divides it, found by testing every lead at once,
+never by the O(k) exponent-stripping shortcut, so a wrong g_M cannot make
+the oracle agree with it.  Pair bookkeeping uses the normal selection
+strategy with the standard Gebauer-Moller criteria (which subsume the
+coprime-lead skip).  Each new lead is also checked, by plain tuple
+comparison, against every earlier lead: one that divides it means the
+packed search missed a divisor, and ``buchberger`` raises instead of
+running on.
 
 Leading terms are packed into one int each: every exponent sits in a W-bit
 field topped by a guard bit.  With G the mask of guard bits, a | b iff
@@ -12,16 +16,28 @@ field topped by a guard bit.  With G the mask of guard bits, a | b iff
 b_i >= a_i, and no borrow crosses a guard.  The surviving guards select, per
 field, the larger exponent, which gives the lcm; two leads are coprime iff
 their lcm equals their sum.  W is the bit length of the largest exponent
-among the leads and widens (repacking every lead) when a new lead outgrows
-it.  A probed term's exponents are clamped to 2^W - 1 before packing, which
-is exact because no lead exponent exceeds that.  Terms themselves stay
-exponent tuples.
+among the leads (at least 1) and widens (repacking every lead) when a new
+lead outgrows it.  A probed term's exponents are clamped to 2^W - 1 before
+packing, which is exact because no lead exponent exceeds that.  Terms
+themselves stay exponent tuples.
+
+All leads also sit side by side in one int, lead i in the block of
+B = k(W+1) + 1 bits at bit B*i, whose top bit is spare.  One multiply
+replicates a probe into every block, one subtraction runs the test above in
+all blocks (no borrow leaves a block), and adding 2^(B-1) - 1 to the
+cleared guards of a block carries into its spare bit iff some field failed.
+So ``dividing`` returns, in one pass over the machine words, a mask whose
+spare bit i is set iff lead i divides the probe, and the lowest set block
+is the divisor an in-order scan would find.  The chain criterion uses the
+same mask: lt_h divides lcm(lt_g, lt_h), so lcm(lt_l, lt_h) divides
+lcm(lt_g, lt_h) iff lt_l does.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 
 from .dual_classes import wbar_recurrence
 from .f2poly import Monomial, Poly, grlex_key
@@ -64,20 +80,21 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
 class _Reducer:
     """Normal forms against a growing basis, with generic divisor search.
 
-    ``plts[i]`` is the packed lead of basis element i (module docstring).
+    ``plts[i]`` is the packed lead of basis element i, and ``cat`` holds
+    them all, block i at bit ``block * i`` (module docstring).  ``rep``
+    has a 1 at the bottom of each block; ``grep``, ``fill`` and ``spare``
+    replicate the guard mask, 2^(B-1) - 1 and the spare bit into each.
     Divisor hits and shifted basis multiples are memoized per monomial;
     cache entries stay valid when the basis grows because any recorded
-    divisor keeps dividing its monomial.
+    divisor keeps dividing its monomial and new leads get higher indices.
     """
 
     def __init__(self, k: int):
         self.k = k
         self.lts: list[Monomial] = []
-        self.plts: list[int] = []
         self.polys: list[frozenset] = []
-        self._widen(0)
-        self._div: dict[Monomial, int | None] = {}
-        self._scanned: dict[Monomial, int] = {}
+        self._widen(1)
+        self._div: dict[Monomial, int] = {}
         self._prod: dict[tuple[int, Monomial], frozenset] = {}
 
     def _pack(self, t: Monomial) -> int:
@@ -92,7 +109,21 @@ class _Reducer:
         self._top = (1 << width) - 1
         field = 1 << (width + 1)
         self.guard = (1 << width) * (field**self.k - 1) // (field - 1)
-        self.plts = [self._pack(t) for t in self.lts]
+        self.block = self.k * (width + 1) + 1
+        self.plts: list[int] = []
+        self.cat = self.rep = self.grep = self.fill = self.spare = 0
+        for t in self.lts:
+            self._append(self._pack(t))
+
+    def _append(self, plt: int) -> None:
+        shift = self.block * len(self.plts)
+        self.plts.append(plt)
+        self.cat |= plt << shift
+        self.rep |= 1 << shift
+        spare = 1 << (self.block - 1)
+        self.grep = self.guard * self.rep
+        self.fill = (spare - 1) * self.rep
+        self.spare = spare * self.rep
 
     def lcm(self, a: int, b: int) -> int:
         """The packed lcm of two packed leads."""
@@ -106,23 +137,26 @@ class _Reducer:
         if max(lt) > self._top:
             self._widen(max(lt).bit_length())
         else:
-            self.plts.append(self._pack(lt))
+            self._append(self._pack(lt))
         return len(self.lts) - 1
+
+    def dividing(self, probe: int) -> int:
+        """The mask of leads dividing ``probe``, a packed monomial with its
+        guard bits set: bit ``block * i + block - 1`` is set iff lead i
+        divides it."""
+        grep = self.grep
+        cleared = ((probe * self.rep - self.cat) & grep) ^ grep
+        return ~(cleared + self.fill) & self.spare
 
     def divisor(self, t: Monomial) -> int | None:
         found = self._div.get(t)
         if found is not None:
             return found
-        start = self._scanned.get(t, 0)
-        plts, guard = self.plts, self.guard
-        if start < len(plts):
-            probe = self._pack(t) | guard
-            for gi in range(start, len(plts)):
-                if (probe - plts[gi]) & guard == guard:
-                    self._div[t] = gi
-                    return gi
-        self._scanned[t] = len(plts)
-        return None
+        mask = self.dividing(self._pack(t) | self.guard)
+        if not mask:
+            return None
+        found = self._div[t] = (mask & -mask).bit_length() // self.block - 1
+        return found
 
     def _product(self, gi: int, q: Monomial) -> frozenset:
         key = (gi, q)
@@ -170,18 +204,17 @@ def _update_pairs(
     updated in place; returns the g of the new pairs (g, h), in the order
     the chain criterion kept them.
     """
-    guard, lth = red.guard, red.plts[h]
+    guard, lth, block = red.guard, red.plts[h], red.block
     lcms = [red.lcm(lth, ltg) for ltg in red.plts[:h]]
     coprime = [l == lth + ltg for l, ltg in zip(lcms, red.plts)]
     kept: list[int] = []
+    kept_mask = 0  # the spare bits of the blocks in kept
     for g in range(h - 1, -1, -1):
-        if not coprime[g]:
-            probe = lcms[g] | guard
-            if any((probe - l) & guard == guard for l in lcms[:g]) or any(
-                (probe - lcms[j]) & guard == guard for j in kept
-            ):
-                continue
+        below_g = (1 << block * g) - 1
+        if not coprime[g] and red.dividing(lcms[g] | guard) & (below_g | kept_mask):
+            continue
         kept.append(g)
+        kept_mask |= 1 << (block * (g + 1) - 1)
     for pair, l12 in list(pairs.items()):
         if (
             ((l12 | guard) - lth) & guard == guard
@@ -216,10 +249,15 @@ def buchberger(generators: list[Poly]) -> list[Poly]:
             return
         width = reducer.width
         h = reducer.add(reduced)
+        lth = reducer.lts[h]
+        for old in reducer.lts[:h]:
+            if all(map(operator.le, old, lth)):
+                raise RuntimeError(
+                    f"lead {old} divides the new lead {lth}: a divisor was missed"
+                )
         if reducer.width != width:  # the queued packed lcms are stale
             for g1, g2 in pairs:
                 pairs[(g1, g2)] = reducer.lcm(reducer.plts[g1], reducer.plts[g2])
-        lth = reducer.lts[h]
         for g in _update_pairs(reducer, pairs, h):
             lcm = tuple(map(max, reducer.lts[g], lth))
             heapq.heappush(heap, (grlex_key(lcm), (g, h)))

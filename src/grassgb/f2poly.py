@@ -173,8 +173,9 @@ class Poly:
         while e:
             if e & 1:
                 result = result * base
-            base = base.square()
             e >>= 1
+            if e:  # a square past the top bit is unused and may overflow
+                base = base.square()
         return result
 
     # -- structure ---------------------------------------------------------

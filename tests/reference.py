@@ -21,8 +21,8 @@ JSON of ``generate`` comes from json.dumps(indent=2) over terms sorted by
 The Buchberger oracle tests divisibility on exponent tuples, recomputes the
 lcm of every queued pair at each Gebauer-Moller update and inter-reduces
 each element against a fresh reducer of the others until nothing changes;
-the package tests packed leads, keeps each pair's lcm and inter-reduces in
-one pass over one shared reducer.
+the package tests every packed lead at once, keeps each pair's lcm and
+inter-reduces in one pass over one shared reducer.
 
 ``binom_int`` (exact binomials), ``grlex_compare`` (three-way grlex
 comparison) and ``alpha`` (binary digit count) have no caller in the
@@ -196,6 +196,11 @@ def tensor_square_sw_reference(k: int, max_weighted_degree: int) -> Poly:
 
 def _divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
+
+
+def dividing_reference(lts: list[Monomial], t: Monomial) -> list[int]:
+    """The indices of the leads that divide t, in order."""
+    return [i for i, lt in enumerate(lts) if _divides(lt, t)]
 
 
 def _lcm(a: Monomial, b: Monomial) -> Monomial:

@@ -1,10 +1,13 @@
 import heapq
+import random
 
 import pytest
 
+from grassgb import buchberger_oracle
 from grassgb.buchberger_oracle import (
     OracleCapExceeded,
     _Reducer,
+    _update_pairs,
     buchberger,
     oracle_equals_family,
     oracle_reduce,
@@ -15,12 +18,15 @@ from grassgb.dual_classes import wbar_recurrence
 from grassgb.f2poly import Poly, grlex_key, parse
 from grassgb.groebner_family import GrassmannContext, build_family
 
+import reference
 from conftest import random_poly
 from reference import (
     buchberger_reference,
+    dividing_reference,
     oracle_reduce_reference,
     reduce_basis_reference,
 )
+from reference import _update_pairs as _update_pairs_reference
 
 # the ten acceptance instances, then larger ones with more pairs and wider leads
 REFERENCE_INSTANCES = [
@@ -212,6 +218,88 @@ class TestMatchesReference:
         assert reduce_basis(reduced) == reduced == reduce_basis_reference(reduced)
 
 
+class TestDividingMask:
+    """``dividing`` tests every lead at once; each block must agree with the
+    tuple test of its lead, and ``divisor`` must pick the lowest."""
+
+    @staticmethod
+    def lead(rng, red):
+        top = red._top
+        # 0, the field's edges, a lead that forces widening, one far above
+        # 2^16, and small exponents that make divisions likely
+        big = rng.randint(1 << 16, 1 << 17)
+        pool = (0, top, top + 1, big, 1, 2, rng.randint(0, top))
+        return tuple(rng.choice(pool) for _ in range(red.k))
+
+    @staticmethod
+    def probes(rng, red):
+        top, k = red._top, red.k
+        huge = (1 << 20) + 7
+        # clamped in every field
+        yield tuple(top + 1 + rng.randint(0, huge) for _ in range(k))
+        for _ in range(6):
+            lt = rng.choice(red.lts)
+            yield tuple(e + rng.choice((0, 0, 1, top, huge)) for e in lt)
+            i = rng.randrange(k)
+            if lt[i]:  # a near miss: one field one short
+                yield lt[:i] + (lt[i] - 1,) + lt[i + 1 :]
+            yield tuple(rng.choice((0, 1, 2, top, top + 1, huge)) for _ in range(k))
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_matches_tuple_divisibility(self, k):
+        rng = random.Random(7919 * k)
+        red = _Reducer(k)
+        widened = 0
+        for _ in range(30):
+            width = red.width
+            red.add(frozenset([self.lead(rng, red)]))
+            widened += red.width != width
+            block = red.block
+            for t in self.probes(rng, red):
+                expected = dividing_reference(red.lts, t)
+                mask = red.dividing(red._pack(t) | red.guard)
+                assert mask == sum(1 << (block * i + block - 1) for i in expected), t
+                assert red.divisor(t) == (expected[0] if expected else None), t
+        assert widened >= 3
+
+
+class TestPairStream:
+    """After each new basis element the queued pairs equal those of the
+    tuple-based Gebauer-Moller update."""
+
+    def streams(self, monkeypatch, gens):
+        ours, theirs = [], []
+
+        def record(red, pairs, h):
+            fresh = _update_pairs(red, pairs, h)
+            ours.append((h, set(pairs)))
+            return fresh
+
+        def record_ref(lts, pairs, h):
+            out = _update_pairs_reference(lts, pairs, h)
+            theirs.append((h, set(out)))
+            return out
+
+        monkeypatch.setattr(buchberger_oracle, "_update_pairs", record)
+        monkeypatch.setattr(reference, "_update_pairs", record_ref)
+        buchberger(gens)
+        buchberger_reference(gens)
+        return ours, theirs
+
+    @pytest.mark.parametrize("k,n", [(2, 5), (3, 4), (3, 5), (4, 4)])
+    def test_dual_class_generators(self, monkeypatch, k, n):
+        ours, theirs = self.streams(monkeypatch, dual_class_generators(k, n))
+        assert ours and ours == theirs
+
+    def test_random_nonhomogeneous_generators(self, monkeypatch, rng):
+        for _ in range(15):
+            k = rng.choice((2, 3))
+            gens = [g for g in (random_poly(rng, k) for _ in range(rng.randint(2, 4))) if g]
+            if gens:
+                ours, theirs = self.streams(monkeypatch, gens)
+                assert ours == theirs, gens
+
+
 class TestWidthEdges:
     """Leads and probes at and past the packed field width."""
 
@@ -260,3 +348,20 @@ def test_wrong_divisor_raises_instead_of_running_forever(monkeypatch):
     with pytest.raises(RuntimeError, match="does not divide"):
         oracle_reduce(parse("w1^3", 2), [parse("w1 + w2^2", 2)])
     assert len(calls) == 1
+
+
+def test_missed_divisor_raises_instead_of_running_forever(monkeypatch):
+    # with every divisor missed, the second generator's lead w1^6 is kept
+    # although the first one's, w1^5, divides it
+    calls = []
+
+    def blind(self, probe):
+        calls.append(probe)
+        if len(calls) > 1000:
+            pytest.fail("buchberger kept running with every divisor missed")
+        return 0
+
+    monkeypatch.setattr(_Reducer, "dividing", blind)
+    missed = r"lead \(5, 0, 0\) divides the new lead \(6, 0, 0\)"
+    with pytest.raises(RuntimeError, match=missed):
+        buchberger(dual_class_generators(3, 4))

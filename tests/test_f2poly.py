@@ -79,6 +79,19 @@ class TestArithmetic:
             expected = expected * f
         assert f**e == expected
 
+    def test_pow_up_to_40_matches_repeated_multiplication(self):
+        f = parse("w1 + w1*w2 + w2^3", 2)
+        expected = Poly.one(2)
+        for e in range(41):
+            assert f**e == expected, e
+            expected = expected * f
+
+    def test_pow_takes_no_square_past_the_top_bit(self):
+        big = Poly.monomial((2**30, 0))
+        assert big**1 == big
+        with pytest.raises(OverflowError):
+            big**2
+
     def test_overflow_reported(self):
         big = Poly(2, [(2**30, 0)])
         with pytest.raises(OverflowError):
