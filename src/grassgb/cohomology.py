@@ -1,10 +1,11 @@
 """Normal-form arithmetic in the cohomology ring of the Grassmannian.
 
-Because the leading terms of the structured basis are exactly the
-monomials of exponent sum n+1, a reducible term locates its divisor in
-O(k): strip the excess exponent sum from the left and read off the
-multi-index.  The resulting remainder is supported on the standard
-monomials (exponent sum <= n).
+The leading terms of the structured basis are exactly the monomials of
+exponent sum n+1, lt(g_M) = (n+1-S_M, m_2, ..., m_k).  So a reducible term
+finds a divisor without search: cut its exponent sum to n+1 by taking the
+excess from a_1, then a_2, and so on; what is left is the lead of the
+divisor.  The remainder is supported on the standard monomials (exponent
+sum <= n).
 
 The reduction loop works on monomials packed into single ints: the
 exponent sum in the top field, then a_1, ..., a_k in fields of W bits
@@ -18,6 +19,15 @@ term t has the weighted degree of t, at most D, and no exponent
 overflows its field; since lt(g_M) divides t, subtracting the packed
 leading term never borrows.
 
+The divisor is read off the popped int v itself: the excess is the sum
+field minus n+1, and the packed lead is v with that excess subtracted from
+the sum field and, field by field from a_1, from the exponents.  The lead
+keys a table of the family (``GroebnerFamily.packed``, one per W) whose
+entry is the tail of g_M as offsets pack(u) - lead, u over the terms of
+g_M but its lead.  A step is then one table hit and one add per tail
+term, v + (pack(u) - lead) = pack(u * t / lt(g_M)), and v itself leaves the
+working set.  Only a miss unpacks the lead and asks the family for g_M.
+
 Reducible terms wait in a max-heap (of negated ints) with lazy deletion:
 a popped value no longer in the working set is skipped.  Every term
 produced while reducing t is grlex-smaller than t, so the heap top is
@@ -29,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Callable, Optional
+from typing import Optional
 
 from .f2poly import Monomial, Poly, grlex_key, weighted_degree
 from .groebner_family import GrassmannContext, GroebnerFamily, _indices_up_to
@@ -41,9 +51,6 @@ __all__ = [
     "cup",
     "standard_basis",
 ]
-
-# maps a reducible monomial to the multi-index of the chosen divisor
-DivisorChooser = Callable[[GrassmannContext, GroebnerFamily, Monomial], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -67,27 +74,8 @@ class CohomologyClass:
         return str(self.value)
 
 
-def structured_divisor(
-    ctx: GrassmannContext, family: GroebnerFamily, term: Monomial
-) -> tuple[int, ...]:
-    """Divisor lookup without search: decrement exponents from the left
-    until the sum is n+1; the tail of the result is the multi-index."""
-    excess = sum(term) - (ctx.n + 1)
-    b = list(term)
-    for idx in range(ctx.k):
-        take = b[idx] if b[idx] < excess else excess
-        b[idx] -= take
-        excess -= take
-        if not excess:
-            break
-    return tuple(b[1:])
-
-
 def normal_form(
-    ctx: GrassmannContext,
-    f: Poly,
-    family: Optional[GroebnerFamily] = None,
-    choose_divisor: DivisorChooser = structured_divisor,
+    ctx: GrassmannContext, f: Poly, family: Optional[GroebnerFamily] = None
 ) -> CohomologyClass:
     """The unique remainder of f modulo the basis: f minus an ideal element,
     with no term of exponent sum > n."""
@@ -101,7 +89,9 @@ def normal_form(
     width = max(map(weighted_degree, f.terms), default=0).bit_length() + 1
     mask = (1 << width) - 1
     shifts = range(width * (k - 1), -1, -width)
-    bound = (ctx.n + 1) << (width * k)
+    sum_shift = width * k
+    lead_sum = ctx.n + 1
+    bound = lead_sum << sum_shift
 
     def pack(t: Monomial) -> int:
         v = sum(t)
@@ -109,7 +99,12 @@ def normal_form(
             v = (v << width) | a
         return v
 
-    packed = family.packed
+    def tail_of(lead: int) -> tuple[int, ...]:
+        m = tuple((lead >> s) & mask for s in shifts[1:])
+        packed_terms = map(pack, family.element(m).terms)
+        return tuple(p - lead for p in packed_terms if p != lead)
+
+    table = family.packed.setdefault(width, {})
     work = {pack(t) for t in f.terms}
     heap = [-v for v in work if v >= bound]
     heapify(heap)
@@ -117,23 +112,29 @@ def normal_form(
         v = -heappop(heap)
         if v not in work:
             continue
-        m = choose_divisor(ctx, family, tuple((v >> s) & mask for s in shifts))
-        # called at every step, also when the packed entry exists: it is a
-        # dict hit, and bench/tracer.py counts reduction steps by its calls
-        g = family.element(m)
-        entry = packed.get((m, width))
-        if entry is None:
-            lt = pack(family.leading_term(m))
-            entry = packed[m, width] = (lt, tuple(map(pack, g.terms)))
-        q = v - entry[0]
-        for u in entry[1]:
-            u += q
+        # the divisor's lead: v with its exponent sum cut to n+1, the excess
+        # taken from a_1, a_2, ... in turn
+        excess = (v >> sum_shift) - lead_sum
+        lead = v - (excess << sum_shift)
+        for s in shifts:
+            a = (v >> s) & mask
+            if a >= excess:
+                lead -= excess << s
+                break
+            lead -= a << s
+            excess -= a
+        tail = table.get(lead)
+        if tail is None:
+            tail = table[lead] = tail_of(lead)
+        for u in tail:
+            u += v
             if u in work:
                 work.remove(u)
             else:
                 work.add(u)
                 if u >= bound:
                     heappush(heap, -u)
+        work.remove(v)  # no tail offset is 0, so the loop left v in place
     terms = frozenset(tuple((v >> s) & mask for s in shifts) for v in work)
     return CohomologyClass(ctx, Poly._make(k, terms))
 

@@ -213,14 +213,15 @@ class GroebnerFamily:
     through the recurrence instead, keeping any element already in the
     memo.  The memo is a dict on the instance: an element lives as long as
     its family, and two families never share one.  ``packed`` is the same
-    kind of memo for cohomology.normal_form: (packed lt, packed terms) of
-    g_M keyed by (M, field width).
+    kind of memo for cohomology.normal_form, one table per field width W:
+    ``packed[W][lead]`` is the tail of the g_M whose lead packs to ``lead``
+    at width W, as the offsets pack(u) - lead over its other terms u.
     """
 
     def __init__(self, context: GrassmannContext):
         self.context = context
         self._memo: dict[MultiIndex, Poly] = {}
-        self.packed: dict[tuple[MultiIndex, int], tuple[int, tuple[int, ...]]] = {}
+        self.packed: dict[int, dict[int, tuple[int, ...]]] = {}
 
     def __len__(self) -> int:
         k, n = self.context.k, self.context.n

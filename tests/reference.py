@@ -6,8 +6,10 @@ product P(A, M) is odd.  The package's kernel never builds the tuples this
 discards; the tests assert the two agree.
 
 The normal form rescans the working set for its grlex-largest reducible
-term at every step, on exponent tuples; the package reduces packed ints
-from a heap.  The tensor-square class expands the product of the
+term at every step, on exponent tuples, and picks the divisor's index from
+the term (``structured_divisor``, or any other chooser a test passes); the
+package reduces packed ints from a heap and reads the divisor's packed lead
+off the popped int.  The tensor-square class expands the product of the
 1 + x_i^2 + x_j^2 to full degree; the package expands the product of the
 1 + x_i + x_j to half the degree and squares.  The reference multiplies
 frozensets of root exponent tuples (``_mul_roots``); the package keeps
@@ -35,9 +37,8 @@ import heapq
 import itertools
 import json
 import math
-from typing import Optional
+from typing import Callable, Optional
 
-from grassgb.cohomology import structured_divisor
 from grassgb.combinatorics import binom_parity
 from grassgb.f2poly import (
     Monomial,
@@ -135,11 +136,34 @@ def generate_json_reference(ctx: GrassmannContext, indices) -> str:
     return json.dumps(records, indent=2)
 
 
+def structured_divisor(
+    ctx: GrassmannContext, family: GroebnerFamily, term: Monomial
+) -> tuple[int, ...]:
+    """Divisor lookup without search: decrement exponents from the left
+    until the sum is n+1; the tail of the result is the multi-index."""
+    excess = sum(term) - (ctx.n + 1)
+    b = list(term)
+    for idx in range(ctx.k):
+        take = b[idx] if b[idx] < excess else excess
+        b[idx] -= take
+        excess -= take
+        if not excess:
+            break
+    return tuple(b[1:])
+
+
 def normal_form_reference(
-    ctx: GrassmannContext, f: Poly, family: Optional[GroebnerFamily] = None
+    ctx: GrassmannContext,
+    f: Poly,
+    family: Optional[GroebnerFamily] = None,
+    choose_divisor: Callable[
+        [GrassmannContext, GroebnerFamily, Monomial], tuple[int, ...]
+    ] = structured_divisor,
 ) -> Poly:
     """Remainder of f modulo the family, reducing the grlex-max reducible
-    term found by a full rescan at every step."""
+    term found by a full rescan at every step.  Any divisor ``choose_divisor``
+    returns must give the same remainder, since the basis is a Groebner
+    basis."""
     if family is None:
         family = GroebnerFamily(ctx)
     n = ctx.n
@@ -149,7 +173,7 @@ def normal_form_reference(
         if not reducible:
             break
         t = max(reducible, key=grlex_key)
-        m = structured_divisor(ctx, family, t)
+        m = choose_divisor(ctx, family, t)
         g = family.element(m)
         lt = family.leading_term(m)
         q = tuple(a - b for a, b in zip(t, lt))

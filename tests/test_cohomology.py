@@ -7,6 +7,7 @@ import pytest
 from reference import normal_form_reference
 
 import grassgb
+from grassgb.buchberger_oracle import buchberger, oracle_reduce, reduce_basis
 from grassgb.cohomology import (
     CohomologyClass,
     cup,
@@ -118,13 +119,17 @@ def _edge_inputs(rng, k, n):
 
 @pytest.mark.parametrize("k,n", [(2, 2), (3, 4), (4, 5), (5, 8)])
 def test_normal_form_matches_reference_on_edge_inputs(k, n):
+    # one family meets the inputs in ascending width, then descending, so a
+    # lead packed at one width is looked up at every other
     rng = random.Random(k * 100 + n)
     ctx = GrassmannContext(k, n)
     family = GroebnerFamily(ctx)
-    for f in _edge_inputs(rng, k, n):
-        assert normal_form(ctx, f, family).value == normal_form_reference(
-            ctx, f, family
-        ), f
+    inputs = list(_edge_inputs(rng, k, n))
+    cases = [(f, normal_form_reference(ctx, f, family)) for f in inputs]
+    for f, expected in cases + cases[::-1]:
+        assert normal_form(ctx, f, family).value == expected, f
+    # 0 and 1 pack at W = 1, weighted degrees 1, 2, 4, ..., 64 at W = 2..8
+    assert sorted(family.packed) == list(range(1, 9))
     assert not normal_form(ctx, Poly.zero(k), family)
     assert normal_form(ctx, Poly.one(k), family).value == Poly.one(k)
 
@@ -218,9 +223,10 @@ def test_confluence_under_random_divisor_choice(rng):
 
     for _ in range(100):
         f = random_poly(rng, 3)
-        default = normal_form(ctx, f, family)
-        randomized = normal_form(ctx, f, family, choose_divisor=random_divisor)
-        assert default == randomized
+        randomized = normal_form_reference(
+            ctx, f, family, choose_divisor=random_divisor
+        )
+        assert randomized == normal_form(ctx, f, family).value
 
 
 def test_degree_preservation(rng):
@@ -276,3 +282,85 @@ def test_dimension_matches_brute_force_rank(k, n):
         expected = total - _ideal_rank_in_degree(ctx, d)
         standard_count = sum(1 for m in basis if weighted_degree(m) == d)
         assert standard_count == expected, d
+
+
+# -- known theorems about the ring: checks of normal form past the oracle ---
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 4), (3, 6), (4, 5), (5, 6)])
+def test_poincare_duality(k, n):
+    # standard monomials of weighted degree d and kn - d multiply to 0 or to
+    # the top class w_k^n, and the pairing matrix is invertible over F_2
+    ctx = GrassmannContext(k, n)
+    family = GroebnerFamily(ctx)
+    top = Poly.monomial((0,) * (k - 1) + (n,))
+    by_degree = {}
+    for m in standard_basis(ctx):
+        by_degree.setdefault(weighted_degree(m), []).append(m)
+    assert max(by_degree) == k * n
+    for d, rows in by_degree.items():
+        cols = by_degree[k * n - d]
+        assert len(rows) == len(cols), d
+        pivots = {}
+        for a in rows:
+            row = 0
+            for j, b in enumerate(cols):
+                product = Poly.monomial(tuple(x + y for x, y in zip(a, b)))
+                value = normal_form(ctx, product, family).value
+                assert value in (Poly.zero(k), top), (a, b)
+                row |= bool(value) << j
+            while row:
+                high = row.bit_length() - 1
+                if high not in pivots:
+                    pivots[high] = row
+                    break
+                row ^= pivots[high]
+            assert row, (d, a)  # the row of a is a sum of earlier rows
+
+
+def w1_height(k, n):
+    """The height of w_1 in H*(G_{k,n}; F_2) by Stong's rule (Hiller for
+    k = 2): with 2^s < n+k <= 2^{s+1}, it is 2^{s+1} - 2 when k = 2 or when
+    k = 3 and n+k = 2^s + 1, and 2^{s+1} - 1 otherwise."""
+    s = (n + k - 1).bit_length() - 1
+    if k == 2 or (k == 3 and n + k == 2**s + 1):
+        return 2 ** (s + 1) - 2
+    return 2 ** (s + 1) - 1
+
+
+def _w1_power(k, e):
+    return Poly.monomial((e,) + (0,) * (k - 1))
+
+
+@pytest.mark.parametrize(
+    "k,n", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5), (4, 4), (4, 5)]
+)
+def test_w1_height_rule_pinned_by_the_oracle(k, n):
+    # the rule is checked against the oracle's own basis and reduction
+    # first, then the family's normal form must agree with both
+    generators = [wbar_recurrence(n + j, k) for j in range(1, k + 1)]
+    basis = reduce_basis(buchberger(generators))
+    ctx = GrassmannContext(k, n)
+    family = GroebnerFamily(ctx)
+    h = w1_height(k, n)
+    for e in (h, h + 1):
+        expected = oracle_reduce(_w1_power(k, e), basis)
+        assert bool(expected) == (e == h), (k, n, e)
+        assert normal_form(ctx, _w1_power(k, e), family).value == expected
+
+
+W1_HEIGHT_SIZES = (
+    [(2, n) for n in range(2, 40)]  # n + k <= 41
+    + [(k, n) for k in (3, 4) for n in range(k, 20)]
+    + [(5, 59), (4, 50), (3, 100)]
+)
+
+
+def test_w1_height_at_scale():
+    # past the oracle's cap: w_1^h != 0 = w_1^{h+1} with h from the rule
+    for k, n in W1_HEIGHT_SIZES:
+        ctx = GrassmannContext(k, n)
+        family = GroebnerFamily(ctx)
+        h = w1_height(k, n)
+        assert normal_form(ctx, _w1_power(k, h), family), (k, n)
+        assert not normal_form(ctx, _w1_power(k, h + 1), family), (k, n)
