@@ -84,9 +84,10 @@ class _Reducer:
     them all, block i at bit ``block * i`` (module docstring).  ``rep``
     has a 1 at the bottom of each block; ``grep``, ``fill`` and ``spare``
     replicate the guard mask, 2^(B-1) - 1 and the spare bit into each.
-    Divisor hits and shifted basis multiples are memoized per monomial;
-    cache entries stay valid when the basis grows because any recorded
-    divisor keeps dividing its monomial and new leads get higher indices.
+    A divisor costs one ``dividing`` call and is not memoized.  Shifted
+    basis multiples are memoized per (element, multiplier); entries stay
+    valid when the basis grows because an element, once added, never
+    changes.
     """
 
     def __init__(self, k: int):
@@ -94,7 +95,6 @@ class _Reducer:
         self.lts: list[Monomial] = []
         self.polys: list[frozenset] = []
         self._widen(1)
-        self._div: dict[Monomial, int] = {}
         self._prod: dict[tuple[int, Monomial], frozenset] = {}
 
     def _pack(self, t: Monomial) -> int:
@@ -149,14 +149,10 @@ class _Reducer:
         return ~(cleared + self.fill) & self.spare
 
     def divisor(self, t: Monomial) -> int | None:
-        found = self._div.get(t)
-        if found is not None:
-            return found
         mask = self.dividing(self._pack(t) | self.guard)
         if not mask:
             return None
-        found = self._div[t] = (mask & -mask).bit_length() // self.block - 1
-        return found
+        return (mask & -mask).bit_length() // self.block - 1
 
     def _product(self, gi: int, q: Monomial) -> frozenset:
         key = (gi, q)

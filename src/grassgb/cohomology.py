@@ -11,22 +11,25 @@ The reduction loop works on monomials packed into single ints: the
 exponent sum in the top field, then a_1, ..., a_k in fields of W bits
 each, a_1 highest.  Integer order on packed monomials is then grlex
 order, a monomial product is an integer sum, and a term is reducible iff
-its packed value is at least (n+1) << (W*k).  W is the bit length of the
-largest weighted degree D among the input terms, plus one (a spare bit,
-which also keeps W >= 1 when D = 0).  Every g_M is
-homogeneous in the weighted degree, so each term met while reducing a
-term t has the weighted degree of t, at most D, and no exponent
-overflows its field; since lt(g_M) divides t, subtracting the packed
-leading term never borrows.
+its packed value is at least (n+1) << (W*k).  The width is fixed by the
+context: no standard monomial has weighted degree above k*n, the degree
+of the top class w_k^n, and every g_M is homogeneous in the weighted
+degree, so a term of degree above k*n has normal form 0 and is dropped
+before packing.  Each term met while reducing a kept term t has the
+weighted degree of t, at most k*n, so every exponent fits in the bit
+length of k*n; W is that plus a spare bit.  No exponent overflows its
+field, and since lt(g_M) divides t, subtracting the packed leading term
+never borrows.
 
 The divisor is read off the popped int v itself: the excess is the sum
 field minus n+1, and the packed lead is v with that excess subtracted from
 the sum field and, field by field from a_1, from the exponents.  The lead
-keys a table of the family (``GroebnerFamily.packed``, one per W) whose
-entry is the tail of g_M as offsets pack(u) - lead, u over the terms of
-g_M but its lead.  A step is then one table hit and one add per tail
-term, v + (pack(u) - lead) = pack(u * t / lt(g_M)), and v itself leaves the
-working set.  Only a miss unpacks the lead and asks the family for g_M.
+keys the family's one table ``GroebnerFamily.packed``, whose entry is the
+tail of g_M as offsets pack(u) - lead, u over the terms of g_M but its
+lead.  A step is then one table hit and one add per tail term,
+v + (pack(u) - lead) = pack(u * t / lt(g_M)), and v itself leaves the
+working set.  Only a miss unpacks the lead and asks the family for g_M,
+and the table is the only place the family keeps it.
 
 Reducible terms wait in a max-heap (of negated ints) with lazy deletion:
 a popped value no longer in the working set is skipped.  Every term
@@ -86,7 +89,8 @@ def normal_form(
     elif family.context != ctx:
         raise ValueError("family belongs to a different context")
     k = ctx.k
-    width = max(map(weighted_degree, f.terms), default=0).bit_length() + 1
+    top = k * ctx.n
+    width = top.bit_length() + 1
     mask = (1 << width) - 1
     shifts = range(width * (k - 1), -1, -width)
     sum_shift = width * k
@@ -104,8 +108,8 @@ def normal_form(
         packed_terms = map(pack, family.element(m).terms)
         return tuple(p - lead for p in packed_terms if p != lead)
 
-    table = family.packed.setdefault(width, {})
-    work = {pack(t) for t in f.terms}
+    table = family.packed
+    work = {pack(t) for t in f.terms if weighted_degree(t) <= top}
     heap = [-v for v in work if v >= bound]
     heapify(heap)
     while heap:

@@ -9,6 +9,9 @@ binom(a, b) = (-1)^b * binom(b - a - 1, b).
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
+
 __all__ = [
     "binom_parity",
     "multinomial_parity",
@@ -28,25 +31,15 @@ def binom_parity(alpha: int, beta: int) -> int:
     return 1 if alpha & beta == beta else 0
 
 
-def _suffix_sums(entries: tuple[int, ...], length: int) -> list[int]:
-    """Suffix sums padded with a trailing zero, suf[i] = sum(entries[i:])."""
-    suf = [0] * (length + 1)
-    for idx in range(len(entries) - 1, -1, -1):
-        suf[idx] = suf[idx + 1] + entries[idx]
-    return suf
-
-
 def multinomial_parity(a: tuple[int, ...]) -> int:
-    """Multinomial coefficient [a_1, ..., a_k] mod 2.
+    """Multinomial coefficient [a_1, ..., a_k] mod 2; all entries must be
+    nonnegative.
 
-    Computed as the product over t = 2..k of the binomial parities of
-    binom(a_{t-1} + ... + a_k, a_{t-1}); all entries must be nonnegative.
+    It is the product over t of binom(a_t + ... + a_k, a_t), and by Lucas
+    each factor is odd iff a_t and a_{t+1} + ... + a_k share no bit.  So
+    the coefficient is odd iff the a_t add in binary with no carry, that
+    is iff their bitwise or equals their sum.
     """
     if any(x < 0 for x in a):
         raise ValueError("multinomial requires nonnegative entries")
-    k = len(a)
-    suf = _suffix_sums(a, k)
-    for t in range(2, k + 1):
-        if not binom_parity(suf[t - 2], a[t - 2]):
-            return 0
-    return 1
+    return 1 if reduce(or_, a, 0) == sum(a) else 0

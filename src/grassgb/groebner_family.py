@@ -22,9 +22,9 @@ Whole families are built through the paper's three-term recurrence
 which needs no enumeration at all: only the k elements with S_M <= 1 come
 from the direct formula.  A single element asked for on its own (a
 reduction step, ``generate --only-m``) still goes through the direct
-formula, so it costs one walk and not the elements below it.  Closed forms
-exist for indices with m_k close to n; they are exposed for
-cross-validation against the direct formula.
+formula, so it costs one walk and not the elements below it, and the
+family does not keep it.  Closed forms exist for indices with m_k close
+to n; they are exposed for cross-validation against the direct formula.
 """
 
 from __future__ import annotations
@@ -205,23 +205,24 @@ def _indices_up_to(k: int, bound: int) -> list[MultiIndex]:
 
 
 class GroebnerFamily:
-    """Lazy view of the basis {g_M : S_M <= n+1} with memoised elements.
+    """Lazy view of the basis {g_M : S_M <= n+1}.
 
-    ``element`` computes one g_M by g_direct on first access, so reductions
-    at large n only ever materialize the indices they touch.  ``items``,
-    ``polynomials`` and ``build_family`` materialize the whole family
-    through the recurrence instead, keeping any element already in the
-    memo.  The memo is a dict on the instance: an element lives as long as
-    its family, and two families never share one.  ``packed`` is the same
-    kind of memo for cohomology.normal_form, one table per field width W:
-    ``packed[W][lead]`` is the tail of the g_M whose lead packs to ``lead``
-    at width W, as the offsets pack(u) - lead over its other terms u.
+    ``element`` computes one g_M by g_direct and does not keep it, so
+    reductions at large n only ever build the indices they touch, and each
+    once: cohomology.normal_form keeps what it needs of a touched g_M in
+    ``packed``, the family's one table ``{packed lead: tail}`` (the tail
+    as the offsets pack(u) - lead over the other terms u of g_M, packed
+    at the width the context fixes).  ``items``, ``polynomials`` and
+    ``build_family`` build the whole family through the recurrence into
+    the memo instead, and ``element`` then returns the memo's entry.  Both
+    are dicts on the instance: they live as long as the family, and two
+    families never share one.
     """
 
     def __init__(self, context: GrassmannContext):
         self.context = context
         self._memo: dict[MultiIndex, Poly] = {}
-        self.packed: dict[int, dict[int, tuple[int, ...]]] = {}
+        self.packed: dict[int, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         k, n = self.context.k, self.context.n
@@ -233,9 +234,7 @@ class GroebnerFamily:
     def element(self, m: MultiIndex) -> Poly:
         m = tuple(m)
         g = self._memo.get(m)
-        if g is None:
-            g = self._memo[m] = g_direct(self.context, m)
-        return g
+        return g_direct(self.context, m) if g is None else g
 
     def leading_term(self, m: MultiIndex) -> Monomial:
         return leading_term_of(self.context, m)

@@ -179,11 +179,11 @@ def tensor_square_sw(k: int, max_weighted_degree: int) -> Poly:
     return _symmetric_to_elementary(prod.terms, k).square()
 
 
-def normal_bundle_sw(
-    n: int, family: Optional[GroebnerFamily] = None
-) -> dict[int, CohomologyClass]:
-    """Stiefel-Whitney classes of the stable normal bundle of G_{5,n},
-    n a positive multiple of 8, reduced to normal form per degree."""
+def _g5n_context(
+    n: int, family: Optional[GroebnerFamily]
+) -> tuple[GrassmannContext, GroebnerFamily]:
+    """The context of G_{5,n}, n a positive multiple of 8, and a family for
+    it: the one given, checked, or a fresh one."""
     if n < 8 or n % 8:
         raise ValueError(f"n must be a positive multiple of 8, got {n}")
     ctx = GrassmannContext(5, n)
@@ -191,6 +191,15 @@ def normal_bundle_sw(
         family = GroebnerFamily(ctx)
     if family.context != ctx:
         raise ValueError("family context does not match n")
+    return ctx, family
+
+
+def normal_bundle_sw(
+    n: int, family: Optional[GroebnerFamily] = None
+) -> dict[int, CohomologyClass]:
+    """Stiefel-Whitney classes of the stable normal bundle of G_{5,n},
+    n a positive multiple of 8, reduced to normal form per degree."""
+    ctx, family = _g5n_context(n, family)
     r = (n + 4).bit_length() - 1  # 2^r < n+5 <= 2^{r+1}
     e = 2 ** (r + 1) - n - 5
     tensor = tensor_square_sw(5, 20)
@@ -210,14 +219,7 @@ def immersion_obstruction_check(
 ) -> ObstructionReport:
     """The two cohomology computations feeding the lifting argument:
     Sq^1(w4 w5^{n-1}) and (Sq^2 + w1^2 + w2)(w2 w5^{n-1})."""
-    if n < 8 or n % 8:
-        raise ValueError(f"n must be a positive multiple of 8, got {n}")
-    ctx = GrassmannContext(5, n)
-    if family is None:
-        family = GroebnerFamily(ctx)
-    if family.context != ctx:
-        raise ValueError("family context does not match n")
-
+    ctx, family = _g5n_context(n, family)
     w4_w5 = Poly.monomial((0, 0, 0, 1, n - 1))
     sq1_value = normal_form(ctx, sq(1, w4_w5), family)
 

@@ -4,7 +4,7 @@ import pkgutil
 import random
 
 import pytest
-from reference import normal_form_reference
+from reference import normal_form_reference, structured_divisor
 
 import grassgb
 from grassgb.buchberger_oracle import buchberger, oracle_reduce, reduce_basis
@@ -25,7 +25,7 @@ from grassgb.f2poly import (
 )
 from grassgb.groebner_family import GrassmannContext, GroebnerFamily, build_family
 
-from conftest import random_poly
+from conftest import random_homogeneous, random_poly
 
 CTX22 = GrassmannContext(2, 2)
 
@@ -106,8 +106,8 @@ def _edge_inputs(rng, k, n):
     yield Poly.zero(k)
     yield Poly.one(k)
     yield Poly(k, rng.sample(standard_basis(GrassmannContext(k, n)), 5))
-    # the field width is the bit length of the largest weighted degree plus
-    # one, so degrees 2^j - 1 and 2^j sit on either side of a width change
+    # degrees 2^j - 1 and 2^j differ in bit length, and the larger ones lie
+    # above the top degree k*n, so both sides of the cut are met
     for j in range(1, 7):
         for d in (2**j - 1, 2**j):
             monos = monomials_of_weighted_degree(d, k)
@@ -119,17 +119,27 @@ def _edge_inputs(rng, k, n):
 
 @pytest.mark.parametrize("k,n", [(2, 2), (3, 4), (4, 5), (5, 8)])
 def test_normal_form_matches_reference_on_edge_inputs(k, n):
-    # one family meets the inputs in ascending width, then descending, so a
-    # lead packed at one width is looked up at every other
+    # one family meets the inputs in ascending degree, then descending, so a
+    # lead packed for one input is looked up by every other
     rng = random.Random(k * 100 + n)
     ctx = GrassmannContext(k, n)
     family = GroebnerFamily(ctx)
     inputs = list(_edge_inputs(rng, k, n))
-    cases = [(f, normal_form_reference(ctx, f, family)) for f in inputs]
+    leads = set()
+
+    def recording_divisor(ctx, family, t):
+        m = structured_divisor(ctx, family, t)
+        if weighted_degree(t) <= k * n:  # normal_form drops the other terms
+            leads.add(m)
+        return m
+
+    cases = [
+        (f, normal_form_reference(ctx, f, family, recording_divisor)) for f in inputs
+    ]
     for f, expected in cases + cases[::-1]:
         assert normal_form(ctx, f, family).value == expected, f
-    # 0 and 1 pack at W = 1, weighted degrees 1, 2, 4, ..., 64 at W = 2..8
-    assert sorted(family.packed) == list(range(1, 9))
+    # one packed tail per divisor lead, whatever the degree of the input
+    assert len(family.packed) == len(leads)
     assert not normal_form(ctx, Poly.zero(k), family)
     assert normal_form(ctx, Poly.one(k), family).value == Poly.one(k)
 
@@ -143,6 +153,25 @@ def test_normal_form_large_exponent():
         assert normal_form(ctx, big + w1).value == w1
         mixed = Poly.monomial((n + 1,) + (0,) * (k - 2) + (2**20,)) + w1
         assert normal_form(ctx, mixed).value == normal_form_reference(ctx, mixed)
+
+
+@pytest.mark.parametrize("k,n", [(2, 2), (3, 4), (4, 5), (5, 8)])
+def test_terms_above_the_top_degree_vanish(k, n):
+    # no standard monomial lies above the weighted degree k*n of w_k^n
+    rng = random.Random(k * 10 + n)
+    ctx = GrassmannContext(k, n)
+    family = GroebnerFamily(ctx)
+    top = Poly.monomial((0,) * (k - 1) + (n,))
+    w1 = Poly.variable(k, 1)
+    for f in (w1 * top, Poly.monomial((2**20,) + (0,) * (k - 1))):
+        assert not normal_form(ctx, f, family)
+    assert not family.packed
+    assert normal_form(ctx, top, family).value == top
+    assert not family.packed
+    mixed = top + w1 * top + w1 ** (k * n)
+    for d in range(k * n - 2, k * n + 3):
+        mixed = mixed + random_homogeneous(rng, k, d, max_terms=3)
+    assert normal_form(ctx, mixed, family).value == normal_form_reference(ctx, mixed)
 
 
 def test_packed_memo_belongs_to_the_family():

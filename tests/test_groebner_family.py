@@ -189,10 +189,10 @@ def test_whole_family_by_recurrence_matches_direct(k, n):
 def test_items_keeps_elements_already_filled():
     ctx = GrassmannContext(4, 6)
     family = GroebnerFamily(ctx)
-    filled = {m: family.element(m) for m in ((0, 0, 0), (1, 2, 0), (0, 3, 4), (2, 0, 5))}
+    for m in ((0, 0, 0), (1, 2, 0), (0, 3, 4), (2, 0, 5)):
+        assert family.element(m) == g_direct(ctx, m)
+    assert not family._memo  # only the recurrence fills the memo
     table = dict(family.items())
-    for m, g in filled.items():
-        assert table[m] is g
     assert all(table[m] == g_direct(ctx, m) for m in table)
     assert family.polynomials() == list(table.values())
 
@@ -274,6 +274,9 @@ def test_g_direct_matches_reference_on_edge_indices():
 def test_memo_lives_on_the_family():
     ctx = GrassmannContext(3, 4)
     first, second = GroebnerFamily(ctx), GroebnerFamily(ctx)
+    g = first.element((1, 2))
+    assert first.element([1, 2]) == g
+    first.polynomials()
     g = first.element((1, 2))
     assert first.element([1, 2]) is g
     assert second.element((1, 2)) == g

@@ -166,6 +166,12 @@ class TestNormalBundle:
         unreduced = tensor_square_sw(5, 20) * total_w**3
         assert max(weighted_degree(t) for t in unreduced.terms) <= 35
 
+    def test_each_touched_element_kept_once(self):
+        # a reduction keeps a touched g_M only as its packed tail
+        family = GroebnerFamily(GrassmannContext(5, 16))
+        normal_bundle_sw(16, family)
+        assert family.packed and not family._memo
+
     def test_guard(self):
         with pytest.raises(ValueError):
             normal_bundle_sw(12)
