@@ -36,12 +36,11 @@ lcm(lt_g, lt_h) iff lt_l does.
 from __future__ import annotations
 
 import heapq
-import math
 import operator
 
 from .dual_classes import wbar_recurrence
 from .f2poly import Monomial, Poly, grlex_key
-from .groebner_family import GrassmannContext, build_family
+from .groebner_family import GrassmannContext, GroebnerFamily, build_family
 
 __all__ = [
     "s_polynomial",
@@ -309,7 +308,7 @@ def oracle_reduce(f: Poly, basis: list[Poly]) -> Poly:
 def oracle_equals_family(ctx: GrassmannContext, cap: int = DEFAULT_CAP) -> bool:
     """Run Buchberger on the dual-class generators and compare the reduced
     result, as a set of polynomials, with the structured family."""
-    size = math.comb(ctx.n + ctx.k, ctx.k - 1)
+    size = len(GroebnerFamily(ctx))
     if size > cap:
         raise OracleCapExceeded(
             f"instance has {size} basis elements, above the cap of {cap}"

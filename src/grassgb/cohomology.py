@@ -10,18 +10,18 @@ sum <= n).
 The reduction loop works on monomials packed into single ints: the
 exponent sum in the top field, then a_1, ..., a_k in fields of W bits
 each, a_1 highest.  Integer order on packed monomials is then grlex
-order, a monomial product is an integer sum, and a term is reducible iff
-its packed value is at least (n+1) << (W*k).  The width is fixed by the
-context: no standard monomial has weighted degree above k*n, the degree
-of the top class w_k^n, and every g_M is homogeneous in the weighted
-degree, so a term of degree above k*n has normal form 0 and is dropped
-before packing.  Each term met while reducing a kept term t has the
-weighted degree of t, at most k*n, so every exponent fits in the bit
-length of k*n; W is that plus a spare bit.  No exponent overflows its
-field, and since lt(g_M) divides t, subtracting the packed leading term
-never borrows.
+order, a monomial product is an integer sum, and v >> (W*k) is the
+exponent sum of a packed v.  The width is fixed by the context: no
+standard monomial has weighted degree above k*n, the degree of the top
+class w_k^n, and every g_M is homogeneous in the weighted degree, so a
+term of degree above k*n has normal form 0 and is dropped before
+packing.  Each term met while reducing a kept term t has the weighted
+degree of t, at most k*n, so every exponent fits in the bit length of
+k*n; W is that plus a spare bit.  No exponent overflows its field, and
+since lt(g_M) divides t, subtracting the packed leading term never
+borrows.
 
-The divisor is read off the popped int v itself: the excess is the sum
+The divisor is read off the packed term v itself: the excess is the sum
 field minus n+1, and the packed lead is v with that excess subtracted from
 the sum field and, field by field from a_1, from the exponents.  The lead
 keys the family's one table ``GroebnerFamily.packed``, whose entry is the
@@ -31,17 +31,23 @@ v + (pack(u) - lead) = pack(u * t / lt(g_M)), and v itself leaves the
 working set.  Only a miss unpacks the lead and asks the family for g_M,
 and the table is the only place the family keeps it.
 
-Reducible terms wait in a max-heap (of negated ints) with lazy deletion:
-a popped value no longer in the working set is skipped.  Every term
-produced while reducing t is grlex-smaller than t, so the heap top is
-always the grlex-largest reducible term, and the steps taken are those of
-rescanning the whole working set for its maximum at every step.
+The basis fixes the order of the work.  Every lead has exponent sum
+n+1 and every other term of g_M has sum <= n, so a step on a term of sum
+s only adds terms of sum below s.  The working set is kept as levels,
+one set of packed ints per exponent sum present, and the levels above n
+are swept from the top down: when level s comes up, no later step can
+add to it, so each of its terms is reduced exactly once.  The terms
+reduced are those that rescanning the whole working set for its
+grlex-largest reducible term at every step reduces, only not in the
+same order within a level.  A tail term of sum above n would break that
+order: it shows as a level that does not drop, which raises
+``ValueError`` instead of reducing forever.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from typing import Optional
 
 from .f2poly import Monomial, Poly, grlex_key, weighted_degree
@@ -95,7 +101,6 @@ def normal_form(
     shifts = range(width * (k - 1), -1, -width)
     sum_shift = width * k
     lead_sum = ctx.n + 1
-    bound = lead_sum << sum_shift
 
     def pack(t: Monomial) -> int:
         v = sum(t)
@@ -109,37 +114,36 @@ def normal_form(
         return tuple(p - lead for p in packed_terms if p != lead)
 
     table = family.packed
-    work = {pack(t) for t in f.terms if weighted_degree(t) <= top}
-    heap = [-v for v in work if v >= bound]
-    heapify(heap)
-    while heap:
-        v = -heappop(heap)
-        if v not in work:
-            continue
-        # the divisor's lead: v with its exponent sum cut to n+1, the excess
-        # taken from a_1, a_2, ... in turn
-        excess = (v >> sum_shift) - lead_sum
-        lead = v - (excess << sum_shift)
-        for s in shifts:
-            a = (v >> s) & mask
-            if a >= excess:
-                lead -= excess << s
-                break
-            lead -= a << s
-            excess -= a
-        tail = table.get(lead)
-        if tail is None:
-            tail = table[lead] = tail_of(lead)
-        for u in tail:
-            u += v
-            if u in work:
-                work.remove(u)
-            else:
-                work.add(u)
-                if u >= bound:
-                    heappush(heap, -u)
-        work.remove(v)  # no tail offset is 0, so the loop left v in place
-    terms = frozenset(tuple((v >> s) & mask for s in shifts) for v in work)
+    work: defaultdict[int, set[int]] = defaultdict(set)
+    for v in {pack(t) for t in f.terms if weighted_degree(t) <= top}:
+        work[v >> sum_shift].add(v)
+    while (level_sum := max(work, default=0)) > ctx.n:
+        for v in work.pop(level_sum):
+            # the divisor's lead: v with its exponent sum cut to n+1, the
+            # excess taken from a_1, a_2, ... in turn
+            excess = level_sum - lead_sum
+            lead = v - (excess << sum_shift)
+            for s in shifts:
+                a = (v >> s) & mask
+                if a >= excess:
+                    lead -= excess << s
+                    break
+                lead -= a << s
+                excess -= a
+            tail = table.get(lead)
+            if tail is None:
+                tail = table[lead] = tail_of(lead)
+            for u in tail:
+                u += v
+                level = work[u >> sum_shift]
+                if u in level:
+                    level.remove(u)
+                else:
+                    level.add(u)
+        if max(work, default=0) >= level_sum:
+            raise ValueError("a basis element has a tail term of exponent sum > n")
+    rest = set().union(*work.values())
+    terms = frozenset(tuple((v >> s) & mask for s in shifts) for v in rest)
     return CohomologyClass(ctx, Poly._make(k, terms))
 
 

@@ -50,7 +50,7 @@ def monomials_of_weighted_degree(d: int, k: int) -> tuple[Monomial, ...]:
 class Poly:
     """Immutable F2 polynomial: a frozenset of exponent tuples plus k."""
 
-    __slots__ = ("k", "terms", "_hash")
+    __slots__ = ("k", "terms")
 
     def __init__(self, k: int, terms: Iterable[Monomial] = ()):
         if k < 1:
@@ -65,7 +65,6 @@ class Poly:
             seen.symmetric_difference_update((t,))
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "terms", frozenset(seen))
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _make(cls, k: int, terms: frozenset) -> "Poly":
@@ -73,7 +72,6 @@ class Poly:
         self = object.__new__(cls)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
         return self
 
     def __setattr__(self, name, value):
@@ -115,11 +113,7 @@ class Poly:
         )
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.k, self.terms))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.k, self.terms))
 
     def __iter__(self) -> Iterator[Monomial]:
         return iter(self.terms)

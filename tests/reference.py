@@ -8,12 +8,13 @@ discards; the tests assert the two agree.
 The normal form rescans the working set for its grlex-largest reducible
 term at every step, on exponent tuples, and picks the divisor's index from
 the term (``structured_divisor``, or any other chooser a test passes); the
-package reduces packed ints from a heap and reads the divisor's packed lead
-off the popped int.  The tensor-square class expands the product of the
-1 + x_i^2 + x_j^2 to full degree; the package expands the product of the
-1 + x_i + x_j to half the degree and squares.  The reference multiplies
-frozensets of root exponent tuples (``_mul_roots``); the package keeps
-root polynomials as ``Poly`` and multiplies them like any other.
+package sweeps levels of packed ints by exponent sum, from the top down,
+and reads the divisor's packed lead off each int.  The tensor-square
+class expands the product of the 1 + x_i^2 + x_j^2 to full degree; the
+package expands the product of the 1 + x_i + x_j to half the degree
+and squares.  The reference multiplies frozensets of root exponent
+tuples (``_mul_roots``); the package keeps root polynomials as ``Poly``
+and multiplies them like any other.
 
 The multi-indices of a family are every tuple of the box filtered by
 entry sum and then sorted; the package generates them in order.  The
@@ -168,13 +169,16 @@ def normal_form_reference(
         family = GroebnerFamily(ctx)
     n = ctx.n
     work = set(f.terms)
+    elements: dict[tuple[int, ...], Poly] = {}
     while True:
         reducible = [t for t in work if sum(t) > n]
         if not reducible:
             break
         t = max(reducible, key=grlex_key)
         m = choose_divisor(ctx, family, t)
-        g = family.element(m)
+        g = elements.get(m)
+        if g is None:
+            g = elements[m] = family.element(m)
         lt = family.leading_term(m)
         q = tuple(a - b for a, b in zip(t, lt))
         work.symmetric_difference_update(

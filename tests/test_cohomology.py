@@ -2,6 +2,7 @@ import importlib
 import math
 import pkgutil
 import random
+import time
 
 import pytest
 from reference import normal_form_reference, structured_divisor
@@ -172,6 +173,36 @@ def test_terms_above_the_top_degree_vanish(k, n):
     for d in range(k * n - 2, k * n + 3):
         mixed = mixed + random_homogeneous(rng, k, d, max_terms=3)
     assert normal_form(ctx, mixed, family).value == normal_form_reference(ctx, mixed)
+
+
+def test_standard_input_at_huge_n_is_left_alone():
+    # the levels of the working set are the exponent sums present, never a
+    # range sized by n or by the largest sum
+    n = 10**6
+    ctx = GrassmannContext(5, n)
+    f = (
+        Poly.variable(5, 1)
+        + Poly.monomial((0, 0, 0, 1, n - 1))
+        + Poly.monomial((0, 0, 0, 0, n))
+    )
+    start = time.perf_counter()
+    assert normal_form(ctx, f).value == f
+    assert time.perf_counter() - start < 1.0
+
+
+def test_tail_term_above_n_raises_instead_of_looping(monkeypatch):
+    # a tail term of exponent sum n+2 lands above the level being swept
+    ctx = GrassmannContext(3, 4)
+    family = GroebnerFamily(ctx)
+    element = family.element
+
+    def bad_element(m):
+        g = element(m)
+        return g + Poly.monomial((6, 0, 0)) if m == (0, 0) else g
+
+    monkeypatch.setattr(family, "element", bad_element)
+    with pytest.raises(ValueError, match="tail term"):
+        normal_form(ctx, parse("w1^5", 3), family)
 
 
 def test_packed_memo_belongs_to_the_family():
