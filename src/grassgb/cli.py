@@ -73,41 +73,43 @@ def _json_rows(count: int, indent: int) -> str:
 def _print_json(family: GroebnerFamily, elements) -> None:
     """Print the records {"M", "lt", "poly"} exactly as
     json.dumps(records, indent=2) would, with one format string per
-    nesting depth; terms go in decreasing grlex order."""
+    nesting depth; terms go in decreasing grlex order, which is
+    decreasing order of the packed ints."""
     k = family.context.k
     head = (
         '  {\n    "M": [\n%s\n    ],\n    "lt": [\n%s\n    ],\n    "poly": [\n'
         % (_json_rows(k - 1, 6), _json_rows(k, 6))
     )
     term = "      [\n%s\n      ]" % _json_rows(k, 8)
+    elements = list(elements)
+    distinct = set().union(*[terms for _, terms in elements])
+    rows = dict(zip(distinct, map(term.__mod__, family.unpack(distinct))))
     records = []
-    for m, g in elements:
-        # grlex descending by two sorts on C-level keys: lex, then stably by degree
-        ordered = sorted(g.terms, reverse=True)
-        ordered.sort(key=sum, reverse=True)
-        body = ",\n".join([term % t for t in ordered])
+    for m, terms in elements:
+        body = ",\n".join(map(rows.__getitem__, sorted(terms, reverse=True)))
         records.append(head % (m + family.leading_term(m)) + body + "\n    ]\n  }")
-    print("[\n" + ",\n".join(records) + "\n]")
+    # separate arguments, so the whole text is not copied by concatenation
+    print("[", ",\n".join(records), "]", sep="\n")
 
 
 def _cmd_generate(args) -> int:
     ctx = _context(args)
     family = GroebnerFamily(ctx)
     if args.only_m is None:
-        elements = family.items()
+        elements = family.packed_items()
     else:
         only_m = tuple(int(x) for x in args.only_m.split(","))
         if len(only_m) != ctx.k - 1 or any(x < 0 for x in only_m):
             raise ValueError(f"--only-m needs {ctx.k - 1} nonnegative entries")
         if sum(only_m) > ctx.n + 1:
             raise ValueError("--only-m index has entry sum above n+1")
-        elements = [(only_m, family.element(only_m))]
+        elements = [(only_m, family.packed_terms(only_m))]
     if args.format == "json":
         _print_json(family, elements)
     else:
-        for m, g in elements:
+        for m, terms in elements:
             label = ",".join(str(x) for x in m)
-            print(f"g[{label}] = {format_poly(g)}")
+            print(f"g[{label}] = {format_poly(family.to_poly(terms))}")
     return 0
 
 

@@ -7,19 +7,15 @@ excess from a_1, then a_2, and so on; what is left is the lead of the
 divisor.  The remainder is supported on the standard monomials (exponent
 sum <= n).
 
-The reduction loop works on monomials packed into single ints: the
-exponent sum in the top field, then a_1, ..., a_k in fields of W bits
-each, a_1 highest.  Integer order on packed monomials is then grlex
-order, a monomial product is an integer sum, and v >> (W*k) is the
-exponent sum of a packed v.  The width is fixed by the context: no
-standard monomial has weighted degree above k*n, the degree of the top
-class w_k^n, and every g_M is homogeneous in the weighted degree, so a
-term of degree above k*n has normal form 0 and is dropped before
-packing.  Each term met while reducing a kept term t has the weighted
-degree of t, at most k*n, so every exponent fits in the bit length of
-k*n; W is that plus a spare bit.  No exponent overflows its field, and
-since lt(g_M) divides t, subtracting the packed leading term never
-borrows.
+The reduction loop works on monomials packed into single ints, in the
+family's packing; the ``groebner_family`` docstring describes the layout
+and why its width suffices.  No standard monomial has weighted degree
+above k*n, the degree of the top class w_k^n, and every g_M is
+homogeneous in the weighted degree, so a term of degree above k*n has
+normal form 0 and is dropped before packing.  Each term met while
+reducing a kept term t has the weighted degree of t, at most k*n, so
+every exponent fits its field, and since lt(g_M) divides t, subtracting
+the packed leading term never borrows.
 
 The divisor is read off the packed term v itself: the excess is the sum
 field minus n+1, and the packed lead is v with that excess subtracted from
@@ -28,8 +24,9 @@ keys the family's one table ``GroebnerFamily.packed``, whose entry is the
 tail of g_M as offsets pack(u) - lead, u over the terms of g_M but its
 lead.  A step is then one table hit and one add per tail term,
 v + (pack(u) - lead) = pack(u * t / lt(g_M)), and v itself leaves the
-working set.  Only a miss unpacks the lead and asks the family for g_M,
-and the table is the only place the family keeps it.
+working set.  Only a miss unpacks the lead and asks the family for the
+packed terms of g_M: the memo's, when the whole family was built, else
+g_direct's, and then the table is the only place the family keeps them.
 
 The basis fixes the order of the work.  Every lead has exponent sum
 n+1 and every other term of g_M has sum <= n, so a step on a term of sum
@@ -94,28 +91,17 @@ def normal_form(
         family = GroebnerFamily(ctx)
     elif family.context != ctx:
         raise ValueError("family belongs to a different context")
-    k = ctx.k
-    top = k * ctx.n
-    width = top.bit_length() + 1
-    mask = (1 << width) - 1
-    shifts = range(width * (k - 1), -1, -width)
-    sum_shift = width * k
+    top = ctx.k * ctx.n
+    mask, shifts, sum_shift = family.mask, family.shifts, family.sum_shift
     lead_sum = ctx.n + 1
 
-    def pack(t: Monomial) -> int:
-        v = sum(t)
-        for a in t:
-            v = (v << width) | a
-        return v
-
     def tail_of(lead: int) -> tuple[int, ...]:
-        m = tuple((lead >> s) & mask for s in shifts[1:])
-        packed_terms = map(pack, family.element(m).terms)
-        return tuple(p - lead for p in packed_terms if p != lead)
+        terms = family.packed_terms(family.index_of(lead))
+        return tuple(p - lead for p in terms if p != lead)
 
     table = family.packed
     work: defaultdict[int, set[int]] = defaultdict(set)
-    for v in {pack(t) for t in f.terms if weighted_degree(t) <= top}:
+    for v in {family.pack(t) for t in f.terms if weighted_degree(t) <= top}:
         work[v >> sum_shift].add(v)
     while (level_sum := max(work, default=0)) > ctx.n:
         for v in work.pop(level_sum):
@@ -142,9 +128,7 @@ def normal_form(
                     level.add(u)
         if max(work, default=0) >= level_sum:
             raise ValueError("a basis element has a tail term of exponent sum > n")
-    rest = set().union(*work.values())
-    terms = frozenset(tuple((v >> s) & mask for s in shifts) for v in rest)
-    return CohomologyClass(ctx, Poly._make(k, terms))
+    return CohomologyClass(ctx, family.to_poly(set().union(*work.values())))
 
 
 def is_zero(

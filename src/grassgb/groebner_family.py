@@ -25,15 +25,29 @@ reduction step, ``generate --only-m``) still goes through the direct
 formula, so it costs one walk and not the elements below it, and the
 family does not keep it.  Closed forms exist for indices with m_k close
 to n; they are exposed for cross-validation against the direct formula.
+
+A family holds its terms packed into single ints, at a width W that
+(k, n) fixes: W is the bit length of k*n, plus one.  A monomial
+(a_1, ..., a_k) packs to its exponent sum in the top field, then a_1, ...,
+a_k in fields of W bits each, a_1 highest.  Integer order on packed
+monomials is then grlex order, a monomial product is an integer sum, and
+v >> (W*k) is the exponent sum of a packed v.  No field overflows: g_M is
+homogeneous of weighted degree n+1+S'_M, at most k(n+1) when S_M <= n+1,
+so no exponent of a family element exceeds k(n+1) <= 2kn < 2^W, and a
+normal form meets only terms of weighted degree <= k*n (see
+``cohomology``).  Multiplying by w_j adds the packed w_j to every term, so
+a recurrence step is two maps of one int add each and at most two
+symmetric differences of int sets.  The packing is the family's (``pack``,
+``unpack``); ``element``, ``items`` and ``polynomials`` unpack to Poly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
-from .f2poly import MAX_EXPONENT, Monomial, Poly, weighted_degree
+from .f2poly import Monomial, Poly, weighted_degree
 
 __all__ = [
     "GrassmannContext",
@@ -164,14 +178,6 @@ def g_closed_form(ctx: GrassmannContext, m: MultiIndex) -> Optional[Poly]:
     return None
 
 
-def _times_variable(g: Poly, j: int) -> frozenset:
-    """The terms of w_j * g: every term's j-th exponent raised by one."""
-    p = j - 1
-    if max((t[p] for t in g.terms), default=0) >= MAX_EXPONENT:
-        raise OverflowError(f"exponent overflow multiplying by w{j}")
-    return frozenset(t[:p] + (t[p] + 1,) + t[p + 1 :] for t in g.terms)
-
-
 def g_recurrence_step(
     ctx: GrassmannContext,
     m: MultiIndex,
@@ -182,17 +188,27 @@ def g_recurrence_step(
     """Assemble g_{M^{i,j}} = w_i g_{M^j} + w_{j+1} g_{M^{i-1}} + g_{M^{i-1,j+1}}.
 
     The third summand is absent when j = k-1; ``lookup`` supplies the
-    right-hand-side polynomials.
+    right-hand-side polynomials.  They are packed at the context's width,
+    and a term that does not fit a field, before or after its shift,
+    raises OverflowError.
     """
     _check_index(ctx, m)
     k = ctx.k
     if not 1 <= i <= j <= k - 1:
         raise ValueError(f"need 1 <= i <= j <= {k - 1}, got i={i}, j={j}")
-    terms = _times_variable(lookup(raised(m, j)), i)
-    terms ^= _times_variable(lookup(raised(m, i - 1)), j + 1)
-    if j < k - 1:
-        terms ^= lookup(raised2(m, i - 1, j + 1)).terms
-    return Poly._make(k, terms)
+    family = GroebnerFamily(ctx)
+    top = family.mask
+    # the variable each summand is multiplied by, 0-based; -1 for none
+    shifted = {raised(m, j): i - 1, raised(m, i - 1): j}
+
+    def packed(idx: MultiIndex) -> frozenset:
+        terms = lookup(idx).terms
+        p = shifted.get(idx, -1)
+        if any(max(t) > top or (p >= 0 and t[p] == top) for t in terms):
+            raise OverflowError(f"a term of g_{idx} overflows {family.width} bits")
+        return frozenset(map(family.pack, terms))
+
+    return family.to_poly(family._step(m, i, j, packed))
 
 
 def _indices_up_to(k: int, bound: int) -> list[MultiIndex]:
@@ -205,39 +221,98 @@ def _indices_up_to(k: int, bound: int) -> list[MultiIndex]:
 
 
 class GroebnerFamily:
-    """Lazy view of the basis {g_M : S_M <= n+1}.
+    """Lazy view of the basis {g_M : S_M <= n+1}, and its packing.
 
-    ``element`` computes one g_M by g_direct and does not keep it, so
-    reductions at large n only ever build the indices they touch, and each
-    once: cohomology.normal_form keeps what it needs of a touched g_M in
-    ``packed``, the family's one table ``{packed lead: tail}`` (the tail
-    as the offsets pack(u) - lead over the other terms u of g_M, packed
-    at the width the context fixes).  ``items``, ``polynomials`` and
-    ``build_family`` build the whole family through the recurrence into
-    the memo instead, and ``element`` then returns the memo's entry.  Both
-    are dicts on the instance: they live as long as the family, and two
-    families never share one.
+    ``items``, ``polynomials`` and ``build_family`` build the whole family
+    through the recurrence into the memo, ``{M: packed terms of g_M}``.
+    ``element`` unpacks the memo's entry once and keeps the Poly; on a
+    family that was not built it computes one g_M by g_direct and keeps
+    nothing, so reductions at large n only ever build the indices they
+    touch, and each once: cohomology.normal_form keeps what it needs of a
+    touched g_M in ``packed``, the family's one table ``{packed lead:
+    tail}`` (the tail as the offsets pack(u) - lead over the other terms
+    u of g_M).  All are dicts on the instance: they live as long as the
+    family, and two families never share one.
     """
 
     def __init__(self, context: GrassmannContext):
+        k, n = context.k, context.n
         self.context = context
-        self._memo: dict[MultiIndex, Poly] = {}
+        self.width = width = (k * n).bit_length() + 1
+        if k * (n + 1) >> width:
+            raise OverflowError(f"degree k(n+1) = {k * (n + 1)} overflows {width} bits")
+        self.mask = (1 << width) - 1
+        # shifts of the fields a_1, ..., a_k; the exponent sum sits above them
+        self.shifts = range(width * (k - 1), -1, -width)
+        self.sum_shift = width * k
+        # _times[j] is the packed w_j, 1 <= j <= k
+        self._times = [0] + [(1 << self.sum_shift) | (1 << s) for s in self.shifts]
+        self._memo: dict[MultiIndex, frozenset[int]] = {}
+        self._polys: dict[MultiIndex, Poly] = {}
         self.packed: dict[int, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         k, n = self.context.k, self.context.n
         return math.comb(n + k, k - 1)
 
+    def pack(self, t: Monomial) -> int:
+        width = self.width
+        v = sum(t)
+        for a in t:
+            v = (v << width) | a
+        return v
+
+    def unpack(self, packed: Iterable[int]) -> Iterator[Monomial]:
+        """The monomials of the packed ints, in their order, each field
+        cut out of all of them by one C-level map."""
+        packed = list(packed)
+        mask = self.mask.__and__
+        return zip(*[map(mask, map(s.__rrshift__, packed)) for s in self.shifts])
+
+    def index_of(self, lead: int) -> MultiIndex:
+        """The M of the g_M whose packed leading term is ``lead``: its
+        fields a_2, ..., a_k, cut out one at a time (cheaper than
+        ``unpack`` for a single int)."""
+        mask = self.mask
+        return tuple((lead >> s) & mask for s in self.shifts[1:])
+
+    def to_poly(self, terms: Iterable[int]) -> Poly:
+        return Poly._make(self.context.k, frozenset(self.unpack(terms)))
+
     def multi_indices(self) -> Iterator[MultiIndex]:
         return iter(_indices_up_to(self.context.k, self.context.n + 1))
 
     def element(self, m: MultiIndex) -> Poly:
         m = tuple(m)
-        g = self._memo.get(m)
-        return g_direct(self.context, m) if g is None else g
+        g = self._polys.get(m)
+        if g is None:
+            terms = self._memo.get(m)
+            if terms is None:
+                return g_direct(self.context, m)
+            g = self._polys[m] = self.to_poly(terms)
+        return g
+
+    def packed_terms(self, m: MultiIndex) -> frozenset:
+        """The packed terms of g_M: the memo's entry, else g_direct's, not kept."""
+        terms = self._memo.get(m)
+        return frozenset(map(self.pack, self.element(m).terms)) if terms is None else terms
 
     def leading_term(self, m: MultiIndex) -> Monomial:
         return leading_term_of(self.context, m)
+
+    def _step(
+        self, m: MultiIndex, i: int, j: int, lookup: Callable[[MultiIndex], frozenset]
+    ) -> frozenset:
+        """The packed terms of g_{M^{i,j}}, from the packed terms ``lookup``
+        gives for the three indices on the right of the recurrence."""
+        times = self._times
+        terms = set(map(times[i].__add__, lookup(raised(m, j))))
+        terms.symmetric_difference_update(map(times[j + 1].__add__, lookup(raised(m, i - 1))))
+        if j < self.context.k - 1:
+            terms.symmetric_difference_update(lookup(raised2(m, i - 1, j + 1)))
+        # a frozenset copied from a set gets a table sized to its terms;
+        # one left by symmetric differences keeps every slot it grew
+        return frozenset(terms)
 
     def _materialise(self) -> list[MultiIndex]:
         """Put every g_M of the family in the memo; return the indices in
@@ -261,22 +336,25 @@ class GroebnerFamily:
         lookup = memo.__getitem__
         for s, i, j, t in missing:
             if s <= 1:
-                memo[t] = g_direct(ctx, t)
+                memo[t] = frozenset(map(self.pack, g_direct(ctx, t).terms))
             else:
                 m = list(t)
                 m[i - 1] -= 1
                 m[j - 1] -= 1
-                memo[t] = g_recurrence_step(ctx, tuple(m), i, j, lookup)
+                memo[t] = self._step(tuple(m), i, j, lookup)
         return indices
 
-    def items(self) -> Iterator[tuple[MultiIndex, Poly]]:
+    def packed_items(self) -> Iterator[tuple[MultiIndex, frozenset]]:
         memo = self._memo
         for m in self._materialise():
             yield m, memo[m]
 
+    def items(self) -> Iterator[tuple[MultiIndex, Poly]]:
+        for m, terms in self.packed_items():
+            yield m, self.to_poly(terms)
+
     def polynomials(self) -> list[Poly]:
-        memo = self._memo
-        return [memo[m] for m in self._materialise()]
+        return [g for _, g in self.items()]
 
 
 def build_family(ctx: GrassmannContext) -> GroebnerFamily:

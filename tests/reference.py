@@ -16,6 +16,10 @@ and squares.  The reference multiplies frozensets of root exponent
 tuples (``_mul_roots``); the package keeps root polynomials as ``Poly``
 and multiplies them like any other.
 
+The recurrence step raises one exponent of every term of a tuple
+polynomial (``_times_variable``, which scans for overflow first); the
+package adds one packed int to every packed term.
+
 The multi-indices of a family are every tuple of the box filtered by
 entry sum and then sorted; the package generates them in order.  The
 JSON of ``generate`` comes from json.dumps(indent=2) over terms sorted by
@@ -42,6 +46,7 @@ from typing import Callable, Optional
 
 from grassgb.combinatorics import binom_parity
 from grassgb.f2poly import (
+    MAX_EXPONENT,
     Monomial,
     Poly,
     grlex_key,
@@ -53,6 +58,8 @@ from grassgb.groebner_family import (
     GroebnerFamily,
     g_direct,
     leading_term_of,
+    raised,
+    raised2,
 )
 from grassgb.steenrod import _symmetric_to_elementary
 
@@ -108,6 +115,33 @@ def g_direct_reference(k: int, n: int, m: tuple[int, ...]) -> Poly:
     terms = frozenset(
         a for a in monomials_of_weighted_degree(target, k) if p_product(a, m)
     )
+    return Poly._make(k, terms)
+
+
+def _times_variable(g: Poly, j: int) -> frozenset:
+    """The terms of w_j * g: every term's j-th exponent raised by one."""
+    p = j - 1
+    if max((t[p] for t in g.terms), default=0) >= MAX_EXPONENT:
+        raise OverflowError(f"exponent overflow multiplying by w{j}")
+    return frozenset(t[:p] + (t[p] + 1,) + t[p + 1 :] for t in g.terms)
+
+
+def g_recurrence_step_reference(
+    ctx: GrassmannContext,
+    m: tuple[int, ...],
+    i: int,
+    j: int,
+    lookup: Callable[[tuple[int, ...]], Poly],
+) -> Poly:
+    """g_{M^{i,j}} = w_i g_{M^j} + w_{j+1} g_{M^{i-1}} + g_{M^{i-1,j+1}} on
+    exponent tuples; the third summand is absent when j = k-1."""
+    k = ctx.k
+    if not 1 <= i <= j <= k - 1:
+        raise ValueError(f"need 1 <= i <= j <= {k - 1}, got i={i}, j={j}")
+    terms = _times_variable(lookup(raised(m, j)), i)
+    terms ^= _times_variable(lookup(raised(m, i - 1)), j + 1)
+    if j < k - 1:
+        terms ^= lookup(raised2(m, i - 1, j + 1)).terms
     return Poly._make(k, terms)
 
 

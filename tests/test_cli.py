@@ -46,6 +46,16 @@ def test_generate_json_matches_json_dumps(capsys, k):
         assert out == generate_json_reference(ctx, indices) + "\n", n
 
 
+@pytest.mark.parametrize("k,n", [(4, 14), (5, 10)])
+def test_generate_json_matches_reference_at_benchmark_sizes(capsys, k, n):
+    # the two family benchmark sizes the k-grid above does not reach
+    ctx = GrassmannContext(k, n)
+    argv = ("generate", "-k", str(k), "-n", str(n), "--format", "json")
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert out == generate_json_reference(ctx, GroebnerFamily(ctx).multi_indices()) + "\n"
+
+
 @pytest.mark.parametrize("k,n,m", [(2, 2, (1,)), (4, 9, (2, 0, 3)), (6, 7, (1, 1, 1, 1, 1))])
 def test_generate_json_only_m_matches_json_dumps(capsys, k, n, m):
     only = ",".join(map(str, m))

@@ -2,7 +2,11 @@ import math
 import random
 
 import pytest
-from reference import g_direct_reference, indices_up_to_reference
+from reference import (
+    g_direct_reference,
+    g_recurrence_step_reference,
+    indices_up_to_reference,
+)
 
 from grassgb.combinatorics import binom_parity
 from grassgb.dual_classes import wbar_recurrence
@@ -171,6 +175,130 @@ def test_recurrence_step_overflow_guard():
     big = Poly(2, [(MAX_EXPONENT, 0)])
     with pytest.raises(OverflowError):
         g_recurrence_step(ctx, (0,), 1, 1, lambda m: big)
+
+
+def _edge_steps(k: int, n: int):
+    """(M, i, j) at the edges of the recurrence: i = 1, j = k-1 (no third
+    summand; at k = 2 every step), and S_M = n-1, so that M^{i,j} has
+    S = n+1, the top level of the family."""
+    steps = []
+    for i in range(1, k):
+        for j in range(i, k):
+            if i == 1 or j == k - 1:
+                steps.append(((0,) * (k - 1), i, j))
+            for pos in range(k - 1):
+                m = [0] * (k - 1)
+                m[pos] = n - 1
+                steps.append((tuple(m), i, j))
+            steps.append(((1,) * (k - 2) + (n + 1 - k,), i, j))
+    return steps
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_recurrence_step_matches_reference(k):
+    rng = random.Random(4000 + k)
+    for n in (k, k + 3, 11):
+        ctx = GrassmannContext(k, n)
+        lookup = lambda m: g_direct(ctx, m)
+        steps = _edge_steps(k, n)
+        for _ in range(40):
+            m = tuple(rng.randint(0, 2) for _ in range(k - 1))
+            i = rng.randint(1, k - 1)
+            steps.append((m, i, rng.randint(i, k - 1)))
+        for m, i, j in steps:
+            got = g_recurrence_step(ctx, m, i, j, lookup)
+            assert got == g_recurrence_step_reference(ctx, m, i, j, lookup), (n, m, i, j)
+            assert got == g_direct(ctx, raised2(m, i, j)), (n, m, i, j)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_recurrence_step_matches_reference_on_random_summands(k):
+    # arbitrary polynomials on the right, so that terms cancel in ways the
+    # family's own elements may not show
+    rng = random.Random(5000 + k)
+    ctx = GrassmannContext(k, 9)
+    top = (1 << GroebnerFamily(ctx).width) - 2
+    for _ in range(30):
+        pool = [tuple(rng.randint(0, top) for _ in range(k)) for _ in range(6)]
+        polys = {}
+
+        def lookup(m):
+            if m not in polys:
+                polys[m] = Poly(k, rng.sample(pool, rng.randint(0, 4)))
+            return polys[m]
+
+        m = tuple(rng.randint(0, 3) for _ in range(k - 1))
+        i = rng.randint(1, k - 1)
+        j = rng.randint(i, k - 1)
+        got = g_recurrence_step(ctx, m, i, j, lookup)
+        assert got == g_recurrence_step_reference(ctx, m, i, j, lookup), (m, i, j)
+
+
+def test_recurrence_step_overflow_boundary():
+    # W = 4 at (2, 2): an exponent the step raises may be at most 2^W - 2
+    ctx = GrassmannContext(2, 2)
+    top = (1 << GroebnerFamily(ctx).width) - 1
+    assert top == 15
+
+    def lookup_with(a, b):
+        # g_{M^j} = g_(1,) gets w_1, g_{M^{i-1}} = g_(0,) gets w_2
+        return lambda m: Poly(2, [(a, top)] if m == (1,) else [(top, b)])
+
+    for a, b in ((top - 1, 0), (0, top - 1), (top - 1, top - 1)):
+        lookup = lookup_with(a, b)
+        got = g_recurrence_step(ctx, (0,), 1, 1, lookup)
+        assert got == g_recurrence_step_reference(ctx, (0,), 1, 1, lookup)
+        assert got == Poly(2, [(a + 1, top), (top, b + 1)])
+    for a, b in ((top, 0), (0, top)):
+        with pytest.raises(OverflowError):
+            g_recurrence_step(ctx, (0,), 1, 1, lookup_with(a, b))
+    # the third summand is not shifted, so 2^W - 1 fits there (W = 5 at (3, 3))
+    ctx = GrassmannContext(3, 3)
+    top = (1 << GroebnerFamily(ctx).width) - 1
+    third = Poly(3, [(top, top, top)])
+    lookup = lambda m: third if m == (0, 1) else Poly.zero(3)
+    assert g_recurrence_step(ctx, (0, 0), 1, 1, lookup) == third
+    with pytest.raises(OverflowError):
+        g_recurrence_step(ctx, (0, 0), 1, 1, lambda m: Poly(3, [(top + 1, 0, 0)]))
+
+
+def test_family_width_holds_every_exponent():
+    # g_M has weighted degree at most k(n+1), which bounds every exponent
+    # and the exponent sum; the family refuses a width that cannot hold it
+    for k in range(2, 9):
+        for n in range(k, 301):
+            family = GroebnerFamily(GrassmannContext(k, n))
+            assert k * (n + 1) < 1 << family.width, (k, n)
+            assert family.width == (k * n).bit_length() + 1
+
+
+@pytest.mark.parametrize("k,n", [(2, 3), (4, 6), (6, 7)])
+def test_packing_round_trips_in_grlex_order(k, n):
+    family = GroebnerFamily(GrassmannContext(k, n))
+    rng = random.Random(k * 100 + n)
+    top = k * (n + 1)
+    monomials = [tuple(rng.randint(0, top) for _ in range(k)) for _ in range(300)]
+    packed = [family.pack(t) for t in monomials]
+    assert list(family.unpack(packed)) == monomials
+    assert [family.index_of(v) for v in packed] == [t[1:] for t in monomials]
+    assert sorted(monomials, key=grlex_key) == list(family.unpack(sorted(packed)))
+    # w_j times a monomial is one add
+    for j in range(1, k + 1):
+        t = monomials[j]
+        raised_t = t[: j - 1] + (t[j - 1] + 1,) + t[j:]
+        assert family.pack(raised_t) == family.pack(t) + family.pack(
+            Poly.variable(k, j).leading_term()
+        )
+
+
+def test_memo_holds_packed_terms():
+    ctx = GrassmannContext(4, 6)
+    family = build_family(ctx)
+    for m, terms in family.packed_items():
+        assert all(type(v) is int for v in terms)
+        assert family.to_poly(terms) == g_direct(ctx, m)
+        assert family.packed_terms(m) is terms
+    assert not family._polys  # nothing is unpacked until asked for
 
 
 # the k = 2..6 grid, n in {k, 7, 9}, and one larger family
