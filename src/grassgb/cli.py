@@ -74,8 +74,8 @@ def _print_json(family: GroebnerFamily, elements) -> None:
     """Print the records {"M", "lt", "poly"} exactly as
     json.dumps(records, indent=2) would, with one format string per
     nesting depth; terms go in decreasing grlex order, which is
-    decreasing order of the packed ints."""
-    k = family.context.k
+    decreasing order of the packed ints, and "lt" is (n+1-S_M, M)."""
+    k, lead_sum = family.context.k, family.context.n + 1
     head = (
         '  {\n    "M": [\n%s\n    ],\n    "lt": [\n%s\n    ],\n    "poly": [\n'
         % (_json_rows(k - 1, 6), _json_rows(k, 6))
@@ -87,22 +87,17 @@ def _print_json(family: GroebnerFamily, elements) -> None:
     records = []
     for m, terms in elements:
         body = ",\n".join(map(rows.__getitem__, sorted(terms, reverse=True)))
-        records.append(head % (m + family.leading_term(m)) + body + "\n    ]\n  }")
+        records.append(head % (m + (lead_sum - sum(m),) + m) + body + "\n    ]\n  }")
     # separate arguments, so the whole text is not copied by concatenation
     print("[", ",\n".join(records), "]", sep="\n")
 
 
 def _cmd_generate(args) -> int:
-    ctx = _context(args)
-    family = GroebnerFamily(ctx)
+    family = GroebnerFamily(_context(args))
     if args.only_m is None:
         elements = family.packed_items()
     else:
         only_m = tuple(int(x) for x in args.only_m.split(","))
-        if len(only_m) != ctx.k - 1 or any(x < 0 for x in only_m):
-            raise ValueError(f"--only-m needs {ctx.k - 1} nonnegative entries")
-        if sum(only_m) > ctx.n + 1:
-            raise ValueError("--only-m index has entry sum above n+1")
         elements = [(only_m, family.packed_terms(only_m))]
     if args.format == "json":
         _print_json(family, elements)

@@ -26,7 +26,7 @@ lead.  A step is then one table hit and one add per tail term,
 v + (pack(u) - lead) = pack(u * t / lt(g_M)), and v itself leaves the
 working set.  Only a miss unpacks the lead and asks the family for the
 packed terms of g_M: the memo's, when the whole family was built, else
-g_direct's, and then the table is the only place the family keeps them.
+one walk's, and then the table is the only place the family keeps them.
 
 The basis fixes the order of the work.  Every lead has exponent sum
 n+1 and every other term of g_M has sum <= n, so a step on a term of sum

@@ -13,18 +13,22 @@ x & c == 0 for c >= 0.  For c < 0, binom(x + c, x) = (-1)^x binom(-c - 1, x)
 and Lucas give x & (-c - 1) == x, which in two's complement is again
 x & c == 0.  The kernel walks a_k, a_{k-1}, ..., a_2 depth first through
 only the values passing that test, and a_1 is forced by the weighted
-degree, so no term with an even coefficient is ever built.
+degree, so no term with an even coefficient is ever built.  It works in
+a packing (below) throughout: each level adds a_t times the packed w_t to
+a partial int, and a leaf appends the packed term, so no tuple is built.
 
 Whole families are built through the paper's three-term recurrence
 
     g_{M^{i,j}} = w_i g_{M^j} + w_{j+1} g_{M^{i-1}} + g_{M^{i-1,j+1}},
 
 which needs no enumeration at all: only the k elements with S_M <= 1 come
-from the direct formula.  A single element asked for on its own (a
-reduction step, ``generate --only-m``) still goes through the direct
-formula, so it costs one walk and not the elements below it, and the
-family does not keep it.  Closed forms exist for indices with m_k close
-to n; they are exposed for cross-validation against the direct formula.
+from the walk.  A single element asked for on its own (a reduction step,
+``generate --only-m``) is one walk at the family's width, not the
+elements below it, and the family does not keep it.  ``g_direct`` runs
+the same walk at a width of its own, one that holds its weighted degree,
+so it stays valid for S_M > n+1, and unpacks the result.  Closed forms
+exist for indices with m_k close to n; they are exposed for
+cross-validation against the direct formula.
 
 A family holds its terms packed into single ints, at a width W that
 (k, n) fixes: W is the bit length of k*n, plus one.  A monomial
@@ -111,38 +115,51 @@ def leading_term_of(ctx: GrassmannContext, m: MultiIndex) -> Monomial:
     return (ctx.n + 1 - s,) + tuple(m)
 
 
-def g_direct(ctx: GrassmannContext, m: MultiIndex) -> Poly:
-    """g_M by the defining sum; valid for every nonnegative multi-index."""
-    _check_index(ctx, m)
-    k = ctx.k
+def _walk(m: MultiIndex, degree: int, times: list[int]) -> list[int]:
+    """The terms of g_M of weighted degree ``degree``, packed: ``times[t]``
+    is the packed w_t, and every field must hold ``degree``."""
+    k = len(m) + 1
     # msuf[t] = m_{t+1} + ... + m_k, so c_t = (a_{t+1} + ... + a_k) - msuf[t]
     msuf = [0] * (k + 1)
     for t in range(k - 1, 0, -1):
         msuf[t] = msuf[t + 1] + m[t - 1]
-    terms = []
+    w1, w2 = times[1], times[2]
+    terms: list[int] = []
 
-    def walk(t: int, rem: int, asuf: int, tail: tuple) -> None:
-        # tail = (a_{t+1}, ..., a_k) with sum asuf; rem is the weighted
-        # degree left for a_1, ..., a_t.  a_t = x runs over the values
-        # 0 <= x <= rem // t with x & c == 0, in increasing order.
+    def walk(t: int, rem: int, asuf: int, acc: int) -> None:
+        # acc packs (a_{t+1}, ..., a_k), whose sum is asuf; rem is the
+        # weighted degree left for a_1, ..., a_t.  a_t = x runs over the
+        # values 0 <= x <= rem // t with x & c == 0, in increasing order.
         c = asuf - msuf[t]
         c1 = asuf - msuf[1]
         top = rem // t
+        wt = times[t]
         x = 0
         while True:
             if t > 2:
-                walk(t - 1, rem - t * x, asuf + x, (x,) + tail)
+                walk(t - 1, rem - t * x, asuf + x, acc + x * wt)
             elif (rem - 2 * x) & (c1 + x) == 0:
                 # a_2 = x forces a_1 = rem - 2x, whose c_1 is c1 + x
-                terms.append((rem - 2 * x, x) + tail)
+                terms.append(acc + x * w2 + (rem - 2 * x) * w1)
             # the least admissible value above x; for c < 0 it wraps to 0
             # after the largest one, -c - 1
             x = ((x | c) + 1) & ~c
             if not 0 < x <= top:
                 return
 
-    walk(k, ctx.n + 1 + weighted_degree(m), 0, ())
-    return Poly._make(k, frozenset(terms))
+    walk(k, degree, 0, 0)
+    return terms
+
+
+def g_direct(ctx: GrassmannContext, m: MultiIndex) -> Poly:
+    """g_M by the defining sum; valid for every nonnegative multi-index."""
+    _check_index(ctx, m)
+    degree = ctx.n + 1 + weighted_degree(m)
+    # every exponent of g_M is at most its degree, and the fields of the
+    # family of (k, degree) hold up to 2*k*degree; ctx's own fields may not
+    # once S_M > n+1
+    family = GroebnerFamily(GrassmannContext(ctx.k, degree))
+    return family.to_poly(_walk(m, degree, family._times))
 
 
 def g_closed_form(ctx: GrassmannContext, m: MultiIndex) -> Optional[Poly]:
@@ -225,14 +242,15 @@ class GroebnerFamily:
 
     ``items``, ``polynomials`` and ``build_family`` build the whole family
     through the recurrence into the memo, ``{M: packed terms of g_M}``.
-    ``element`` unpacks the memo's entry once and keeps the Poly; on a
-    family that was not built it computes one g_M by g_direct and keeps
-    nothing, so reductions at large n only ever build the indices they
-    touch, and each once: cohomology.normal_form keeps what it needs of a
+    ``packed_terms`` returns the memo's entry; on a family that was not
+    built it walks one g_M at the family's width and keeps nothing, so
+    reductions at large n only ever build the indices they touch, and
+    each once: cohomology.normal_form keeps what it needs of a
     touched g_M in ``packed``, the family's one table ``{packed lead:
     tail}`` (the tail as the offsets pack(u) - lead over the other terms
-    u of g_M).  All are dicts on the instance: they live as long as the
-    family, and two families never share one.
+    u of g_M).  ``element`` unpacks a fresh Poly from either.  Both stores
+    are dicts on the instance: they live as long as the family, and two
+    families never share one.
     """
 
     def __init__(self, context: GrassmannContext):
@@ -248,7 +266,6 @@ class GroebnerFamily:
         # _times[j] is the packed w_j, 1 <= j <= k
         self._times = [0] + [(1 << self.sum_shift) | (1 << s) for s in self.shifts]
         self._memo: dict[MultiIndex, frozenset[int]] = {}
-        self._polys: dict[MultiIndex, Poly] = {}
         self.packed: dict[int, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
@@ -283,22 +300,18 @@ class GroebnerFamily:
         return iter(_indices_up_to(self.context.k, self.context.n + 1))
 
     def element(self, m: MultiIndex) -> Poly:
-        m = tuple(m)
-        g = self._polys.get(m)
-        if g is None:
-            terms = self._memo.get(m)
-            if terms is None:
-                return g_direct(self.context, m)
-            g = self._polys[m] = self.to_poly(terms)
-        return g
+        terms = self._memo.get(tuple(m))
+        return g_direct(self.context, m) if terms is None else self.to_poly(terms)
 
     def packed_terms(self, m: MultiIndex) -> frozenset:
-        """The packed terms of g_M: the memo's entry, else g_direct's, not kept."""
+        """The packed terms of g_M: the memo's entry, else the walk's, not kept."""
         terms = self._memo.get(m)
-        return frozenset(map(self.pack, self.element(m).terms)) if terms is None else terms
-
-    def leading_term(self, m: MultiIndex) -> Monomial:
-        return leading_term_of(self.context, m)
+        if terms is None:
+            # g_M is homogeneous of its lead's degree, which the guard on
+            # S_M <= n+1 keeps within the fields
+            lead = leading_term_of(self.context, m)
+            terms = frozenset(_walk(m, weighted_degree(lead), self._times))
+        return terms
 
     def _step(
         self, m: MultiIndex, i: int, j: int, lookup: Callable[[MultiIndex], frozenset]
@@ -318,7 +331,7 @@ class GroebnerFamily:
         """Put every g_M of the family in the memo; return the indices in
         ``multi_indices`` order.
 
-        The elements with S_M <= 1 come from g_direct, every other T from
+        The elements with S_M <= 1 come from the walk, every other T from
         the recurrence with i and j its first and last nonzero positions
         and M = T - e_i - e_j.  Built in order of (S_T, i): g_{M^j} and
         g_{M^{i-1}} lie below T's level, and g_{M^{i-1,j+1}} is on it with
@@ -336,7 +349,7 @@ class GroebnerFamily:
         lookup = memo.__getitem__
         for s, i, j, t in missing:
             if s <= 1:
-                memo[t] = frozenset(map(self.pack, g_direct(ctx, t).terms))
+                memo[t] = self.packed_terms(t)
             else:
                 m = list(t)
                 m[i - 1] -= 1

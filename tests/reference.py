@@ -213,7 +213,7 @@ def normal_form_reference(
         g = elements.get(m)
         if g is None:
             g = elements[m] = family.element(m)
-        lt = family.leading_term(m)
+        lt = leading_term_of(ctx, m)
         q = tuple(a - b for a, b in zip(t, lt))
         work.symmetric_difference_update(
             tuple(map(sum, zip(term, q))) for term in g.terms

@@ -71,6 +71,14 @@ def test_generate_only_m(capsys):
     assert out.strip() == "g[1] = w1^2*w2 + w2^2"
 
 
+@pytest.mark.parametrize("only", ["1", "1,2,3", "-1,0", "9,0", "1,x", ""])
+def test_generate_only_m_rejects_bad_index(capsys, only):
+    code, out, err = invoke(capsys, "generate", "-k", "3", "-n", "4", f"--only-m={only}")
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
 def test_generate_deterministic(capsys):
     _, first, _ = invoke(capsys, "generate", "-k", "3", "-n", "3")
     _, second, _ = invoke(capsys, "generate", "-k", "3", "-n", "3")

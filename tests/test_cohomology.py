@@ -24,7 +24,12 @@ from grassgb.f2poly import (
     parse,
     weighted_degree,
 )
-from grassgb.groebner_family import GrassmannContext, GroebnerFamily, build_family
+from grassgb.groebner_family import (
+    GrassmannContext,
+    GroebnerFamily,
+    build_family,
+    leading_term_of,
+)
 
 from conftest import random_homogeneous, random_poly
 
@@ -194,13 +199,14 @@ def test_tail_term_above_n_raises_instead_of_looping(monkeypatch):
     # a tail term of exponent sum n+2 lands above the level being swept
     ctx = GrassmannContext(3, 4)
     family = GroebnerFamily(ctx)
-    element = family.element
+    packed_terms = family.packed_terms
+    extra = family.pack((6, 0, 0))
 
-    def bad_element(m):
-        g = element(m)
-        return g + Poly.monomial((6, 0, 0)) if m == (0, 0) else g
+    def bad_packed_terms(m):
+        terms = packed_terms(m)
+        return terms | {extra} if m == (0, 0) else terms
 
-    monkeypatch.setattr(family, "element", bad_element)
+    monkeypatch.setattr(family, "packed_terms", bad_packed_terms)
     with pytest.raises(ValueError, match="tail term"):
         normal_form(ctx, parse("w1^5", 3), family)
 
@@ -277,7 +283,7 @@ def test_confluence_under_random_divisor_choice(rng):
         options = [
             m
             for m in indices
-            if all(x <= y for x, y in zip(family_.leading_term(m), term))
+            if all(x <= y for x, y in zip(leading_term_of(ctx_, m), term))
         ]
         return rng.choice(options)
 

@@ -298,7 +298,22 @@ def test_memo_holds_packed_terms():
         assert all(type(v) is int for v in terms)
         assert family.to_poly(terms) == g_direct(ctx, m)
         assert family.packed_terms(m) is terms
-    assert not family._polys  # nothing is unpacked until asked for
+
+
+# k*n = 2^j - 1 or 2^j: the family's field width is as tight as it gets
+@pytest.mark.parametrize("k,n", [(3, 5), (3, 21), (2, 8), (4, 4), (4, 16)])
+def test_walk_matches_recurrence_at_width_edges(k, n):
+    ctx = GrassmannContext(k, n)
+    built, unbuilt = build_family(ctx), GroebnerFamily(ctx)
+    for m, terms in built.packed_items():
+        assert unbuilt.packed_terms(m) == terms, m
+    assert not unbuilt._memo
+
+
+def test_g_direct_above_the_family_width():
+    # exponents 34 and 35, above the fields of the (2,2) and (3,4) families
+    for k, n, m in ((2, 2, (39,)), (3, 4, (39, 0))):
+        assert g_direct(GrassmannContext(k, n), m) == g_direct_reference(k, n, m)
 
 
 # the k = 2..6 grid, n in {k, 7, 9}, and one larger family
@@ -404,10 +419,9 @@ def test_memo_lives_on_the_family():
     first, second = GroebnerFamily(ctx), GroebnerFamily(ctx)
     g = first.element((1, 2))
     assert first.element([1, 2]) == g
+    assert not first._memo  # a single element is not kept
     first.polynomials()
-    g = first.element((1, 2))
-    assert first.element([1, 2]) is g
-    assert second.element((1, 2)) == g
-    assert second.element((1, 2)) is not g
+    assert first._memo and not second._memo
+    assert first.element([1, 2]) == second.element((1, 2)) == g
     assert not hasattr(g_direct, "cache_info")
     assert not hasattr(monomials_of_weighted_degree, "cache_info")
