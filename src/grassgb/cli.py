@@ -6,14 +6,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .buchberger_oracle import (
-    DEFAULT_CAP,
-    OracleCapExceeded,
-    oracle_equals_family,
-)
+from .buchberger_oracle import DEFAULT_CAP, oracle_equals_family
 from .cohomology import normal_form, standard_basis
 from .dual_classes import wbar_recurrence
-from .f2poly import ParseError, Poly, format_poly, parse
+from .f2poly import Poly, format_poly, parse
 from .groebner_family import GrassmannContext, GroebnerFamily
 from .steenrod import immersion_obstruction_check
 
@@ -169,10 +165,7 @@ def run(argv: list[str]) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _COMMANDS[args.subcommand](args)
-    except OracleCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ParseError) as exc:
+    except ValueError as exc:  # ParseError and OracleCapExceeded included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,11 +1,10 @@
 """Steenrod squares on Stiefel-Whitney classes and the immersion checks.
 
-Squares of generators come from Wu's formula, products from the Cartan
-formula (with binary splitting on powers, since Sq^i(x^2) only survives
-for even i).  The tensor-square total class is computed by the splitting
-principle in formal root variables and converted back to elementary
-symmetric polynomials.  A polynomial in the roots x_1, ..., x_k is a Poly
-in k variables, multiplied by Poly.__mul__ like any other.
+Sq^i comes from one Cartan recursion: a monomial in the w_j that is a
+square is handled as one (Sq^{2i}(x^2) = (Sq^i x)^2), and otherwise one
+generator is split off, its squares taken from Wu's formula.  The
+tensor-square total class is one resultant over F_2[w_1, ..., w_k],
+computed as a permanent, so no formal roots are introduced.
 
 Nothing is cached between calls: every square and every tensor square is
 computed afresh from its arguments.
@@ -14,12 +13,11 @@ computed afresh from its arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from .cohomology import CohomologyClass, normal_form
 from .combinatorics import binom_parity
-from .f2poly import Monomial, Poly
+from .f2poly import Monomial, Poly, weighted_degree
 from .groebner_family import GrassmannContext, GroebnerFamily
 
 __all__ = [
@@ -66,46 +64,25 @@ def sq_on_generator(i: int, j: int, k: int) -> Poly:
     return Poly(k, terms)
 
 
-def _sq_power(i: int, j: int, m: int, k: int) -> Poly:
-    """Sq^i(w_j^m) by binary splitting over the Cartan formula."""
+def _sq_monomial(i: int, t: Monomial, k: int) -> Poly:
+    """Sq^i(W^t) by one Cartan recursion: a square W^t = (W^{t/2})^2 has
+    Sq^i = (Sq^{i/2} W^{t/2})^2 for even i and 0 for odd i; otherwise
+    w_{p+1}, p the first odd exponent, is split off and Sq^a(w_{p+1})
+    comes from Wu's formula."""
     if i == 0:
-        return Poly.monomial(tuple(m if v == j - 1 else 0 for v in range(k)))
-    if i > j * m:
+        return Poly.monomial(t)
+    if i > weighted_degree(t):
         return Poly.zero(k)
-    if m == 1:
-        return sq_on_generator(i, j, k)
-    if m % 2 == 0:
+    p = next((v for v, e in enumerate(t) if e % 2), None)
+    if p is None:
         if i % 2:
             return Poly.zero(k)
-        return _sq_power(i // 2, j, m // 2, k).square()
+        return _sq_monomial(i // 2, tuple(e // 2 for e in t), k).square()
+    rest = t[:p] + (t[p] - 1,) + t[p + 1 :]
     acc = Poly.zero(k)
-    for a in range(min(i, j) + 1):
-        left = sq_on_generator(a, j, k)
-        if not left:
-            continue
-        right = _sq_power(i - a, j, m - 1, k)
-        if right:
-            acc = acc + left * right
+    for a in range(min(i, p + 1) + 1):
+        acc = acc + sq_on_generator(a, p + 1, k) * _sq_monomial(i - a, rest, k)
     return acc
-
-
-def _sq_monomial(i: int, exps: Monomial, k: int) -> Poly:
-    """Cartan across the variables of a single monomial."""
-    partial: dict[int, Poly] = {0: Poly.one(k)}
-    for idx, m in enumerate(exps):
-        if not m:
-            continue
-        j = idx + 1
-        merged: dict[int, Poly] = {}
-        for spent, poly in partial.items():
-            for a in range(i - spent + 1):
-                piece = _sq_power(a, j, m, k)
-                if not piece:
-                    continue
-                key = spent + a
-                merged[key] = merged.get(key, Poly.zero(k)) + poly * piece
-        partial = {d: p for d, p in merged.items() if p}
-    return partial.get(i, Poly.zero(k))
 
 
 def sq(i: int, f: Poly) -> Poly:
@@ -120,63 +97,42 @@ def sq(i: int, f: Poly) -> Poly:
     return acc
 
 
-# -- splitting-principle computation of w(gamma_k (x) gamma_k) -------------
+def tensor_square_sw(k: int) -> Poly:
+    """Total Stiefel-Whitney class of gamma_k (x) gamma_k, whose top degree
+    is k(k-1).
 
-
-class SymmetryError(RuntimeError):
-    """An intermediate polynomial was not symmetric in the formal roots."""
-
-
-def _symmetric_to_elementary(terms: frozenset, k: int) -> Poly:
-    """Classical fundamental-theorem rewriting under lex order on roots:
-    the exponent vector of the result is (c_1, ..., c_k) for e_1^{c_1} ...
-    e_k^{c_k}, and e_i becomes w_i.  Every degree is rewritten in one pass:
-    each product of the e_i is homogeneous, so it cancels terms of its own
-    degree only."""
-    roots = range(k)
-    elementary = [
-        Poly(k, (tuple(int(v in c) for v in roots) for c in combinations(roots, i)))
-        for i in range(1, k + 1)
-    ]
-    remaining = set(terms)
-    out: set[Monomial] = set()
-    while remaining:
-        lead = max(remaining)  # tuple comparison is lex with x_1 > x_2 > ...
-        if any(lead[i] < lead[i + 1] for i in range(k - 1)):
-            raise SymmetryError(f"lex-leading exponent {lead} is not sorted")
-        powers = tuple(
-            (lead[i] - lead[i + 1]) if i < k - 1 else lead[i] for i in range(k)
-        )
-        product = Poly.one(k)
-        for e, c in zip(elementary, powers):
-            if c:
-                product = product * e**c
-        remaining.symmetric_difference_update(product.terms)
-        out.symmetric_difference_update((powers,))
-    return Poly._make(k, frozenset(out))
-
-
-def tensor_square_sw(k: int, max_weighted_degree: int) -> Poly:
-    """Total Stiefel-Whitney class of gamma_k (x) gamma_k, truncated.
-
-    Mod 2 the splitting-principle product over all ordered root pairs
-    collapses to the square of the product over unordered pairs, so each
-    factor contributes 1 + x_i^2 + x_j^2 = (1 + x_i + x_j)^2.  Squaring is
-    a ring map over F_2, so the product of the 1 + x_i + x_j is expanded to
-    half the degree, rewritten in the w variables and squared there.  A
-    root monomial of degree d becomes a w monomial of weighted degree d.
+    By the splitting principle it is the product of 1 + x_i + x_j over all
+    ordered root pairs.  Over F_2, y + x = y - x, so with F(y) = prod_j
+    (y + x_j) = sum_m w_m y^{k-m} that product is prod_i F(x_i + 1) =
+    Res_y(F(y), F(y+1)): the determinant, over F_2 a permanent, of
+    multiplication by F(y+1) on F_2[w][y]/(F) in the basis 1, y, ...,
+    y^{k-1}.
     """
     if not 2 <= k:
         raise ValueError("need k >= 2")
-    if max_weighted_degree > k * k:
-        raise ValueError(f"truncation degree exceeds the top dimension {k * k}")
-    half = max_weighted_degree // 2
-    prod = Poly.one(k)
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            prod = prod * (Poly.one(k) + Poly.variable(k, i) + Poly.variable(k, j))
-            prod = Poly._make(k, frozenset(t for t in prod.terms if sum(t) <= half))
-    return _symmetric_to_elementary(prod.terms, k).square()
+    w = [Poly.one(k)] + [Poly.variable(k, m) for m in range(1, k + 1)]
+    # F(y+1) - F(y): the y^q coefficient sums w_{k-p} over p > q with
+    # binom(p, q) odd; each further row is y times the last, reduced by
+    # y^k = sum_{q<k} w_{k-q} y^q
+    row = [
+        sum((w[k - p] for p in range(q + 1, k + 1) if binom_parity(p, q)), Poly.zero(k))
+        for q in range(k)
+    ]
+    rows = [row]
+    for _ in range(k - 1):
+        row = [row[-1] * w[k]] + [row[q - 1] + row[-1] * w[k - q] for q in range(1, k)]
+        rows.append(row)
+    # the permanent, row by row: partial products keyed by the used columns
+    partial = {0: w[0]}
+    for row in rows:
+        merged: dict[int, Poly] = {}
+        for used, prod in partial.items():
+            for c, entry in enumerate(row):
+                if entry and not used >> c & 1:
+                    key = used | 1 << c
+                    merged[key] = merged.get(key, Poly.zero(k)) + prod * entry
+        partial = merged
+    return partial[(1 << k) - 1]
 
 
 def _g5n_context(
@@ -202,7 +158,7 @@ def normal_bundle_sw(
     ctx, family = _g5n_context(n, family)
     r = (n + 4).bit_length() - 1  # 2^r < n+5 <= 2^{r+1}
     e = 2 ** (r + 1) - n - 5
-    tensor = tensor_square_sw(5, 20)
+    tensor = tensor_square_sw(5)
     total_w = Poly.one(5)
     for j in range(1, 6):
         total_w = total_w + Poly.variable(5, j)

@@ -9,12 +9,16 @@ The normal form rescans the working set for its grlex-largest reducible
 term at every step, on exponent tuples, and picks the divisor's index from
 the term (``structured_divisor``, or any other chooser a test passes); the
 package sweeps levels of packed ints by exponent sum, from the top down,
-and reads the divisor's packed lead off each int.  The tensor-square
-class expands the product of the 1 + x_i^2 + x_j^2 to full degree; the
-package expands the product of the 1 + x_i + x_j to half the degree
-and squares.  The reference multiplies frozensets of root exponent
-tuples (``_mul_roots``); the package keeps root polynomials as ``Poly``
-and multiplies them like any other.
+and reads the divisor's packed lead off each int.
+
+The tensor-square class expands the product of the 1 + x_i^2 + x_j^2 in
+formal root variables, multiplying frozensets of root exponent tuples
+(``_mul_roots``), and rewrites it in the w_j by the fundamental theorem of
+symmetric functions (``_symmetric_to_elementary``); the package never
+leaves the w_j and takes it as one resultant over F_2[w].  Sq^i applies
+the Cartan formula twice, across the variables of a term and across each
+power by binary splitting; the package splits off one generator at a time
+in a single recursion.
 
 The recurrence step raises one exponent of every term of a tuple
 polynomial (``_times_variable``, which scans for overflow first); the
@@ -61,7 +65,7 @@ from grassgb.groebner_family import (
     raised,
     raised2,
 )
-from grassgb.steenrod import _symmetric_to_elementary
+from grassgb.steenrod import sq_on_generator
 
 
 def binom_int(alpha: int, beta: int) -> int:
@@ -236,6 +240,35 @@ def _mul_roots(
     return frozenset(out)
 
 
+def _symmetric_to_elementary(terms: frozenset, k: int) -> Poly:
+    """Classical fundamental-theorem rewriting under lex order on roots:
+    the exponent vector of the result is (c_1, ..., c_k) for e_1^{c_1} ...
+    e_k^{c_k}, and e_i becomes w_i.  Every degree is rewritten in one pass:
+    each product of the e_i is homogeneous, so it cancels terms of its own
+    degree only."""
+    roots = range(k)
+    elementary = [
+        Poly(k, (tuple(int(v in c) for v in roots) for c in subsets))
+        for subsets in (itertools.combinations(roots, i) for i in range(1, k + 1))
+    ]
+    remaining = set(terms)
+    out: set[Monomial] = set()
+    while remaining:
+        lead = max(remaining)  # tuple comparison is lex with x_1 > x_2 > ...
+        if any(lead[i] < lead[i + 1] for i in range(k - 1)):
+            raise ValueError(f"not symmetric: lex-leading {lead} is not sorted")
+        powers = tuple(
+            (lead[i] - lead[i + 1]) if i < k - 1 else lead[i] for i in range(k)
+        )
+        product = Poly.one(k)
+        for e, c in zip(elementary, powers):
+            if c:
+                product = product * e**c
+        remaining.symmetric_difference_update(product.terms)
+        out.symmetric_difference_update((powers,))
+    return Poly._make(k, frozenset(out))
+
+
 def tensor_square_sw_reference(k: int, max_weighted_degree: int) -> Poly:
     """w(gamma_k (x) gamma_k) truncated, from the product of the factors
     1 + x_i^2 + x_j^2 over root pairs i < j at full degree."""
@@ -254,6 +287,61 @@ def tensor_square_sw_reference(k: int, max_weighted_degree: int) -> Poly:
     for d in sorted(by_degree):
         result = result + _symmetric_to_elementary(frozenset(by_degree[d]), k)
     return result
+
+
+def _sq_power(i: int, j: int, m: int, k: int) -> Poly:
+    """Sq^i(w_j^m) by binary splitting over the Cartan formula."""
+    if i == 0:
+        return Poly.monomial(tuple(m if v == j - 1 else 0 for v in range(k)))
+    if i > j * m:
+        return Poly.zero(k)
+    if m == 1:
+        return sq_on_generator(i, j, k)
+    if m % 2 == 0:
+        if i % 2:
+            return Poly.zero(k)
+        return _sq_power(i // 2, j, m // 2, k).square()
+    acc = Poly.zero(k)
+    for a in range(min(i, j) + 1):
+        left = sq_on_generator(a, j, k)
+        if not left:
+            continue
+        right = _sq_power(i - a, j, m - 1, k)
+        if right:
+            acc = acc + left * right
+    return acc
+
+
+def _sq_monomial(i: int, exps: Monomial, k: int) -> Poly:
+    """Cartan across the variables of a single monomial."""
+    partial: dict[int, Poly] = {0: Poly.one(k)}
+    for idx, m in enumerate(exps):
+        if not m:
+            continue
+        j = idx + 1
+        merged: dict[int, Poly] = {}
+        for spent, poly in partial.items():
+            for a in range(i - spent + 1):
+                piece = _sq_power(a, j, m, k)
+                if not piece:
+                    continue
+                key = spent + a
+                merged[key] = merged.get(key, Poly.zero(k)) + poly * piece
+        partial = {d: p for d, p in merged.items() if p}
+    return partial.get(i, Poly.zero(k))
+
+
+def sq_reference(i: int, f: Poly) -> Poly:
+    """Sq^i of a polynomial: Cartan across the variables of each term, and
+    across each power by binary splitting."""
+    if i < 0:
+        raise ValueError("negative square")
+    if i == 0:
+        return f
+    acc = Poly.zero(f.k)
+    for t in f.terms:
+        acc = acc + _sq_monomial(i, t, f.k)
+    return acc
 
 
 def _divides(a: Monomial, b: Monomial) -> bool:

@@ -191,7 +191,7 @@ def test_criterion_10_normal_bundle():
         if d >= 36:
             assert not cls, d
     assert max(nb) < 36
-    comps = tensor_square_sw(5, 25).weighted_components()
+    comps = tensor_square_sw(5).weighted_components()
     assert 1 not in comps and 2 not in comps
     assert all(d % 2 == 0 for d in comps)
     assert max(comps) == 20

@@ -143,6 +143,17 @@ class TestTextFormat:
         with pytest.raises(ParseError):
             parse("w1^99999999999999", 2)
 
+    @pytest.mark.parametrize(
+        "text, position",
+        [("w1^\u00b2", 3), ("w\u00b2", 1)],
+        ids=["superscript_exponent", "superscript_index"],
+    )
+    def test_non_ascii_digits_rejected(self, text, position):
+        # str.isdigit accepts the superscript two, which int() then refuses
+        with pytest.raises(ParseError, match="expected a number") as exc:
+            parse(text, 3)
+        assert exc.value.position == position
+
     @settings(max_examples=200)
     @given(polys(4))
     def test_round_trip(self, f):

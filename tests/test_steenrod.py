@@ -1,5 +1,5 @@
 import pytest
-from reference import alpha, tensor_square_sw_reference
+from reference import alpha, sq_reference, tensor_square_sw_reference
 
 from grassgb.f2poly import Poly, parse, weighted_degree
 from grassgb.groebner_family import GrassmannContext, GroebnerFamily
@@ -11,7 +11,7 @@ from grassgb.steenrod import (
     tensor_square_sw,
 )
 
-from conftest import random_homogeneous
+from conftest import random_homogeneous, random_poly
 
 
 class TestWuFormula:
@@ -69,6 +69,14 @@ class TestCartan:
             assert not sq(d + 3, f)
             assert sq(0, f) == f
 
+    def test_matches_reference(self, rng):
+        # 336 random polynomials: seven for each k = 2..5 and i = 0..11
+        for k in range(2, 6):
+            for i in range(12):
+                for _ in range(7):
+                    f = random_poly(rng, k, max_exp=4, max_terms=3)
+                    assert sq(i, f) == sq_reference(i, f), (f, i)
+
     def test_power_worked_example(self):
         # Sq^1(w4 w5^{n-1}) collapses to w5^n for even n, before reduction
         n = 8
@@ -81,22 +89,28 @@ class TestCartan:
 
 class TestTensorSquare:
     def test_low_degrees_vanish_for_k5(self):
-        comps = tensor_square_sw(5, 20).weighted_components()
+        comps = tensor_square_sw(5).weighted_components()
         assert 1 not in comps
         assert 2 not in comps
 
-    @pytest.mark.parametrize("k", (2, 3, 4, 5))
+    @pytest.mark.parametrize("k", (2, 3, 4, 5, 6))
     def test_no_odd_degrees_and_no_linear_part(self, k):
-        comps = tensor_square_sw(k, k * k).weighted_components()
+        comps = tensor_square_sw(k).weighted_components()
         assert all(d % 2 == 0 for d in comps)
         assert 1 not in comps
 
+    @pytest.mark.parametrize("k", (2, 3, 4, 5, 6))
+    def test_is_a_square(self, k):
+        # w(gamma (x) gamma) = w(Lambda^2 gamma)^2: every exponent is even
+        for t in tensor_square_sw(k).terms:
+            assert all(e % 2 == 0 for e in t), t
+
     def test_top_degree_k5(self):
-        comps = tensor_square_sw(5, 25).weighted_components()
+        comps = tensor_square_sw(5).weighted_components()
         assert max(comps) == 20
 
     def test_k2_degree_two_component(self):
-        comps = tensor_square_sw(2, 4).weighted_components()
+        comps = tensor_square_sw(2).weighted_components()
         assert comps[2] == parse("w1^2", 2)
 
     def test_direct_expansion_small_k(self):
@@ -134,12 +148,15 @@ class TestTensorSquare:
         # the reference alone takes ~9.5 s at (6, 36) on a 2-vCPU Xeon VM,
         # so k = 6 stops at D = 16
         top = k * k if k < 6 else 16
+        full = tensor_square_sw(k)
         for d in range(top + 1):
-            assert tensor_square_sw(k, d) == tensor_square_sw_reference(k, d), d
+            part = Poly(k, (t for t in full.terms if weighted_degree(t) <= d))
+            assert part == tensor_square_sw_reference(k, d), d
 
-    def test_truncation_guard(self):
-        with pytest.raises(ValueError):
-            tensor_square_sw(3, 10)
+    def test_k_guard(self):
+        for k in (0, 1):
+            with pytest.raises(ValueError):
+                tensor_square_sw(k)
 
 
 class TestNormalBundle:
@@ -163,7 +180,7 @@ class TestNormalBundle:
         total_w = Poly.one(5)
         for j in range(1, 6):
             total_w = total_w + Poly.variable(5, j)
-        unreduced = tensor_square_sw(5, 20) * total_w**3
+        unreduced = tensor_square_sw(5) * total_w**3
         assert max(weighted_degree(t) for t in unreduced.terms) <= 35
 
     def test_each_touched_element_kept_once(self):
