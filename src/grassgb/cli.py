@@ -69,8 +69,8 @@ def _json_rows(count: int, indent: int) -> str:
 def _print_json(family: GroebnerFamily, elements) -> None:
     """Print the records {"M", "lt", "poly"} exactly as
     json.dumps(records, indent=2) would, with one format string per
-    nesting depth; terms go in decreasing grlex order, which is
-    decreasing order of the packed ints, and "lt" is (n+1-S_M, M)."""
+    nesting depth; terms go in the family's order, decreasing grlex,
+    and "lt" is (n+1-S_M, M)."""
     k, lead_sum = family.context.k, family.context.n + 1
     head = (
         '  {\n    "M": [\n%s\n    ],\n    "lt": [\n%s\n    ],\n    "poly": [\n'
@@ -82,7 +82,7 @@ def _print_json(family: GroebnerFamily, elements) -> None:
     rows = dict(zip(distinct, map(term.__mod__, family.unpack(distinct))))
     records = []
     for m, terms in elements:
-        body = ",\n".join(map(rows.__getitem__, sorted(terms, reverse=True)))
+        body = ",\n".join(map(rows.__getitem__, terms))
         records.append(head % (m + (lead_sum - sum(m),) + m) + body + "\n    ]\n  }")
     # separate arguments, so the whole text is not copied by concatenation
     print("[", ",\n".join(records), "]", sep="\n")

@@ -41,8 +41,10 @@ so no exponent of a family element exceeds k(n+1) <= 2kn < 2^W, and a
 normal form meets only terms of weighted degree <= k*n (see
 ``cohomology``).  Multiplying by w_j adds the packed w_j to every term, so
 a recurrence step is two maps of one int add each and at most two
-symmetric differences of int sets.  The packing is the family's (``pack``,
-``unpack``); ``element``, ``items`` and ``polynomials`` unpack to Poly.
+symmetric differences of int sets.  Each g_M is kept as the basis is
+printed: a tuple of its packed ints in decreasing, so grlex, order, the
+lead first.  The packing is the family's (``pack``, ``unpack``);
+``element``, ``items`` and ``polynomials`` unpack to Poly.
 """
 
 from __future__ import annotations
@@ -173,25 +175,16 @@ def g_closed_form(ctx: GrassmannContext, m: MultiIndex) -> Optional[Poly]:
     if sum(m) <= n + 1 and weighted_degree(m) > (k - 1) * n - 1:
         return Poly.monomial(leading_term_of(ctx, m))
     if m[-1] == n - 1:
-        head, mk = m[:-1], m[-1]
-        wk_pow = tuple(0 for _ in range(k - 1)) + (n - 1,)
-        if all(x == 0 for x in head):
-            # (0,...,0,n-1): w1^2 wk^{n-1} + w2 wk^{n-1}
-            t1 = list(wk_pow)
-            t1[0] += 2
-            t2 = list(wk_pow)
-            t2[1] += 1
-            return Poly(k, (tuple(t1), tuple(t2)))
+        head = m[:-1]
+        w = {j: Poly.variable(k, j) for j in range(1, k + 1)}
+        wk_pow = Poly.monomial((0,) * (k - 1) + (n - 1,))
+        if not any(head):
+            # M = (0, ..., 0, n-1)
+            return (w[1] * w[1] + w[2]) * wk_pow
         if sum(head) == 1:
-            s = head.index(1) + 1  # raised coordinate, 1-based; m_{s+1} = 1
-            if 1 <= s <= k - 2:
-                # w1 w_{s+1} wk^{n-1} + w_{s+2} wk^{n-1}
-                t1 = list(wk_pow)
-                t1[0] += 1
-                t1[s] += 1
-                t2 = list(wk_pow)
-                t2[s + 1] += 1
-                return Poly(k, (tuple(t1), tuple(t2)))
+            # m_{s+1} = 1 for one s in 1..k-2, the rest of head 0
+            s = head.index(1) + 1
+            return (w[1] * w[s + 1] + w[s + 2]) * wk_pow
     return None
 
 
@@ -218,12 +211,12 @@ def g_recurrence_step(
     # the variable each summand is multiplied by, 0-based; -1 for none
     shifted = {raised(m, j): i - 1, raised(m, i - 1): j}
 
-    def packed(idx: MultiIndex) -> frozenset:
+    def packed(idx: MultiIndex) -> Iterator[int]:
         terms = lookup(idx).terms
         p = shifted.get(idx, -1)
         if any(max(t) > top or (p >= 0 and t[p] == top) for t in terms):
             raise OverflowError(f"a term of g_{idx} overflows {family.width} bits")
-        return frozenset(map(family.pack, terms))
+        return map(family.pack, terms)
 
     return family.to_poly(family._step(m, i, j, packed))
 
@@ -241,31 +234,30 @@ class GroebnerFamily:
     """Lazy view of the basis {g_M : S_M <= n+1}, and its packing.
 
     ``items``, ``polynomials`` and ``build_family`` build the whole family
-    through the recurrence into the memo, ``{M: packed terms of g_M}``.
-    ``packed_terms`` returns the memo's entry; on a family that was not
-    built it walks one g_M at the family's width and keeps nothing, so
+    through the recurrence into the memo, ``{M: packed terms of g_M}``,
+    each a tuple in decreasing order, lead first.  ``packed_terms``
+    returns the memo's entry; on a family that was not built it walks
+    one g_M at the family's width and keeps nothing, so
     reductions at large n only ever build the indices they touch, and
     each once: cohomology.normal_form keeps what it needs of a
     touched g_M in ``packed``, the family's one table ``{packed lead:
     tail}`` (the tail as the offsets pack(u) - lead over the other terms
-    u of g_M).  ``element`` unpacks a fresh Poly from either.  Both stores
-    are dicts on the instance: they live as long as the family, and two
-    families never share one.
+    u of g_M).  ``element`` unpacks a fresh Poly from ``packed_terms``.
+    Both stores are dicts on the instance: they live as long as the
+    family, and two families never share one.
     """
 
     def __init__(self, context: GrassmannContext):
         k, n = context.k, context.n
         self.context = context
         self.width = width = (k * n).bit_length() + 1
-        if k * (n + 1) >> width:
-            raise OverflowError(f"degree k(n+1) = {k * (n + 1)} overflows {width} bits")
         self.mask = (1 << width) - 1
         # shifts of the fields a_1, ..., a_k; the exponent sum sits above them
         self.shifts = range(width * (k - 1), -1, -width)
         self.sum_shift = width * k
         # _times[j] is the packed w_j, 1 <= j <= k
         self._times = [0] + [(1 << self.sum_shift) | (1 << s) for s in self.shifts]
-        self._memo: dict[MultiIndex, frozenset[int]] = {}
+        self._memo: dict[MultiIndex, tuple[int, ...]] = {}
         self.packed: dict[int, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
@@ -300,22 +292,23 @@ class GroebnerFamily:
         return iter(_indices_up_to(self.context.k, self.context.n + 1))
 
     def element(self, m: MultiIndex) -> Poly:
-        terms = self._memo.get(tuple(m))
-        return g_direct(self.context, m) if terms is None else self.to_poly(terms)
+        return self.to_poly(self.packed_terms(tuple(m)))
 
-    def packed_terms(self, m: MultiIndex) -> frozenset:
-        """The packed terms of g_M: the memo's entry, else the walk's, not kept."""
+    def packed_terms(self, m: MultiIndex) -> tuple[int, ...]:
+        """The packed terms of g_M, lead first: the memo's entry, else the
+        walk's, not kept."""
         terms = self._memo.get(m)
         if terms is None:
             # g_M is homogeneous of its lead's degree, which the guard on
             # S_M <= n+1 keeps within the fields
             lead = leading_term_of(self.context, m)
-            terms = frozenset(_walk(m, weighted_degree(lead), self._times))
+            terms = _walk(m, weighted_degree(lead), self._times)
+            terms = tuple(sorted(terms, reverse=True))
         return terms
 
     def _step(
-        self, m: MultiIndex, i: int, j: int, lookup: Callable[[MultiIndex], frozenset]
-    ) -> frozenset:
+        self, m: MultiIndex, i: int, j: int, lookup: Callable[[MultiIndex], Iterable[int]]
+    ) -> tuple[int, ...]:
         """The packed terms of g_{M^{i,j}}, from the packed terms ``lookup``
         gives for the three indices on the right of the recurrence."""
         times = self._times
@@ -323,9 +316,7 @@ class GroebnerFamily:
         terms.symmetric_difference_update(map(times[j + 1].__add__, lookup(raised(m, i - 1))))
         if j < self.context.k - 1:
             terms.symmetric_difference_update(lookup(raised2(m, i - 1, j + 1)))
-        # a frozenset copied from a set gets a table sized to its terms;
-        # one left by symmetric differences keeps every slot it grew
-        return frozenset(terms)
+        return tuple(sorted(terms, reverse=True))
 
     def _materialise(self) -> list[MultiIndex]:
         """Put every g_M of the family in the memo; return the indices in
@@ -357,7 +348,7 @@ class GroebnerFamily:
                 memo[t] = self._step(tuple(m), i, j, lookup)
         return indices
 
-    def packed_items(self) -> Iterator[tuple[MultiIndex, frozenset]]:
+    def packed_items(self) -> Iterator[tuple[MultiIndex, tuple[int, ...]]]:
         memo = self._memo
         for m in self._materialise():
             yield m, memo[m]

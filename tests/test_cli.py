@@ -122,10 +122,23 @@ def test_dual(capsys):
     assert out.strip() == "w1^4 + w1^2*w2 + w2^2"
 
 
+def test_dual_rejects_r_below_1(capsys):
+    code, out, err = invoke(capsys, "dual", "-k", "2", "-r", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: -r must be >= 1\n"
+
+
 def test_verify_ok(capsys):
     code, out, _ = invoke(capsys, "verify", "-k", "3", "-n", "3")
     assert code == 0
     assert out.strip() == "OK: reduced Groebner basis matches oracle (15 elements)"
+
+
+def test_verify_mismatch_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr("grassgb.cli.oracle_equals_family", lambda ctx, cap: False)
+    code, out, _ = invoke(capsys, "verify", "-k", "2", "-n", "2")
+    assert code == 1
+    assert out == "MISMATCH: family and oracle disagree for k=2, n=2\n"
 
 
 def test_verify_cap(capsys):

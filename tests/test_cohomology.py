@@ -94,6 +94,11 @@ def test_family_context_mismatch():
         cup(CTX22, a, b, family)
 
 
+def test_variable_count_mismatch():
+    with pytest.raises(ValueError, match="variable count does not match"):
+        normal_form(GrassmannContext(3, 4), Poly.one(2))
+
+
 def test_normal_form_matches_reference_on_random_polys():
     rng = random.Random(9151)
     families = {}
@@ -204,7 +209,7 @@ def test_tail_term_above_n_raises_instead_of_looping(monkeypatch):
 
     def bad_packed_terms(m):
         terms = packed_terms(m)
-        return terms | {extra} if m == (0, 0) else terms
+        return terms + (extra,) if m == (0, 0) else terms
 
     monkeypatch.setattr(family, "packed_terms", bad_packed_terms)
     with pytest.raises(ValueError, match="tail term"):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,6 +144,18 @@ class TestTextFormat:
             parse("", 2)
         with pytest.raises(ParseError):
             parse("w1^99999999999999", 2)
+        for text, message, position in (
+            ("0 + w1", "'0' must stand alone", 0),
+            ("w1 w2", "expected '+'", 3),
+            ("1*w2", "expected '+'", 1),
+            ("w1^0", "exponent must be >= 1", 3),
+            # the running sum overflows, not the literal
+            ("w1^2147483647*w1", "exponent overflow", 16),
+        ):
+            with pytest.raises(ParseError, match=re.escape(message)) as exc:
+                parse(text, 2)
+            assert exc.value.position == position, text
+        assert parse("w1^2147483647", 2) == Poly.monomial((2147483647, 0))
 
     @pytest.mark.parametrize(
         "text, position",
@@ -162,6 +176,24 @@ class TestTextFormat:
     def test_format_decreasing_grlex(self):
         f = parse("w2^2 + w1^2*w2 + 1 + w1", 2)
         assert format_poly(f) == "w1^2*w2 + w2^2 + w1 + 1"
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Poly(0, []), ValueError, "need at least one variable"),
+        (lambda: Poly(2, [(1,)]), ValueError, "does not have 2 exponents"),
+        (lambda: Poly(2, [(1, -1)]), ValueError, "negative exponent"),
+        (lambda: Poly.variable(2, 3), ValueError, "out of 1..2"),
+        (lambda: Poly.one(2) ** -1, ValueError, "negative power"),
+        (lambda: Poly.one(2) + 3, TypeError, "expected Poly, got int"),
+    ],
+    ids=["no_variables", "short_monomial", "negative_exponent", "variable_index",
+         "negative_power", "add_non_poly"],
+)
+def test_input_guards(build, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build()
 
 
 def test_monomial_enumeration():

@@ -264,7 +264,7 @@ def test_recurrence_step_overflow_boundary():
 
 def test_family_width_holds_every_exponent():
     # g_M has weighted degree at most k(n+1), which bounds every exponent
-    # and the exponent sum; the family refuses a width that cannot hold it
+    # and the exponent sum; W = bitlen(kn) + 1 gives 2^W > 2kn >= k(n+1)
     for k in range(2, 9):
         for n in range(k, 301):
             family = GroebnerFamily(GrassmannContext(k, n))
@@ -300,14 +300,25 @@ def test_memo_holds_packed_terms():
         assert family.packed_terms(m) is terms
 
 
+def _assert_walk_matches_recurrence(built: GroebnerFamily) -> None:
+    # each g_M is one tuple of packed ints, strictly decreasing with the
+    # lead first, and the walk and the recurrence give the same tuple
+    ctx = built.context
+    unbuilt = GroebnerFamily(ctx)
+    for m, terms in built.packed_items():
+        walked = unbuilt.packed_terms(m)
+        for t in (terms, walked):
+            assert type(t) is tuple and all(type(v) is int for v in t), m
+            assert all(a > b for a, b in zip(t, t[1:])), m
+            assert t[0] == built.pack(leading_term_of(ctx, m)), m
+        assert walked == terms, m
+    assert not unbuilt._memo
+
+
 # k*n = 2^j - 1 or 2^j: the family's field width is as tight as it gets
 @pytest.mark.parametrize("k,n", [(3, 5), (3, 21), (2, 8), (4, 4), (4, 16)])
 def test_walk_matches_recurrence_at_width_edges(k, n):
-    ctx = GrassmannContext(k, n)
-    built, unbuilt = build_family(ctx), GroebnerFamily(ctx)
-    for m, terms in built.packed_items():
-        assert unbuilt.packed_terms(m) == terms, m
-    assert not unbuilt._memo
+    _assert_walk_matches_recurrence(build_family(GrassmannContext(k, n)))
 
 
 def test_g_direct_above_the_family_width():
@@ -327,6 +338,22 @@ def test_whole_family_by_recurrence_matches_direct(k, n):
     for m, g in family.items():
         assert g == g_direct(ctx, m), m
     assert list(dict(family.items())) == indices_up_to_reference(k, n + 1)
+    _assert_walk_matches_recurrence(family)
+
+
+def test_element_unpacks_packed_terms():
+    ctx = GrassmannContext(4, 6)
+    built, unbuilt = build_family(ctx), GroebnerFamily(ctx)
+    for family in (built, unbuilt):
+        for m in family.multi_indices():
+            assert family.element(m) == family.to_poly(family.packed_terms(m)), m
+    # S_M = n+2 lies outside the family; g_direct still gives g_M there
+    for m in ((8, 0, 0), (0, 3, 5), (2, 2, 4)):
+        for family in (built, unbuilt):
+            with pytest.raises(ValueError, match="exceeds"):
+                family.element(m)
+        assert g_direct(ctx, m) == g_direct_reference(4, 6, m), m
+    assert not unbuilt._memo
 
 
 def test_items_keeps_elements_already_filled():

@@ -48,6 +48,10 @@ class TestCartan:
             assert not sq(i, Poly.one(3))
         assert sq(0, Poly.one(3)) == Poly.one(3)
 
+    def test_negative_square_raises(self):
+        with pytest.raises(ValueError, match="negative square"):
+            sq(-1, Poly.one(2))
+
     def test_cartan_consistency(self, rng):
         for _ in range(40):
             d1 = rng.randint(1, 5)
