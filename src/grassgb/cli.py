@@ -4,6 +4,7 @@ immersion checks.  All output is deterministic for fixed arguments."""
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 
 from .buchberger_oracle import DEFAULT_CAP, oracle_equals_family
@@ -165,12 +166,17 @@ def run(argv: list[str]) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _COMMANDS[args.subcommand](args)
-    except ValueError as exc:  # ParseError and OracleCapExceeded included
+    except (ValueError, OverflowError) as exc:
+        # ParseError and OracleCapExceeded are ValueErrors; OverflowError is
+        # an exponent too large for a term
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        # a closed pipe ends the process quietly, as it does any Unix filter
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

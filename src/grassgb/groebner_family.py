@@ -38,18 +38,51 @@ monomials is then grlex order, a monomial product is an integer sum, and
 v >> (W*k) is the exponent sum of a packed v.  No field overflows: g_M is
 homogeneous of weighted degree n+1+S'_M, at most k(n+1) when S_M <= n+1,
 so no exponent of a family element exceeds k(n+1) <= 2kn < 2^W, and a
-normal form meets only terms of weighted degree <= k*n (see
-``cohomology``).  Multiplying by w_j adds the packed w_j to every term, so
-a recurrence step is two maps of one int add each and at most two
-symmetric differences of int sets.  Each g_M is kept as the basis is
-printed: a tuple of its packed ints in decreasing, so grlex, order, the
-lead first.  The packing is the family's (``pack``, ``unpack``);
-``element``, ``items`` and ``polynomials`` unpack to Poly.
+normal form meets only terms of weighted degree <= k*n (below).
+Multiplying by w_j adds the packed w_j to every term, so a recurrence
+step is two maps of one int add each and at most two symmetric
+differences of int sets.  Each g_M is kept as the basis is printed: a
+tuple of its packed ints in decreasing, so grlex, order, the lead first.
+The packing is the family's (``pack``, ``unpack``); ``element``,
+``items`` and ``polynomials`` unpack to Poly.
+
+``GroebnerFamily.reduce`` takes a polynomial to its normal form in the
+same packing.  No standard monomial has weighted degree above k*n, the
+degree of the top class w_k^n, and every g_M is homogeneous in the
+weighted degree, so a term of degree above k*n has normal form 0 and is
+dropped before packing.  Each term met while reducing a kept term t has
+the weighted degree of t, at most k*n, so every exponent fits its field,
+and since lt(g_M) divides t, subtracting the packed leading term never
+borrows.
+
+The divisor is read off the packed term v itself: the excess is the sum
+field minus n+1, and the packed lead is v with that excess subtracted from
+the sum field and, field by field from a_1, from the exponents.  The lead
+keys the family's one table ``packed``, whose entry is the tail of g_M as
+offsets pack(u) - lead, u over the terms of g_M but its lead.  A step is
+then one table hit and one add per tail term, v + (pack(u) - lead) =
+pack(u * t / lt(g_M)), and v itself leaves the working set.  Only a miss
+cuts M = (a_2, ..., a_k) out of the lead and asks ``packed_terms`` for
+g_M: the memo's, when the whole family was built, else one walk's, and
+then the table is the only place the family keeps it.
+
+The basis fixes the order of the work.  Every lead has exponent sum
+n+1 and every other term of g_M has sum <= n, so a step on a term of sum
+s only adds terms of sum below s.  The working set is kept as levels,
+one set of packed ints per exponent sum present, and the levels above n
+are swept from the top down: when level s comes up, no later step can
+add to it, so each of its terms is reduced exactly once.  The terms
+reduced are those that rescanning the whole working set for its
+grlex-largest reducible term at every step reduces, only not in the
+same order within a level.  A tail term of sum above n would break that
+order: it shows as a level that does not drop, which raises
+``ValueError`` instead of reducing forever.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -239,10 +272,10 @@ class GroebnerFamily:
     returns the memo's entry; on a family that was not built it walks
     one g_M at the family's width and keeps nothing, so
     reductions at large n only ever build the indices they touch, and
-    each once: cohomology.normal_form keeps what it needs of a
-    touched g_M in ``packed``, the family's one table ``{packed lead:
-    tail}`` (the tail as the offsets pack(u) - lead over the other terms
-    u of g_M).  ``element`` unpacks a fresh Poly from ``packed_terms``.
+    each once: ``reduce`` fills ``packed``, the family's one table
+    ``{packed lead: tail}`` (the tail as the offsets pack(u) - lead over
+    the other terms u of g_M), with what it needs of each g_M it
+    touches.  ``element`` unpacks a fresh Poly from ``packed_terms``.
     Both stores are dicts on the instance: they live as long as the
     family, and two families never share one.
     """
@@ -278,13 +311,6 @@ class GroebnerFamily:
         mask = self.mask.__and__
         return zip(*[map(mask, map(s.__rrshift__, packed)) for s in self.shifts])
 
-    def index_of(self, lead: int) -> MultiIndex:
-        """The M of the g_M whose packed leading term is ``lead``: its
-        fields a_2, ..., a_k, cut out one at a time (cheaper than
-        ``unpack`` for a single int)."""
-        mask = self.mask
-        return tuple((lead >> s) & mask for s in self.shifts[1:])
-
     def to_poly(self, terms: Iterable[int]) -> Poly:
         return Poly._make(self.context.k, frozenset(self.unpack(terms)))
 
@@ -292,11 +318,12 @@ class GroebnerFamily:
         return iter(_indices_up_to(self.context.k, self.context.n + 1))
 
     def element(self, m: MultiIndex) -> Poly:
-        return self.to_poly(self.packed_terms(tuple(m)))
+        return self.to_poly(self.packed_terms(m))
 
     def packed_terms(self, m: MultiIndex) -> tuple[int, ...]:
         """The packed terms of g_M, lead first: the memo's entry, else the
         walk's, not kept."""
+        m = tuple(m)
         terms = self._memo.get(m)
         if terms is None:
             # g_M is homogeneous of its lead's degree, which the guard on
@@ -305,6 +332,46 @@ class GroebnerFamily:
             terms = _walk(m, weighted_degree(lead), self._times)
             terms = tuple(sorted(terms, reverse=True))
         return terms
+
+    def reduce(self, f: Poly) -> Poly:
+        """The normal form of f: f minus an element of the ideal, with no
+        term of exponent sum > n.  Fills ``packed`` with the tail of each
+        g_M it uses."""
+        k, n = self.context.k, self.context.n
+        if f.k != k:
+            raise ValueError("variable count does not match the context")
+        mask, shifts, sum_shift = self.mask, self.shifts, self.sum_shift
+        table = self.packed
+        work: defaultdict[int, set[int]] = defaultdict(set)
+        for v in {self.pack(t) for t in f.terms if weighted_degree(t) <= k * n}:
+            work[v >> sum_shift].add(v)
+        while (level_sum := max(work, default=0)) > n:
+            for v in work.pop(level_sum):
+                # the divisor's lead: v with its exponent sum cut to n+1, the
+                # excess taken from a_1, a_2, ... in turn
+                excess = level_sum - n - 1
+                lead = v - (excess << sum_shift)
+                for s in shifts:
+                    a = (v >> s) & mask
+                    if a >= excess:
+                        lead -= excess << s
+                        break
+                    lead -= a << s
+                    excess -= a
+                tail = table.get(lead)
+                if tail is None:
+                    terms = self.packed_terms(next(self.unpack([lead]))[1:])
+                    tail = table[lead] = tuple(p - lead for p in terms[1:])
+                for u in tail:
+                    u += v
+                    level = work[u >> sum_shift]
+                    if u in level:
+                        level.remove(u)
+                    else:
+                        level.add(u)
+            if max(work, default=0) >= level_sum:
+                raise ValueError("a basis element has a tail term of exponent sum > n")
+        return self.to_poly(set().union(*work.values()))
 
     def _step(
         self, m: MultiIndex, i: int, j: int, lookup: Callable[[MultiIndex], Iterable[int]]

@@ -1,9 +1,14 @@
 import json
+import os
 import random
+import signal
+import subprocess
+import sys
 
 import pytest
 from reference import generate_json_reference, normal_form_reference
 
+import grassgb
 from grassgb.cli import run
 from grassgb.f2poly import Poly, format_poly
 from grassgb.groebner_family import GrassmannContext, GroebnerFamily
@@ -169,3 +174,35 @@ def test_usage_errors_exit_2(capsys):
     assert invoke(capsys, "generate", "-k", "2")[0] == 2
     assert invoke(capsys, "generate", "-k", "5", "-n", "2")[0] == 2
     assert invoke(capsys)[0] == 2
+
+
+def test_exponent_overflow_exits_2(capsys):
+    # n = 2^31 passes the multiple-of-8 guard; w5^(n-1) times w5 overflows
+    code, out, err = invoke(capsys, "immersion-check", "-n", str(2**31))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: exponent overflow")
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_pipe_ends_quietly(fmt):
+    src = os.path.dirname(os.path.dirname(grassgb.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["generate", "-k", "5", "-n", "14", "--format", fmt]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "grassgb.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    # the output is far larger than a pipe holds, so the writer is still
+    # running when the reader goes away
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert proc.returncode == -signal.SIGPIPE
+    assert err == b""

@@ -99,6 +99,17 @@ def test_variable_count_mismatch():
         normal_form(GrassmannContext(3, 4), Poly.one(2))
 
 
+def test_family_reduce_is_the_normal_form():
+    ctx = GrassmannContext(3, 4)
+    family = GroebnerFamily(ctx)
+    f = parse("w1^5*w2 + w2^4*w3 + w1^2", 3)
+    assert family.reduce(f) == normal_form_reference(ctx, f)
+    assert family.packed
+    assert normal_form(ctx, f, family).value == family.reduce(f)
+    with pytest.raises(ValueError, match="variable count does not match"):
+        family.reduce(Poly.one(2))
+
+
 def test_normal_form_matches_reference_on_random_polys():
     rng = random.Random(9151)
     families = {}
