@@ -9,7 +9,7 @@ import sys
 
 from .buchberger_oracle import DEFAULT_CAP, oracle_equals_family
 from .cohomology import normal_form, standard_basis
-from .dual_classes import wbar_recurrence
+from .dual_classes import wbar_explicit
 from .f2poly import Poly, format_poly, parse
 from .groebner_family import GrassmannContext, GroebnerFamily
 from .steenrod import immersion_obstruction_check
@@ -115,7 +115,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_dual(args) -> int:
     if args.r < 1:
         raise ValueError("-r must be >= 1")
-    print(format_poly(wbar_recurrence(args.r, args.k)))
+    print(format_poly(wbar_explicit(args.r, args.k)))
     return 0
 
 

@@ -1,17 +1,19 @@
 """Dual Stiefel-Whitney classes as polynomials in w_1, ..., w_k.
 
-Two independent constructions of the same class: the recurrence coming
-from (1 + w_1 + ... + w_k)(1 + wbar_1 + wbar_2 + ...) = 1, and the
-explicit sum over exponent vectors with odd multinomial coefficient.
-Neither caches anything between calls: the recurrence builds wbar_0, ...,
-wbar_r afresh in a list of its own, with no recursion, so any degree r
-works without reaching the interpreter's recursion limit.
+Two independent constructions of the same class.  The recurrence comes
+from (1 + w_1 + ... + w_k)(1 + wbar_1 + wbar_2 + ...) = 1; it builds
+wbar_0, ..., wbar_r afresh in a list of its own, with no recursion, so any
+degree r works without reaching the interpreter's recursion limit.  The
+explicit class is the sum of W^A over weighted degree r with odd
+multinomial coefficient, which is g_0 of the Groebner basis at n = r-1:
+it comes from the g_M kernel, which lists only the odd terms.  Neither
+caches anything between calls.
 """
 
 from __future__ import annotations
 
-from .combinatorics import multinomial_parity
-from .f2poly import Poly, monomials_of_weighted_degree
+from .f2poly import MAX_EXPONENT, Poly
+from .groebner_family import _direct
 
 __all__ = ["wbar_recurrence", "wbar_explicit"]
 
@@ -21,10 +23,15 @@ def _validate(r: int, k: int) -> None:
         raise ValueError(f"degree must be >= 1, got {r}")
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
+    if r > MAX_EXPONENT:
+        raise OverflowError(f"exponent overflow: w1^{r} is a term of wbar_{r}")
 
 
 def wbar_recurrence(r: int, k: int) -> Poly:
-    """wbar_r via wbar_r = sum_{i=1}^{min(r,k)} w_i * wbar_{r-i}, wbar_0 = 1."""
+    """wbar_r via wbar_r = sum_{i=1}^{min(r,k)} w_i * wbar_{r-i}, wbar_0 = 1.
+
+    It shares no code with the g_M kernel, so the oracle's generators,
+    which come from here, check the kernel independently."""
     _validate(r, k)
     wbar = [Poly.one(k)]
     for d in range(1, r + 1):
@@ -36,9 +43,7 @@ def wbar_recurrence(r: int, k: int) -> Poly:
 
 
 def wbar_explicit(r: int, k: int) -> Poly:
-    """wbar_r as the sum of W^A over weighted degree r with odd multinomial."""
+    """wbar_r as the sum of W^A over weighted degree r with odd
+    multinomial: g_0 at n = r-1, by the g_M kernel."""
     _validate(r, k)
-    terms = frozenset(
-        a for a in monomials_of_weighted_degree(r, k) if multinomial_parity(a)
-    )
-    return Poly._make(k, terms)
+    return _direct(k, (0,) * (k - 1), r)

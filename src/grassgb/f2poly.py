@@ -7,6 +7,7 @@ Addition is symmetric difference, so the zero polynomial is the empty set.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -201,90 +202,53 @@ class ParseError(ValueError):
         self.position = position
 
 
-class _Parser:
-    def __init__(self, text: str, k: int):
-        self.text = text
-        self.k = k
-        self.pos = 0
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.pos)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def read_int(self) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a number")
-        return int(self.text[start : self.pos])
-
-    def parse(self) -> Poly:
-        self.skip_ws()
-        if self.peek() == "0":
-            mark = self.pos
-            self.pos += 1
-            self.skip_ws()
-            if self.pos == len(self.text):
-                return Poly.zero(self.k)
-            self.pos = mark
-            raise self.error("'0' must stand alone")
-        terms = [self.parse_term()]
-        self.skip_ws()
-        while self.pos < len(self.text):
-            if self.peek() != "+":
-                raise self.error("expected '+'")
-            self.pos += 1
-            self.skip_ws()
-            terms.append(self.parse_term())
-            self.skip_ws()
-        return Poly(self.k, terms)
-
-    def parse_term(self) -> Monomial:
-        if self.peek() == "1":
-            self.pos += 1
-            return (0,) * self.k
-        exps = [0] * self.k
-        self.parse_factor(exps)
-        while self.peek() == "*":
-            self.pos += 1
-            self.parse_factor(exps)
-        return tuple(exps)
-
-    def parse_factor(self, exps: list[int]) -> None:
-        if self.peek() != "w":
-            raise self.error("expected a factor 'w<index>'")
-        self.pos += 1
-        idx_pos = self.pos
-        index = self.read_int()
-        if not 1 <= index <= self.k:
-            self.pos = idx_pos
-            raise self.error(f"variable index {index} out of 1..{self.k}")
-        exp = 1
-        if self.peek() == "^":
-            self.pos += 1
-            exp_pos = self.pos
-            exp = self.read_int()
-            if exp < 1:
-                self.pos = exp_pos
-                raise self.error("exponent must be >= 1")
-            if exp > MAX_EXPONENT:
-                self.pos = exp_pos
-                raise self.error("exponent overflow")
-        exps[index - 1] += exp
-        if exps[index - 1] > MAX_EXPONENT:
-            raise self.error("exponent overflow")
+# leading whitespace, as str.isspace sees it; a factor w<index>[^<exponent>],
+# either digit group possibly empty, which is reported, and ASCII digits only
+_SPACE = re.compile(r"\s*")
+_FACTOR = re.compile(r"w([0-9]*)(?:\^([0-9]*))?")
 
 
 def parse(text: str, k: int) -> Poly:
     """Parse 'w1^2*w2 + w2^2' style text into a polynomial in k variables."""
-    return _Parser(text, k).parse()
+    pos = _SPACE.match(text).end()
+    if text.startswith("0", pos):
+        if _SPACE.match(text, pos + 1).end() == len(text):
+            return Poly.zero(k)
+        raise ParseError("'0' must stand alone", pos)
+    terms = []
+    while True:
+        exps = [0] * k
+        if text.startswith("1", pos):
+            pos += 1
+        else:
+            while True:
+                factor = _FACTOR.match(text, pos)
+                if factor is None:
+                    raise ParseError("expected a factor 'w<index>'", pos)
+                index, exp = factor.group(1, 2)
+                if not index:
+                    raise ParseError("expected a number", factor.start(1))
+                if not 1 <= (index := int(index)) <= k:
+                    raise ParseError(f"variable index {index} out of 1..{k}", factor.start(1))
+                if exp == "":
+                    raise ParseError("expected a number", factor.start(2))
+                if not 1 <= (exp := int(exp or 1)) <= MAX_EXPONENT:
+                    message = "exponent overflow" if exp else "exponent must be >= 1"
+                    raise ParseError(message, factor.start(2))
+                exps[index - 1] += exp
+                pos = factor.end()
+                if exps[index - 1] > MAX_EXPONENT:
+                    raise ParseError("exponent overflow", pos)
+                if not text.startswith("*", pos):
+                    break
+                pos += 1
+        terms.append(tuple(exps))
+        pos = _SPACE.match(text, pos).end()
+        if pos == len(text):
+            return Poly(k, terms)
+        if not text.startswith("+", pos):
+            raise ParseError("expected '+'", pos)
+        pos = _SPACE.match(text, pos + 1).end()
 
 
 def _format_monomial(mono: Monomial) -> str:

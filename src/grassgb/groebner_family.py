@@ -26,7 +26,9 @@ from the walk.  A single element asked for on its own (a reduction step,
 ``generate --only-m``) is one walk at the family's width, not the
 elements below it, and the family does not keep it.  ``g_direct`` runs
 the same walk at a width of its own, one that holds its weighted degree,
-so it stays valid for S_M > n+1, and unpacks the result.  Closed forms
+so it stays valid for S_M > n+1, and unpacks the result.  At M = 0 every
+P(A, M) is a multinomial coefficient, so the same walk (``_direct``) lists
+the dual class wbar_r = g_0 at n = r-1 for ``dual_classes``.  Closed forms
 exist for indices with m_k close to n; they are exposed for
 cross-validation against the direct formula.
 
@@ -182,19 +184,26 @@ def _walk(m: MultiIndex, degree: int, times: list[int]) -> list[int]:
             if not 0 < x <= top:
                 return
 
-    walk(k, degree, 0, 0)
+    # a_t = 0 for t > degree, so the walk starts below those levels: a
+    # dual class of small degree in many variables recurses only as deep
+    # as its degree
+    walk(max(2, min(k, degree)), degree, 0, 0)
     return terms
+
+
+def _direct(k: int, m: MultiIndex, degree: int) -> Poly:
+    """The terms of weighted degree ``degree`` with odd P(A, M), by the
+    walk at the width of the family of (k, max(k, degree)), whose fields
+    hold every exponent of such a term (a context needs n >= k)."""
+    family = GroebnerFamily(GrassmannContext(k, max(k, degree)))
+    return family.to_poly(_walk(m, degree, family._times))
 
 
 def g_direct(ctx: GrassmannContext, m: MultiIndex) -> Poly:
     """g_M by the defining sum; valid for every nonnegative multi-index."""
     _check_index(ctx, m)
-    degree = ctx.n + 1 + weighted_degree(m)
-    # every exponent of g_M is at most its degree, and the fields of the
-    # family of (k, degree) hold up to 2*k*degree; ctx's own fields may not
-    # once S_M > n+1
-    family = GroebnerFamily(GrassmannContext(ctx.k, degree))
-    return family.to_poly(_walk(m, degree, family._times))
+    # ctx's own fields may not hold the degree once S_M > n+1
+    return _direct(ctx.k, m, ctx.n + 1 + weighted_degree(m))
 
 
 def g_closed_form(ctx: GrassmannContext, m: MultiIndex) -> Optional[Poly]:
@@ -231,27 +240,18 @@ def g_recurrence_step(
     """Assemble g_{M^{i,j}} = w_i g_{M^j} + w_{j+1} g_{M^{i-1}} + g_{M^{i-1,j+1}}.
 
     The third summand is absent when j = k-1; ``lookup`` supplies the
-    right-hand-side polynomials.  They are packed at the context's width,
-    and a term that does not fit a field, before or after its shift,
-    raises OverflowError.
+    right-hand-side polynomials.  The sum is taken on Poly, apart from the
+    family's packing, and a term past MAX_EXPONENT raises OverflowError.
     """
     _check_index(ctx, m)
     k = ctx.k
     if not 1 <= i <= j <= k - 1:
         raise ValueError(f"need 1 <= i <= j <= {k - 1}, got i={i}, j={j}")
-    family = GroebnerFamily(ctx)
-    top = family.mask
-    # the variable each summand is multiplied by, 0-based; -1 for none
-    shifted = {raised(m, j): i - 1, raised(m, i - 1): j}
-
-    def packed(idx: MultiIndex) -> Iterator[int]:
-        terms = lookup(idx).terms
-        p = shifted.get(idx, -1)
-        if any(max(t) > top or (p >= 0 and t[p] == top) for t in terms):
-            raise OverflowError(f"a term of g_{idx} overflows {family.width} bits")
-        return map(family.pack, terms)
-
-    return family.to_poly(family._step(m, i, j, packed))
+    g = Poly.variable(k, i) * lookup(raised(m, j))
+    g = g + Poly.variable(k, j + 1) * lookup(raised(m, i - 1))
+    if j < k - 1:
+        g = g + lookup(raised2(m, i - 1, j + 1))
+    return g
 
 
 def _indices_up_to(k: int, bound: int) -> list[MultiIndex]:

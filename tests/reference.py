@@ -35,6 +35,15 @@ each element against a fresh reducer of the others until nothing changes;
 the package tests every packed lead at once, keeps each pair's lcm and
 inter-reduces in one pass over one shared reducer.
 
+The text parser scans by hand, one character at a time, in a class of
+small methods (``parse_reference``); the package's ``parse`` is one
+function over two regular expressions.
+
+The dual class wbar_r is g_0 at n = r - 1, so ``g_direct_reference`` also
+gives it by enumerate-then-filter; at M = 0 the coefficient product is the
+multinomial coefficient, whose parity ``multinomial_parity`` reads off the
+exponents directly.
+
 ``binom_int`` (exact binomials), ``grlex_compare`` (three-way grlex
 comparison) and ``alpha`` (binary digit count) have no caller in the
 package; the tests check the package's parity and order rules against them.
@@ -46,12 +55,15 @@ import heapq
 import itertools
 import json
 import math
+from functools import reduce
+from operator import or_
 from typing import Callable, Optional
 
 from grassgb.combinatorics import binom_parity
 from grassgb.f2poly import (
     MAX_EXPONENT,
     Monomial,
+    ParseError,
     Poly,
     grlex_key,
     monomials_of_weighted_degree,
@@ -111,6 +123,20 @@ def p_factor(t: int, a: tuple[int, ...], m: tuple[int, ...]) -> int:
 def p_product(a: tuple[int, ...], m: tuple[int, ...]) -> int:
     """Product of p_factor(t, a, m) over t = 2..k."""
     return int(all(p_factor(t, a, m) for t in range(2, len(a) + 1)))
+
+
+def multinomial_parity(a: tuple[int, ...]) -> int:
+    """Multinomial coefficient [a_1, ..., a_k] mod 2; all entries must be
+    nonnegative.
+
+    It is the product over t of binom(a_t + ... + a_k, a_t), and by Lucas
+    each factor is odd iff a_t and a_{t+1} + ... + a_k share no bit.  So
+    the coefficient is odd iff the a_t add in binary with no carry, that
+    is iff their bitwise or equals their sum.
+    """
+    if any(x < 0 for x in a):
+        raise ValueError("multinomial requires nonnegative entries")
+    return 1 if reduce(or_, a, 0) == sum(a) else 0
 
 
 def g_direct_reference(k: int, n: int, m: tuple[int, ...]) -> Poly:
@@ -552,3 +578,89 @@ def oracle_reduce_reference(f: Poly, basis: list[Poly]) -> Poly:
     for g in basis:
         reducer.add(g.terms)
     return Poly._make(f.k, reducer.normal_form(f.terms))
+
+
+class _Parser:
+    def __init__(self, text: str, k: int):
+        self.text = text
+        self.k = k
+        self.pos = 0
+
+    def error(self, message: str) -> ParseError:
+        return ParseError(message, self.pos)
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def read_int(self) -> int:
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
+            self.pos += 1
+        if self.pos == start:
+            raise self.error("expected a number")
+        return int(self.text[start : self.pos])
+
+    def parse(self) -> Poly:
+        self.skip_ws()
+        if self.peek() == "0":
+            mark = self.pos
+            self.pos += 1
+            self.skip_ws()
+            if self.pos == len(self.text):
+                return Poly.zero(self.k)
+            self.pos = mark
+            raise self.error("'0' must stand alone")
+        terms = [self.parse_term()]
+        self.skip_ws()
+        while self.pos < len(self.text):
+            if self.peek() != "+":
+                raise self.error("expected '+'")
+            self.pos += 1
+            self.skip_ws()
+            terms.append(self.parse_term())
+            self.skip_ws()
+        return Poly(self.k, terms)
+
+    def parse_term(self) -> Monomial:
+        if self.peek() == "1":
+            self.pos += 1
+            return (0,) * self.k
+        exps = [0] * self.k
+        self.parse_factor(exps)
+        while self.peek() == "*":
+            self.pos += 1
+            self.parse_factor(exps)
+        return tuple(exps)
+
+    def parse_factor(self, exps: list[int]) -> None:
+        if self.peek() != "w":
+            raise self.error("expected a factor 'w<index>'")
+        self.pos += 1
+        idx_pos = self.pos
+        index = self.read_int()
+        if not 1 <= index <= self.k:
+            self.pos = idx_pos
+            raise self.error(f"variable index {index} out of 1..{self.k}")
+        exp = 1
+        if self.peek() == "^":
+            self.pos += 1
+            exp_pos = self.pos
+            exp = self.read_int()
+            if exp < 1:
+                self.pos = exp_pos
+                raise self.error("exponent must be >= 1")
+            if exp > MAX_EXPONENT:
+                self.pos = exp_pos
+                raise self.error("exponent overflow")
+        exps[index - 1] += exp
+        if exps[index - 1] > MAX_EXPONENT:
+            raise self.error("exponent overflow")
+
+
+def parse_reference(text: str, k: int) -> Poly:
+    """``parse`` by a character-at-a-time scanner."""
+    return _Parser(text, k).parse()

@@ -1,7 +1,7 @@
 import pytest
-from reference import binom_int, p_factor, p_product
+from reference import binom_int, multinomial_parity, p_factor, p_product
 
-from grassgb.combinatorics import binom_parity, multinomial_parity
+from grassgb.combinatorics import binom_parity
 
 RANGE = range(-64, 65)
 

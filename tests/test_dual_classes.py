@@ -1,5 +1,7 @@
 import pytest
+from reference import g_direct_reference
 
+from grassgb.cli import run
 from grassgb.dual_classes import wbar_explicit, wbar_recurrence
 from grassgb.f2poly import Poly, parse, weighted_degree
 
@@ -26,8 +28,33 @@ def test_deep_recurrence_needs_no_recursion():
 
 @pytest.mark.parametrize("k", range(2, 7))
 def test_explicit_equals_recurrence(k):
-    for r in range(1, 21):
+    for r in range(1, 61):
         assert wbar_explicit(r, k) == wbar_recurrence(r, k), (r, k)
+
+
+@pytest.mark.parametrize("k", range(2, 6))
+def test_explicit_is_g0_of_the_filter_path(k):
+    # wbar_r = g_0 at n = r-1, there by enumerate-then-filter; r < k too,
+    # where the kernel's family width comes from k, not from r
+    for r in range(1, 16):
+        assert wbar_explicit(r, k) == g_direct_reference(k, r - 1, (0,) * (k - 1)), (r, k)
+
+
+def test_many_variables_small_degree():
+    # the walk skips the levels of w_j with j > r, which stay at exponent 0,
+    # so its recursion does not grow with k
+    for r in (1, 2, 5):
+        assert wbar_explicit(r, 1500) == wbar_recurrence(r, 1500), r
+
+
+def test_degree_past_max_exponent_is_an_overflow(capsys):
+    # w1^r is a term of wbar_r, so r = 2^31 fails at once, with no terms built
+    with pytest.raises(OverflowError, match="exponent overflow: w1\\^2147483648"):
+        wbar_explicit(2**31, 2)
+    assert run(["dual", "-k", "2", "-r", str(2**31)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: exponent overflow")
 
 
 def test_homogeneity():

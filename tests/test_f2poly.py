@@ -1,11 +1,13 @@
+import random
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import grlex_compare
+from reference import grlex_compare, parse_reference
 
 from grassgb.f2poly import (
+    MAX_EXPONENT,
     ParseError,
     Poly,
     format_poly,
@@ -176,6 +178,61 @@ class TestTextFormat:
     def test_format_decreasing_grlex(self):
         f = parse("w2^2 + w1^2*w2 + 1 + w1", 2)
         assert format_poly(f) == "w1^2*w2 + w2^2 + w1 + 1"
+
+
+# unusual whitespace (str.isspace: the separator \x1c, NEL, the ideographic
+# and no-break spaces), a digit int() refuses (superscript two) and one it
+# takes (Arabic-Indic three), and literals at 2^31 - 1 and 2^31; weighted so
+# that about a third of the strings get past their first factor
+_PARSE_ALPHABET = {
+    "w": 8, "0": 2, "1": 4, "2": 4, "3": 2, "9": 1, "^": 3, "*": 2, "+": 2,
+    " ": 2, "\t": 1, "\x1c": 1, "\x85": 1, "\u3000": 1, "\u00a0": 1,
+    "\u00b2": 1, "\u0663": 1, "x": 1, str(MAX_EXPONENT): 1, str(MAX_EXPONENT + 1): 1,
+}
+
+
+def _random_text(rng: random.Random) -> str:
+    chars, weights = zip(*_PARSE_ALPHABET.items())
+    return "".join(rng.choices(chars, weights, k=rng.randint(0, 12)))
+
+
+def _structured_text(rng: random.Random, k: int) -> str:
+    """A sum of products of w<index>^<exponent>, mostly well formed."""
+
+    def factor() -> str:
+        index = rng.choice(["", "0", "01", str(k + 1)] + [str(i) for i in range(1, k + 1)] * 8)
+        exp = rng.choice(
+            [None] * 12 + ["1", "07", "12"] * 2
+            + ["", "0", str(MAX_EXPONENT), str(MAX_EXPONENT + 1)]
+        )
+        return f"w{index}" + ("" if exp is None else f"^{exp}")
+
+    def term() -> str:
+        if rng.random() < 0.1:
+            return rng.choice(["1", "0"])
+        return "*".join(factor() for _ in range(rng.randint(1, 3)))
+
+    def space() -> str:
+        return rng.choice(["", "", " ", "\t", "\u3000", "\x85"])
+
+    terms = [term() for _ in range(rng.randint(1, 4))]
+    return space() + (space() + "+" + space()).join(terms) + space()
+
+
+def _parse_outcome(parser, text: str, k: int):
+    try:
+        return parser(text, k)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+def test_parse_matches_reference():
+    rng = random.Random(16016)
+    for case in range(50_000):
+        k = rng.randint(1, 4)
+        text = _random_text(rng) if case < 40_000 else _structured_text(rng, k)
+        expected = _parse_outcome(parse_reference, text, k)
+        assert _parse_outcome(parse, text, k) == expected, (text, k)
 
 
 @pytest.mark.parametrize(

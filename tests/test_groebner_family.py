@@ -235,7 +235,8 @@ def test_recurrence_step_matches_reference_on_random_summands(k):
 
 
 def test_recurrence_step_overflow_boundary():
-    # W = 4 at (2, 2): an exponent the step raises may be at most 2^W - 2
+    # the step works on Poly, so exponents at and past the family's field
+    # limit 2^W - 1 (W = 4 at (2, 2)) are raised like any other
     ctx = GrassmannContext(2, 2)
     top = (1 << GroebnerFamily(ctx).width) - 1
     assert top == 15
@@ -250,16 +251,16 @@ def test_recurrence_step_overflow_boundary():
         assert got == g_recurrence_step_reference(ctx, (0,), 1, 1, lookup)
         assert got == Poly(2, [(a + 1, top), (top, b + 1)])
     for a, b in ((top, 0), (0, top)):
-        with pytest.raises(OverflowError):
-            g_recurrence_step(ctx, (0,), 1, 1, lookup_with(a, b))
-    # the third summand is not shifted, so 2^W - 1 fits there (W = 5 at (3, 3))
+        got = g_recurrence_step(ctx, (0,), 1, 1, lookup_with(a, b))
+        assert got == Poly(2, [(a + 1, top), (top, b + 1)])
+    # W = 5 at (3, 3): the third summand is added as it is
     ctx = GrassmannContext(3, 3)
     top = (1 << GroebnerFamily(ctx).width) - 1
     third = Poly(3, [(top, top, top)])
     lookup = lambda m: third if m == (0, 1) else Poly.zero(3)
     assert g_recurrence_step(ctx, (0, 0), 1, 1, lookup) == third
-    with pytest.raises(OverflowError):
-        g_recurrence_step(ctx, (0, 0), 1, 1, lambda m: Poly(3, [(top + 1, 0, 0)]))
+    got = g_recurrence_step(ctx, (0, 0), 1, 1, lambda m: Poly(3, [(top + 1, 0, 0)]))
+    assert got == Poly(3, [(top + 2, 0, 0), (top + 1, 1, 0), (top + 1, 0, 0)])
 
 
 def test_family_width_holds_every_exponent():
