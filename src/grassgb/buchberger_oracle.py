@@ -3,9 +3,19 @@
 Deliberately independent of the structured family: a term's divisor is the
 lowest-index lead that divides it, found by testing every lead at once,
 never by the O(k) exponent-stripping shortcut, so a wrong g_M cannot make
-the oracle agree with it.  Pair bookkeeping uses the normal selection
-strategy with the standard Gebauer-Moller criteria (which subsume the
-coprime-lead skip).  Each new lead is also checked, by plain tuple
+the oracle agree with it.  Pairs are selected by weighted sugar (Giovini,
+Mora, Niesi, Robbiano, Traverso, "One sugar cube, please", 1991), ties
+broken by grlex of the lcm, and pruned by the standard Gebauer-Moller
+criteria (which subsume the coprime-lead skip).  A generator's sugar is
+the largest weighted degree sum j * a_j of its terms; a pair's is the
+larger of the two sugars raised by the weighted degree its lead gains in
+the lcm; an element an S-polynomial adds takes its pair's sugar.  The
+dual-class ideal is homogeneous in this degree, so there a pair's sugar
+is the weighted degree of its lcm, the run goes one degree at a time and
+builds exactly binom(n+k, k-1) elements, the size of the reduced basis.
+Non-homogeneous input pays for this: on some random sets of four
+generators in four variables sugar is several times slower than picking
+the grlex-smallest lcm.  Each new lead is also checked, by plain tuple
 comparison, against every earlier lead: one that divides it means the
 packed search missed a divisor, and ``buchberger`` raises instead of
 running on.
@@ -39,8 +49,8 @@ import heapq
 import operator
 
 from .dual_classes import wbar_recurrence
-from .f2poly import Monomial, Poly, grlex_key
-from .groebner_family import GrassmannContext, GroebnerFamily, build_family
+from .f2poly import Monomial, Poly, grlex_key, weighted_degree
+from .groebner_family import GrassmannContext, GroebnerFamily
 
 __all__ = [
     "s_polynomial",
@@ -235,15 +245,17 @@ def buchberger(generators: list[Poly]) -> list[Poly]:
             raise ValueError("generators have mixed variable counts")
 
     reducer = _Reducer(k)
+    sugar: list[int] = []  # sugar[i] belongs to reducer element i
     pairs: dict[tuple[int, int], int] = {}
     heap: list = []
 
-    def insert(terms) -> None:
+    def insert(terms, s: int) -> None:
         reduced = reducer.normal_form(terms)
         if not reduced:
             return
         width = reducer.width
         h = reducer.add(reduced)
+        sugar.append(s)
         lth = reducer.lts[h]
         for old in reducer.lts[:h]:
             if all(map(operator.le, old, lth)):
@@ -255,22 +267,27 @@ def buchberger(generators: list[Poly]) -> list[Poly]:
                 pairs[(g1, g2)] = reducer.lcm(reducer.plts[g1], reducer.plts[g2])
         for g in _update_pairs(reducer, pairs, h):
             lcm = tuple(map(max, reducer.lts[g], lth))
-            heapq.heappush(heap, (grlex_key(lcm), (g, h)))
+            wl = weighted_degree(lcm)
+            pair_sugar = max(
+                sugar[g] + wl - weighted_degree(reducer.lts[g]),
+                s + wl - weighted_degree(lth),
+            )
+            heapq.heappush(heap, ((pair_sugar,) + grlex_key(lcm), (g, h)))
 
     for g in generators:
-        insert(g.terms)
+        insert(g.terms, max(map(weighted_degree, g.terms)))
     if not reducer.polys:
         raise ValueError("generators span the zero ideal")
 
     while heap:
-        (_, lcm), pair = heapq.heappop(heap)
+        (s, _, lcm), pair = heapq.heappop(heap)
         if pair not in pairs:
             continue
         del pairs[pair]
         g1, g2 = pair
         q1 = tuple(a - b for a, b in zip(lcm, reducer.lts[g1]))
         q2 = tuple(a - b for a, b in zip(lcm, reducer.lts[g2]))
-        insert(reducer._product(g1, q1) ^ reducer._product(g2, q2))
+        insert(reducer._product(g1, q1) ^ reducer._product(g2, q2), s)
 
     return [Poly._make(k, terms) for terms in reducer.polys]
 
@@ -308,12 +325,12 @@ def oracle_reduce(f: Poly, basis: list[Poly]) -> Poly:
 def oracle_equals_family(ctx: GrassmannContext, cap: int = DEFAULT_CAP) -> bool:
     """Run Buchberger on the dual-class generators and compare the reduced
     result, as a set of polynomials, with the structured family."""
-    size = len(GroebnerFamily(ctx))
+    family = GroebnerFamily(ctx)
+    size = len(family)
     if size > cap:
         raise OracleCapExceeded(
             f"instance has {size} basis elements, above the cap of {cap}"
         )
     generators = [wbar_recurrence(ctx.n + j, ctx.k) for j in range(1, ctx.k + 1)]
     oracle = reduce_basis(buchberger(generators))
-    family = build_family(ctx)
     return set(oracle) == set(family.polynomials())

@@ -7,7 +7,8 @@ tensor-square total class is one resultant over F_2[w_1, ..., w_k],
 computed as a permanent, so no formal roots are introduced.
 
 Nothing is cached between calls: every square and every tensor square is
-computed afresh from its arguments.
+computed afresh from its arguments.  Within one ``sq`` call the Cartan
+recursion memoizes Sq^i of each monomial it meets.
 """
 
 from __future__ import annotations
@@ -64,24 +65,30 @@ def sq_on_generator(i: int, j: int, k: int) -> Poly:
     return Poly(k, terms)
 
 
-def _sq_monomial(i: int, t: Monomial, k: int) -> Poly:
+def _sq_monomial(i: int, t: Monomial, k: int, memo: dict) -> Poly:
     """Sq^i(W^t) by one Cartan recursion: a square W^t = (W^{t/2})^2 has
     Sq^i = (Sq^{i/2} W^{t/2})^2 for even i and 0 for odd i; otherwise
     w_{p+1}, p the first odd exponent, is split off and Sq^a(w_{p+1})
-    comes from Wu's formula."""
+    comes from Wu's formula.  ``memo`` maps (i, t) to Sq^i(W^t) within
+    one ``sq`` call, since the branches share most of their subterms."""
     if i == 0:
         return Poly.monomial(t)
     if i > weighted_degree(t):
         return Poly.zero(k)
+    found = memo.get((i, t))
+    if found is not None:
+        return found
     p = next((v for v, e in enumerate(t) if e % 2), None)
     if p is None:
         if i % 2:
             return Poly.zero(k)
-        return _sq_monomial(i // 2, tuple(e // 2 for e in t), k).square()
-    rest = t[:p] + (t[p] - 1,) + t[p + 1 :]
-    acc = Poly.zero(k)
-    for a in range(min(i, p + 1) + 1):
-        acc = acc + sq_on_generator(a, p + 1, k) * _sq_monomial(i - a, rest, k)
+        acc = _sq_monomial(i // 2, tuple(e // 2 for e in t), k, memo).square()
+    else:
+        rest = t[:p] + (t[p] - 1,) + t[p + 1 :]
+        acc = Poly.zero(k)
+        for a in range(min(i, p + 1) + 1):
+            acc = acc + sq_on_generator(a, p + 1, k) * _sq_monomial(i - a, rest, k, memo)
+    memo[i, t] = acc
     return acc
 
 
@@ -92,8 +99,9 @@ def sq(i: int, f: Poly) -> Poly:
     if i == 0:
         return f
     acc = Poly.zero(f.k)
+    memo: dict[tuple[int, Monomial], Poly] = {}
     for t in f.terms:
-        acc = acc + _sq_monomial(i, t, f.k)
+        acc = acc + _sq_monomial(i, t, f.k, memo)
     return acc
 
 

@@ -33,7 +33,12 @@ The Buchberger oracle tests divisibility on exponent tuples, recomputes the
 lcm of every queued pair at each Gebauer-Moller update and inter-reduces
 each element against a fresh reducer of the others until nothing changes;
 the package tests every packed lead at once, keeps each pair's lcm and
-inter-reduces in one pass over one shared reducer.
+inter-reduces in one pass over one shared reducer.  Both select pairs by
+the same key, weighted sugar and then grlex of the lcm, so their raw
+element streams can be compared: the dual-class ideal is homogeneous in
+the weighted degree, so the run goes degree by degree and builds
+binom(n+k, k-1) elements, while non-homogeneous input can take several
+times longer than with the grlex-smallest lcm first.
 
 The text parser scans by hand, one character at a time, in a class of
 small methods (``parse_reference``); the package's ``parse`` is one
@@ -500,21 +505,31 @@ def buchberger_reference(generators: list[Poly]) -> list[Poly]:
             raise ValueError("generators have mixed variable counts")
 
     reducer = _Reducer(k)
+    sugar: list[int] = []
     pairs: set[tuple[int, int]] = set()
     heap: list = []
+
+    def pair_key(p: tuple[int, int]):
+        lcm = _lcm(reducer.lts[p[0]], reducer.lts[p[1]])
+        pair_sugar = max(
+            sugar[g] + weighted_degree(lcm) - weighted_degree(reducer.lts[g]) for g in p
+        )
+        return (pair_sugar,) + grlex_key(lcm)
+
     for g in generators:
         reduced = reducer.normal_form(g.terms)
         if not reduced:
             continue
         h = reducer.add(reduced)
+        sugar.append(max(weighted_degree(t) for t in g.terms))
         pairs = _update_pairs(reducer.lts, pairs, h)
         for p in pairs:
-            heapq.heappush(heap, (grlex_key(_lcm(reducer.lts[p[0]], reducer.lts[p[1]])), p))
+            heapq.heappush(heap, (pair_key(p), p))
     if not reducer.polys:
         raise ValueError("generators span the zero ideal")
 
     while heap:
-        _, pair = heapq.heappop(heap)
+        (s, _, _), pair = heapq.heappop(heap)
         if pair not in pairs:
             continue
         pairs.discard(pair)
@@ -530,12 +545,11 @@ def buchberger_reference(generators: list[Poly]) -> list[Poly]:
         if not reduced:
             continue
         h = reducer.add(reduced)
+        sugar.append(s)
         before = pairs
         pairs = _update_pairs(reducer.lts, pairs, h)
         for p in pairs - before:
-            heapq.heappush(
-                heap, (grlex_key(_lcm(reducer.lts[p[0]], reducer.lts[p[1]])), p)
-            )
+            heapq.heappush(heap, (pair_key(p), p))
 
     return [Poly._make(k, terms) for terms in reducer.polys]
 

@@ -1,4 +1,5 @@
 import heapq
+import math
 import random
 
 import pytest
@@ -108,6 +109,38 @@ class TestBuchberger:
             buchberger([Poly.zero(2)])
         with pytest.raises(ValueError):
             buchberger([parse("w1", 2), parse("w1", 3)])
+
+
+class TestSugarStrategy:
+    """Pairs go by weighted sugar; on the homogeneous dual-class ideal the
+    run then builds no element the reduced basis drops."""
+
+    @pytest.mark.parametrize("k,n", [(3, 8), (3, 12), (4, 5), (4, 6), (5, 5), (6, 4)])
+    def test_dual_class_builds_no_redundant_element(self, k, n):
+        assert len(buchberger(dual_class_generators(k, n))) == math.comb(n + k, k - 1)
+
+    def test_popped_sugar_never_decreases(self, monkeypatch, rng):
+        popped = []
+        real_pop = heapq.heappop
+
+        def pop(heap):
+            item = real_pop(heap)
+            if len(item) == 2:  # (sugar key, pair); normal_form pops 3-tuples
+                popped.append(item[0][0])
+            return item
+
+        monkeypatch.setattr(heapq, "heappop", pop)
+        runs = [dual_class_generators(3, 5), dual_class_generators(4, 5)]
+        for _ in range(15):
+            k = rng.choice((2, 3))
+            runs.append([g for g in (random_poly(rng, k) for _ in range(rng.randint(2, 4))) if g])
+        counts = []
+        for gens in filter(None, runs):
+            popped.clear()
+            buchberger(gens)
+            assert popped == sorted(popped), gens
+            counts.append(len(popped))
+        assert all(counts[:2])  # the dual-class runs pop pairs
 
 
 class TestReduceBasis:

@@ -81,6 +81,15 @@ class TestCartan:
                     f = random_poly(rng, k, max_exp=4, max_terms=3)
                     assert sq(i, f) == sq_reference(i, f), (f, i)
 
+    def test_large_squares_match_reference(self, rng):
+        # i from 12 up to the degree, where the recursion's branches share
+        # most of their subterms within one call
+        for k in range(2, 7):
+            for d in (20, 30):
+                f = random_homogeneous(rng, k, d, max_terms=4)
+                for i in range(12, d + 2):
+                    assert sq(i, f) == sq_reference(i, f), (f, i)
+
     def test_power_worked_example(self):
         # Sq^1(w4 w5^{n-1}) collapses to w5^n for even n, before reduction
         n = 8
