@@ -9,7 +9,6 @@ from .buchberger_oracle import (
     s_polynomial,
 )
 from .cohomology import CohomologyClass, cup, is_zero, normal_form, standard_basis
-from .combinatorics import binom_parity
 from .dual_classes import wbar_explicit, wbar_recurrence
 from .f2poly import Poly, format_poly, parse
 from .groebner_family import (
@@ -36,7 +35,6 @@ __all__ = [
     "Poly",
     "parse",
     "format_poly",
-    "binom_parity",
     "wbar_recurrence",
     "wbar_explicit",
     "GrassmannContext",

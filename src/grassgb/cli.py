@@ -24,10 +24,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "of real Grassmann manifolds.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # -k and -n, shared by the subcommands that work on one G_{k,n}
+    kn = argparse.ArgumentParser(add_help=False)
+    kn.add_argument("-k", type=int, required=True)
+    kn.add_argument("-n", type=int, required=True)
 
-    gen = sub.add_parser("generate", help="print the reduced Groebner basis")
-    gen.add_argument("-k", type=int, required=True)
-    gen.add_argument("-n", type=int, required=True)
+    gen = sub.add_parser("generate", parents=[kn], help="print the reduced Groebner basis")
     gen.add_argument("--format", choices=("text", "json"), default="text")
     gen.add_argument(
         "--only-m",
@@ -35,27 +37,20 @@ def _build_parser() -> argparse.ArgumentParser:
         help="restrict output to the element with this multi-index",
     )
 
-    red = sub.add_parser("reduce", help="normal form of a polynomial")
-    red.add_argument("-k", type=int, required=True)
-    red.add_argument("-n", type=int, required=True)
+    red = sub.add_parser("reduce", parents=[kn], help="normal form of a polynomial")
     red.add_argument("poly", help="polynomial text, e.g. 'w1^2*w2 + w2^2'")
 
     dual = sub.add_parser("dual", help="print a dual Stiefel-Whitney class")
     dual.add_argument("-k", type=int, required=True)
     dual.add_argument("-r", type=int, required=True)
 
-    ver = sub.add_parser("verify", help="compare the family with the oracle")
-    ver.add_argument("-k", type=int, required=True)
-    ver.add_argument("-n", type=int, required=True)
+    ver = sub.add_parser("verify", parents=[kn], help="compare the family with the oracle")
     ver.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
     imm = sub.add_parser("immersion-check", help="run the obstruction checks")
     imm.add_argument("-n", type=int, required=True)
 
-    bas = sub.add_parser("basis", help="list the standard monomials")
-    bas.add_argument("-k", type=int, required=True)
-    bas.add_argument("-n", type=int, required=True)
-
+    sub.add_parser("basis", parents=[kn], help="list the standard monomials")
     return parser
 
 

@@ -11,7 +11,9 @@ c_t = (a_{t+1} + ... + a_k) - (m_{t+1} + ... + m_k).  By Kummer's theorem
 binom(x + c, x) is odd iff adding x and c in binary has no carry, that is
 x & c == 0 for c >= 0.  For c < 0, binom(x + c, x) = (-1)^x binom(-c - 1, x)
 and Lucas give x & (-c - 1) == x, which in two's complement is again
-x & c == 0.  The kernel walks a_k, a_{k-1}, ..., a_2 depth first through
+x & c == 0.  This carry test is the package's one parity rule: the walk
+below, Wu's formula and the tensor-square resultant in ``steenrod`` all
+read it.  The kernel walks a_k, a_{k-1}, ..., a_2 depth first through
 only the values passing that test, and a_1 is forced by the weighted
 degree, so no term with an even coefficient is ever built.  It works in
 a packing (below) throughout: each level adds a_t times the packed w_t to
@@ -98,8 +100,6 @@ __all__ = [
     "g_recurrence_step",
     "build_family",
     "leading_term_of",
-    "raised",
-    "raised2",
 ]
 
 MultiIndex = tuple[int, ...]
@@ -314,9 +314,6 @@ class GroebnerFamily:
     def to_poly(self, terms: Iterable[int]) -> Poly:
         return Poly._make(self.context.k, frozenset(self.unpack(terms)))
 
-    def multi_indices(self) -> Iterator[MultiIndex]:
-        return iter(_indices_up_to(self.context.k, self.context.n + 1))
-
     def element(self, m: MultiIndex) -> Poly:
         return self.to_poly(self.packed_terms(m))
 
@@ -387,7 +384,7 @@ class GroebnerFamily:
 
     def _materialise(self) -> list[MultiIndex]:
         """Put every g_M of the family in the memo; return the indices in
-        ``multi_indices`` order.
+        increasing lex-from-the-right order, the order ``generate`` prints.
 
         The elements with S_M <= 1 come from the walk, every other T from
         the recurrence with i and j its first and last nonzero positions

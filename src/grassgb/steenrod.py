@@ -6,6 +6,12 @@ generator is split off, its squares taken from Wu's formula.  The
 tensor-square total class is one resultant over F_2[w_1, ..., w_k],
 computed as a permanent, so no formal roots are introduced.
 
+Both read the parity of a binomial by the carry test of the g_M walk in
+``groebner_family``, the package's one parity rule: binom(x + c, x) is
+odd iff x & c == 0, for every integer c in two's complement.  Wu's
+coefficient binom(j-i+t-1, t) is the case x = t, c = j-i-1; the
+resultant's binom(p, q) is x = q, c = p-q.
+
 Nothing is cached between calls: every square and every tensor square is
 computed afresh from its arguments.  Within one ``sq`` call the Cartan
 recursion memoizes Sq^i of each monomial it meets.
@@ -17,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cohomology import CohomologyClass, normal_form
-from .combinatorics import binom_parity
 from .f2poly import Monomial, Poly, weighted_degree
 from .groebner_family import GrassmannContext, GroebnerFamily
 
@@ -53,10 +58,10 @@ def sq_on_generator(i: int, j: int, k: int) -> Poly:
     if i > j:
         return Poly.zero(k)
     terms = []
-    for t in range(i + 1):
-        if j + t > k:
-            break
-        if binom_parity(j - i + t - 1, t):
+    # binom(t + c, t), c = j-i-1, is odd iff t & c == 0; at c = -1
+    # (i = j) that keeps only t = 0
+    for t in range(min(i, k - j) + 1):
+        if t & (j - i - 1) == 0:
             exps = [0] * k
             if i - t > 0:
                 exps[i - t - 1] += 1
@@ -120,10 +125,10 @@ def tensor_square_sw(k: int) -> Poly:
         raise ValueError("need k >= 2")
     w = [Poly.one(k)] + [Poly.variable(k, m) for m in range(1, k + 1)]
     # F(y+1) - F(y): the y^q coefficient sums w_{k-p} over p > q with
-    # binom(p, q) odd; each further row is y times the last, reduced by
-    # y^k = sum_{q<k} w_{k-q} y^q
+    # binom(p, q) odd, that is q & (p - q) == 0; each further row is y
+    # times the last, reduced by y^k = sum_{q<k} w_{k-q} y^q
     row = [
-        sum((w[k - p] for p in range(q + 1, k + 1) if binom_parity(p, q)), Poly.zero(k))
+        sum((w[k - p] for p in range(q + 1, k + 1) if q & (p - q) == 0), Poly.zero(k))
         for q in range(k)
     ]
     rows = [row]

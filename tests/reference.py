@@ -17,8 +17,10 @@ formal root variables, multiplying frozensets of root exponent tuples
 symmetric functions (``_symmetric_to_elementary``); the package never
 leaves the w_j and takes it as one resultant over F_2[w].  Sq^i applies
 the Cartan formula twice, across the variables of a term and across each
-power by binary splitting; the package splits off one generator at a time
-in a single recursion.
+power by binary splitting, and takes Sq^i(w_j) from Wu's formula with
+exact binomials (``wu_reference``); the package splits off one generator
+at a time in a single recursion and reads Wu's coefficients by the carry
+test.
 
 The recurrence step raises one exponent of every term of a tuple
 polynomial (``_times_variable``, which scans for overflow first); the
@@ -49,9 +51,10 @@ gives it by enumerate-then-filter; at M = 0 the coefficient product is the
 multinomial coefficient, whose parity ``multinomial_parity`` reads off the
 exponents directly.
 
-``binom_int`` (exact binomials), ``grlex_compare`` (three-way grlex
-comparison) and ``alpha`` (binary digit count) have no caller in the
-package; the tests check the package's parity and order rules against them.
+``binom_int`` (exact binomials), ``binom_parity`` (their parity by Lucas'
+theorem and a reflection), ``grlex_compare`` (three-way grlex comparison)
+and ``alpha`` (binary digit count) have no caller in the package; the
+tests check the package's parity and order rules against them.
 """
 
 from __future__ import annotations
@@ -64,7 +67,6 @@ from functools import reduce
 from operator import or_
 from typing import Callable, Optional
 
-from grassgb.combinatorics import binom_parity
 from grassgb.f2poly import (
     MAX_EXPONENT,
     Monomial,
@@ -82,7 +84,6 @@ from grassgb.groebner_family import (
     raised,
     raised2,
 )
-from grassgb.steenrod import sq_on_generator
 
 
 def binom_int(alpha: int, beta: int) -> int:
@@ -95,6 +96,20 @@ def binom_int(alpha: int, beta: int) -> int:
     for i in range(beta):
         num *= alpha - i
     return num // math.factorial(beta)
+
+
+def binom_parity(alpha: int, beta: int) -> int:
+    """binom(alpha, beta) mod 2 without big integers: Lucas' theorem for
+    alpha >= 0, and for alpha < 0 the reflection binom(alpha, beta) =
+    (-1)^beta binom(beta - alpha - 1, beta), whose sign is irrelevant mod 2."""
+    if beta < 0:
+        return 0
+    if beta == 0:
+        return 1
+    if alpha < 0:
+        alpha = beta - alpha - 1
+    # Lucas: odd iff the bits of beta are a subset of the bits of alpha
+    return 1 if alpha & beta == beta else 0
 
 
 def grlex_compare(a: Monomial, b: Monomial) -> int:
@@ -320,6 +335,23 @@ def tensor_square_sw_reference(k: int, max_weighted_degree: int) -> Poly:
     return result
 
 
+def wu_reference(i: int, j: int, k: int) -> Poly:
+    """Sq^i(w_j) by Wu's formula with exact binomials: the sum over
+    0 <= t <= i of binom(j-i+t-1, t) w_{i-t} w_{j+t}, with w_0 = 1 and
+    w_m = 0 for m > k.  It is 0 for i > j, above the degree of w_j."""
+    if i > j:
+        return Poly.zero(k)
+    terms = []
+    for t in range(i + 1):
+        if j + t <= k and binom_int(j - i + t - 1, t) % 2:
+            # w_{i-t} w_{j+t} as an exponent tuple, whose entry 0 stands for w_0
+            exps = [0] * (k + 1)
+            exps[i - t] += 1
+            exps[j + t] += 1
+            terms.append(tuple(exps[1:]))
+    return Poly(k, terms)
+
+
 def _sq_power(i: int, j: int, m: int, k: int) -> Poly:
     """Sq^i(w_j^m) by binary splitting over the Cartan formula."""
     if i == 0:
@@ -327,14 +359,14 @@ def _sq_power(i: int, j: int, m: int, k: int) -> Poly:
     if i > j * m:
         return Poly.zero(k)
     if m == 1:
-        return sq_on_generator(i, j, k)
+        return wu_reference(i, j, k)
     if m % 2 == 0:
         if i % 2:
             return Poly.zero(k)
         return _sq_power(i // 2, j, m // 2, k).square()
     acc = Poly.zero(k)
     for a in range(min(i, j) + 1):
-        left = sq_on_generator(a, j, k)
+        left = wu_reference(a, j, k)
         if not left:
             continue
         right = _sq_power(i - a, j, m - 1, k)

@@ -1,7 +1,5 @@
 import pytest
-from reference import binom_int, multinomial_parity, p_factor, p_product
-
-from grassgb.combinatorics import binom_parity
+from reference import binom_int, binom_parity, multinomial_parity, p_factor, p_product
 
 RANGE = range(-64, 65)
 

@@ -1,5 +1,5 @@
 import pytest
-from reference import alpha, sq_reference, tensor_square_sw_reference
+from reference import alpha, sq_reference, tensor_square_sw_reference, wu_reference
 
 from grassgb.f2poly import Poly, parse, weighted_degree
 from grassgb.groebner_family import GrassmannContext, GroebnerFamily
@@ -34,6 +34,13 @@ class TestWuFormula:
             sq_on_generator(1, 6, 5)
         with pytest.raises(ValueError):
             sq_on_generator(-1, 2, 5)
+
+    def test_matches_exact_binomials(self):
+        for k in range(1, 11):
+            for j in range(1, k + 1):
+                for i in range(j + 2):
+                    assert sq_on_generator(i, j, k) == wu_reference(i, j, k), (i, j, k)
+                assert not sq_on_generator(j + 1, j, k)
 
     def test_matches_sq_on_single_variable(self):
         for k in (3, 5):
