@@ -276,8 +276,6 @@ def buchberger(generators: list[Poly]) -> list[Poly]:
 
     for g in generators:
         insert(g.terms, max(map(weighted_degree, g.terms)))
-    if not reducer.polys:
-        raise ValueError("generators span the zero ideal")
 
     while heap:
         (s, _, lcm), pair = heapq.heappop(heap)

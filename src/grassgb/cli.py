@@ -10,7 +10,7 @@ import sys
 from .buchberger_oracle import DEFAULT_CAP, oracle_equals_family
 from .cohomology import normal_form, standard_basis
 from .dual_classes import wbar_explicit
-from .f2poly import Poly, format_poly, parse
+from .f2poly import format_monomial, format_poly, parse
 from .groebner_family import GrassmannContext, GroebnerFamily
 from .steenrod import immersion_obstruction_check
 
@@ -30,6 +30,7 @@ def _build_parser() -> argparse.ArgumentParser:
     kn.add_argument("-n", type=int, required=True)
 
     gen = sub.add_parser("generate", parents=[kn], help="print the reduced Groebner basis")
+    gen.set_defaults(command=_cmd_generate)
     gen.add_argument("--format", choices=("text", "json"), default="text")
     gen.add_argument(
         "--only-m",
@@ -39,18 +40,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     red = sub.add_parser("reduce", parents=[kn], help="normal form of a polynomial")
     red.add_argument("poly", help="polynomial text, e.g. 'w1^2*w2 + w2^2'")
+    red.set_defaults(command=_cmd_reduce)
 
     dual = sub.add_parser("dual", help="print a dual Stiefel-Whitney class")
     dual.add_argument("-k", type=int, required=True)
     dual.add_argument("-r", type=int, required=True)
+    dual.set_defaults(command=_cmd_dual)
 
     ver = sub.add_parser("verify", parents=[kn], help="compare the family with the oracle")
     ver.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    ver.set_defaults(command=_cmd_verify)
 
     imm = sub.add_parser("immersion-check", help="run the obstruction checks")
     imm.add_argument("-n", type=int, required=True)
+    imm.set_defaults(command=_cmd_immersion_check)
 
-    sub.add_parser("basis", parents=[kn], help="list the standard monomials")
+    basis = sub.add_parser("basis", parents=[kn], help="list the standard monomials")
+    basis.set_defaults(command=_cmd_basis)
     return parser
 
 
@@ -62,7 +68,14 @@ def _json_rows(count: int, indent: int) -> str:
     return ",\n".join([" " * indent + "%d"] * count)
 
 
-def _print_json(family: GroebnerFamily, elements) -> None:
+def _term_table(family: GroebnerFamily, elements: list, template) -> dict[int, str]:
+    """Each distinct packed term of the elements, unpacked and formatted
+    by ``template`` once, whichever elements share it."""
+    distinct = set().union(*[terms for _, terms in elements])
+    return dict(zip(distinct, map(template, family.unpack(distinct))))
+
+
+def _print_json(family: GroebnerFamily, elements: list) -> None:
     """Print the records {"M", "lt", "poly"} exactly as
     json.dumps(records, indent=2) would, with one format string per
     nesting depth; terms go in the family's order, decreasing grlex,
@@ -73,9 +86,7 @@ def _print_json(family: GroebnerFamily, elements) -> None:
         % (_json_rows(k - 1, 6), _json_rows(k, 6))
     )
     term = "      [\n%s\n      ]" % _json_rows(k, 8)
-    elements = list(elements)
-    distinct = set().union(*[terms for _, terms in elements])
-    rows = dict(zip(distinct, map(term.__mod__, family.unpack(distinct))))
+    rows = _term_table(family, elements, term.__mod__)
     records = []
     for m, terms in elements:
         body = ",\n".join(map(rows.__getitem__, terms))
@@ -87,16 +98,18 @@ def _print_json(family: GroebnerFamily, elements) -> None:
 def _cmd_generate(args) -> int:
     family = GroebnerFamily(_context(args))
     if args.only_m is None:
-        elements = family.packed_items()
+        elements = list(family.packed_items())
     else:
         only_m = tuple(int(x) for x in args.only_m.split(","))
         elements = [(only_m, family.packed_terms(only_m))]
     if args.format == "json":
         _print_json(family, elements)
     else:
+        # the stored terms are already in print order, decreasing grlex
+        rows = _term_table(family, elements, format_monomial)
         for m, terms in elements:
             label = ",".join(str(x) for x in m)
-            print(f"g[{label}] = {format_poly(family.to_poly(terms))}")
+            print(f"g[{label}] = {' + '.join(map(rows.__getitem__, terms))}")
     return 0
 
 
@@ -135,22 +148,10 @@ def _cmd_immersion_check(args) -> int:
 
 
 def _cmd_basis(args) -> int:
-    ctx = _context(args)
-    monos = standard_basis(ctx)
-    for m in monos:
-        print(format_poly(Poly.monomial(m)))
+    monos = standard_basis(_context(args))
+    print(*map(format_monomial, monos), sep="\n")
     print(f"count: {len(monos)}")
     return 0
-
-
-_COMMANDS = {
-    "generate": _cmd_generate,
-    "reduce": _cmd_reduce,
-    "dual": _cmd_dual,
-    "verify": _cmd_verify,
-    "immersion-check": _cmd_immersion_check,
-    "basis": _cmd_basis,
-}
 
 
 def run(argv: list[str]) -> int:
@@ -160,10 +161,11 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _COMMANDS[args.subcommand](args)
-    except (ValueError, OverflowError) as exc:
+        return args.command(args)
+    except (ValueError, OverflowError, RecursionError) as exc:
         # ParseError and OracleCapExceeded are ValueErrors; OverflowError is
-        # an exponent too large for a term
+        # an exponent too large for a term; RecursionError is a k too large
+        # for the walks, which recurse once per variable
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

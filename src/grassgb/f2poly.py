@@ -17,6 +17,7 @@ __all__ = [
     "weighted_degree",
     "monomials_of_weighted_degree",
     "parse",
+    "format_monomial",
     "format_poly",
 ]
 
@@ -251,7 +252,8 @@ def parse(text: str, k: int) -> Poly:
         pos = _SPACE.match(text, pos + 1).end()
 
 
-def _format_monomial(mono: Monomial) -> str:
+def format_monomial(mono: Monomial) -> str:
+    """One term's text, 'w1^2*w3' style; the constant monomial is '1'."""
     factors = []
     for j, e in enumerate(mono, start=1):
         if e == 1:
@@ -266,4 +268,4 @@ def format_poly(f: Poly) -> str:
     if not f.terms:
         return "0"
     ordered = sorted(f.terms, key=grlex_key, reverse=True)
-    return " + ".join(_format_monomial(t) for t in ordered)
+    return " + ".join(map(format_monomial, ordered))

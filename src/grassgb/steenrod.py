@@ -53,8 +53,6 @@ def sq_on_generator(i: int, j: int, k: int) -> Poly:
         raise ValueError(f"generator index {j} out of 1..{k}")
     if i < 0:
         raise ValueError("negative square")
-    if i == 0:
-        return Poly.variable(k, j)
     if i > j:
         return Poly.zero(k)
     terms = []
@@ -167,20 +165,32 @@ def normal_bundle_sw(
     n: int, family: Optional[GroebnerFamily] = None
 ) -> dict[int, CohomologyClass]:
     """Stiefel-Whitney classes of the stable normal bundle of G_{5,n},
-    n a positive multiple of 8, reduced to normal form per degree."""
+    n a positive multiple of 8, reduced to normal form per degree.
+
+    One identity serves every G_{k,n}.  The tangent bundle is
+    T = Hom(gamma, gamma^perp) and gamma + gamma^perp is trivial of rank
+    n+k, so T + gamma (x) gamma is trivial of rank k(n+k) and w(T) =
+    w(gamma)^{n+k} / w(gamma (x) gamma) (Milnor-Stasheff).  With 2^s the
+    least power of two >= n+k, w_j^{2^s} = 0 for every j: each root x of
+    gamma is w_1 of a line bundle inside the trivial R^{n+k}, so
+    x^{n+k} = 0, and 1 + sum_j w_j^{2^s} = w(gamma)^{2^s} = prod (1 +
+    x^{2^s}) = 1.  So w(gamma)^{-(n+k)} = w(gamma)^e with e = 2^s - (n+k),
+    and
+
+        w(nu) = w(T)^{-1} = w(gamma (x) gamma) w(gamma)^e,
+
+    of top degree k(k-1) + k e.  Only ``_g5n_context`` fixes k = 5.
+    """
     ctx, family = _g5n_context(n, family)
-    r = (n + 4).bit_length() - 1  # 2^r < n+5 <= 2^{r+1}
-    e = 2 ** (r + 1) - n - 5
-    tensor = tensor_square_sw(5)
-    total_w = Poly.one(5)
-    for j in range(1, 6):
-        total_w = total_w + Poly.variable(5, j)
-    unreduced = tensor * total_w**e
-    components = unreduced.weighted_components()
-    out: dict[int, CohomologyClass] = {}
-    for d in range(0, 20 + 5 * e + 1):
-        out[d] = normal_form(ctx, components.get(d, Poly.zero(5)), family)
-    return out
+    k = ctx.k
+    e = 2 ** (n + k - 1).bit_length() - n - k
+    total_w = sum((Poly.variable(k, j) for j in range(1, k + 1)), Poly.one(k))
+    components = (tensor_square_sw(k) * total_w**e).weighted_components()
+    zero = Poly.zero(k)
+    return {
+        d: normal_form(ctx, components.get(d, zero), family)
+        for d in range(k * (k - 1) + k * e + 1)
+    }
 
 
 def immersion_obstruction_check(

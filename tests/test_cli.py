@@ -10,8 +10,9 @@ from reference import generate_json_reference, indices_up_to_reference, normal_f
 
 import grassgb
 from grassgb.cli import run
+from grassgb.cohomology import standard_basis
 from grassgb.f2poly import Poly, format_poly
-from grassgb.groebner_family import GrassmannContext, GroebnerFamily
+from grassgb.groebner_family import GrassmannContext, GroebnerFamily, g_direct
 
 
 def invoke(capsys, *argv):
@@ -29,6 +30,28 @@ def test_generate_text(capsys):
         "g[2] = w1*w2^2",
         "g[3] = w2^3",
     ]
+
+
+def text_lines(ctx, indices):
+    """``generate`` text lines for the indices, each g_M by g_direct and
+    printed by format_poly."""
+    return [f"g[{','.join(map(str, m))}] = {format_poly(g_direct(ctx, m))}\n" for m in indices]
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_generate_text_matches_format_poly(capsys, k):
+    # the grid of the JSON test below: both formats share one term table
+    for n in sorted({k, 7, 9}):
+        ctx = GrassmannContext(k, n)
+        code, out, _ = invoke(capsys, "generate", "-k", str(k), "-n", str(n))
+        assert code == 0
+        indices = indices_up_to_reference(k, n + 1)
+        assert out == "".join(text_lines(ctx, indices)), n
+        # --only-m on the first, the last and a few between
+        for m in indices[:: max(1, len(indices) // 4)] + indices[-1:]:
+            only = ",".join(map(str, m))
+            code, out, _ = invoke(capsys, "generate", "-k", str(k), "-n", str(n), "--only-m", only)
+            assert (code, out) == (0, text_lines(ctx, [m])[0]), (n, m)
 
 
 def test_generate_json_round_trips(capsys):
@@ -169,6 +192,15 @@ def test_basis(capsys):
     assert lines == ["1", "w2", "w1", "w2^2", "w1*w2", "w1^2", "count: 6"]
 
 
+@pytest.mark.parametrize("k,n", [(2, 2), (3, 6), (5, 8)])
+def test_basis_matches_format_poly(capsys, k, n):
+    code, out, _ = invoke(capsys, "basis", "-k", str(k), "-n", str(n))
+    assert code == 0
+    monos = standard_basis(GrassmannContext(k, n))
+    expected = [format_poly(Poly.monomial(m)) for m in monos] + [f"count: {len(monos)}"]
+    assert out.splitlines() == expected
+
+
 def test_usage_errors_exit_2(capsys):
     assert invoke(capsys, "nonsense")[0] == 2
     assert invoke(capsys, "generate", "-k", "2")[0] == 2
@@ -182,6 +214,23 @@ def test_exponent_overflow_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: exponent overflow")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("basis", "-k", "1000", "-n", "1000"),
+        ("generate", "-k", "1000", "-n", "1000"),
+        ("dual", "-k", "1000", "-r", "1000"),
+        ("reduce", "-k", "1000", "-n", "1000", "w1^1001"),
+    ],
+)
+def test_deep_recursion_exits_2(capsys, argv):
+    # the index enumeration and the g_M walk recurse once per variable
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:")
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")

@@ -2,6 +2,7 @@ import pytest
 from reference import alpha, sq_reference, tensor_square_sw_reference, wu_reference
 
 from grassgb.f2poly import Poly, parse, weighted_degree
+from grassgb.cohomology import normal_form
 from grassgb.groebner_family import GrassmannContext, GroebnerFamily
 from grassgb.steenrod import (
     immersion_obstruction_check,
@@ -187,6 +188,17 @@ class TestNormalBundle:
             if d >= 36:
                 assert not cls
         assert max(nb) == 35
+
+    @pytest.mark.parametrize("n", (8, 16))
+    def test_every_class_inverts_the_tangent_class(self, n):
+        # w(nu) w(gamma)^{n+5} = w(gamma (x) gamma) in every degree, with
+        # no oracle: w(gamma)^{n+5} / w(gamma (x) gamma) is w(T)
+        ctx = GrassmannContext(5, n)
+        family = GroebnerFamily(ctx)
+        nu = sum((cls.value for cls in normal_bundle_sw(n, family).values()), Poly.zero(5))
+        total_w = sum((Poly.variable(5, j) for j in range(1, 6)), Poly.one(5))
+        lhs = normal_form(ctx, nu * total_w ** (n + 5), family)
+        assert lhs == normal_form(ctx, tensor_square_sw(5), family)
 
     def test_exponent_congruence(self):
         # 2^{r+1} - n - 5 = 3 and 3 mod 8 = 3 for n = 8
