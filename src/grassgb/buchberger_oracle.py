@@ -20,16 +20,26 @@ comparison, against every earlier lead: one that divides it means the
 packed search missed a divisor, and ``buchberger`` raises instead of
 running on.
 
-Leading terms are packed into one int each: every exponent sits in a W-bit
-field topped by a guard bit.  With G the mask of guard bits, a | b iff
-``((b | G) - a) & G == G``: a field's guard survives the subtraction iff
-b_i >= a_i, and no borrow crosses a guard.  The surviving guards select, per
-field, the larger exponent, which gives the lcm; two leads are coprime iff
-their lcm equals their sum.  W is the bit length of the largest exponent
-among the leads (at least 1) and widens (repacking every lead) when a new
-lead outgrows it.  A probed term's exponents are clamped to 2^W - 1 before
-packing, which is exact because no lead exponent exceeds that.  Terms
-themselves stay exponent tuples.
+Every term is packed into one int, the oracle's own grlex packing: the
+exponents a_1, ..., a_k sit in W-bit fields, a_k lowest, each topped by a
+guard bit, and the exponent sum sits above them all, so comparing ints is
+comparing in grlex.  The reducer's heap holds -v for each term v, the
+quotient of v by a dividing lead is v - lead, and a basis multiple adds
+the quotient to each of the element's terms.  W holds the largest
+exponent sum the reducer meets: every sum of the loaded input (the
+generators, or the basis and the polynomial to reduce), and each popped
+S-pair's lcm.  Reduction never raises a sum above the largest one it
+started from, so no field overflows, and W widens only between normal
+forms, repacking every term, lead and queued lcm.  If a lead does not
+divide v, the lowest field where it is larger borrows through its guard
+bit, so v - lead has a guard bit set, and ``normal_form`` raises instead
+of running on with a wrong divisor.  With G the mask of guard bits, a | b
+iff ``((b | G) - a) & G == G`` on the exponent fields alone: a field's
+guard survives the subtraction iff b_i >= a_i, and no borrow crosses a
+guard.  The surviving guards select, per field, the larger exponent,
+which gives the lcm; two leads are coprime iff their lcm equals their
+sum.  Tuples remain only at the edges (``Poly`` in and out) and in each
+lead's tuple, which the sugar and the missed-divisor check read.
 
 All leads also sit side by side in one int, lead i in the block of
 B = k(W+1) + 1 bits at bit B*i, whose top bit is spare.  One multiply
@@ -48,7 +58,7 @@ from __future__ import annotations
 import heapq
 import operator
 
-from .dual_classes import wbar_recurrence
+from .dual_classes import wbar_sequence
 from .f2poly import Monomial, Poly, grlex_key, weighted_degree
 from .groebner_family import GrassmannContext, GroebnerFamily
 
@@ -69,11 +79,6 @@ class OracleCapExceeded(ValueError):
     """The requested instance is larger than the configured oracle cap."""
 
 
-def _neg_key(t: Monomial):
-    # heapq is a min-heap; this key pops the grlex-largest monomial first
-    return (-sum(t), tuple(-x for x in t), t)
-
-
 def s_polynomial(f: Poly, g: Poly) -> Poly:
     """S(f, g): the leading-term cancellation combination over F2."""
     if not f or not g:
@@ -89,43 +94,83 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
 class _Reducer:
     """Normal forms against a growing basis, with generic divisor search.
 
-    ``plts[i]`` is the packed lead of basis element i, and ``cat`` holds
-    them all, block i at bit ``block * i`` (module docstring).  ``rep``
-    has a 1 at the bottom of each block; ``grep``, ``fill`` and ``spare``
-    replicate the guard mask, 2^(B-1) - 1 and the spare bit into each.
-    A divisor costs one ``dividing`` call and is not memoized.  Shifted
-    basis multiples are memoized per (element, multiplier); entries stay
-    valid when the basis grows because an element, once added, never
-    changes.
+    Every term is one int in the grlex packing (module docstring):
+    ``polys[i]`` holds the packed terms of basis element i, ``leads[i]``
+    its packed lead and ``lts[i]`` that lead as a tuple.  ``plts[i]`` is
+    the lead's exponent fields alone, and ``cat`` holds them all, block i
+    at bit ``block * i``.  ``rep`` has a 1 at the bottom of each block;
+    ``grep``, ``fill`` and ``spare`` replicate the guard mask, 2^(B-1) - 1
+    and the spare bit into each.  ``pairs`` maps each queued S-pair to the
+    lcm of its leads' exponent fields.  A divisor costs one ``dividing``
+    call and is not memoized.  Basis multiples are memoized per (element,
+    quotient); entries stay valid when the basis grows because an element,
+    once added, never changes, and ``fit`` drops them when it widens.
     """
 
     def __init__(self, k: int):
         self.k = k
-        self.lts: list[Monomial] = []
+        self.width = 0
         self.polys: list[frozenset] = []
-        self._widen(1)
-        self._prod: dict[tuple[int, Monomial], frozenset] = {}
+        self.pairs: dict[tuple[int, int], int] = {}
+        self.fit(1)
 
-    def _pack(self, t: Monomial) -> int:
-        shift, top = self.width + 1, self._top
-        v = 0
+    def pack(self, t: Monomial) -> int:
+        shift = self.width + 1
+        v = sum(t)
         for e in t:
-            v = v << shift | (e if e < top else top)
+            v = v << shift | e
         return v
 
-    def _widen(self, width: int) -> None:
-        self.width = width
-        self._top = (1 << width) - 1
-        field = 1 << (width + 1)
-        self.guard = (1 << width) * (field**self.k - 1) // (field - 1)
-        self.block = self.k * (width + 1) + 1
-        self.plts: list[int] = []
-        self.cat = self.rep = self.grep = self.fill = self.spare = 0
-        for t in self.lts:
-            self._append(self._pack(t))
+    def unpack(self, v: int) -> Monomial:
+        top = self._top
+        return tuple([v >> shift & top for shift in self._shifts])
 
-    def _append(self, plt: int) -> None:
+    def fit(self, total: int) -> None:
+        """Widen the fields to hold exponent sums up to ``total``.  This
+        repacks every element, lead and queued lcm and drops the memoized
+        multiples, so it runs only between normal forms."""
+        if total < 1 << self.width:
+            return
+        polys = [list(map(self.unpack, terms)) for terms in self.polys]
+        self.width = width = total.bit_length()
+        field = 1 << (width + 1)
+        self._top = (1 << width) - 1
+        self._shifts = [(width + 1) * i for i in range(self.k - 1, -1, -1)]
+        self.fields = field**self.k - 1
+        self.guard = self.fields // (field - 1) << width
+        self.block = self.k * (width + 1) + 1
+        self.lts: list[Monomial] = []
+        self.leads: list[int] = []
+        self.plts: list[int] = []
+        self.polys = []
+        self.cat = self.rep = self.grep = self.fill = self.spare = 0
+        self._prod: dict[tuple[int, int], frozenset] = {}
+        for terms in polys:
+            self.add(frozenset(map(self.pack, terms)))
+        for g1, g2 in self.pairs:
+            self.pairs[(g1, g2)] = self.lcm(self.plts[g1], self.plts[g2])
+
+    def load(self, polys: list[Poly]) -> list[frozenset]:
+        """The packed terms of each of ``polys``, after widening the fields
+        to the largest exponent sum among them."""
+        self.fit(max((sum(t) for g in polys for t in g.terms), default=0))
+        return [frozenset(map(self.pack, g.terms)) for g in polys]
+
+    def to_poly(self, terms: frozenset) -> Poly:
+        return Poly._make(self.k, frozenset(map(self.unpack, terms)))
+
+    def lcm(self, a: int, b: int) -> int:
+        """The lcm of two leads' packed exponent fields."""
+        m = ((b | self.guard) - a) & self.guard
+        return a ^ ((a ^ b) & (m - (m >> self.width)))
+
+    def add(self, terms: frozenset) -> int:
+        lead = max(terms)
+        plt = lead & self.fields
         shift = self.block * len(self.plts)
+        self.leads.append(lead)
+        self.lts.append(self.unpack(lead))
+        self.polys.append(terms)
         self.plts.append(plt)
         self.cat |= plt << shift
         self.rep |= 1 << shift
@@ -133,70 +178,57 @@ class _Reducer:
         self.grep = self.guard * self.rep
         self.fill = (spare - 1) * self.rep
         self.spare = spare * self.rep
-
-    def lcm(self, a: int, b: int) -> int:
-        """The packed lcm of two packed leads."""
-        m = ((b | self.guard) - a) & self.guard
-        return a ^ ((a ^ b) & (m - (m >> self.width)))
-
-    def add(self, terms: frozenset) -> int:
-        lt = max(terms, key=grlex_key)
-        self.lts.append(lt)
-        self.polys.append(terms)
-        if max(lt) > self._top:
-            self._widen(max(lt).bit_length())
-        else:
-            self._append(self._pack(lt))
-        return len(self.lts) - 1
+        return len(self.plts) - 1
 
     def dividing(self, probe: int) -> int:
-        """The mask of leads dividing ``probe``, a packed monomial with its
-        guard bits set: bit ``block * i + block - 1`` is set iff lead i
-        divides it."""
+        """The mask of leads dividing ``probe``, packed exponent fields with
+        their guard bits set: bit ``block * i + block - 1`` is set iff lead
+        i divides it."""
         grep = self.grep
         cleared = ((probe * self.rep - self.cat) & grep) ^ grep
         return ~(cleared + self.fill) & self.spare
 
-    def divisor(self, t: Monomial) -> int | None:
-        mask = self.dividing(self._pack(t) | self.guard)
+    def divisor(self, v: int) -> int | None:
+        mask = self.dividing(v & self.fields | self.guard)
         if not mask:
             return None
         return (mask & -mask).bit_length() // self.block - 1
 
-    def _product(self, gi: int, q: Monomial) -> frozenset:
+    def _product(self, gi: int, q: int) -> frozenset:
         key = (gi, q)
         cached = self._prod.get(key)
         if cached is None:
-            cached = frozenset(
-                tuple(map(sum, zip(term, q))) for term in self.polys[gi]
-            )
+            cached = frozenset(map(q.__add__, self.polys[gi]))
             self._prod[key] = cached
         return cached
 
     def normal_form(self, terms) -> frozenset:
         work = set(terms)
-        heap = [_neg_key(t) for t in work]
+        heap = [-v for v in work]
         heapq.heapify(heap)
+        queued = set(work)  # the pops fall, so no term is queued twice
         remainder = set()
         while heap:
-            t = heapq.heappop(heap)[2]
-            if t not in work:
+            v = -heapq.heappop(heap)
+            if v not in work:
                 continue
-            gi = self.divisor(t)
+            gi = self.divisor(v)
             if gi is None:
-                work.remove(t)
-                remainder.add(t)
+                work.remove(v)
+                remainder.add(v)
                 continue
-            q = tuple(a - b for a, b in zip(t, self.lts[gi]))
-            if min(q) < 0:
+            q = v - self.leads[gi]
+            if q & self.guard:
                 # a wrong divisor would shift terms to ever lower degrees
                 # and never finish
-                raise RuntimeError(f"lead {self.lts[gi]} does not divide {t}")
+                raise RuntimeError(
+                    f"lead {self.lts[gi]} does not divide {self.unpack(v)}"
+                )
             prod = self._product(gi, q)
-            fresh = prod - work
             work.symmetric_difference_update(prod)
-            for u in fresh:
-                heapq.heappush(heap, _neg_key(u))
+            for u in prod - queued:
+                heapq.heappush(heap, -u)
+            queued |= prod
         return frozenset(remainder)
 
 
@@ -233,27 +265,29 @@ def _update_pairs(
     return fresh
 
 
+def _check(polys: list[Poly], k: int, name: str) -> None:
+    """Reject a zero element, or one in other than k variables."""
+    for i, g in enumerate(polys):
+        if not g:
+            raise ValueError(f"zero {name} at index {i}")
+        if g.k != k:
+            raise ValueError(f"mixed variable counts: {name} {i} has {g.k}, not {k}")
+
+
 def buchberger(generators: list[Poly]) -> list[Poly]:
     """A (non-reduced) Groebner basis of the ideal spanned by the input."""
     if not generators:
         raise ValueError("need at least one generator")
-    k = generators[0].k
-    for g in generators:
-        if not g:
-            raise ValueError("zero generator")
-        if g.k != k:
-            raise ValueError("generators have mixed variable counts")
+    _check(generators, generators[0].k, "generator")
 
-    reducer = _Reducer(k)
+    reducer = _Reducer(generators[0].k)
     sugar: list[int] = []  # sugar[i] belongs to reducer element i
-    pairs: dict[tuple[int, int], int] = {}
     heap: list = []
 
     def insert(terms, s: int) -> None:
         reduced = reducer.normal_form(terms)
         if not reduced:
             return
-        width = reducer.width
         h = reducer.add(reduced)
         sugar.append(s)
         lth = reducer.lts[h]
@@ -262,10 +296,7 @@ def buchberger(generators: list[Poly]) -> list[Poly]:
                 raise RuntimeError(
                     f"lead {old} divides the new lead {lth}: a divisor was missed"
                 )
-        if reducer.width != width:  # the queued packed lcms are stale
-            for g1, g2 in pairs:
-                pairs[(g1, g2)] = reducer.lcm(reducer.plts[g1], reducer.plts[g2])
-        for g in _update_pairs(reducer, pairs, h):
+        for g in _update_pairs(reducer, reducer.pairs, h):
             lcm = tuple(map(max, reducer.lts[g], lth))
             wl = weighted_degree(lcm)
             pair_sugar = max(
@@ -274,20 +305,19 @@ def buchberger(generators: list[Poly]) -> list[Poly]:
             )
             heapq.heappush(heap, ((pair_sugar,) + grlex_key(lcm), (g, h)))
 
-    for g in generators:
-        insert(g.terms, max(map(weighted_degree, g.terms)))
+    for terms, g in zip(reducer.load(generators), generators):
+        insert(terms, max(map(weighted_degree, g.terms)))
 
     while heap:
-        (s, _, lcm), pair = heapq.heappop(heap)
-        if pair not in pairs:
+        (s, total, lcm), pair = heapq.heappop(heap)
+        if pair not in reducer.pairs:
             continue
-        del pairs[pair]
-        g1, g2 = pair
-        q1 = tuple(a - b for a, b in zip(lcm, reducer.lts[g1]))
-        q2 = tuple(a - b for a, b in zip(lcm, reducer.lts[g2]))
-        insert(reducer._product(g1, q1) ^ reducer._product(g2, q2), s)
+        del reducer.pairs[pair]
+        reducer.fit(total)  # the S-polynomial's terms have sums up to the lcm's
+        q1, q2 = (reducer.pack(lcm) - reducer.leads[g] for g in pair)
+        insert(reducer._product(pair[0], q1) ^ reducer._product(pair[1], q2), s)
 
-    return [Poly._make(k, terms) for terms in reducer.polys]
+    return list(map(reducer.to_poly, reducer.polys))
 
 
 def reduce_basis(gb: list[Poly]) -> list[Poly]:
@@ -300,24 +330,25 @@ def reduce_basis(gb: list[Poly]) -> list[Poly]:
     """
     if not gb:
         raise ValueError("empty basis")
-    k = gb[0].k
-    entries = sorted(((g.leading_term(), g) for g in gb), key=lambda e: grlex_key(e[0]))
-    reducer = _Reducer(k)
-    for lt, g in entries:
-        if reducer.divisor(lt) is None:
-            reducer.add(g.terms)
+    _check(gb, gb[0].k, "basis element")
+    reducer = _Reducer(gb[0].k)
+    for terms in sorted(reducer.load(gb), key=max):
+        if reducer.divisor(max(terms)) is None:
+            reducer.add(terms)
     return [
-        Poly._make(k, reducer.normal_form(terms - {lt}) | {lt})
-        for lt, terms in zip(reducer.lts, reducer.polys)
+        reducer.to_poly(reducer.normal_form(terms - {lead}) | {lead})
+        for lead, terms in zip(reducer.leads, reducer.polys)
     ]
 
 
 def oracle_reduce(f: Poly, basis: list[Poly]) -> Poly:
     """Full normal form of f against an arbitrary basis (generic search)."""
+    _check(basis, f.k, "basis element")
     reducer = _Reducer(f.k)
-    for g in basis:
-        reducer.add(g.terms)
-    return Poly._make(f.k, reducer.normal_form(f.terms))
+    *packed, terms = reducer.load(basis + [f])
+    for element in packed:
+        reducer.add(element)
+    return reducer.to_poly(reducer.normal_form(terms))
 
 
 def oracle_equals_family(ctx: GrassmannContext, cap: int = DEFAULT_CAP) -> bool:
@@ -329,6 +360,6 @@ def oracle_equals_family(ctx: GrassmannContext, cap: int = DEFAULT_CAP) -> bool:
         raise OracleCapExceeded(
             f"instance has {size} basis elements, above the cap of {cap}"
         )
-    generators = [wbar_recurrence(ctx.n + j, ctx.k) for j in range(1, ctx.k + 1)]
+    generators = wbar_sequence(ctx.n + ctx.k, ctx.k)[ctx.n + 1 :]
     oracle = reduce_basis(buchberger(generators))
     return set(oracle) == set(family.polynomials())

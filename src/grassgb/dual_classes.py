@@ -15,7 +15,7 @@ from __future__ import annotations
 from .f2poly import MAX_EXPONENT, Poly
 from .groebner_family import _direct
 
-__all__ = ["wbar_recurrence", "wbar_explicit"]
+__all__ = ["wbar_sequence", "wbar_recurrence", "wbar_explicit"]
 
 
 def _validate(r: int, k: int) -> None:
@@ -27,8 +27,9 @@ def _validate(r: int, k: int) -> None:
         raise OverflowError(f"exponent overflow: w1^{r} is a term of wbar_{r}")
 
 
-def wbar_recurrence(r: int, k: int) -> Poly:
-    """wbar_r via wbar_r = sum_{i=1}^{min(r,k)} w_i * wbar_{r-i}, wbar_0 = 1.
+def wbar_sequence(r: int, k: int) -> list[Poly]:
+    """wbar_0, ..., wbar_r from one run of wbar_d = sum_{i=1}^{min(d,k)}
+    w_i * wbar_{d-i}, wbar_0 = 1.
 
     It shares no code with the g_M kernel, so the oracle's generators,
     which come from here, check the kernel independently."""
@@ -39,7 +40,12 @@ def wbar_recurrence(r: int, k: int) -> Poly:
         for i in range(1, min(d, k) + 1):
             acc = acc + Poly.variable(k, i) * wbar[d - i]
         wbar.append(acc)
-    return wbar[r]
+    return wbar
+
+
+def wbar_recurrence(r: int, k: int) -> Poly:
+    """wbar_r, the last class of ``wbar_sequence(r, k)``."""
+    return wbar_sequence(r, k)[r]
 
 
 def wbar_explicit(r: int, k: int) -> Poly:

@@ -15,7 +15,7 @@ from grassgb.buchberger_oracle import (
     reduce_basis,
     s_polynomial,
 )
-from grassgb.dual_classes import wbar_recurrence
+from grassgb.dual_classes import wbar_recurrence, wbar_sequence
 from grassgb.f2poly import Poly, grlex_key, parse
 from grassgb.groebner_family import GrassmannContext, build_family
 
@@ -93,7 +93,7 @@ class TestBuchberger:
         real_push = heapq.heappush
 
         def push(heap, item):
-            if len(item) == 2:  # (lcm key, pair); normal_form pushes 3-tuples
+            if isinstance(item, tuple):  # (lcm key, pair); normal_form pushes ints
                 pushed.append(item[1])
             real_push(heap, item)
 
@@ -125,7 +125,7 @@ class TestSugarStrategy:
 
         def pop(heap):
             item = real_pop(heap)
-            if len(item) == 2:  # (sugar key, pair); normal_form pops 3-tuples
+            if isinstance(item, tuple):  # (sugar key, pair); normal_form pops ints
                 popped.append(item[0][0])
             return item
 
@@ -141,6 +141,23 @@ class TestSugarStrategy:
             assert popped == sorted(popped), gens
             counts.append(len(popped))
         assert all(counts[:2])  # the dual-class runs pop pairs
+
+
+class TestRejectsBadInput:
+    """Every entry point refuses a zero element and mixed variable counts,
+    as ``buchberger`` does."""
+
+    def test_mixed_variable_counts(self):
+        with pytest.raises(ValueError, match="mixed variable counts"):
+            oracle_reduce(parse("w1^2", 2), [parse("w1", 3)])
+        with pytest.raises(ValueError, match="mixed variable counts"):
+            reduce_basis([parse("w1", 2), parse("w1", 3)])
+
+    def test_zero_basis_element(self):
+        with pytest.raises(ValueError, match="zero basis element at index 1"):
+            oracle_reduce(parse("w1^2", 2), [parse("w2", 2), Poly.zero(2)])
+        with pytest.raises(ValueError, match="zero basis element at index 0"):
+            reduce_basis([Poly.zero(2)])
 
 
 class TestReduceBasis:
@@ -182,6 +199,17 @@ class TestOracleEqualsFamily:
     @pytest.mark.parametrize("k,n", [(2, 2), (2, 3), (3, 3)])
     def test_small_instances(self, k, n):
         assert oracle_equals_family(GrassmannContext(k, n))
+
+    def test_generators_come_from_one_recurrence_run(self, monkeypatch):
+        runs = []
+
+        def sequence(r, k):
+            runs.append((r, k))
+            return wbar_sequence(r, k)
+
+        monkeypatch.setattr(buchberger_oracle, "wbar_sequence", sequence)
+        assert oracle_equals_family(GrassmannContext(3, 4))
+        assert runs == [(7, 3)]
 
     def test_cap_guard(self):
         with pytest.raises(OracleCapExceeded):
@@ -268,7 +296,7 @@ class TestDividingMask:
     def probes(rng, red):
         top, k = red._top, red.k
         huge = (1 << 20) + 7
-        # clamped in every field
+        # past every lead exponent in every field
         yield tuple(top + 1 + rng.randint(0, huge) for _ in range(k))
         for _ in range(6):
             lt = rng.choice(red.lts)
@@ -285,15 +313,49 @@ class TestDividingMask:
         widened = 0
         for _ in range(30):
             width = red.width
-            red.add(frozenset([self.lead(rng, red)]))
+            lead = self.lead(rng, red)
+            red.fit(sum(lead))
+            red.add(frozenset([red.pack(lead)]))
             widened += red.width != width
-            block = red.block
             for t in self.probes(rng, red):
+                red.fit(sum(t))  # the fields hold every sum a normal form meets
+                block = red.block
                 expected = dividing_reference(red.lts, t)
-                mask = red.dividing(red._pack(t) | red.guard)
+                v = red.pack(t)
+                mask = red.dividing(v & red.fields | red.guard)
                 assert mask == sum(1 << (block * i + block - 1) for i in expected), t
-                assert red.divisor(t) == (expected[0] if expected else None), t
+                assert red.divisor(v) == (expected[0] if expected else None), t
         assert widened >= 3
+
+
+class TestPackedQuotient:
+    """With every field wide enough for the sums, v - lead is the packed
+    quotient when the lead divides v, and otherwise sets a guard bit, on
+    which ``normal_form`` raises."""
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_guard_bits_decide_division(self, k, monkeypatch):
+        monkeypatch.setattr(_Reducer, "divisor", lambda self, v: 0)
+        rng = random.Random(104729 * k)
+        raised = 0
+        for _ in range(200):
+            red = _Reducer(k)
+            red.fit(rng.choice((1, 7, 8, 63)) * k)
+            edge = red._top // k
+            a = tuple(rng.choice((0, 1, edge, rng.randint(0, edge))) for _ in range(k))
+            b = tuple(rng.choice((0, 1, edge, x, x + 1, x - 1)) for x in a)
+            b = tuple(min(max(y, 0), edge) for y in b)
+            red.add(frozenset([red.pack(a)]))
+            q = red.pack(b) - red.pack(a)
+            if all(x <= y for x, y in zip(a, b)):
+                assert q == red.pack(tuple(y - x for x, y in zip(a, b))), (a, b)
+                assert not red.normal_form([red.pack(b)])
+            else:
+                assert q & red.guard, (a, b)
+                with pytest.raises(RuntimeError, match="does not divide"):
+                    red.normal_form([red.pack(b)])
+                raised += 1
+        assert 20 < raised < 180
 
 
 class TestPairStream:
@@ -334,20 +396,25 @@ class TestPairStream:
 
 
 class TestWidthEdges:
-    """Leads and probes at and past the packed field width."""
+    """Exponent sums at and past the packed field width: fitted when the
+    generators are loaded, or when a popped pair's lcm outgrows the fields."""
 
     CASES = {
-        # lead exponents at and above 2^16 from the first generator on
+        # exponents at and above 2^16 from the first generator on
         "above_2_16": (2, ["w1^65536 + w2^3", "w1*w2^2 + w2^65537"]),
-        # the second lead outgrows the width the first one set
+        # one lead is far wider than the other
         "lead_outgrows_width": (2, ["w1*w2^3", "w1^131072 + w2"]),
         "outgrows_with_a_pair_queued": (2, ["w1*w2^3", "w1^2*w2 + w2^2", "w1^131072 + w2"]),
-        # read at the old width, a queued lcm would make the Gebauer-Moller
-        # update drop a pair whose S-polynomial adds an element
+        # a pair whose S-polynomial adds an element, beside a term of sum 23
         "queued_lcm_repacked": (2, ["w1^3*w2 + w2^2", "w1*w2", "w2^23 + w2^2"]),
         "three_variables": (3, ["w1^3 + w2*w3", "w2^70000*w3 + w1", "w3^5 + w1*w2"]),
-        # w2^(2^20 + 7) is probed against w1 while every field is 1 bit wide
+        # w2^(2^20 + 7) beside the leads w1 and w2
         "probe_above_every_field": (2, ["w1 + w2", "w2^1048583 + w2"]),
+        # the pair of w1*w2^2 and w2^3 has the lcm w1*w2^3, whose sum 4
+        # widens the 2-bit fields while the pair of w1*w2^2 and w1^3 is
+        # queued; left at the old width, that pair's lcm would make the
+        # Gebauer-Moller update go wrong
+        "lcm_widens_with_a_pair_queued": (2, ["w1*w2^2 + w2", "w2^3", "w1^3"]),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -357,6 +424,34 @@ class TestWidthEdges:
         gb = buchberger_reference(gens)
         assert buchberger(gens) == gb
         assert reduce_basis(gb) == reduce_basis_reference(gb)
+
+    def test_pair_lcm_outgrowing_the_width(self, monkeypatch):
+        # the generators' sums fit 2 bits, and the S-pair of the leads w1^3
+        # and w1*w2^2 has the lcm w1^3*w2^2 of sum 5, so the fields widen
+        # to 3 bits once that pair is popped, outside every normal form
+        real_fit, real_normal_form = _Reducer.fit, _Reducer.normal_form
+        widths, reducing = [], []
+
+        def fit(self, total):
+            width = self.width
+            real_fit(self, total)
+            if self.width != width:
+                assert not reducing, "widened inside a normal form"
+                widths.append((self.width, len(self.polys)))
+
+        def normal_form(self, terms):
+            reducing.append(terms)
+            try:
+                return real_normal_form(self, terms)
+            finally:
+                reducing.pop()
+
+        monkeypatch.setattr(_Reducer, "fit", fit)
+        monkeypatch.setattr(_Reducer, "normal_form", normal_form)
+        gens = [parse("w1^3 + w2", 2), parse("w1*w2^2 + w1", 2)]
+        gb = buchberger_reference(gens)
+        assert buchberger(gens) == gb
+        assert widths == [(1, 0), (2, 0), (3, 2)]
 
     def test_oracle_reduce_probe_above_every_field(self):
         basis = [parse(text, 3) for text in ("w1", "w2^2*w3 + w1*w3", "w3^3")]

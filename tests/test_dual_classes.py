@@ -2,7 +2,7 @@ import pytest
 from reference import g_direct_reference
 
 from grassgb.cli import run
-from grassgb.dual_classes import wbar_explicit, wbar_recurrence
+from grassgb.dual_classes import wbar_explicit, wbar_recurrence, wbar_sequence
 from grassgb.f2poly import Poly, parse, weighted_degree
 
 
@@ -30,6 +30,13 @@ def test_deep_recurrence_needs_no_recursion():
 def test_explicit_equals_recurrence(k):
     for r in range(1, 61):
         assert wbar_explicit(r, k) == wbar_recurrence(r, k), (r, k)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_sequence_lists_every_class(k):
+    classes = wbar_sequence(30, k)
+    assert classes[0] == Poly.one(k)
+    assert classes[1:] == [wbar_explicit(r, k) for r in range(1, 31)]
 
 
 @pytest.mark.parametrize("k", range(2, 6))
