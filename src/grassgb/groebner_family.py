@@ -15,9 +15,16 @@ x & c == 0.  This carry test is the package's one parity rule: the walk
 below, Wu's formula and the tensor-square resultant in ``steenrod`` all
 read it.  The kernel walks a_k, a_{k-1}, ..., a_2 depth first through
 only the values passing that test, and a_1 is forced by the weighted
-degree, so no term with an even coefficient is ever built.  It works in
-a packing (below) throughout: each level adds a_t times the packed w_t to
-a partial int, and a leaf appends the packed term, so no tuple is built.
+degree, so no term with an even coefficient is ever built.  Each level
+also starts at a lower limit.  By the paper's leading-term law,
+lt(g_M) = w_1^{n+1-S_M} w_2^{m_2} ... w_k^{m_k} is the grlex-largest term
+of g_M, so no term has exponent sum above n+1; an a_t so small that
+a_1, ..., a_{t-1} could not carry the weighted degree left within that
+sum is skipped with every branch below it.  The two-term elements with
+m_k = n-1 then take a handful of nodes at any n; without the limit the
+walk visits about n^2 dead ends on them.  It works in a packing (below)
+throughout: each level adds a_t times the packed w_t to a partial int,
+and a leaf appends the packed term, so no tuple is built.
 
 Whole families are built through the paper's three-term recurrence
 
@@ -28,7 +35,10 @@ from the walk.  A single element asked for on its own (a reduction step,
 ``generate --only-m``) is one walk at the family's width, not the
 elements below it, and the family does not keep it.  ``g_direct`` runs
 the same walk at a width of its own, one that holds its weighted degree,
-so it stays valid for S_M > n+1, and unpacks the result.  At M = 0 every
+and with the weighted degree as its bound, which every term meets, so
+the limit never binds: it stays valid for S_M > n+1, where the law does
+not hold, and it is the unpruned enumeration the tests compare the
+bounded walk with.  At M = 0 every
 P(A, M) is a multinomial coefficient, so the same walk (``_direct``) lists
 the dual class wbar_r = g_0 at n = r-1 for ``dual_classes``.  Closed forms
 exist for indices with m_k close to n; they are exposed for
@@ -152,9 +162,36 @@ def leading_term_of(ctx: GrassmannContext, m: MultiIndex) -> Monomial:
     return (ctx.n + 1 - s,) + tuple(m)
 
 
-def _walk(m: MultiIndex, degree: int, times: list[int]) -> list[int]:
-    """The terms of g_M of weighted degree ``degree``, packed: ``times[t]``
-    is the packed w_t, and every field must hold ``degree``."""
+def _least_admissible(c: int, lo: int) -> int:
+    """The least x >= lo with x & c == 0, for lo >= 0; 0 when there is
+    none (c < 0 and lo > -c - 1)."""
+    if lo & c:
+        # every value from lo up to the next multiple of 2^(h+1), h the
+        # highest bit of lo that c forbids, still has bit h: jump past
+        # them all to the successor of the last one
+        lo |= (1 << (lo & c).bit_length()) - 1
+        lo = ((lo | c) + 1) & ~c
+    return lo
+
+
+def _walk(m: MultiIndex, degree: int, times: list[int], bound: int) -> list[int]:
+    """The terms of g_M of weighted degree ``degree`` and exponent sum at
+    most ``bound``, packed: ``times[t]`` is the packed w_t, and every
+    field must hold ``degree``.
+
+    The bound is a per-level lower limit on a_t.  With rem the weighted
+    degree left for a_1, ..., a_t and asuf = a_{t+1} + ... + a_k, once
+    a_t = x the weights left are at most t-1, so a_1, ..., a_{t-1} sum to
+    at least ceil((rem - t*x) / (t-1)), and the exponent sum can stay
+    within ``bound`` iff x >= rem - (t-1)*(bound - asuf).  Each level scans its
+    admissible values from that limit up, and no branch that can only
+    end in terms above the bound is entered.  ``packed_terms`` passes
+    bound = n+1: by the paper's leading-term law lt(g_M), of exponent
+    sum n+1, is the grlex-largest term of g_M, so no term is cut.
+    ``_direct`` passes bound = degree, which every term meets, since
+    sum a_t <= sum t*a_t: ``g_direct`` keeps the unpruned enumeration,
+    valid for S_M > n+1, and the tests compare the pruned walk with it.
+    """
     k = len(m) + 1
     # msuf[t] = m_{t+1} + ... + m_k, so c_t = (a_{t+1} + ... + a_k) - msuf[t]
     msuf = [0] * (k + 1)
@@ -166,12 +203,17 @@ def _walk(m: MultiIndex, degree: int, times: list[int]) -> list[int]:
     def walk(t: int, rem: int, asuf: int, acc: int) -> None:
         # acc packs (a_{t+1}, ..., a_k), whose sum is asuf; rem is the
         # weighted degree left for a_1, ..., a_t.  a_t = x runs over the
-        # values 0 <= x <= rem // t with x & c == 0, in increasing order.
+        # values lo <= x <= rem // t with x & c == 0, in increasing order.
         c = asuf - msuf[t]
         c1 = asuf - msuf[1]
         top = rem // t
         wt = times[t]
-        x = 0
+        lo = rem - (t - 1) * (bound - asuf)
+        x = lo if lo > 0 else 0
+        if x & c:  # c forbids a bit of lo itself
+            x = _least_admissible(c, x)
+        if not lo <= x <= top:
+            return
         while True:
             if t > 2:
                 walk(t - 1, rem - t * x, asuf + x, acc + x * wt)
@@ -196,7 +238,7 @@ def _direct(k: int, m: MultiIndex, degree: int) -> Poly:
     walk at the width of the family of (k, max(k, degree)), whose fields
     hold every exponent of such a term (a context needs n >= k)."""
     family = GroebnerFamily(GrassmannContext(k, max(k, degree)))
-    return family.to_poly(_walk(m, degree, family._times))
+    return family.to_poly(_walk(m, degree, family._times, degree))
 
 
 def g_direct(ctx: GrassmannContext, m: MultiIndex) -> Poly:
@@ -324,9 +366,10 @@ class GroebnerFamily:
         terms = self._memo.get(m)
         if terms is None:
             # g_M is homogeneous of its lead's degree, which the guard on
-            # S_M <= n+1 keeps within the fields
+            # S_M <= n+1 keeps within the fields, and by the leading-term
+            # law no term has exponent sum above the lead's, n+1
             lead = leading_term_of(self.context, m)
-            terms = _walk(m, weighted_degree(lead), self._times)
+            terms = _walk(m, weighted_degree(lead), self._times, self.context.n + 1)
             terms = tuple(sorted(terms, reverse=True))
         return terms
 

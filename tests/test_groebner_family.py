@@ -1,5 +1,9 @@
+import bisect
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from reference import (
@@ -9,6 +13,7 @@ from reference import (
     indices_up_to_reference,
 )
 
+import grassgb
 from grassgb.dual_classes import wbar_recurrence
 from grassgb.f2poly import (
     MAX_EXPONENT,
@@ -21,6 +26,7 @@ from grassgb.groebner_family import (
     GrassmannContext,
     GroebnerFamily,
     _indices_up_to,
+    _least_admissible,
     build_family,
     g_closed_form,
     g_direct,
@@ -29,6 +35,7 @@ from grassgb.groebner_family import (
     raised,
     raised2,
 )
+from grassgb.steenrod import normal_bundle_sw
 
 CTX22 = GrassmannContext(2, 2)
 
@@ -444,6 +451,124 @@ def test_g_direct_matches_reference_on_edge_indices():
         indices.add((n + 2,) + (0,) * (k - 2))
         for m in sorted(indices):
             assert g_direct(ctx, m) == g_direct_reference(k, n, m), (k, n, m)
+
+
+@pytest.mark.parametrize("k,n", FAMILY_GRID)
+def test_leading_term_law_bounds_every_exponent_sum(k, n):
+    # the law the pruned walk relies on, read off the unpruned g_direct:
+    # no term of g_M has exponent sum above its lead's, n+1
+    ctx = GrassmannContext(k, n)
+    for m in indices_up_to_reference(k, n + 1):
+        assert max(map(sum, g_direct(ctx, m).terms)) == n + 1, m
+
+
+def test_least_admissible_matches_brute_force():
+    for c in range(-300, 300):
+        # for c < 0 every admissible value is at most -c - 1 < 300
+        admissible = [x for x in range(1024) if x & c == 0]
+        for lo in range(300):
+            i = bisect.bisect_left(admissible, lo)
+            expected = admissible[i] if i < len(admissible) else 0
+            assert _least_admissible(c, lo) == expected, (c, lo)
+
+
+def _assert_pruned_walk_matches_g_direct(ctx: GrassmannContext, m) -> None:
+    family = GroebnerFamily(ctx)
+    expected = tuple(sorted(map(family.pack, g_direct(ctx, m).terms), reverse=True))
+    assert family.packed_terms(m) == expected, (ctx, m)
+
+
+def test_pruned_walk_matches_g_direct_on_random_indices():
+    # the limit binds only when the weight of M sits high, so the entries
+    # are drawn from m_k down, each out of what the ones above it leave
+    rng = random.Random(20261019)
+    for _ in range(150):
+        k = rng.randint(2, 6)
+        n = rng.randint(k, 20)
+        m, left = [], n + 1
+        for _ in range(k - 1):
+            m.append(rng.randint(0, left))
+            left -= m[-1]
+        _assert_pruned_walk_matches_g_direct(GrassmannContext(k, n), tuple(reversed(m)))
+
+
+def test_pruned_walk_matches_g_direct_on_edge_indices():
+    for k, n in ((2, 2), (2, 7), (2, 20), (3, 5), (4, 6), (5, 8), (5, 17), (6, 6)):
+        ctx = GrassmannContext(k, n)
+        zero = (0,) * (k - 2)
+        indices = {zero + (0,), zero + (n - 1,), zero + (n,), (n + 1,) + zero}
+        # S_M = n and n+1 beside m_k = n-1 and m_k = n, and S_M = n+1 spread out
+        for pos in range(k - 2):
+            for last in (n - 1, n):
+                m = [0] * (k - 1)
+                m[pos], m[-1] = 1, last
+                indices.add(tuple(m))
+        indices.add((1,) * (k - 2) + (n + 1 - (k - 2),))
+        for m in sorted(indices):
+            _assert_pruned_walk_matches_g_direct(ctx, m)
+
+
+def _two_term_elements(n: int) -> tuple[Poly, Poly]:
+    """(w1 w2 + w3) w5^(n-1) and (w2^2 + w4) w5^(n-1), the g_M at
+    (1,0,0,n-1) and (2,0,0,n-1) in G_{5,n}."""
+    return (
+        Poly(5, [(1, 1, 0, 0, n - 1), (0, 0, 1, 0, n - 1)]),
+        Poly(5, [(0, 2, 0, 0, n - 1), (0, 0, 0, 1, n - 1)]),
+    )
+
+
+@pytest.mark.parametrize("n", (16, 24, 40))
+def test_two_term_elements_by_g_direct(n):
+    ctx = GrassmannContext(5, n)
+    expected = _two_term_elements(n)
+    assert (g_direct(ctx, (1, 0, 0, n - 1)), g_direct(ctx, (2, 0, 0, n - 1))) == expected
+
+
+_LARGE_N_SCRIPT = """
+from grassgb.groebner_family import GrassmannContext, GroebnerFamily
+from grassgb.steenrod import immersion_obstruction_check
+
+n = 2**30
+report = immersion_obstruction_check(n)
+print(report.sq1_value.value, report.k1_obstruction_value.value, report.lift_possible)
+family = GroebnerFamily(GrassmannContext(5, n))
+for m in ((1, 0, 0, n - 1), (2, 0, 0, n - 1)):
+    print(family.element(m))
+"""
+
+
+def test_immersion_check_and_two_term_elements_at_n_2_to_30():
+    # the walk bounded by the leading-term law visits a handful of nodes
+    # here; an unbounded one runs for years, so a subprocess with a
+    # timeout turns a regression into a failure instead of a hang
+    n = 2**30
+    src = os.path.dirname(os.path.dirname(grassgb.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LARGE_N_SCRIPT],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    sq1, k1 = Poly.monomial((0, 0, 0, 0, n)), Poly.monomial((0, 0, 0, 1, n - 1))
+    expected = [f"{sq1} {k1} True", *map(str, _two_term_elements(n))]
+    assert proc.stdout.splitlines() == expected
+
+
+def test_pruned_walk_matches_g_direct_on_the_normal_bundle_elements():
+    # the dense elements a normal-bundle reduction touches, each walked
+    # once under the bound n+1 and kept as its packed tail
+    ctx = GrassmannContext(5, 16)
+    family = GroebnerFamily(ctx)
+    normal_bundle_sw(16, family)
+    assert len(family.packed) > 1000
+    for lead, tail in family.packed.items():
+        m = next(family.unpack([lead]))[1:]
+        terms = sorted(map(family.pack, g_direct(ctx, m).terms), reverse=True)
+        assert terms[0] == lead, m
+        assert tail == tuple(p - lead for p in terms[1:]), m
 
 
 def test_memo_lives_on_the_family():
