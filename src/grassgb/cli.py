@@ -154,10 +154,19 @@ def _cmd_basis(args) -> int:
     return 0
 
 
+# built by the first ``run``, not at import: making a parser imports shutil
+# (with bz2 and lzma) and locale, which ``import grassgb.cli`` should not pay
+_parser: argparse.ArgumentParser | None = None
+
+
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
+    """Run one command line; the parser is built once per process and
+    reused, since parsing keeps no state between calls."""
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -15,11 +15,9 @@ the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .f2poly import Monomial, Poly, grlex_key
 from .groebner_family import GrassmannContext, GroebnerFamily, _indices_up_to
+from .record import Record
 
 __all__ = [
     "CohomologyClass",
@@ -30,19 +28,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CohomologyClass:
+class CohomologyClass(Record):
     """A polynomial in normal form: every term has exponent sum <= n."""
 
-    context: GrassmannContext
-    value: Poly
+    __slots__ = ("context", "value")
 
-    def __post_init__(self):
-        if self.value.k != self.context.k:
+    def __init__(self, context: GrassmannContext, value: Poly):
+        if value.k != context.k:
             raise ValueError("variable count does not match the context")
-        bad = [t for t in self.value.terms if sum(t) > self.context.n]
+        bad = [t for t in value.terms if sum(t) > context.n]
         if bad:
             raise ValueError(f"not in normal form, offending terms: {bad}")
+        super().__init__(context, value)
 
     def __bool__(self) -> bool:
         return bool(self.value)
@@ -52,7 +49,7 @@ class CohomologyClass:
 
 
 def normal_form(
-    ctx: GrassmannContext, f: Poly, family: Optional[GroebnerFamily] = None
+    ctx: GrassmannContext, f: Poly, family: GroebnerFamily | None = None
 ) -> CohomologyClass:
     """The unique remainder of f modulo the basis: f minus an ideal element,
     with no term of exponent sum > n."""
@@ -64,7 +61,7 @@ def normal_form(
 
 
 def is_zero(
-    ctx: GrassmannContext, f: Poly, family: Optional[GroebnerFamily] = None
+    ctx: GrassmannContext, f: Poly, family: GroebnerFamily | None = None
 ) -> bool:
     """Ideal membership: True iff the normal form of f vanishes."""
     return not normal_form(ctx, f, family)
@@ -74,7 +71,7 @@ def cup(
     ctx: GrassmannContext,
     a: CohomologyClass,
     b: CohomologyClass,
-    family: Optional[GroebnerFamily] = None,
+    family: GroebnerFamily | None = None,
 ) -> CohomologyClass:
     """Cup product: polynomial product followed by reduction."""
     if a.context != ctx or b.context != ctx:

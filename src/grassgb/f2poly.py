@@ -8,7 +8,7 @@ Addition is symmetric difference, so the zero polynomial is the empty set.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 __all__ = [
     "Poly",

@@ -97,10 +97,10 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from collections.abc import Callable, Iterable, Iterator
 
 from .f2poly import Monomial, Poly, weighted_degree
+from .record import Record
 
 __all__ = [
     "GrassmannContext",
@@ -115,16 +115,17 @@ __all__ = [
 MultiIndex = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GrassmannContext:
-    """Parameters (k, n) of the Grassmannian, with n >= k >= 2."""
+class GrassmannContext(Record):
+    """Parameters (k, n) of the Grassmannian, integers with n >= k >= 2."""
 
-    k: int
-    n: int
+    __slots__ = ("k", "n")
 
-    def __post_init__(self):
-        if not self.n >= self.k >= 2:
-            raise ValueError(f"need n >= k >= 2, got k={self.k}, n={self.n}")
+    def __init__(self, k: int, n: int):
+        if not (isinstance(k, int) and isinstance(n, int)):
+            raise TypeError(f"k and n must be integers, got k={k!r}, n={n!r}")
+        if not n >= k >= 2:
+            raise ValueError(f"need n >= k >= 2, got k={k}, n={n}")
+        super().__init__(k, n)
 
 
 def _check_index(ctx: GrassmannContext, m: MultiIndex) -> None:
@@ -248,7 +249,7 @@ def g_direct(ctx: GrassmannContext, m: MultiIndex) -> Poly:
     return _direct(ctx.k, m, ctx.n + 1 + weighted_degree(m))
 
 
-def g_closed_form(ctx: GrassmannContext, m: MultiIndex) -> Optional[Poly]:
+def g_closed_form(ctx: GrassmannContext, m: MultiIndex) -> Poly | None:
     """g_M without enumeration, for the index shapes that admit one.
 
     Covered: single-monomial indices (S'_M > (k-1)n - 1 with S_M <= n+1)

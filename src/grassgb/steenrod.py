@@ -19,12 +19,10 @@ recursion memoizes Sq^i of each monomial it meets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .cohomology import CohomologyClass, normal_form
 from .f2poly import Monomial, Poly, weighted_degree
 from .groebner_family import GrassmannContext, GroebnerFamily
+from .record import Record
 
 __all__ = [
     "sq_on_generator",
@@ -36,14 +34,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(Record):
     """Outcome of the two k-invariant computations at G_{5,n}."""
 
-    n: int
-    sq1_value: CohomologyClass
-    k1_obstruction_value: CohomologyClass
-    lift_possible: bool
+    __slots__ = ("n", "sq1_value", "k1_obstruction_value", "lift_possible")
+
+    def __init__(
+        self,
+        n: int,
+        sq1_value: CohomologyClass,
+        k1_obstruction_value: CohomologyClass,
+        lift_possible: bool,
+    ):
+        super().__init__(n, sq1_value, k1_obstruction_value, lift_possible)
 
 
 def sq_on_generator(i: int, j: int, k: int) -> Poly:
@@ -147,7 +150,7 @@ def tensor_square_sw(k: int) -> Poly:
 
 
 def _g5n_context(
-    n: int, family: Optional[GroebnerFamily]
+    n: int, family: GroebnerFamily | None
 ) -> tuple[GrassmannContext, GroebnerFamily]:
     """The context of G_{5,n}, n a positive multiple of 8, and a family for
     it: the one given, checked, or a fresh one."""
@@ -162,7 +165,7 @@ def _g5n_context(
 
 
 def normal_bundle_sw(
-    n: int, family: Optional[GroebnerFamily] = None
+    n: int, family: GroebnerFamily | None = None
 ) -> dict[int, CohomologyClass]:
     """Stiefel-Whitney classes of the stable normal bundle of G_{5,n},
     n a positive multiple of 8, reduced to normal form per degree.
@@ -194,7 +197,7 @@ def normal_bundle_sw(
 
 
 def immersion_obstruction_check(
-    n: int, family: Optional[GroebnerFamily] = None
+    n: int, family: GroebnerFamily | None = None
 ) -> ObstructionReport:
     """The two cohomology computations feeding the lifting argument:
     Sq^1(w4 w5^{n-1}) and (Sq^2 + w1^2 + w2)(w2 w5^{n-1})."""

@@ -9,6 +9,7 @@ import pytest
 from reference import generate_json_reference, indices_up_to_reference, normal_form_reference
 
 import grassgb
+from grassgb import cli
 from grassgb.cli import run
 from grassgb.cohomology import standard_basis
 from grassgb.f2poly import Poly, format_poly
@@ -233,17 +234,74 @@ def test_deep_recursion_exits_2(capsys, argv):
     assert err.startswith("error:")
 
 
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(grassgb.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_parser_reuse_leaks_nothing(capsys, monkeypatch):
+    # help is wrapped to COLUMNS, here and in the fresh processes alike
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["generate", "-k", "3", "-n", "4"],
+        ["generate", "-k", "3", "-n", "x"],
+        ["verify", "-k", "3", "-n", "4"],
+        ["--help"],
+        ["generate", "-k", "3", "-n", "4"],
+    ]
+    invoke(capsys, "basis", "-k", "2", "-n", "2")
+    parser = cli._parser
+    codes = []
+    for argv in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "grassgb.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+            timeout=120,
+        )
+        assert invoke(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(fresh.returncode)
+    assert codes == [0, 2, 0, 0, 0]
+    assert cli._parser is parser
+    # the help of the reused parser and of each subparser is a fresh parser's
+    for sub in ([], ["generate"], ["reduce"], ["dual"], ["verify"], ["immersion-check"], ["basis"]):
+        with pytest.raises(SystemExit):
+            cli._build_parser().parse_args([*sub, "--help"])
+        fresh_help = capsys.readouterr().out
+        assert invoke(capsys, *sub, "--help") == (0, fresh_help, ""), sub
+
+
+def test_import_loads_no_dataclasses_or_typing():
+    # a structural check of start-up: -S keeps site's own imports out, and
+    # the parser is built by the first run, not at import
+    code = (
+        "import sys, grassgb, grassgb.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & sys.modules.keys()), "
+        "grassgb.cli._parser)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+        check=True,
+        timeout=120,
+    ).stdout
+    assert out == "[] None\n"
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_closed_pipe_ends_quietly(fmt):
-    src = os.path.dirname(os.path.dirname(grassgb.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     argv = ["generate", "-k", "5", "-n", "14", "--format", fmt]
     proc = subprocess.Popen(
         [sys.executable, "-m", "grassgb.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=src_env(),
     )
     # the output is far larger than a pipe holds, so the writer is still
     # running when the reader goes away

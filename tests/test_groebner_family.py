@@ -45,6 +45,11 @@ def test_context_validation():
         GrassmannContext(3, 2)
     with pytest.raises(ValueError):
         GrassmannContext(1, 5)
+    # a float k broke the family's packing later; a float n compared equal
+    # to the int context while its family could not reduce
+    for k, n in ((2.5, 5), (3, 4.0), ("3", 4), (3, None)):
+        with pytest.raises(TypeError, match="k and n must be integers"):
+            GrassmannContext(k, n)
 
 
 def test_g_direct_small_instance():
