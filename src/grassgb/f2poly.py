@@ -7,8 +7,8 @@ Addition is symmetric difference, so the zero polynomial is the empty set.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterable, Iterator
+from operator import add
 
 __all__ = [
     "Poly",
@@ -143,11 +143,11 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_compatible(other)
+        # the products of one term a are distinct, so one toggle takes them all
         out: set[Monomial] = set()
         toggle = out.symmetric_difference_update
         for a in self.terms:
-            for b in other.terms:
-                toggle((tuple(map(sum, zip(a, b))),))
+            toggle([tuple(map(add, a, b)) for b in other.terms])
         for t in out:
             if max(t) > MAX_EXPONENT:
                 raise OverflowError(f"exponent overflow in product term {t}")
@@ -203,17 +203,19 @@ class ParseError(ValueError):
         self.position = position
 
 
-# leading whitespace, as str.isspace sees it; a factor w<index>[^<exponent>],
-# either digit group possibly empty, which is reported, and ASCII digits only
-_SPACE = re.compile(r"\s*")
-_FACTOR = re.compile(r"w([0-9]*)(?:\^([0-9]*))?")
-
-
 def parse(text: str, k: int) -> Poly:
     """Parse 'w1^2*w2 + w2^2' style text into a polynomial in k variables."""
-    pos = _SPACE.match(text).end()
+    # imported here, so that importing the package does not load re,
+    # whose own cache keeps the compiled patterns: leading whitespace, as
+    # str.isspace sees it, and a factor w<index>[^<exponent>], either digit
+    # group possibly empty, which is reported, and ASCII digits only
+    import re
+
+    space = re.compile(r"\s*").match
+    factor_at = re.compile(r"w([0-9]*)(?:\^([0-9]*))?").match
+    pos = space(text).end()
     if text.startswith("0", pos):
-        if _SPACE.match(text, pos + 1).end() == len(text):
+        if space(text, pos + 1).end() == len(text):
             return Poly.zero(k)
         raise ParseError("'0' must stand alone", pos)
     terms = []
@@ -223,7 +225,7 @@ def parse(text: str, k: int) -> Poly:
             pos += 1
         else:
             while True:
-                factor = _FACTOR.match(text, pos)
+                factor = factor_at(text, pos)
                 if factor is None:
                     raise ParseError("expected a factor 'w<index>'", pos)
                 index, exp = factor.group(1, 2)
@@ -244,12 +246,12 @@ def parse(text: str, k: int) -> Poly:
                     break
                 pos += 1
         terms.append(tuple(exps))
-        pos = _SPACE.match(text, pos).end()
+        pos = space(text, pos).end()
         if pos == len(text):
             return Poly(k, terms)
         if not text.startswith("+", pos):
             raise ParseError("expected '+'", pos)
-        pos = _SPACE.match(text, pos + 1).end()
+        pos = space(text, pos + 1).end()
 
 
 def format_monomial(mono: Monomial) -> str:

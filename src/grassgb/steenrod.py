@@ -4,7 +4,11 @@ Sq^i comes from one Cartan recursion: a monomial in the w_j that is a
 square is handled as one (Sq^{2i}(x^2) = (Sq^i x)^2), and otherwise one
 generator is split off, its squares taken from Wu's formula.  The
 tensor-square total class is one resultant over F_2[w_1, ..., w_k],
-computed as a permanent, so no formal roots are introduced.
+computed as a permanent, so no formal roots are introduced.  The
+permanent runs on sets of packed ints in the packing of the family of
+G_{k,k}, unpacked once at the end: every entry (r, c) of its matrix has
+weighted degree at most k-1+r-c, so no partial product passes degree
+k(k-1) and no exponent outgrows those fields.
 
 Both read the parity of a binomial by the carry test of the g_M walk in
 ``groebner_family``, the package's one parity rule: binom(x + c, x) is
@@ -68,7 +72,8 @@ def sq_on_generator(i: int, j: int, k: int) -> Poly:
                 exps[i - t - 1] += 1
             exps[j + t - 1] += 1
             terms.append(tuple(exps))
-    return Poly(k, terms)
+    # as i <= j, w_{j+t} is each term's last generator, so no two coincide
+    return Poly._make(k, frozenset(terms))
 
 
 def _sq_monomial(i: int, t: Monomial, k: int, memo: dict) -> Poly:
@@ -78,7 +83,7 @@ def _sq_monomial(i: int, t: Monomial, k: int, memo: dict) -> Poly:
     comes from Wu's formula.  ``memo`` maps (i, t) to Sq^i(W^t) within
     one ``sq`` call, since the branches share most of their subterms."""
     if i == 0:
-        return Poly.monomial(t)
+        return Poly._make(k, frozenset((t,)))
     if i > weighted_degree(t):
         return Poly.zero(k)
     found = memo.get((i, t))
@@ -121,32 +126,42 @@ def tensor_square_sw(k: int) -> Poly:
     Res_y(F(y), F(y+1)): the determinant, over F_2 a permanent, of
     multiplication by F(y+1) on F_2[w][y]/(F) in the basis 1, y, ...,
     y^{k-1}.
+
+    The matrix and the permanent are sets of packed ints, in the packing
+    of the family of G_{k,k}: w_j is its ``_times[j]``, 1 is 0, a sum is
+    a symmetric difference, and a product adds each term of one factor to
+    every term of the other, the sums for one term all distinct.  No field
+    overflows: by induction on r, entry (r, c) has weighted degree at
+    most k-1+r-c, so a product over rows 0..r-1 in distinct columns has
+    degree at most r(k-1), and no exponent met exceeds k(k-1) < k*k,
+    which the fields of G_{k,k} hold.
     """
     if not 2 <= k:
         raise ValueError("need k >= 2")
-    w = [Poly.one(k)] + [Poly.variable(k, m) for m in range(1, k + 1)]
+    family = GroebnerFamily(GrassmannContext(k, k))
+    w = family._times
     # F(y+1) - F(y): the y^q coefficient sums w_{k-p} over p > q with
     # binom(p, q) odd, that is q & (p - q) == 0; each further row is y
     # times the last, reduced by y^k = sum_{q<k} w_{k-q} y^q
-    row = [
-        sum((w[k - p] for p in range(q + 1, k + 1) if q & (p - q) == 0), Poly.zero(k))
-        for q in range(k)
-    ]
+    row = [{w[k - p] for p in range(q + 1, k + 1) if q & (p - q) == 0} for q in range(k)]
     rows = [row]
     for _ in range(k - 1):
-        row = [row[-1] * w[k]] + [row[q - 1] + row[-1] * w[k - q] for q in range(1, k)]
+        row = [set(map(w[k].__add__, row[-1]))] + [
+            row[q - 1].symmetric_difference(map(w[k - q].__add__, row[-1])) for q in range(1, k)
+        ]
         rows.append(row)
     # the permanent, row by row: partial products keyed by the used columns
-    partial = {0: w[0]}
+    partial = {0: {0}}
     for row in rows:
-        merged: dict[int, Poly] = {}
+        merged: dict[int, set[int]] = {}
         for used, prod in partial.items():
             for c, entry in enumerate(row):
                 if entry and not used >> c & 1:
-                    key = used | 1 << c
-                    merged[key] = merged.get(key, Poly.zero(k)) + prod * entry
+                    acc = merged.setdefault(used | 1 << c, set())
+                    for b in entry:
+                        acc.symmetric_difference_update(map(b.__add__, prod))
         partial = merged
-    return partial[(1 << k) - 1]
+    return family.to_poly(partial[(1 << k) - 1])
 
 
 def _g5n_context(

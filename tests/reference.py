@@ -22,6 +22,13 @@ exact binomials (``wu_reference``); the package splits off one generator
 at a time in a single recursion and reads Wu's coefficients by the carry
 test.
 
+The product of two polynomials toggles one product tuple per pair of
+terms, each built by zip and sum (``poly_mul_reference``); the package
+toggles all products of one term at once.  The tensor-square permanent is
+also kept as it was on ``Poly`` (``tensor_square_sw_permanent_reference``),
+with ``poly_mul_reference`` for its products; the package runs the same
+resultant on sets of packed ints.
+
 The recurrence step raises one exponent of every term of a tuple
 polynomial (``_times_variable``, which scans for overflow first); the
 package adds one packed int to every packed term.
@@ -333,6 +340,48 @@ def tensor_square_sw_reference(k: int, max_weighted_degree: int) -> Poly:
     for d in sorted(by_degree):
         result = result + _symmetric_to_elementary(frozenset(by_degree[d]), k)
     return result
+
+
+def poly_mul_reference(f: Poly, g: Poly) -> Poly:
+    """f * g, one toggle per pair of terms, with ``Poly``'s overflow check."""
+    if f.k != g.k:
+        raise ValueError(f"variable counts differ: {f.k} != {g.k}")
+    out: set[Monomial] = set()
+    toggle = out.symmetric_difference_update
+    for a in f.terms:
+        for b in g.terms:
+            toggle((tuple(map(sum, zip(a, b))),))
+    for t in out:
+        if max(t) > MAX_EXPONENT:
+            raise OverflowError(f"exponent overflow in product term {t}")
+    return Poly._make(f.k, frozenset(out))
+
+
+def tensor_square_sw_permanent_reference(k: int) -> Poly:
+    """w(gamma_k (x) gamma_k) as the resultant's permanent over ``Poly``:
+    the same rows and the same subset-keyed partial products as the
+    package, with ``poly_mul_reference`` for every product."""
+    w = [Poly.one(k)] + [Poly.variable(k, m) for m in range(1, k + 1)]
+    row = [
+        sum((w[k - p] for p in range(q + 1, k + 1) if q & (p - q) == 0), Poly.zero(k))
+        for q in range(k)
+    ]
+    rows = [row]
+    for _ in range(k - 1):
+        row = [poly_mul_reference(row[-1], w[k])] + [
+            row[q - 1] + poly_mul_reference(row[-1], w[k - q]) for q in range(1, k)
+        ]
+        rows.append(row)
+    partial = {0: w[0]}
+    for row in rows:
+        merged: dict[int, Poly] = {}
+        for used, prod in partial.items():
+            for c, entry in enumerate(row):
+                if entry and not used >> c & 1:
+                    key = used | 1 << c
+                    merged[key] = merged.get(key, Poly.zero(k)) + poly_mul_reference(prod, entry)
+        partial = merged
+    return partial[(1 << k) - 1]
 
 
 def wu_reference(i: int, j: int, k: int) -> Poly:

@@ -293,6 +293,21 @@ def test_import_loads_no_dataclasses_or_typing():
     assert out == "[] None\n"
 
 
+def test_import_loads_no_re():
+    # parse compiles its patterns on first use; the CLI still loads re
+    # through argparse
+    code = "import sys, grassgb; print('re' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+        check=True,
+        timeout=120,
+    ).stdout
+    assert out == "False\n"
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_closed_pipe_ends_quietly(fmt):

@@ -4,7 +4,8 @@ import re
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import grlex_compare, parse_reference
+from conftest import random_poly
+from reference import grlex_compare, parse_reference, poly_mul_reference
 
 from grassgb.f2poly import (
     MAX_EXPONENT,
@@ -100,6 +101,37 @@ class TestArithmetic:
         big = Poly(2, [(2**30, 0)])
         with pytest.raises(OverflowError):
             big * big * big
+
+
+class TestMulMatchesReference:
+    def test_random(self, rng):
+        for k in range(1, 7):
+            for _ in range(60):
+                f = random_poly(rng, k, max_exp=6, max_terms=9)
+                g = random_poly(rng, k, max_exp=6, max_terms=9)
+                assert f * g == poly_mul_reference(f, g), (f, g)
+
+    def test_edges(self, rng):
+        for k in range(1, 7):
+            f = random_poly(rng, k, max_terms=9)
+            g = random_poly(rng, k, max_terms=9)
+            zero, one = Poly.zero(k), Poly.one(k)
+            single = Poly.monomial(range(k))
+            for a, b in ((zero, f), (f, zero), (zero, zero), (one, f), (single, f),
+                         (f, single), (single, single), (f + g, f + g)):
+                assert a * b == poly_mul_reference(a, b) == b * a, (a, b)
+            # the cross terms of (f + g)^2 cancel in pairs
+            assert (f + g) * (f + g) == f * f + g * g == (f + g).square()
+
+    def test_overflow_boundary(self):
+        w1 = Poly.variable(2, 1)
+        top = Poly.monomial((MAX_EXPONENT - 1, 0)) * w1
+        assert top == Poly.monomial((MAX_EXPONENT, 0)) == poly_mul_reference(
+            Poly.monomial((MAX_EXPONENT - 1, 0)), w1
+        )
+        for mul in (Poly.__mul__, poly_mul_reference):
+            with pytest.raises(OverflowError, match="exponent overflow"):
+                mul(top, w1)
 
 
 class TestLeadingTerm:

@@ -1,5 +1,11 @@
 import pytest
-from reference import alpha, sq_reference, tensor_square_sw_reference, wu_reference
+from reference import (
+    alpha,
+    sq_reference,
+    tensor_square_sw_permanent_reference,
+    tensor_square_sw_reference,
+    wu_reference,
+)
 
 from grassgb.f2poly import Poly, parse, weighted_degree
 from grassgb.cohomology import normal_form
@@ -114,17 +120,21 @@ class TestTensorSquare:
         assert 1 not in comps
         assert 2 not in comps
 
-    @pytest.mark.parametrize("k", (2, 3, 4, 5, 6))
+    @pytest.mark.parametrize("k", (2, 3, 4, 5, 6, 7))
     def test_no_odd_degrees_and_no_linear_part(self, k):
         comps = tensor_square_sw(k).weighted_components()
         assert all(d % 2 == 0 for d in comps)
         assert 1 not in comps
 
-    @pytest.mark.parametrize("k", (2, 3, 4, 5, 6))
+    @pytest.mark.parametrize("k", (2, 3, 4, 5, 6, 7))
     def test_is_a_square(self, k):
         # w(gamma (x) gamma) = w(Lambda^2 gamma)^2: every exponent is even
         for t in tensor_square_sw(k).terms:
             assert all(e % 2 == 0 for e in t), t
+
+    @pytest.mark.parametrize("k", (2, 3, 4, 5, 6))
+    def test_matches_permanent_over_poly(self, k):
+        assert tensor_square_sw(k) == tensor_square_sw_permanent_reference(k)
 
     def test_top_degree_k5(self):
         comps = tensor_square_sw(5).weighted_components()
