@@ -8,7 +8,7 @@ Addition is symmetric difference, so the zero polynomial is the empty set.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from operator import add
+from operator import add, mul
 
 __all__ = [
     "Poly",
@@ -33,7 +33,7 @@ def grlex_key(mono: Monomial):
 
 def weighted_degree(mono: Monomial) -> int:
     """Cohomological degree sum j * a_j (w_j has degree j)."""
-    return sum(j * a for j, a in enumerate(mono, start=1))
+    return sum(map(mul, mono, range(1, len(mono) + 1)))
 
 
 def monomials_of_weighted_degree(d: int, k: int) -> tuple[Monomial, ...]:

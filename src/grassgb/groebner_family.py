@@ -24,7 +24,9 @@ sum is skipped with every branch below it.  The two-term elements with
 m_k = n-1 then take a handful of nodes at any n; without the limit the
 walk visits about n^2 dead ends on them.  It works in a packing (below)
 throughout: each level adds a_t times the packed w_t to a partial int,
-and a leaf appends the packed term, so no tuple is built.
+and a leaf appends the packed term, so no tuple is built.  The last
+level, a_2, runs in a loop of its own, where each value costs one carry
+test for the a_1 it forces and no further call.
 
 Whole families are built through the paper's three-term recurrence
 
@@ -64,10 +66,14 @@ The packing is the family's (``pack``, ``unpack``); ``element``,
 same packing.  No standard monomial has weighted degree above k*n, the
 degree of the top class w_k^n, and every g_M is homogeneous in the
 weighted degree, so a term of degree above k*n has normal form 0 and is
-dropped before packing.  Each term met while reducing a kept term t has
-the weighted degree of t, at most k*n, so every exponent fits its field,
-and since lt(g_M) divides t, subtracting the packed leading term never
-borrows.
+dropped before packing.  The packed terms left go to
+``GroebnerFamily.reduce_packed``, which does all that follows on ints
+and returns the normal form as a set of them; ``reduce`` unpacks it.  A
+caller holding packed terms of degree at most k*n (``normal_bundle_sw``)
+calls ``reduce_packed`` itself.  Each term met while reducing a kept
+term t has the weighted degree of t, at most k*n, so every exponent fits
+its field, and since lt(g_M) divides t, subtracting the packed leading
+term never borrows.
 
 The divisor is read off the packed term v itself: the excess is the sum
 field minus n+1, and the packed lead is v with that excess subtracted from
@@ -76,9 +82,10 @@ keys the family's one table ``packed``, whose entry is the tail of g_M as
 offsets pack(u) - lead, u over the terms of g_M but its lead.  A step is
 then one table hit and one add per tail term, v + (pack(u) - lead) =
 pack(u * t / lt(g_M)), and v itself leaves the working set.  Only a miss
-cuts M = (a_2, ..., a_k) out of the lead and asks ``packed_terms`` for
-g_M: the memo's, when the whole family was built, else one walk's, and
-then the table is the only place the family keeps it.
+cuts M = (a_2, ..., a_k) out of the lead, field by field with the same
+shifts, and asks ``packed_terms`` for g_M: the memo's, when the whole
+family was built, else one walk's, and then the table is the only place
+the family keeps it.
 
 The basis fixes the order of the work.  Every lead has exponent sum
 n+1 and every other term of g_M has sum <= n, so a step on a term of sum
@@ -205,8 +212,8 @@ def _walk(m: MultiIndex, degree: int, times: list[int], bound: int) -> list[int]
         # acc packs (a_{t+1}, ..., a_k), whose sum is asuf; rem is the
         # weighted degree left for a_1, ..., a_t.  a_t = x runs over the
         # values lo <= x <= rem // t with x & c == 0, in increasing order.
+        # Levels t > 2 walk here and t = 2 in ``leaf``.
         c = asuf - msuf[t]
-        c1 = asuf - msuf[1]
         top = rem // t
         wt = times[t]
         lo = rem - (t - 1) * (bound - asuf)
@@ -215,14 +222,30 @@ def _walk(m: MultiIndex, degree: int, times: list[int], bound: int) -> list[int]
             x = _least_admissible(c, x)
         if not lo <= x <= top:
             return
+        down = walk if t > 3 else leaf
         while True:
-            if t > 2:
-                walk(t - 1, rem - t * x, asuf + x, acc + x * wt)
-            elif (rem - 2 * x) & (c1 + x) == 0:
-                # a_2 = x forces a_1 = rem - 2x, whose c_1 is c1 + x
-                terms.append(acc + x * w2 + (rem - 2 * x) * w1)
+            down(t - 1, rem - t * x, asuf + x, acc + x * wt)
             # the least admissible value above x; for c < 0 it wraps to 0
             # after the largest one, -c - 1
+            x = ((x | c) + 1) & ~c
+            if not 0 < x <= top:
+                return
+
+    def leaf(t: int, rem: int, asuf: int, acc: int) -> None:
+        # level t = 2 (t is taken only so that ``walk`` calls both levels
+        # alike): a_2 = x forces a_1 = rem - 2x, whose c_1 is c1 + x, so
+        # each x costs one carry test and no call
+        c, c1 = asuf - msuf[2], asuf - msuf[1]
+        top = rem >> 1
+        lo = rem - bound + asuf
+        x = lo if lo > 0 else 0
+        if x & c:
+            x = _least_admissible(c, x)
+        if not lo <= x <= top:
+            return
+        while True:
+            if (rem - 2 * x) & (c1 + x) == 0:
+                terms.append(acc + x * w2 + (rem - 2 * x) * w1)
             x = ((x | c) + 1) & ~c
             if not 0 < x <= top:
                 return
@@ -230,7 +253,8 @@ def _walk(m: MultiIndex, degree: int, times: list[int], bound: int) -> list[int]
     # a_t = 0 for t > degree, so the walk starts below those levels: a
     # dual class of small degree in many variables recurses only as deep
     # as its degree
-    walk(max(2, min(k, degree)), degree, 0, 0)
+    t = max(2, min(k, degree))
+    (walk if t > 2 else leaf)(t, degree, 0, 0)
     return terms
 
 
@@ -381,10 +405,17 @@ class GroebnerFamily:
         k, n = self.context.k, self.context.n
         if f.k != k:
             raise ValueError("variable count does not match the context")
+        kept = {self.pack(t) for t in f.terms if weighted_degree(t) <= k * n}
+        return self.to_poly(self.reduce_packed(kept))
+
+    def reduce_packed(self, terms: Iterable[int]) -> set[int]:
+        """The normal form of a sum of distinct packed terms, each of
+        weighted degree at most k*n, as a set of packed ints.  Fills
+        ``packed`` with the tail of each g_M it uses."""
+        n, table = self.context.n, self.packed
         mask, shifts, sum_shift = self.mask, self.shifts, self.sum_shift
-        table = self.packed
         work: defaultdict[int, set[int]] = defaultdict(set)
-        for v in {self.pack(t) for t in f.terms if weighted_degree(t) <= k * n}:
+        for v in terms:
             work[v >> sum_shift].add(v)
         while (level_sum := max(work, default=0)) > n:
             for v in work.pop(level_sum):
@@ -401,8 +432,9 @@ class GroebnerFamily:
                     excess -= a
                 tail = table.get(lead)
                 if tail is None:
-                    terms = self.packed_terms(next(self.unpack([lead]))[1:])
-                    tail = table[lead] = tuple(p - lead for p in terms[1:])
+                    # M = (a_2, ..., a_k) of the lead
+                    g = self.packed_terms(tuple((lead >> s) & mask for s in shifts[1:]))
+                    tail = table[lead] = tuple(p - lead for p in g[1:])
                 for u in tail:
                     u += v
                     level = work[u >> sum_shift]
@@ -412,7 +444,7 @@ class GroebnerFamily:
                         level.add(u)
             if max(work, default=0) >= level_sum:
                 raise ValueError("a basis element has a tail term of exponent sum > n")
-        return self.to_poly(set().union(*work.values()))
+        return set().union(*work.values())
 
     def _step(
         self, m: MultiIndex, i: int, j: int, lookup: Callable[[MultiIndex], Iterable[int]]

@@ -29,6 +29,14 @@ also kept as it was on ``Poly`` (``tensor_square_sw_permanent_reference``),
 with ``poly_mul_reference`` for its products; the package runs the same
 resultant on sets of packed ints.
 
+The normal classes of G_{5,n} multiply w(gamma (x) gamma) by w(gamma)^e
+as ``Poly``s, split the whole product with ``weighted_components`` and
+reduce each degree with ``normal_form`` (``normal_bundle_sw_reference``);
+the package multiplies packed ints one pair of degrees at a time, only
+up to the top degree k*n, and reduces each degree's packed terms as they
+are.  The weighted degree is one generator over ``enumerate``
+(``weighted_degree_reference``); the package maps ``operator.mul``.
+
 The recurrence step raises one exponent of every term of a tuple
 polynomial (``_times_variable``, which scans for overflow first); the
 package adds one packed int to every packed term.
@@ -74,6 +82,7 @@ from functools import reduce
 from operator import or_
 from typing import Callable, Optional
 
+from grassgb.cohomology import CohomologyClass, normal_form
 from grassgb.f2poly import (
     MAX_EXPONENT,
     Monomial,
@@ -91,6 +100,7 @@ from grassgb.groebner_family import (
     raised,
     raised2,
 )
+from grassgb.steenrod import tensor_square_sw
 
 
 def binom_int(alpha: int, beta: int) -> int:
@@ -382,6 +392,31 @@ def tensor_square_sw_permanent_reference(k: int) -> Poly:
                     merged[key] = merged.get(key, Poly.zero(k)) + poly_mul_reference(prod, entry)
         partial = merged
     return partial[(1 << k) - 1]
+
+
+def weighted_degree_reference(mono: Monomial) -> int:
+    """sum j * a_j, one generator step per variable."""
+    return sum(j * a for j, a in enumerate(mono, start=1))
+
+
+def normal_bundle_sw_reference(
+    n: int, family: Optional[GroebnerFamily] = None
+) -> dict[int, CohomologyClass]:
+    """The normal classes of G_{5,n} as ``normal_bundle_sw`` gives them:
+    w(gamma (x) gamma) w(gamma)^e multiplied as ``Poly``s, split by
+    weighted degree, and each degree through ``normal_form``."""
+    k = 5
+    ctx = GrassmannContext(k, n)
+    if family is None:
+        family = GroebnerFamily(ctx)
+    e = 2 ** (n + k - 1).bit_length() - n - k
+    total_w = sum((Poly.variable(k, j) for j in range(1, k + 1)), Poly.one(k))
+    components = (tensor_square_sw(k) * total_w**e).weighted_components()
+    zero = Poly.zero(k)
+    return {
+        d: normal_form(ctx, components.get(d, zero), family)
+        for d in range(k * (k - 1) + k * e + 1)
+    }
 
 
 def wu_reference(i: int, j: int, k: int) -> Poly:

@@ -110,6 +110,28 @@ def test_family_reduce_is_the_normal_form():
         family.reduce(Poly.one(2))
 
 
+def test_reduce_packed_is_pack_then_reduce():
+    # random inputs, some terms above k*n, which the caller filters out
+    rng = random.Random(2417)
+    for _ in range(150):
+        k = rng.randint(2, 6)
+        n = rng.randint(k, 10)
+        family = GroebnerFamily(GrassmannContext(k, n))
+        f = random_poly(rng, k, max_exp=rng.choice((n // 2, n, 2 * n)), max_terms=8)
+        kept = [family.pack(t) for t in f.terms if weighted_degree(t) <= k * n]
+        got = family.reduce_packed(kept)
+        assert type(got) is set and all(type(v) is int for v in got)
+        assert family.to_poly(got) == family.reduce(f), (k, n, f)
+        assert family.reduce_packed(iter(kept)) == got
+
+
+def test_reduce_packed_of_nothing():
+    family = GroebnerFamily(GrassmannContext(4, 6))
+    assert family.reduce_packed(()) == set()
+    assert family.reduce_packed(iter([])) == set()
+    assert not family.packed
+
+
 def test_normal_form_matches_reference_on_random_polys():
     rng = random.Random(9151)
     families = {}
@@ -211,9 +233,9 @@ def test_standard_input_at_huge_n_is_left_alone():
     assert time.perf_counter() - start < 1.0
 
 
-def test_tail_term_above_n_raises_instead_of_looping(monkeypatch):
-    # a tail term of exponent sum n+2 lands above the level being swept
-    ctx = GrassmannContext(3, 4)
+def _family_with_a_tail_above_n(monkeypatch, ctx):
+    # g_{(0,0)} gains the tail term w1^6, of exponent sum n+2, which lands
+    # above the level being swept
     family = GroebnerFamily(ctx)
     packed_terms = family.packed_terms
     extra = family.pack((6, 0, 0))
@@ -223,8 +245,20 @@ def test_tail_term_above_n_raises_instead_of_looping(monkeypatch):
         return terms + (extra,) if m == (0, 0) else terms
 
     monkeypatch.setattr(family, "packed_terms", bad_packed_terms)
+    return family
+
+
+def test_tail_term_above_n_raises_instead_of_looping(monkeypatch):
+    ctx = GrassmannContext(3, 4)
+    family = _family_with_a_tail_above_n(monkeypatch, ctx)
     with pytest.raises(ValueError, match="tail term"):
         normal_form(ctx, parse("w1^5", 3), family)
+
+
+def test_tail_term_above_n_raises_through_reduce_packed(monkeypatch):
+    family = _family_with_a_tail_above_n(monkeypatch, GrassmannContext(3, 4))
+    with pytest.raises(ValueError, match="tail term"):
+        family.reduce_packed([family.pack((5, 0, 0))])
 
 
 def test_packed_memo_belongs_to_the_family():

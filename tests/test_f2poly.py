@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import random_poly
-from reference import grlex_compare, parse_reference, poly_mul_reference
+from reference import (
+    grlex_compare,
+    parse_reference,
+    poly_mul_reference,
+    weighted_degree_reference,
+)
 
 from grassgb.f2poly import (
     MAX_EXPONENT,
@@ -15,6 +20,7 @@ from grassgb.f2poly import (
     grlex_key,
     monomials_of_weighted_degree,
     parse,
+    weighted_degree,
 )
 
 
@@ -152,6 +158,27 @@ class TestLeadingTerm:
                 x + y for x, y in zip(f.leading_term(), g.leading_term())
             )
             assert lt == expected
+
+
+class TestWeightedDegree:
+    def test_matches_reference_on_random_monomials(self, rng):
+        # small, mid-sized and near-2^31 exponents, k = 1..7
+        for k in range(1, 8):
+            for _ in range(60):
+                mono = tuple(
+                    rng.choice((0, 1, rng.randint(2, 60), MAX_EXPONENT - rng.randint(0, 5)))
+                    for _ in range(k)
+                )
+                assert weighted_degree(mono) == weighted_degree_reference(mono), mono
+
+    def test_edges(self):
+        for k in range(1, 8):
+            assert weighted_degree((0,) * k) == 0
+            top = (MAX_EXPONENT,) * k
+            assert weighted_degree(top) == weighted_degree_reference(top)
+            assert weighted_degree(top) == MAX_EXPONENT * k * (k + 1) // 2
+        assert weighted_degree(()) == weighted_degree_reference(()) == 0
+        assert weighted_degree((0, 0, 0, 1)) == 4
 
 
 class TestTextFormat:
