@@ -1,65 +1,72 @@
 """Generic reduced-Groebner-basis engine over F2 (the validation oracle).
 
-Deliberately independent of the structured family: a term's divisor is the
-lowest-index lead that divides it, found by testing every lead at once,
-never by the O(k) exponent-stripping shortcut, so a wrong g_M cannot make
-the oracle agree with it.  Pairs are selected by weighted sugar (Giovini,
-Mora, Niesi, Robbiano, Traverso, "One sugar cube, please", 1991), ties
-broken by grlex of the lcm, and pruned by the standard Gebauer-Moller
-criteria (which subsume the coprime-lead skip).  A generator's sugar is
-the largest weighted degree sum j * a_j of its terms; a pair's is the
-larger of the two sugars raised by the weighted degree its lead gains in
-the lcm; an element an S-polynomial adds takes its pair's sugar.  The
-dual-class ideal is homogeneous in this degree, so there a pair's sugar
-is the weighted degree of its lcm, the run goes one degree at a time and
-builds exactly binom(n+k, k-1) elements, the size of the reduced basis.
-Non-homogeneous input pays for this: on some random sets of four
-generators in four variables sugar is several times slower than picking
-the grlex-smallest lcm.  Each new lead is also checked, by plain tuple
-comparison, against every earlier lead: one that divides it means the
-packed search missed a divisor, and ``buchberger`` raises instead of
-running on.
+Deliberately independent of the structured family: it takes nothing from
+the family's kernel or packing, and its leads come from linear algebra, so
+a wrong g_M cannot make the oracle agree with it.
+
+``buchberger`` builds the reduced basis of an ideal spanned by
+weighted-homogeneous generators f_1, ..., f_s (w_j has degree j) one
+weighted degree d at a time, by elimination under the F5 criterion
+(Faugere, ISSAC 2002; the matrix form is in Bardet, Faugere, Salvy,
+J. Symbolic Comput. 70, 2015).  The columns of degree d are its monomials
+in grlex order, and each row is one Python int over them, so a row's top
+bit is its lead and elimination is XOR.  The rows are the products m*f_i
+with m of degree d - deg f_i, for i = 1, ..., s in turn, and m is skipped
+when it is a lead of (f_1, ..., f_{i-1}) in its degree: if m = lt(h) with
+h in that ideal, then m*f_i = h*f_i + (m - h)*f_i, and h*f_i is already
+spanned, so the rows of degree d span I_d and their pivots are LM(I)_d.
+A pivot is a minimal lead when no w_j it contains leaves a lead j
+degrees lower, and its row, reduced against the other pivots of its
+degree, is an element of the reduced basis: its other terms are not
+leads, and it is homogeneous.  Once every generator has been used and k
+consecutive degrees have every monomial as a lead, every monomial of a
+higher degree is w_j times a lead, so no minimal lead lies above.
+
+The bound.  If the input contains a regular sequence of k generators, of
+degrees d_1, ..., d_k, the quotient by them has the Hilbert series
+prod_i (1 - t^{d_i}) / prod_j (1 - t^j), a polynomial of top degree
+T = sum_i d_i - k(k+1)/2, and the quotient by the whole input is a
+quotient of that one.  So its k degrees T+1, ..., T+k with a zero quotient
+end by degree sum_i d_i - k(k-1)/2 <= D, the sum of all the input
+degrees, and no degree >= D has a monomial that is not a lead.  Where
+one does, as for every ideal that is not zero-dimensional, ``buchberger``
+raises ``ValueError`` instead of running on; it raises too for a
+generator that is not weighted-homogeneous.  The dual classes
+wbar_{n+1}, ..., wbar_{n+k} are such a sequence, and on them no row
+reduces to zero.
 
 Every term is packed into one int, the oracle's own grlex packing: the
 exponents a_1, ..., a_k sit in W-bit fields, a_k lowest, each topped by a
 guard bit, and the exponent sum sits above them all, so comparing ints is
-comparing in grlex.  The reducer's heap holds -v for each term v, the
-quotient of v by a dividing lead is v - lead, and a basis multiple adds
-the quotient to each of the element's terms.  W holds the largest
-exponent sum the reducer meets: every sum of the loaded input (the
-generators, or the basis and the polynomial to reduce), and each popped
-S-pair's lcm.  Reduction never raises a sum above the largest one it
-started from, so no field overflows, and W widens only between normal
-forms, repacking every term, lead and queued lcm.  If a lead does not
-divide v, the lowest field where it is larger borrows through its guard
-bit, so v - lead has a guard bit set, and ``normal_form`` raises instead
-of running on with a wrong divisor.  With G the mask of guard bits, a | b
-iff ``((b | G) - a) & G == G`` on the exponent fields alone: a field's
-guard survives the subtraction iff b_i >= a_i, and no borrow crosses a
-guard.  The surviving guards select, per field, the larger exponent,
-which gives the lcm; two leads are coprime iff their lcm equals their
-sum.  Tuples remain only at the edges (``Poly`` in and out) and in each
-lead's tuple, which the sugar and the missed-divisor check read.
+comparing in grlex and a product of monomials is a sum of ints.  W is
+fixed once, when a reducer is made: for ``buchberger`` it holds every
+exponent sum up to the last degree it may reach, and for ``reduce_basis``
+and ``oracle_reduce`` every sum of their input (reduction never raises a
+sum above the largest it started from).  If a lead does not divide v,
+the lowest field where it is larger borrows through its guard bit, so
+v - lead has a guard bit set; with G the mask of guard bits, a | b iff
+``((b | G) - a) & G == G`` on the exponent fields alone.
 
-All leads also sit side by side in one int, lead i in the block of
-B = k(W+1) + 1 bits at bit B*i, whose top bit is spare.  One multiply
-replicates a probe into every block, one subtraction runs the test above in
-all blocks (no borrow leaves a block), and adding 2^(B-1) - 1 to the
-cleared guards of a block carries into its spare bit iff some field failed.
-So ``dividing`` returns, in one pass over the machine words, a mask whose
-spare bit i is set iff lead i divides the probe, and the lowest set block
-is the divisor an in-order scan would find.  The chain criterion uses the
-same mask: lt_h divides lcm(lt_g, lt_h), so lcm(lt_l, lt_h) divides
-lcm(lt_g, lt_h) iff lt_l does.
+The normal form of ``reduce_basis`` and ``oracle_reduce`` holds -v for
+each term v in a heap, and a term's divisor is the lowest-index lead that
+divides it, found by testing every lead at once: all leads sit side by
+side in one int, lead i in the block of B = k(W+1) + 1 bits at bit B*i,
+whose top bit is spare.  One multiply replicates a probe into every
+block, one subtraction runs the test above in all blocks (no borrow
+leaves a block), and adding 2^(B-1) - 1 to the cleared guards of a block
+carries into its spare bit iff some field failed.  So ``dividing``
+returns, in one pass over the machine words, a mask whose spare bit i is
+set iff lead i divides the probe.  A divisor that does not divide leaves
+a guard bit set in the quotient, and ``normal_form`` raises instead of
+running on.
 """
 
 from __future__ import annotations
 
 import heapq
-import operator
 
 from .dual_classes import wbar_sequence
-from .f2poly import Monomial, Poly, grlex_key, weighted_degree
+from .f2poly import Monomial, Poly, monomials_of_weighted_degree, weighted_degree
 from .groebner_family import GrassmannContext, GroebnerFamily
 
 __all__ = [
@@ -94,25 +101,39 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
 class _Reducer:
     """Normal forms against a growing basis, with generic divisor search.
 
-    Every term is one int in the grlex packing (module docstring):
-    ``polys[i]`` holds the packed terms of basis element i, ``leads[i]``
-    its packed lead and ``lts[i]`` that lead as a tuple.  ``plts[i]`` is
-    the lead's exponent fields alone, and ``cat`` holds them all, block i
-    at bit ``block * i``.  ``rep`` has a 1 at the bottom of each block;
+    Every term is one int in the grlex packing (module docstring), whose
+    fields hold exponent sums up to ``total``; the width never changes.
+    ``polys[i]`` holds the packed terms of basis element i and ``leads[i]``
+    its packed lead.  ``cat`` holds the leads' exponent fields, block i at
+    bit ``block * i``.  ``rep`` has a 1 at the bottom of each block;
     ``grep``, ``fill`` and ``spare`` replicate the guard mask, 2^(B-1) - 1
-    and the spare bit into each.  ``pairs`` maps each queued S-pair to the
-    lcm of its leads' exponent fields.  A divisor costs one ``dividing``
-    call and is not memoized.  Basis multiples are memoized per (element,
-    quotient); entries stay valid when the basis grows because an element,
-    once added, never changes, and ``fit`` drops them when it widens.
+    and the spare bit into each.  A divisor costs one ``dividing`` call and
+    is not memoized.  Basis multiples are memoized per (element, quotient);
+    entries stay valid when the basis grows because an element, once
+    added, never changes.
     """
 
-    def __init__(self, k: int):
+    def __init__(self, k: int, total: int):
         self.k = k
-        self.width = 0
+        self.width = width = max(total, 1).bit_length()
+        field = 1 << (width + 1)
+        self._top = (1 << width) - 1
+        self._shifts = [(width + 1) * i for i in range(k - 1, -1, -1)]
+        self.fields = field**k - 1
+        self.guard = self.fields // (field - 1) << width
+        self.block = k * (width + 1) + 1
+        self.leads: list[int] = []
         self.polys: list[frozenset] = []
-        self.pairs: dict[tuple[int, int], int] = {}
-        self.fit(1)
+        self.cat = self.rep = self.grep = self.fill = self.spare = 0
+        self._prod: dict[tuple[int, int], frozenset] = {}
+
+    @classmethod
+    def load(cls, polys: list[Poly]) -> tuple[_Reducer, list[frozenset]]:
+        """A reducer whose fields hold every exponent sum among ``polys``,
+        and the packed terms of each."""
+        total = max((sum(t) for g in polys for t in g.terms), default=0)
+        red = cls(polys[0].k, total)
+        return red, [frozenset(map(red.pack, g.terms)) for g in polys]
 
     def pack(self, t: Monomial) -> int:
         shift = self.width + 1
@@ -125,60 +146,20 @@ class _Reducer:
         top = self._top
         return tuple([v >> shift & top for shift in self._shifts])
 
-    def fit(self, total: int) -> None:
-        """Widen the fields to hold exponent sums up to ``total``.  This
-        repacks every element, lead and queued lcm and drops the memoized
-        multiples, so it runs only between normal forms."""
-        if total < 1 << self.width:
-            return
-        polys = [list(map(self.unpack, terms)) for terms in self.polys]
-        self.width = width = total.bit_length()
-        field = 1 << (width + 1)
-        self._top = (1 << width) - 1
-        self._shifts = [(width + 1) * i for i in range(self.k - 1, -1, -1)]
-        self.fields = field**self.k - 1
-        self.guard = self.fields // (field - 1) << width
-        self.block = self.k * (width + 1) + 1
-        self.lts: list[Monomial] = []
-        self.leads: list[int] = []
-        self.plts: list[int] = []
-        self.polys = []
-        self.cat = self.rep = self.grep = self.fill = self.spare = 0
-        self._prod: dict[tuple[int, int], frozenset] = {}
-        for terms in polys:
-            self.add(frozenset(map(self.pack, terms)))
-        for g1, g2 in self.pairs:
-            self.pairs[(g1, g2)] = self.lcm(self.plts[g1], self.plts[g2])
-
-    def load(self, polys: list[Poly]) -> list[frozenset]:
-        """The packed terms of each of ``polys``, after widening the fields
-        to the largest exponent sum among them."""
-        self.fit(max((sum(t) for g in polys for t in g.terms), default=0))
-        return [frozenset(map(self.pack, g.terms)) for g in polys]
-
-    def to_poly(self, terms: frozenset) -> Poly:
+    def to_poly(self, terms) -> Poly:
         return Poly._make(self.k, frozenset(map(self.unpack, terms)))
 
-    def lcm(self, a: int, b: int) -> int:
-        """The lcm of two leads' packed exponent fields."""
-        m = ((b | self.guard) - a) & self.guard
-        return a ^ ((a ^ b) & (m - (m >> self.width)))
-
-    def add(self, terms: frozenset) -> int:
+    def add(self, terms: frozenset) -> None:
         lead = max(terms)
-        plt = lead & self.fields
-        shift = self.block * len(self.plts)
+        shift = self.block * len(self.leads)
         self.leads.append(lead)
-        self.lts.append(self.unpack(lead))
         self.polys.append(terms)
-        self.plts.append(plt)
-        self.cat |= plt << shift
+        self.cat |= (lead & self.fields) << shift
         self.rep |= 1 << shift
         spare = 1 << (self.block - 1)
         self.grep = self.guard * self.rep
         self.fill = (spare - 1) * self.rep
         self.spare = spare * self.rep
-        return len(self.plts) - 1
 
     def dividing(self, probe: int) -> int:
         """The mask of leads dividing ``probe``, packed exponent fields with
@@ -222,7 +203,7 @@ class _Reducer:
                 # a wrong divisor would shift terms to ever lower degrees
                 # and never finish
                 raise RuntimeError(
-                    f"lead {self.lts[gi]} does not divide {self.unpack(v)}"
+                    f"lead {self.unpack(self.leads[gi])} does not divide {self.unpack(v)}"
                 )
             prod = self._product(gi, q)
             work.symmetric_difference_update(prod)
@@ -230,39 +211,6 @@ class _Reducer:
                 heapq.heappush(heap, -u)
             queued |= prod
         return frozenset(remainder)
-
-
-def _update_pairs(
-    red: _Reducer, pairs: dict[tuple[int, int], int], h: int
-) -> list[int]:
-    """Gebauer-Moller pair update after appending basis element h.
-
-    ``pairs`` maps each queued pair to the packed lcm of its leads and is
-    updated in place; returns the g of the new pairs (g, h), in the order
-    the chain criterion kept them.
-    """
-    guard, lth, block = red.guard, red.plts[h], red.block
-    lcms = [red.lcm(lth, ltg) for ltg in red.plts[:h]]
-    coprime = [l == lth + ltg for l, ltg in zip(lcms, red.plts)]
-    kept: list[int] = []
-    kept_mask = 0  # the spare bits of the blocks in kept
-    for g in range(h - 1, -1, -1):
-        below_g = (1 << block * g) - 1
-        if not coprime[g] and red.dividing(lcms[g] | guard) & (below_g | kept_mask):
-            continue
-        kept.append(g)
-        kept_mask |= 1 << (block * (g + 1) - 1)
-    for pair, l12 in list(pairs.items()):
-        if (
-            ((l12 | guard) - lth) & guard == guard
-            and lcms[pair[0]] != l12
-            and lcms[pair[1]] != l12
-        ):
-            del pairs[pair]
-    fresh = [g for g in kept if not coprime[g]]
-    for g in fresh:
-        pairs[(g, h)] = lcms[g]
-    return fresh
 
 
 def _check(polys: list[Poly], k: int, name: str) -> None:
@@ -275,49 +223,78 @@ def _check(polys: list[Poly], k: int, name: str) -> None:
 
 
 def buchberger(generators: list[Poly]) -> list[Poly]:
-    """A (non-reduced) Groebner basis of the ideal spanned by the input."""
+    """The reduced Groebner basis of the ideal spanned by weighted-homogeneous
+    generators, sorted by grlex of the leading term, built one weighted
+    degree at a time (module docstring)."""
     if not generators:
         raise ValueError("need at least one generator")
-    _check(generators, generators[0].k, "generator")
+    k = generators[0].k
+    _check(generators, k, "generator")
+    degrees = []
+    for i, g in enumerate(generators):
+        ds = set(map(weighted_degree, g.terms))
+        if len(ds) != 1:
+            raise ValueError(f"generator {i} is not weighted-homogeneous")
+        degrees.extend(ds)
+    bound = sum(degrees)
+    red = _Reducer(k, bound + k)  # the run stops by degree bound + k - 1
+    gens = [list(map(red.pack, g.terms)) for g in generators]
+    units = [red.pack((0,) * (j - 1) + (1,) + (0,) * (k - j)) for j in range(1, k + 1)]
+    columns: dict[int, list[int]] = {}
+    leads: dict[int, dict[int, int]] = {}  # degree -> lead -> its generator
 
-    reducer = _Reducer(generators[0].k)
-    sugar: list[int] = []  # sugar[i] belongs to reducer element i
-    heap: list = []
+    def monomials(e: int) -> list[int]:
+        if e not in columns:
+            columns[e] = sorted(map(red.pack, monomials_of_weighted_degree(e, k)))
+        return columns[e]
 
-    def insert(terms, s: int) -> None:
-        reduced = reducer.normal_form(terms)
-        if not reduced:
-            return
-        h = reducer.add(reduced)
-        sugar.append(s)
-        lth = reducer.lts[h]
-        for old in reducer.lts[:h]:
-            if all(map(operator.le, old, lth)):
-                raise RuntimeError(
-                    f"lead {old} divides the new lead {lth}: a divisor was missed"
-                )
-        for g in _update_pairs(reducer, reducer.pairs, h):
-            lcm = tuple(map(max, reducer.lts[g], lth))
-            wl = weighted_degree(lcm)
-            pair_sugar = max(
-                sugar[g] + wl - weighted_degree(reducer.lts[g]),
-                s + wl - weighted_degree(lth),
+    basis = []
+    full = 0  # consecutive degrees in which every monomial is a lead
+    d = min(degrees)
+    while d <= max(degrees) or full < k:
+        cols = monomials(d)
+        bit = {v: b for b, v in enumerate(cols)}
+        pivots: dict[int, int] = {}
+        found = leads[d] = {}
+        for i, (e, f) in enumerate(zip(degrees, gens)):
+            earlier = leads.get(d - e, {})
+            for m in monomials(d - e):
+                if earlier.get(m, i) < i:
+                    continue  # the F5 criterion: m*f_i adds nothing new
+                row = sum(1 << bit[m + t] for t in f)
+                while row:
+                    p = row.bit_length() - 1
+                    if p not in pivots:
+                        pivots[p] = row
+                        found[cols[p]] = i
+                        break
+                    row ^= pivots[p]
+        for p in pivots:
+            lead = cols[p]
+            # lead - w_j has a guard bit set, so it is no monomial, when
+            # lead does not contain w_j
+            if any(lead - w in leads.get(d - j, ()) for j, w in enumerate(units, 1)):
+                continue
+            row, terms = pivots[p] ^ 1 << p, [lead]
+            while row:
+                b = row.bit_length() - 1
+                if b in pivots:
+                    row ^= pivots[b]
+                else:
+                    row ^= 1 << b
+                    terms.append(cols[b])
+            basis.append((lead, terms))
+        if len(pivots) == len(cols):
+            full += 1
+        elif d >= bound:
+            raise ValueError(
+                f"a monomial of degree {d} is no lead: the ideal is not zero-dimensional"
             )
-            heapq.heappush(heap, ((pair_sugar,) + grlex_key(lcm), (g, h)))
-
-    for terms, g in zip(reducer.load(generators), generators):
-        insert(terms, max(map(weighted_degree, g.terms)))
-
-    while heap:
-        (s, total, lcm), pair = heapq.heappop(heap)
-        if pair not in reducer.pairs:
-            continue
-        del reducer.pairs[pair]
-        reducer.fit(total)  # the S-polynomial's terms have sums up to the lcm's
-        q1, q2 = (reducer.pack(lcm) - reducer.leads[g] for g in pair)
-        insert(reducer._product(pair[0], q1) ^ reducer._product(pair[1], q2), s)
-
-    return list(map(reducer.to_poly, reducer.polys))
+        else:
+            full = 0
+        d += 1
+    basis.sort()
+    return [red.to_poly(terms) for _, terms in basis]
 
 
 def reduce_basis(gb: list[Poly]) -> list[Poly]:
@@ -331,8 +308,8 @@ def reduce_basis(gb: list[Poly]) -> list[Poly]:
     if not gb:
         raise ValueError("empty basis")
     _check(gb, gb[0].k, "basis element")
-    reducer = _Reducer(gb[0].k)
-    for terms in sorted(reducer.load(gb), key=max):
+    reducer, packed = _Reducer.load(gb)
+    for terms in sorted(packed, key=max):
         if reducer.divisor(max(terms)) is None:
             reducer.add(terms)
     return [
@@ -344,16 +321,15 @@ def reduce_basis(gb: list[Poly]) -> list[Poly]:
 def oracle_reduce(f: Poly, basis: list[Poly]) -> Poly:
     """Full normal form of f against an arbitrary basis (generic search)."""
     _check(basis, f.k, "basis element")
-    reducer = _Reducer(f.k)
-    *packed, terms = reducer.load(basis + [f])
+    reducer, (*packed, terms) = _Reducer.load(basis + [f])
     for element in packed:
         reducer.add(element)
     return reducer.to_poly(reducer.normal_form(terms))
 
 
 def oracle_equals_family(ctx: GrassmannContext, cap: int = DEFAULT_CAP) -> bool:
-    """Run Buchberger on the dual-class generators and compare the reduced
-    result, as a set of polynomials, with the structured family."""
+    """Build the reduced basis of the dual-class generators and compare it,
+    as a set of polynomials, with the structured family."""
     family = GroebnerFamily(ctx)
     size = len(family)
     if size > cap:
@@ -361,5 +337,4 @@ def oracle_equals_family(ctx: GrassmannContext, cap: int = DEFAULT_CAP) -> bool:
             f"instance has {size} basis elements, above the cap of {cap}"
         )
     generators = wbar_sequence(ctx.n + ctx.k, ctx.k)[ctx.n + 1 :]
-    oracle = reduce_basis(buchberger(generators))
-    return set(oracle) == set(family.polynomials())
+    return set(buchberger(generators)) == set(family.polynomials())

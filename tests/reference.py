@@ -285,6 +285,9 @@ def normal_form_reference(
         work.symmetric_difference_update(
             tuple(map(sum, zip(term, q))) for term in g.terms
         )
+        if t in work:
+            # g lacks its leading term, so this step would repeat forever
+            raise RuntimeError(f"reducing {t} by g_{m} did not remove it")
     return Poly._make(ctx.k, frozenset(work))
 
 
