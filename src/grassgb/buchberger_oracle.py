@@ -22,6 +22,16 @@ leads, and it is homogeneous.  Once every generator has been used and k
 consecutive degrees have every monomial as a lead, every monomial of a
 higher degree is w_j times a lead, so no minimal lead lies above.
 
+The hot loop runs at C level where it can.  The columns of degree d are
+built packed, from the lower degrees, with no recursion: every monomial
+of degree d is w_j times one of degree d - j, so they are the union over
+j of the columns of degree d - j plus the packed w_j, sorted.  The rows
+of every m for one f_i come from one ``map(sum, zip(...))`` over maps of
+m + t -> column -> 1 << column, one map per term t of f_i.  The leads
+that are not minimal in degree d are one set, {l + w_j : l a lead of
+degree d - j}, built once per degree.  A minimal row is back-reduced only
+at its bits that are pivots, ``row & mask`` with one bit per pivot.
+
 The bound.  If the input contains a regular sequence of k generators, of
 degrees d_1, ..., d_k, the quotient by them has the Hilbert series
 prod_i (1 - t^{d_i}) / prod_j (1 - t^j), a polynomial of top degree
@@ -64,9 +74,11 @@ running on.
 from __future__ import annotations
 
 import heapq
+from itertools import repeat
+from operator import add, lshift
 
 from .dual_classes import wbar_sequence
-from .f2poly import Monomial, Poly, monomials_of_weighted_degree, weighted_degree
+from .f2poly import Monomial, Poly, weighted_degree
 from .groebner_family import GrassmannContext, GroebnerFamily
 
 __all__ = [
@@ -222,6 +234,17 @@ def _check(polys: list[Poly], k: int, name: str) -> None:
             raise ValueError(f"mixed variable counts: {name} {i} has {g.k}, not {k}")
 
 
+def _times_units(by_degree: list, units: list[int]) -> set[int]:
+    """Every packed w_j * v with v in ``by_degree[d - j]``, where d is
+    ``len(by_degree)`` and ``units`` holds the packed w_1, ..., w_k.  Every
+    monomial of degree d is w_j times one of degree d - j, for each j whose
+    exponent in it is positive, so given the monomials of every degree
+    below d these are the monomials of degree d; given the leads, they are
+    the leads of degree d that are not minimal."""
+    d = len(by_degree)
+    return set().union(*[map(add, repeat(w), by_degree[d - j]) for j, w in enumerate(units[:d], 1)])
+
+
 def buchberger(generators: list[Poly]) -> list[Poly]:
     """The reduced Groebner basis of the ideal spanned by weighted-homogeneous
     generators, sorted by grlex of the leading term, built one weighted
@@ -240,51 +263,60 @@ def buchberger(generators: list[Poly]) -> list[Poly]:
     red = _Reducer(k, bound + k)  # the run stops by degree bound + k - 1
     gens = [list(map(red.pack, g.terms)) for g in generators]
     units = [red.pack((0,) * (j - 1) + (1,) + (0,) * (k - j)) for j in range(1, k + 1)]
-    columns: dict[int, list[int]] = {}
-    leads: dict[int, dict[int, int]] = {}  # degree -> lead -> its generator
-
-    def monomials(e: int) -> list[int]:
-        if e not in columns:
-            columns[e] = sorted(map(red.pack, monomials_of_weighted_degree(e, k)))
-        return columns[e]
-
+    columns = [[0]]  # columns[e]: the packed monomials of degree e
+    d = min(degrees)
+    leads: list[dict[int, int]] = [{} for _ in range(d)]  # lead -> its generator
     basis = []
     full = 0  # consecutive degrees in which every monomial is a lead
-    d = min(degrees)
     while d <= max(degrees) or full < k:
-        cols = monomials(d)
-        bit = {v: b for b, v in enumerate(cols)}
-        pivots: dict[int, int] = {}
-        found = leads[d] = {}
+        while len(columns) <= d:
+            columns.append(sorted(_times_units(columns, units)))
+        cols = columns[d]
+        bit = dict(zip(cols, range(len(cols))))
+        # pivots[b] is the row whose lead is column b - 1, the bit_length of
+        # the row, or 0 if there is none yet; pivots[0] stays 0, so a row
+        # that reduces to 0 ends the loop below
+        pivots = [0] * (len(cols) + 1)
+        found: dict[int, int] = {}
         for i, (e, f) in enumerate(zip(degrees, gens)):
-            earlier = leads.get(d - e, {})
-            for m in monomials(d - e):
-                if earlier.get(m, i) < i:
-                    continue  # the F5 criterion: m*f_i adds nothing new
-                row = sum(1 << bit[m + t] for t in f)
-                while row:
-                    p = row.bit_length() - 1
-                    if p not in pivots:
-                        pivots[p] = row
-                        found[cols[p]] = i
-                        break
-                    row ^= pivots[p]
-        for p in pivots:
-            lead = cols[p]
-            # lead - w_j has a guard bit set, so it is no monomial, when
-            # lead does not contain w_j
-            if any(lead - w in leads.get(d - j, ()) for j, w in enumerate(units, 1)):
+            if e > d:
                 continue
-            row, terms = pivots[p] ^ 1 << p, [lead]
-            while row:
-                b = row.bit_length() - 1
-                if b in pivots:
-                    row ^= pivots[b]
-                else:
+            earlier = leads[d - e]
+            # the F5 criterion: m*f_i adds nothing new when m is a lead of
+            # f_1, ..., f_{i-1}
+            ms = [m for m in columns[d - e] if earlier.get(m, i) >= i]
+            # the row of m*f_i is the sum of 1 << bit[m + t] over the terms t
+            # of f_i, built for every m at once, one term t at a time
+            shifted = [
+                map(lshift, repeat(1), map(bit.__getitem__, map(add, repeat(t), ms))) for t in f
+            ]
+            for row in map(sum, zip(*shifted)):
+                b = row.bit_length()
+                while pivot := pivots[b]:
+                    row ^= pivot
+                    b = row.bit_length()
+                if b:
+                    pivots[b] = row
+                    found[cols[b - 1]] = i
+        # a lead is minimal iff it is no w_j times a lead j degrees lower
+        minimal = found.keys() - _times_units(leads, units)
+        leads.append(found)
+        if minimal:
+            mask = sum(map(lshift, repeat(1), map(bit.__getitem__, found)))
+            for lead in minimal:
+                p = bit[lead]
+                row = pivots[p + 1] ^ 1 << p
+                hit = row & mask
+                while hit:
+                    row ^= pivots[hit.bit_length()]
+                    hit = row & mask
+                terms = [lead]
+                while row:
+                    b = row.bit_length() - 1
                     row ^= 1 << b
                     terms.append(cols[b])
-            basis.append((lead, terms))
-        if len(pivots) == len(cols):
+                basis.append((lead, terms))
+        if len(found) == len(cols):
             full += 1
         elif d >= bound:
             raise ValueError(
@@ -293,6 +325,8 @@ def buchberger(generators: list[Poly]) -> list[Poly]:
         else:
             full = 0
         d += 1
+        # free this degree's rows before the next degree's columns are built
+        del pivots, bit
     basis.sort()
     return [red.to_poly(terms) for _, terms in basis]
 

@@ -4,6 +4,7 @@ immersion checks.  All output is deterministic for fixed arguments."""
 from __future__ import annotations
 
 import argparse
+import math
 import signal
 import sys
 
@@ -15,6 +16,12 @@ from .groebner_family import GrassmannContext, GroebnerFamily
 from .steenrod import immersion_obstruction_check
 
 __all__ = ["run", "main"]
+
+# The most monomials ``basis`` prints, and the most elements a whole-family
+# ``generate`` builds.  Both counts are closed forms, binom(n+k, k) and
+# binom(n+k, k-1), so a larger request exits 2 before any work.  A count
+# of elements is no bound on their terms: that needs exact term counts.
+SIZE_BUDGET = 100_000
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,6 +71,11 @@ def _context(args) -> GrassmannContext:
     return GrassmannContext(args.k, args.n)
 
 
+def _within_budget(count: int, what: str) -> None:
+    if count > SIZE_BUDGET:
+        raise ValueError(f"{count} {what}, above the size budget of {SIZE_BUDGET}")
+
+
 def _json_rows(count: int, indent: int) -> str:
     return ",\n".join([" " * indent + "%d"] * count)
 
@@ -98,6 +110,8 @@ def _print_json(family: GroebnerFamily, elements: list) -> None:
 def _cmd_generate(args) -> int:
     family = GroebnerFamily(_context(args))
     if args.only_m is None:
+        k, n = family.context.k, family.context.n
+        _within_budget(math.comb(n + k, k - 1), "basis elements to build (--only-m builds one)")
         elements = list(family.packed_items())
     else:
         only_m = tuple(int(x) for x in args.only_m.split(","))
@@ -148,7 +162,9 @@ def _cmd_immersion_check(args) -> int:
 
 
 def _cmd_basis(args) -> int:
-    monos = standard_basis(_context(args))
+    ctx = _context(args)
+    _within_budget(math.comb(ctx.n + ctx.k, ctx.k), "standard monomials to print")
+    monos = standard_basis(ctx)
     print(*map(format_monomial, monos), sep="\n")
     print(f"count: {len(monos)}")
     return 0

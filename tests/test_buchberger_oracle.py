@@ -11,6 +11,7 @@ from grassgb import buchberger_oracle
 from grassgb.buchberger_oracle import (
     OracleCapExceeded,
     _Reducer,
+    _times_units,
     buchberger,
     oracle_equals_family,
     oracle_reduce,
@@ -18,7 +19,13 @@ from grassgb.buchberger_oracle import (
     s_polynomial,
 )
 from grassgb.dual_classes import wbar_recurrence, wbar_sequence
-from grassgb.f2poly import Poly, grlex_key, parse, weighted_degree
+from grassgb.f2poly import (
+    Poly,
+    grlex_key,
+    monomials_of_weighted_degree,
+    parse,
+    weighted_degree,
+)
 from grassgb.groebner_family import GrassmannContext, build_family
 
 from conftest import random_homogeneous, random_poly
@@ -139,6 +146,23 @@ class TestBuchberger:
         gens = [parse("w1^2", 2), parse("w1*w2 + w2", 2), parse("w2^3", 2)]
         with pytest.raises(ValueError, match="generator 1 is not weighted-homogeneous"):
             buchberger(gens)
+
+
+class TestColumns:
+    """The columns of each degree, built packed from the lower degrees with
+    no recursion, are its monomials, and int order on them is grlex."""
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_match_the_monomial_enumeration(self, k):
+        red = _Reducer(k, 40)
+        units = [red.pack(tuple(int(i == j) for i in range(k))) for j in range(k)]
+        columns = [[0]]
+        while len(columns) <= 40:
+            columns.append(sorted(_times_units(columns, units)))
+        for d, cols in enumerate(columns):
+            monomials = monomials_of_weighted_degree(d, k)
+            assert cols == sorted(map(red.pack, monomials)), d
+            assert list(map(red.unpack, cols)) == sorted(monomials, key=grlex_key), d
 
 
 class TestSugarStrategy:

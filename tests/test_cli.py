@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import signal
@@ -227,7 +228,9 @@ def test_exponent_overflow_exits_2(capsys):
     ],
 )
 def test_deep_recursion_exits_2(capsys, argv):
-    # the index enumeration and the g_M walk recurse once per variable
+    # basis and generate stop at the size guard; dual and reduce at the
+    # recursion limit, since the index enumeration and the g_M walk
+    # recurse once per variable
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1
@@ -239,6 +242,55 @@ def src_env() -> dict[str, str]:
     src = os.path.dirname(os.path.dirname(grassgb.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return dict(os.environ, PYTHONPATH=path)
+
+
+@pytest.mark.parametrize(
+    "argv,count",
+    [
+        (("basis", "-k", "5", "-n", "200"), math.comb(205, 5)),
+        (("generate", "-k", "5", "-n", "60"), math.comb(65, 4)),
+    ],
+)
+def test_size_guard_exits_2_before_any_work(argv, count):
+    # without the guard both end in MemoryError; the timeout turns a
+    # missing guard into a failure instead of a long run
+    proc = subprocess.run(
+        [sys.executable, "-m", "grassgb.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error:")
+    assert f" {count} " in line
+
+
+@pytest.mark.parametrize(
+    "argv,count",
+    [
+        (("basis", "-k", "3", "-n", "4"), 35),
+        (("generate", "-k", "3", "-n", "4"), 21),
+        (("generate", "-k", "3", "-n", "4", "--format", "json"), 21),
+    ],
+)
+def test_size_guard_edge(capsys, monkeypatch, argv, count):
+    monkeypatch.setattr(cli, "SIZE_BUDGET", count)
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    monkeypatch.setattr(cli, "SIZE_BUDGET", count - 1)
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: {count} ")
+
+
+def test_size_guard_spares_one_element(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "SIZE_BUDGET", 0)
+    code, out, _ = invoke(capsys, "generate", "-k", "3", "-n", "4", "--only-m", "0,0")
+    assert code == 0
+    assert out.startswith("g[0,0] = ")
 
 
 def test_parser_reuse_leaks_nothing(capsys, monkeypatch):
