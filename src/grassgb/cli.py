@@ -1,5 +1,10 @@
 """Command-line front end: basis generation, reduction, verification,
-immersion checks.  All output is deterministic for fixed arguments."""
+immersion checks.  All output is deterministic for fixed arguments.
+
+The two commands whose output grows with the family write it as they go,
+so the text is never held whole: ``generate`` writes one element per
+call, text or JSON, and ``basis`` one standard monomial per line as
+``standard_monomials`` makes it, its count a closed form."""
 
 from __future__ import annotations
 
@@ -9,7 +14,7 @@ import signal
 import sys
 
 from .buchberger_oracle import DEFAULT_CAP, oracle_equals_family
-from .cohomology import normal_form, standard_basis
+from .cohomology import normal_form, standard_monomials
 from .dual_classes import wbar_explicit
 from .f2poly import format_monomial, format_poly, parse
 from .groebner_family import GrassmannContext, GroebnerFamily
@@ -91,7 +96,8 @@ def _print_json(family: GroebnerFamily, elements: list) -> None:
     """Print the records {"M", "lt", "poly"} exactly as
     json.dumps(records, indent=2) would, with one format string per
     nesting depth; terms go in the family's order, decreasing grlex,
-    and "lt" is (n+1-S_M, M)."""
+    and "lt" is (n+1-S_M, M).  Each record is one ``write``, so no more
+    than one record's text is held at a time."""
     k, lead_sum = family.context.k, family.context.n + 1
     head = (
         '  {\n    "M": [\n%s\n    ],\n    "lt": [\n%s\n    ],\n    "poly": [\n'
@@ -99,12 +105,12 @@ def _print_json(family: GroebnerFamily, elements: list) -> None:
     )
     term = "      [\n%s\n      ]" % _json_rows(k, 8)
     rows = _term_table(family, elements, term.__mod__)
-    records = []
+    write, sep = sys.stdout.write, "[\n"
     for m, terms in elements:
         body = ",\n".join(map(rows.__getitem__, terms))
-        records.append(head % (m + (lead_sum - sum(m),) + m) + body + "\n    ]\n  }")
-    # separate arguments, so the whole text is not copied by concatenation
-    print("[", ",\n".join(records), "]", sep="\n")
+        write(f"{sep}{head % (m + (lead_sum - sum(m),) + m)}{body}\n    ]\n  }}")
+        sep = ",\n"
+    write("\n]\n")
 
 
 def _cmd_generate(args) -> int:
@@ -163,10 +169,10 @@ def _cmd_immersion_check(args) -> int:
 
 def _cmd_basis(args) -> int:
     ctx = _context(args)
-    _within_budget(math.comb(ctx.n + ctx.k, ctx.k), "standard monomials to print")
-    monos = standard_basis(ctx)
-    print(*map(format_monomial, monos), sep="\n")
-    print(f"count: {len(monos)}")
+    count = math.comb(ctx.n + ctx.k, ctx.k)
+    _within_budget(count, "standard monomials to print")
+    sys.stdout.writelines(f"{format_monomial(m)}\n" for m in standard_monomials(ctx))
+    print(f"count: {count}")
     return 0
 
 
@@ -187,11 +193,17 @@ def run(argv: list[str]) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.command(args)
-    except (ValueError, OverflowError, RecursionError) as exc:
+    except (ValueError, OverflowError) as exc:
         # ParseError and OracleCapExceeded are ValueErrors; OverflowError is
-        # an exponent too large for a term; RecursionError is a k too large
-        # for the walks, which recurse once per variable
+        # an exponent too large for a term
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # on a CLI path only the g_M walk recurses with k: once per variable
+        print(
+            "error: k is too large for the g_M walk, which recurses once per variable",
+            file=sys.stderr,
+        )
         return 2
 
 

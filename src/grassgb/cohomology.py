@@ -10,13 +10,25 @@ sum <= n).
 The reduction itself is ``GroebnerFamily.reduce``: the family owns the
 packing and the table of packed tails it reads, and the ``groebner_family``
 docstring describes both.  ``normal_form`` checks the context and wraps
-the result.
+the result.  ``cup`` never builds the product as a ``Poly``: the family's
+``packed_product`` multiplies the two classes on packed ints, keeping only
+the weighted degrees up to k*n, and ``reduce_packed`` reduces the result.
+
+The standard monomials are listed in grlex order as they are made, one
+exponent sum s at a time: the monomials of sum s, in increasing lex order,
+are the differences of consecutive entries of 0 <= e_1 <= ... <= e_{k-1}
+<= s, and ``itertools.combinations_with_replacement`` yields those e in
+lex order, which is the order of the differences.  Nothing is sorted.
 """
 
 from __future__ import annotations
 
-from .f2poly import Monomial, Poly, grlex_key
-from .groebner_family import GrassmannContext, GroebnerFamily, _indices_up_to
+from collections.abc import Iterator
+from itertools import combinations_with_replacement
+from operator import sub
+
+from .f2poly import Monomial, Poly
+from .groebner_family import GrassmannContext, GroebnerFamily
 from .record import Record
 
 __all__ = [
@@ -25,6 +37,7 @@ __all__ = [
     "is_zero",
     "cup",
     "standard_basis",
+    "standard_monomials",
 ]
 
 
@@ -53,11 +66,16 @@ def normal_form(
 ) -> CohomologyClass:
     """The unique remainder of f modulo the basis: f minus an ideal element,
     with no term of exponent sum > n."""
+    return CohomologyClass(ctx, _family_of(ctx, family).reduce(f))
+
+
+def _family_of(ctx: GrassmannContext, family: GroebnerFamily | None) -> GroebnerFamily:
+    """The family given, checked against ctx, or a fresh one."""
     if family is None:
-        family = GroebnerFamily(ctx)
-    elif family.context != ctx:
+        return GroebnerFamily(ctx)
+    if family.context != ctx:
         raise ValueError("family belongs to a different context")
-    return CohomologyClass(ctx, family.reduce(f))
+    return family
 
 
 def is_zero(
@@ -73,12 +91,24 @@ def cup(
     b: CohomologyClass,
     family: GroebnerFamily | None = None,
 ) -> CohomologyClass:
-    """Cup product: polynomial product followed by reduction."""
+    """Cup product: the normal form of a.value * b.value, multiplied and
+    reduced on packed ints."""
     if a.context != ctx or b.context != ctx:
         raise ValueError("cohomology classes belong to a different context")
-    return normal_form(ctx, a.value * b.value, family)
+    family = _family_of(ctx, family)
+    parts = family.packed_product(a.value, b.value)
+    return CohomologyClass(ctx, family.to_poly(family.reduce_packed(set().union(*parts.values()))))
+
+
+def standard_monomials(ctx: GrassmannContext) -> Iterator[Monomial]:
+    """All monomials of exponent sum <= n, in increasing grlex order, made
+    one at a time."""
+    for s in range(ctx.n + 1):
+        top = (s,)
+        for e in combinations_with_replacement(range(s + 1), ctx.k - 1):
+            yield tuple(map(sub, e + top, (0,) + e))
 
 
 def standard_basis(ctx: GrassmannContext) -> list[Monomial]:
     """All monomials of exponent sum <= n, in increasing grlex order."""
-    return sorted(_indices_up_to(ctx.k + 1, ctx.n), key=grlex_key)
+    return list(standard_monomials(ctx))

@@ -33,7 +33,10 @@ Whole families are built through the paper's three-term recurrence
     g_{M^{i,j}} = w_i g_{M^j} + w_{j+1} g_{M^{i-1}} + g_{M^{i-1,j+1}},
 
 which needs no enumeration at all: only the k elements with S_M <= 1 come
-from the walk.  A single element asked for on its own (a reduction step,
+from the walk.  The indices come from ``_indices_up_to``, which builds
+them one position at a time with no recursion, from the last and most
+significant, so they come out in the order ``generate`` prints.  A
+single element asked for on its own (a reduction step,
 ``generate --only-m``) is one walk at the family's width, not the
 elements below it, and the family does not keep it.  ``g_direct`` runs
 the same walk at a width of its own, one that holds its weighted degree,
@@ -69,11 +72,13 @@ weighted degree, so a term of degree above k*n has normal form 0 and is
 dropped before packing.  The packed terms left go to
 ``GroebnerFamily.reduce_packed``, which does all that follows on ints
 and returns the normal form as a set of them; ``reduce`` unpacks it.  A
-caller holding packed terms of degree at most k*n (``normal_bundle_sw``)
-calls ``reduce_packed`` itself.  Each term met while reducing a kept
-term t has the weighted degree of t, at most k*n, so every exponent fits
-its field, and since lt(g_M) divides t, subtracting the packed leading
-term never borrows.
+caller holding packed terms of degree at most k*n calls
+``reduce_packed`` itself: ``cup`` and ``normal_bundle_sw`` take them
+from ``packed_product``, which multiplies two polynomials in the packing,
+one pair of weighted degrees at a time, and keeps only the degrees up
+to k*n.  Each term met while reducing a kept term t has the weighted
+degree of t, at most k*n, so every exponent fits its field, and since
+lt(g_M) divides t, subtracting the packed leading term never borrows.
 
 The divisor is read off the packed term v itself: the excess is the sum
 field minus n+1, and the packed lead is v with that excess subtracted from
@@ -322,12 +327,16 @@ def g_recurrence_step(
 
 
 def _indices_up_to(k: int, bound: int) -> list[MultiIndex]:
-    """All (k-1)-tuples with entry sum <= bound, increasing lex-from-the-right."""
-    if k == 1:
-        return [()]
-    return [
-        m + (x,) for x in range(bound + 1) for m in _indices_up_to(k - 1, bound - x)
-    ]
+    """All (k-1)-tuples with entry sum <= bound, increasing lex-from-the-right.
+
+    Built one position at a time from the last, the most significant:
+    each suffix, already in order, is extended by every entry it leaves
+    room for, in increasing order, which keeps the order.  No recursion,
+    so k is bounded by memory, not by the recursion limit."""
+    level: list[MultiIndex] = [()]
+    for _ in range(k - 1):
+        level = [(x,) + s for s in level for x in range(bound + 1 - sum(s))]
+    return level
 
 
 class GroebnerFamily:
@@ -445,6 +454,31 @@ class GroebnerFamily:
             if max(work, default=0) >= level_sum:
                 raise ValueError("a basis element has a tail term of exponent sum > n")
         return set().union(*work.values())
+
+    def packed_product(self, f: Poly, g: Poly) -> dict[int, set[int]]:
+        """The parts of f*g of weighted degree d <= k*n, keyed by d, each a
+        set of packed ints; no standard monomial lies above k*n, so the
+        parts there reduce to 0 and are left out.
+
+        Each factor is split by weighted degree, and only its parts of
+        degree at most k*n are packed, once.  Only the pairs of degrees
+        summing to at most k*n are multiplied, one term of one factor
+        added to every term of the other.  A term of degree d has no
+        exponent above d, so no field of a kept product overflows.
+        """
+        top, pack = self.context.k * self.context.n, self.pack
+        fs, gs = (
+            {d: list(map(pack, q)) for d, q in h.weighted_components().items() if d <= top}
+            for h in (f, g)
+        )
+        parts: dict[int, set[int]] = {}
+        for d1, p1 in fs.items():
+            for d2, p2 in gs.items():
+                if d1 + d2 <= top:
+                    acc = parts.setdefault(d1 + d2, set())
+                    for b in p2:
+                        acc.symmetric_difference_update(map(b.__add__, p1))
+        return parts
 
     def _step(
         self, m: MultiIndex, i: int, j: int, lookup: Callable[[MultiIndex], Iterable[int]]

@@ -16,10 +16,12 @@ odd iff x & c == 0, for every integer c in two's complement.  Wu's
 coefficient binom(j-i+t-1, t) is the case x = t, c = j-i-1; the
 resultant's binom(p, q) is x = q, c = p-q.
 
-The normal classes multiply w(gamma (x) gamma) by w(gamma)^e on packed
-ints in the packing of the family they are reduced in, one pair of
-weighted degrees at a time up to the top degree k*n, and reduce each
-degree's packed terms with ``GroebnerFamily.reduce_packed``.
+The normal classes multiply w(gamma (x) gamma) by w(gamma)^e with
+``GroebnerFamily.packed_product``, on packed ints in the packing of the
+family they are reduced in, one pair of weighted degrees at a time up to
+the top degree k*n, and reduce each degree's packed terms with
+``GroebnerFamily.reduce_packed``.  ``cohomology.cup`` runs the same
+product.
 
 Nothing is cached between calls: every square and every tensor square is
 computed afresh from its arguments.  Within one ``sq`` call the Cartan
@@ -169,30 +171,6 @@ def tensor_square_sw(k: int) -> Poly:
     return family.to_poly(partial[(1 << k) - 1])
 
 
-def _packed_product(family: GroebnerFamily, f: Poly, g: Poly) -> dict[int, set[int]]:
-    """The parts of f*g of weighted degree d <= k*n, keyed by d, each a set
-    of packed ints in the family's packing; no standard monomial lies
-    above k*n, so the parts there reduce to 0 and are left out.
-
-    Each factor is split by weighted degree and packed once, and only the
-    pairs of degrees summing to at most k*n are multiplied, one term of
-    one factor added to every term of the other, as in
-    ``tensor_square_sw``.  A term of degree d has no exponent above d,
-    so no field of a kept product overflows; a factor's part above k*n
-    is packed but meets no kept pair.
-    """
-    top, pack = family.context.k * family.context.n, family.pack
-    fs, gs = ({d: list(map(pack, q)) for d, q in h.weighted_components().items()} for h in (f, g))
-    parts: dict[int, set[int]] = {}
-    for d1, p1 in fs.items():
-        for d2, p2 in gs.items():
-            if d1 + d2 <= top:
-                acc = parts.setdefault(d1 + d2, set())
-                for b in p2:
-                    acc.symmetric_difference_update(map(b.__add__, p1))
-    return parts
-
-
 def _g5n_context(
     n: int, family: GroebnerFamily | None
 ) -> tuple[GrassmannContext, GroebnerFamily]:
@@ -229,18 +207,18 @@ def normal_bundle_sw(
     of top degree k(k-1) + k e.  Only ``_g5n_context`` fixes k = 5.
 
     The product runs on packed ints in the family's packing
-    (``_packed_product``): each factor is split by weighted degree and
-    packed once, and only the pairs of degrees summing to at most k*n
-    are multiplied, since no standard monomial lies above k*n.  Each
-    degree's packed terms go straight to ``GroebnerFamily.reduce_packed``
-    and are unpacked once, as its class.  w(gamma)^e stays a ``Poly``
+    (``GroebnerFamily.packed_product``): each factor is split by weighted
+    degree and packed once, and only the pairs of degrees summing to at
+    most k*n are multiplied, since no standard monomial lies above k*n.
+    Each degree's packed terms go straight to
+    ``GroebnerFamily.reduce_packed`` and are unpacked once, as its class.  w(gamma)^e stays a ``Poly``
     power, so an exponent past 2^31 - 1 still raises ``OverflowError``.
     """
     ctx, family = _g5n_context(n, family)
     k = ctx.k
     e = 2 ** (n + k - 1).bit_length() - n - k
     total_w = sum((Poly.variable(k, j) for j in range(1, k + 1)), Poly.one(k))
-    products = _packed_product(family, tensor_square_sw(k), total_w**e)
+    products = family.packed_product(tensor_square_sw(k), total_w**e)
     return {
         d: CohomologyClass(ctx, family.to_poly(family.reduce_packed(products.get(d, ()))))
         for d in range(k * (k - 1) + k * e + 1)

@@ -41,10 +41,11 @@ The recurrence step raises one exponent of every term of a tuple
 polynomial (``_times_variable``, which scans for overflow first); the
 package adds one packed int to every packed term.
 
-The multi-indices of a family are every tuple of the box filtered by
-entry sum and then sorted; the package generates them in order.  The
-JSON of ``generate`` comes from json.dumps(indent=2) over terms sorted by
-``grlex_key``; the package prints it with one format string per depth.
+The multi-indices of a family, and the standard monomials, are every
+tuple of the box filtered by entry sum and then sorted; the package
+generates both in order.  The JSON of ``generate`` comes from
+json.dumps(indent=2) over terms sorted by ``grlex_key``; the package
+prints it with one format string per depth, one record per write.
 
 The Buchberger oracle tests divisibility on exponent tuples, recomputes the
 lcm of every queued pair at each Gebauer-Moller update and inter-reduces
@@ -220,6 +221,12 @@ def indices_up_to_reference(k: int, bound: int) -> list[tuple[int, ...]]:
         if sum(m) <= bound
     )
     return sorted(everything, key=lambda m: m[::-1])
+
+
+def standard_basis_reference(k: int, n: int) -> list[Monomial]:
+    """All k-tuples with entry sum <= n, increasing grlex."""
+    everything = (t for t in itertools.product(range(n + 1), repeat=k) if sum(t) <= n)
+    return sorted(everything, key=grlex_key)
 
 
 def generate_json_reference(ctx: GrassmannContext, indices) -> str:

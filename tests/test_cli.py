@@ -7,12 +7,16 @@ import subprocess
 import sys
 
 import pytest
-from reference import generate_json_reference, indices_up_to_reference, normal_form_reference
+from reference import (
+    generate_json_reference,
+    indices_up_to_reference,
+    normal_form_reference,
+    standard_basis_reference,
+)
 
 import grassgb
 from grassgb import cli
 from grassgb.cli import run
-from grassgb.cohomology import standard_basis
 from grassgb.f2poly import Poly, format_poly
 from grassgb.groebner_family import GrassmannContext, GroebnerFamily, g_direct
 
@@ -93,6 +97,28 @@ def test_generate_json_only_m_matches_json_dumps(capsys, k, n, m):
     code, out, _ = invoke(capsys, *argv)
     assert code == 0
     assert out == generate_json_reference(GrassmannContext(k, n), [m]) + "\n"
+
+
+class WriteLog:
+    """A stdout that keeps each ``write`` call's text apart."""
+
+    def __init__(self):
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("k,n", [(2, 2), (3, 4), (5, 6)])
+def test_generate_json_writes_one_record_per_call(monkeypatch, k, n):
+    log = WriteLog()
+    monkeypatch.setattr(sys, "stdout", log)
+    assert run(["generate", "-k", str(k), "-n", str(n), "--format", "json"]) == 0
+    indices = indices_up_to_reference(k, n + 1)
+    assert "".join(log.calls) == generate_json_reference(GrassmannContext(k, n), indices) + "\n"
+    # each record has one "M" key: no call holds two records
+    assert [call.count('"M"') for call in log.calls] == [1] * len(indices) + [0]
 
 
 def test_generate_only_m(capsys):
@@ -194,11 +220,12 @@ def test_basis(capsys):
     assert lines == ["1", "w2", "w1", "w2^2", "w1*w2", "w1^2", "count: 6"]
 
 
-@pytest.mark.parametrize("k,n", [(2, 2), (3, 6), (5, 8)])
+@pytest.mark.parametrize("k,n", [(2, 2), (3, 6), (5, 8), (2, 40), (4, 12), (6, 6)])
 def test_basis_matches_format_poly(capsys, k, n):
+    # against the box of all k-tuples, filtered and sorted
     code, out, _ = invoke(capsys, "basis", "-k", str(k), "-n", str(n))
     assert code == 0
-    monos = standard_basis(GrassmannContext(k, n))
+    monos = standard_basis_reference(k, n)
     expected = [format_poly(Poly.monomial(m)) for m in monos] + [f"count: {len(monos)}"]
     assert out.splitlines() == expected
 
@@ -218,6 +245,9 @@ def test_exponent_overflow_exits_2(capsys):
     assert err.startswith("error: exponent overflow")
 
 
+DEEP_K = "error: k is too large for the g_M walk, which recurses once per variable\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -225,16 +255,19 @@ def test_exponent_overflow_exits_2(capsys):
         ("generate", "-k", "1000", "-n", "1000"),
         ("dual", "-k", "1000", "-r", "1000"),
         ("reduce", "-k", "1000", "-n", "1000", "w1^1001"),
+        ("generate", "-k", "1000", "-n", "1000", "--only-m", ",".join(["0"] * 999)),
     ],
 )
 def test_deep_recursion_exits_2(capsys, argv):
-    # basis and generate stop at the size guard; dual and reduce at the
-    # recursion limit, since the index enumeration and the g_M walk
-    # recurse once per variable
+    # basis and whole-family generate stop at the size guard; the others
+    # at the recursion limit, since the g_M walk recurses once per variable
     code, out, err = invoke(capsys, *argv)
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1
-    assert err.startswith("error:")
+    if "--only-m" in argv or argv[0] in ("dual", "reduce"):
+        assert err == DEEP_K
+    else:
+        assert err.startswith("error:") and "size budget" in err
 
 
 def src_env() -> dict[str, str]:

@@ -5,7 +5,12 @@ import random
 import time
 
 import pytest
-from reference import indices_up_to_reference, normal_form_reference, structured_divisor
+from reference import (
+    indices_up_to_reference,
+    normal_form_reference,
+    standard_basis_reference,
+    structured_divisor,
+)
 
 import grassgb
 from grassgb.buchberger_oracle import buchberger, oracle_reduce, reduce_basis
@@ -15,6 +20,7 @@ from grassgb.cohomology import (
     is_zero,
     normal_form,
     standard_basis,
+    standard_monomials,
 )
 from grassgb.dual_classes import wbar_recurrence
 from grassgb.f2poly import (
@@ -72,6 +78,29 @@ def test_cup_examples():
     assert not cup(CTX22, w1sq, w1, family)
     assert cup(CTX22, w1, one, family) == w1
     assert not cup(CTX22, w2, w2sq, family)
+
+
+@pytest.mark.parametrize("k", range(2, 6))
+def test_cup_matches_normal_form_of_the_product(k):
+    rng = random.Random(f"cup k={k}")
+    for n in (k, k + 3):
+        ctx = GrassmannContext(k, n)
+        family, reference = GroebnerFamily(ctx), GroebnerFamily(ctx)
+        basis = standard_basis(ctx)
+        zero = CohomologyClass(ctx, Poly.zero(k))
+        # w_k^n, the top class: its product with any class of positive
+        # degree lies above k*n
+        top = CohomologyClass(ctx, Poly.monomial((0,) * (k - 1) + (n,)))
+        w1 = CohomologyClass(ctx, Poly.variable(k, 1))
+        assert not cup(ctx, top, w1, family)
+        classes = [zero, top, w1] + [
+            CohomologyClass(ctx, Poly(k, rng.sample(basis, rng.randint(1, min(8, len(basis))))))
+            for _ in range(12)
+        ]
+        for a in classes:
+            for b in classes[:3] + rng.sample(classes, 4):
+                expected = normal_form(ctx, a.value * b.value, reference)
+                assert cup(ctx, a, b, family) == expected, (k, n, a, b)
 
 
 def test_cup_context_mismatch():
@@ -308,6 +337,15 @@ def test_standard_basis():
         basis = standard_basis(ctx)
         assert basis == sorted(basis, key=grlex_key)
         assert all(sum(m) <= ctx.n for m in basis)
+
+
+@pytest.mark.parametrize("k,n", [(2, 2), (2, 30), (3, 6), (4, 12), (5, 8), (6, 6)])
+def test_standard_basis_matches_reference(k, n):
+    ctx = GrassmannContext(k, n)
+    expected = standard_basis_reference(k, n)
+    assert standard_basis(ctx) == expected
+    assert list(standard_monomials(ctx)) == expected
+    assert len(expected) == math.comb(n + k, k)
 
 
 def test_idempotence_and_linearity(rng):

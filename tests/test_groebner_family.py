@@ -11,6 +11,7 @@ from reference import (
     g_direct_reference,
     g_recurrence_step_reference,
     indices_up_to_reference,
+    poly_mul_reference,
 )
 
 import grassgb
@@ -36,6 +37,8 @@ from grassgb.groebner_family import (
     raised2,
 )
 from grassgb.steenrod import normal_bundle_sw
+
+from conftest import random_poly
 
 CTX22 = GrassmannContext(2, 2)
 
@@ -388,6 +391,49 @@ def test_items_keeps_elements_already_filled():
 def test_indices_match_reference(k):
     for bound in range(13):
         assert _indices_up_to(k, bound) == indices_up_to_reference(k, bound), bound
+
+
+# the benchmark's family sizes, k = 2 up to a large bound, and (4,12);
+# the bound is n+1, as for a family, and k = 1 is the empty index alone
+INDEX_GRID = [(2, 0), (2, 100), (3, 5), (4, 12), (4, 14), (5, 9), (5, 10), (6, 7), (7, 4)]
+
+
+@pytest.mark.parametrize("k,n", INDEX_GRID)
+def test_indices_match_reference_on_the_grid(k, n):
+    assert _indices_up_to(k, n + 1) == indices_up_to_reference(k, n + 1)
+    assert _indices_up_to(1, n) == [()]
+
+
+def test_packed_product_matches_poly_product(rng):
+    # factors reaching past k*n, so the pair filter is met on both sides
+    for _ in range(80):
+        k = rng.randint(2, 6)
+        n = rng.randint(k, 8)
+        family = GroebnerFamily(GrassmannContext(k, n))
+        f, g = (random_poly(rng, k, max_exp=n, max_terms=8) for _ in range(2))
+        if rng.random() < 0.25:
+            g = f + g  # shares terms with f, so products cancel
+        expected = {
+            d: part
+            for d, part in poly_mul_reference(f, g).weighted_components().items()
+            if d <= k * n
+        }
+        parts = family.packed_product(f, g)
+        assert all(d <= k * n for d in parts), (k, n, f, g)
+        got = {d: family.to_poly(p) for d, p in parts.items() if p}
+        assert got == expected, (k, n, f, g)
+
+
+def test_packed_product_edges():
+    family = GroebnerFamily(GrassmannContext(3, 4))
+    w1, one, zero = Poly.variable(3, 1), Poly.one(3), Poly.zero(3)
+    assert family.packed_product(zero, w1) == {}
+    assert family.packed_product(one, one) == {0: {0}}
+    # w1^12 has the top degree k*n = 12; w1^13 lies above it
+    assert family.packed_product(w1**6, w1**6) == {12: {family.pack((12, 0, 0))}}
+    assert family.packed_product(w1**6, w1**7) == {}
+    # a factor of degree above k*n, whose exponent no field holds, is dropped
+    assert family.packed_product(w1**40, one) == {}
 
 
 def test_recurrence_derivation_of_eq9():

@@ -2,7 +2,6 @@ import pytest
 from reference import (
     alpha,
     normal_bundle_sw_reference,
-    poly_mul_reference,
     sq_reference,
     tensor_square_sw_permanent_reference,
     tensor_square_sw_reference,
@@ -13,7 +12,6 @@ from grassgb.f2poly import Poly, parse, weighted_degree
 from grassgb.cohomology import normal_form
 from grassgb.groebner_family import GrassmannContext, GroebnerFamily, build_family
 from grassgb.steenrod import (
-    _packed_product,
     immersion_obstruction_check,
     normal_bundle_sw,
     sq,
@@ -226,34 +224,6 @@ class TestNormalBundle:
             assert got[d] == expected[d], d
         # the packed path reduces by exactly the g_M the Poly path does
         assert packed.packed.keys() == poly.packed.keys()
-
-    def test_packed_product_matches_poly_product(self, rng):
-        # factors reaching past k*n, so the pair filter is met on both sides
-        for _ in range(80):
-            k = rng.randint(2, 6)
-            n = rng.randint(k, 8)
-            family = GroebnerFamily(GrassmannContext(k, n))
-            f, g = (random_poly(rng, k, max_exp=n, max_terms=8) for _ in range(2))
-            if rng.random() < 0.25:
-                g = f + g  # shares terms with f, so products cancel
-            expected = {
-                d: part
-                for d, part in poly_mul_reference(f, g).weighted_components().items()
-                if d <= k * n
-            }
-            parts = _packed_product(family, f, g)
-            assert all(d <= k * n for d in parts), (k, n, f, g)
-            got = {d: family.to_poly(p) for d, p in parts.items() if p}
-            assert got == expected, (k, n, f, g)
-
-    def test_packed_product_edges(self):
-        family = GroebnerFamily(GrassmannContext(3, 4))
-        w1, one, zero = Poly.variable(3, 1), Poly.one(3), Poly.zero(3)
-        assert _packed_product(family, zero, w1) == {}
-        assert _packed_product(family, one, one) == {0: {0}}
-        # w1^12 has the top degree k*n = 12; w1^13 lies above it
-        assert _packed_product(family, w1**6, w1**6) == {12: {family.pack((12, 0, 0))}}
-        assert _packed_product(family, w1**6, w1**7) == {}
 
     def test_exponent_congruence(self):
         # 2^{r+1} - n - 5 = 3 and 3 mod 8 = 3 for n = 8
