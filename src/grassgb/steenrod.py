@@ -1,9 +1,24 @@
 """Steenrod squares on Stiefel-Whitney classes and the immersion checks.
 
-Sq^i comes from one Cartan recursion: a monomial in the w_j that is a
-square is handled as one (Sq^{2i}(x^2) = (Sq^i x)^2), and otherwise one
-generator is split off, its squares taken from Wu's formula.  The
-tensor-square total class is one resultant over F_2[w_1, ..., w_k],
+Sq^i comes from one Cartan kernel on packed monomials (``_cartan``): a
+monomial in the w_j that is a square is handled as one (Sq^{2i}(x^2) =
+(Sq^i x)^2, each packed term doubled), and otherwise one generator is
+split off, its squares taken from Wu's formula (``_wu``) and added to
+every term of the rest's with one C-level toggle.  The packing is the
+family's: k exponent fields of W bits, a_1 highest, the exponent sum
+above them, so a monomial product is an integer sum and halving a
+square is one shift.  Every class the kernel meets has weighted degree
+at most deg(t) + i, and no exponent exceeds its weighted degree, so
+fields that hold that degree never overflow.  ``immersion_obstruction_check``
+runs the kernel in the packing of the family of G_{5,n} and hands its
+terms straight to ``GroebnerFamily.reduce_packed``; ``sq`` is the
+kernel's ``Poly`` edge, at a width of its own that holds its largest
+weighted degree plus i, so it serves every k, k = 1 included.  A result
+term with an exponent past MAX_EXPONENT raises ``OverflowError``, as a
+``Poly`` product does; an exponent never exceeds the weighted degree, so
+only a result of degree past MAX_EXPONENT is checked term by term.
+
+The tensor-square total class is one resultant over F_2[w_1, ..., w_k],
 computed as a permanent, so no formal roots are introduced.  The
 permanent runs on sets of packed ints in the packing of the family of
 G_{k,k}, unpacked once at the end: every entry (r, c) of its matrix has
@@ -13,7 +28,8 @@ k(k-1) and no exponent outgrows those fields.
 Both read the parity of a binomial by the carry test of the g_M walk in
 ``groebner_family``, the package's one parity rule: binom(x + c, x) is
 odd iff x & c == 0, for every integer c in two's complement.  Wu's
-coefficient binom(j-i+t-1, t) is the case x = t, c = j-i-1; the
+coefficient binom(j-i+t-1, t) is the case x = t, c = j-i-1, read in
+``_wu`` alone, which both the kernel and ``sq_on_generator`` use; the
 resultant's binom(p, q) is x = q, c = p-q.
 
 The normal classes multiply w(gamma (x) gamma) by w(gamma)^e with
@@ -24,14 +40,19 @@ the top degree k*n, and reduce each degree's packed terms with
 product.
 
 Nothing is cached between calls: every square and every tensor square is
-computed afresh from its arguments.  Within one ``sq`` call the Cartan
-recursion memoizes Sq^i of each monomial it meets.
+computed afresh from its arguments.  The Cartan kernel memoizes Sq^i of
+each monomial it meets, keyed by (i, packed monomial), in one dict per
+``sq`` or ``immersion_obstruction_check`` call, which the two squares of
+the check share.
 """
 
 from __future__ import annotations
 
-from .cohomology import CohomologyClass, normal_form
-from .f2poly import Monomial, Poly, weighted_degree
+from collections.abc import Callable, Collection, Iterable, Iterator
+from operator import mul
+
+from .cohomology import CohomologyClass
+from .f2poly import MAX_EXPONENT, Monomial, Poly, weighted_degree
 from .groebner_family import GrassmannContext, GroebnerFamily
 from .record import Record
 
@@ -60,6 +81,16 @@ class ObstructionReport(Record):
         super().__init__(n, sq1_value, k1_obstruction_value, lift_possible)
 
 
+def _wu(i: int, j: int, k: int) -> list[tuple[int, int]]:
+    """The pairs (i-t, j+t) of the terms w_{i-t} w_{j+t} of Sq^i(w_j),
+    0 <= i <= j <= k, whose Wu coefficient binom(j-i+t-1, t) is odd.
+
+    binom(t + c, t), c = j-i-1, is odd iff t & c == 0; at c = -1 (i = j)
+    that keeps only t = 0.  As i <= j, w_{j+t} is each term's last
+    generator, so no two terms coincide."""
+    return [(i - t, j + t) for t in range(min(i, k - j) + 1) if t & (j - i - 1) == 0]
+
+
 def sq_on_generator(i: int, j: int, k: int) -> Poly:
     """Wu's formula: Sq^i(w_j) = sum_t binom(j-i+t-1, t) w_{i-t} w_{j+t},
     with w_0 = 1 and w_m = 0 for m > k."""
@@ -70,57 +101,106 @@ def sq_on_generator(i: int, j: int, k: int) -> Poly:
     if i > j:
         return Poly.zero(k)
     terms = []
-    # binom(t + c, t), c = j-i-1, is odd iff t & c == 0; at c = -1
-    # (i = j) that keeps only t = 0
-    for t in range(min(i, k - j) + 1):
-        if t & (j - i - 1) == 0:
-            exps = [0] * k
-            if i - t > 0:
-                exps[i - t - 1] += 1
-            exps[j + t - 1] += 1
-            terms.append(tuple(exps))
-    # as i <= j, w_{j+t} is each term's last generator, so no two coincide
+    for a, b in _wu(i, j, k):
+        exps = [0] * (k + 1)  # exps[0] stands for w_0 = 1
+        exps[a] += 1
+        exps[b] += 1
+        terms.append(tuple(exps[1:]))
     return Poly._make(k, frozenset(terms))
 
 
-def _sq_monomial(i: int, t: Monomial, k: int, memo: dict) -> Poly:
-    """Sq^i(W^t) by one Cartan recursion: a square W^t = (W^{t/2})^2 has
-    Sq^i = (Sq^{i/2} W^{t/2})^2 for even i and 0 for odd i; otherwise
-    w_{p+1}, p the first odd exponent, is split off and Sq^a(w_{p+1})
-    comes from Wu's formula.  ``memo`` maps (i, t) to Sq^i(W^t) within
-    one ``sq`` call, since the branches share most of their subterms."""
-    if i == 0:
-        return Poly._make(k, frozenset((t,)))
-    if i > weighted_degree(t):
-        return Poly.zero(k)
-    found = memo.get((i, t))
-    if found is not None:
+def _cartan(times: list[int], width: int) -> Callable[[int, int, int], Collection[int]]:
+    """The Cartan kernel in a packing of k fields of ``width`` bits, a_1
+    highest, whose packed w_j is ``times[j]`` (``times[0]`` = 0 packs 1).
+
+    The kernel ``square(i, v, d)`` returns Sq^i of the packed monomial v of
+    weighted degree d, as distinct packed ints, which the caller must not
+    mutate.  A square v, every exponent field even, is the packed u^2 with
+    u = v >> 1, and Sq^i(u^2) is (Sq^{i/2} u)^2, each term doubled, or 0
+    for odd i.  Otherwise w_j, a_j the first odd exponent, is split off,
+    and each term of Sq^a(w_j), packed from ``_wu``, is added to every
+    term of Sq^{i-a}(v / w_j) with one C-level toggle.  Each ``square``
+    memoizes Sq^i of each monomial it meets, keyed by (i, v), in a dict
+    that lives as long as that ``square`` does, since the branches share
+    most of their subterms.  Every class met has weighted degree at most
+    d + i and no exponent exceeds its weighted degree, so the fields must
+    hold d + i.
+    """
+    k = len(times) - 1
+    # bit 0 of every exponent field, the exponent sum above them left out
+    odd = sum(1 << width * (k - j) for j in range(1, k + 1))
+    memo: dict[tuple[int, int], Collection[int]] = {}
+
+    def square(i: int, v: int, d: int) -> Collection[int]:
+        if i == 0:
+            return (v,)
+        if i > d:
+            return ()
+        found = memo.get((i, v))
+        if found is not None:
+            return found
+        low = v & odd
+        if not low:
+            found = () if i & 1 else [2 * u for u in square(i >> 1, v >> 1, d >> 1)]
+        else:
+            # bit 0 of the field of a_j is the highest bit of low
+            j = k - (low.bit_length() - 1) // width
+            rest, d = v - times[j], d - j
+            found = set()
+            toggle = found.symmetric_difference_update
+            for a in range(min(i, j) + 1):
+                part = square(i - a, rest, d)
+                if part:
+                    for s, t in _wu(a, j, k):
+                        toggle(map((times[s] + times[t]).__add__, part))
+        memo[i, v] = found
         return found
-    p = next((v for v, e in enumerate(t) if e % 2), None)
-    if p is None:
-        if i % 2:
-            return Poly.zero(k)
-        acc = _sq_monomial(i // 2, tuple(e // 2 for e in t), k, memo).square()
-    else:
-        rest = t[:p] + (t[p] - 1,) + t[p + 1 :]
-        acc = Poly.zero(k)
-        for a in range(min(i, p + 1) + 1):
-            acc = acc + sq_on_generator(a, p + 1, k) * _sq_monomial(i - a, rest, k, memo)
-    memo[i, t] = acc
-    return acc
+
+    return square
+
+
+def _unpack(terms: Iterable[int], k: int, width: int) -> Iterator[Monomial]:
+    """The monomials of packed ints with k fields of ``width`` bits."""
+    terms, mask = list(terms), (1 << width) - 1
+    return zip(*[[(u >> width * (k - j)) & mask for u in terms] for j in range(1, k + 1)])
+
+
+def _check_exponents(terms: Iterable[int], k: int, width: int, i: int) -> None:
+    """Raise OverflowError if a packed term of Sq^i has an exponent past
+    MAX_EXPONENT, that is a bit set at 31 or above in one of its k fields
+    of ``width`` bits.  An exponent never exceeds the weighted degree, so
+    only a result of degree past MAX_EXPONENT needs the check."""
+    high = ((1 << width) - 1) & ~MAX_EXPONENT
+    high = sum(high << width * (k - j) for j in range(1, k + 1))
+    for u in terms:
+        if u & high:
+            (t,) = _unpack((u,), k, width)
+            raise OverflowError(f"exponent overflow in Sq^{i} term {t}")
 
 
 def sq(i: int, f: Poly) -> Poly:
-    """Sq^i of a polynomial, term by term (before cohomological reduction)."""
+    """Sq^i of a polynomial, term by term (before cohomological reduction).
+
+    f is packed at a width of its own, one that holds its largest
+    weighted degree plus i, squared by one ``_cartan`` kernel, and
+    unpacked once.  A term with an exponent past MAX_EXPONENT raises
+    ``OverflowError``."""
     if i < 0:
         raise ValueError("negative square")
-    if i == 0:
+    if i == 0 or not f:
         return f
-    acc = Poly.zero(f.k)
-    memo: dict[tuple[int, Monomial], Poly] = {}
-    for t in f.terms:
-        acc = acc + _sq_monomial(i, t, f.k, memo)
-    return acc
+    k = f.k
+    degrees = {t: weighted_degree(t) for t in f.terms}
+    top = max(degrees.values()) + i
+    width = top.bit_length()
+    times = [0] + [(1 << width * k) | (1 << width * (k - j)) for j in range(1, k + 1)]
+    square = _cartan(times, width)
+    acc: set[int] = set()
+    for t, d in degrees.items():
+        acc.symmetric_difference_update(square(i, sum(map(mul, t, times[1:])), d))
+    if top > MAX_EXPONENT:
+        _check_exponents(acc, k, width, i)
+    return Poly._make(k, frozenset(_unpack(acc, k, width)))
 
 
 def tensor_square_sw(k: int) -> Poly:
@@ -229,19 +309,32 @@ def immersion_obstruction_check(
     n: int, family: GroebnerFamily | None = None
 ) -> ObstructionReport:
     """The two cohomology computations feeding the lifting argument:
-    Sq^1(w4 w5^{n-1}) and (Sq^2 + w1^2 + w2)(w2 w5^{n-1})."""
+    Sq^1(w4 w5^{n-1}) and (Sq^2 + w1^2 + w2)(w2 w5^{n-1}).
+
+    Both run in the family's packing.  w4 w5^{n-1} and w2 w5^{n-1} are
+    packed and squared by one ``_cartan`` kernel, whose memo they share;
+    the squares have degrees 5n and 5n-1, within the family's fields,
+    and (w1^2 + w2) w2 w5^{n-1} is two more packed terms.  Both sums go
+    straight to ``GroebnerFamily.reduce_packed``.  Past degree
+    MAX_EXPONENT a term with an exponent past it raises ``OverflowError``.
+    """
     ctx, family = _g5n_context(n, family)
-    w4_w5 = Poly.monomial((0, 0, 0, 1, n - 1))
-    sq1_value = normal_form(ctx, sq(1, w4_w5), family)
-
-    w2_w5 = Poly.monomial((0, 1, 0, 0, n - 1))
-    nu2 = Poly.monomial((2, 0, 0, 0, 0)) + Poly.variable(5, 2)  # w2 of the normal bundle
-    k1_value = normal_form(ctx, sq(2, w2_w5) + nu2 * w2_w5, family)
-
+    w, width = family._times, family.width
+    square = _cartan(w, width)
+    w5_power = (n - 1) * w[5]
+    sq1 = set(square(1, w[4] + w5_power, 5 * n - 1))
+    w2_w5 = w[2] + w5_power
+    k1 = set(square(2, w2_w5, 5 * n - 3))
+    # w1^2 w2 w5^{n-1} + w2^2 w5^{n-1}: w2 of the normal bundle times w2 w5^{n-1}
+    k1.symmetric_difference_update((2 * w[1] + w2_w5, w[2] + w2_w5))
+    if 5 * n > MAX_EXPONENT:
+        _check_exponents(sq1, 5, width, 1)
+        _check_exponents(k1, 5, width, 2)
+    sq1_value = CohomologyClass(ctx, family.to_poly(family.reduce_packed(sq1)))
+    k1_value = CohomologyClass(ctx, family.to_poly(family.reduce_packed(k1)))
     return ObstructionReport(
         n=n,
         sq1_value=sq1_value,
         k1_obstruction_value=k1_value,
         lift_possible=bool(sq1_value) and bool(k1_value),
     )
-

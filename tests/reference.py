@@ -18,9 +18,11 @@ symmetric functions (``_symmetric_to_elementary``); the package never
 leaves the w_j and takes it as one resultant over F_2[w].  Sq^i applies
 the Cartan formula twice, across the variables of a term and across each
 power by binary splitting, and takes Sq^i(w_j) from Wu's formula with
-exact binomials (``wu_reference``); the package splits off one generator
-at a time in a single recursion and reads Wu's coefficients by the carry
-test.
+exact binomials (``wu_reference``), on ``Poly`` throughout; the package
+runs one Cartan kernel on packed ints, which halves a square with one
+shift and otherwise splits off one generator at a time, reads Wu's
+coefficients by the carry test, memoizes within one call only, and
+raises ``OverflowError`` for a result exponent past 2^31 - 1.
 
 The product of two polynomials toggles one product tuple per pair of
 terms, each built by zip and sum (``poly_mul_reference``); the package

@@ -8,7 +8,7 @@ from reference import (
     wu_reference,
 )
 
-from grassgb.f2poly import Poly, parse, weighted_degree
+from grassgb.f2poly import MAX_EXPONENT, Poly, parse, weighted_degree
 from grassgb.cohomology import normal_form
 from grassgb.groebner_family import GrassmannContext, GroebnerFamily, build_family
 from grassgb.steenrod import (
@@ -89,12 +89,50 @@ class TestCartan:
             assert sq(0, f) == f
 
     def test_matches_reference(self, rng):
-        # 336 random polynomials: seven for each k = 2..5 and i = 0..11
-        for k in range(2, 6):
+        # 504 random polynomials: seven for each k = 1..6 and i = 0..11
+        for k in range(1, 7):
             for i in range(12):
                 for _ in range(7):
                     f = random_poly(rng, k, max_exp=4, max_terms=3)
                     assert sq(i, f) == sq_reference(i, f), (f, i)
+        # one exponent near 2^30, the fields' working range at large n
+        for k in (1, 2, 5, 6):
+            for _ in range(6):
+                exps = [rng.randint(0, 3) for _ in range(k)]
+                exps[rng.randrange(k)] = 2**30 - rng.randint(0, 8)
+                f = Poly.monomial(exps)
+                for i in range(8):
+                    assert sq(i, f) == sq_reference(i, f), (f, i)
+
+    def test_edges_match_reference(self, rng):
+        for k in (1, 3, 6):
+            for _ in range(10):
+                f = random_poly(rng, k, max_exp=3, max_terms=3)
+                d = max(map(weighted_degree, f), default=0)
+                assert sq(0, f) == f == sq_reference(0, f)
+                # above the degree every square vanishes
+                for i in (d + 1, d + 2, 2 * d + 3):
+                    assert not sq(i, f), (f, i)
+                # on a square, every exponent even, odd squares vanish
+                g = f.square()
+                for i in range(1, 13):
+                    expected = sq_reference(i, g)
+                    assert sq(i, g) == expected, (g, i)
+                    if i % 2:
+                        assert not expected
+
+    def test_exponent_overflow(self):
+        # Sq^1(w1^m) = m w1^{m+1}, and MAX_EXPONENT = 2^31 - 1 is odd
+        top = Poly.monomial((MAX_EXPONENT - 1,))
+        assert sq(1, Poly.monomial((MAX_EXPONENT - 2,))) == top
+        with pytest.raises(OverflowError, match="^exponent overflow"):
+            sq(1, Poly.monomial((MAX_EXPONENT,)))
+        # Sq^1(w4 w5^{m-1}) = w5^m for even m, in five variables
+        assert sq(1, Poly.monomial((0, 0, 0, 1, MAX_EXPONENT - 2))) == Poly.monomial(
+            (0, 0, 0, 0, MAX_EXPONENT - 1)
+        )
+        with pytest.raises(OverflowError, match="^exponent overflow"):
+            sq(1, Poly.monomial((0, 0, 0, 1, MAX_EXPONENT)))
 
     def test_large_squares_match_reference(self, rng):
         # i from 12 up to the degree, where the recursion's branches share
@@ -262,6 +300,28 @@ class TestImmersionObstruction:
             (0, 0, 0, 1, n - 1)
         )
         assert report.lift_possible
+
+    @pytest.mark.parametrize("n", (*range(8, 65, 8), 2**20 - 8))
+    def test_matches_poly_reference(self, n):
+        # the slow Sq on Poly, reduced by normal_form on a family of its own
+        ctx = GrassmannContext(5, n)
+        w4_w5 = Poly.monomial((0, 0, 0, 1, n - 1))
+        w2_w5 = Poly.monomial((0, 1, 0, 0, n - 1))
+        nu2 = parse("w1^2 + w2", 5)
+        report = immersion_obstruction_check(n)
+        assert report.sq1_value == normal_form(ctx, sq_reference(1, w4_w5))
+        k1 = sq_reference(2, w2_w5) + nu2 * w2_w5
+        assert report.k1_obstruction_value == normal_form(ctx, k1)
+
+    def test_exponent_overflow_boundary(self):
+        # 2^31 - 8, the largest multiple of 8 below 2^31, still fits;
+        # at n = 2^31 the term w5^n of Sq^1 does not
+        n = 2**31 - 8
+        report = immersion_obstruction_check(n)
+        assert report.sq1_value.value == Poly.monomial((0, 0, 0, 0, n))
+        assert report.k1_obstruction_value.value == Poly.monomial((0, 0, 0, 1, n - 1))
+        with pytest.raises(OverflowError, match="^exponent overflow"):
+            immersion_obstruction_check(2**31)
 
     def test_guard(self):
         with pytest.raises(ValueError):
