@@ -6,8 +6,9 @@ wbar_0, ..., wbar_r afresh in a list of its own, with no recursion, so any
 degree r works without reaching the interpreter's recursion limit.  The
 explicit class is the sum of W^A over weighted degree r with odd
 multinomial coefficient, which is g_0 of the Groebner basis at n = r-1:
-it comes from the g_M kernel, which lists only the odd terms.  Neither
-caches anything between calls.
+it comes from the g_M kernel, which lists only the odd terms, packed in
+a ``groebner_family.Packing`` whose fields hold r, so the ints grow with
+r and not with k.  Neither caches anything between calls.
 """
 
 from __future__ import annotations

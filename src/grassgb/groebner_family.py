@@ -39,7 +39,7 @@ significant, so they come out in the order ``generate`` prints.  A
 single element asked for on its own (a reduction step,
 ``generate --only-m``) is one walk at the family's width, not the
 elements below it, and the family does not keep it.  ``g_direct`` runs
-the same walk at a width of its own, one that holds its weighted degree,
+the same walk in a ``Packing`` whose fields hold its weighted degree,
 and with the weighted degree as its bound, which every term meets, so
 the limit never binds: it stays valid for S_M > n+1, where the law does
 not hold, and it is the unpruned enumeration the tests compare the
@@ -49,12 +49,16 @@ the dual class wbar_r = g_0 at n = r-1 for ``dual_classes``.  Closed forms
 exist for indices with m_k close to n; they are exposed for
 cross-validation against the direct formula.
 
-A family holds its terms packed into single ints, at a width W that
-(k, n) fixes: W is the bit length of k*n, plus one.  A monomial
-(a_1, ..., a_k) packs to its exponent sum in the top field, then a_1, ...,
-a_k in fields of W bits each, a_1 highest.  Integer order on packed
-monomials is then grlex order, a monomial product is an integer sum, and
-v >> (W*k) is the exponent sum of a packed v.  No field overflows: g_M is
+The layout of a packed monomial is decided here, in ``Packing``, and
+nowhere else outside the oracle, which keeps a packing of its own so
+that it checks the family independently.  A monomial (a_1, ..., a_k)
+packs to its exponent sum in the top field, then a_1, ..., a_k in
+fields of W bits each, a_1 highest.  Integer order on packed monomials
+is then grlex order, a monomial product is an integer sum, and
+v >> (W*k) is the exponent sum of a packed v.  ``steenrod`` and
+``_direct`` build a ``Packing`` at the width their degrees need; a
+family is a ``Packing`` at a width W that (k, n) fixes: W is the bit
+length of k*n, plus one.  No field of a family overflows: g_M is
 homogeneous of weighted degree n+1+S'_M, at most k(n+1) when S_M <= n+1,
 so no exponent of a family element exceeds k(n+1) <= 2kn < 2^W, and a
 normal form meets only terms of weighted degree <= k*n (below).
@@ -62,8 +66,7 @@ Multiplying by w_j adds the packed w_j to every term, so a recurrence
 step is two maps of one int add each and at most two symmetric
 differences of int sets.  Each g_M is kept as the basis is printed: a
 tuple of its packed ints in decreasing, so grlex, order, the lead first.
-The packing is the family's (``pack``, ``unpack``); ``element``,
-``items`` and ``polynomials`` unpack to Poly.
+``element``, ``items`` and ``polynomials`` unpack to Poly.
 
 ``GroebnerFamily.reduce`` takes a polynomial to its normal form in the
 same packing.  No standard monomial has weighted degree above k*n, the
@@ -138,6 +141,41 @@ class GrassmannContext(Record):
         if not n >= k >= 2:
             raise ValueError(f"need n >= k >= 2, got k={k}, n={n}")
         super().__init__(k, n)
+
+
+class Packing:
+    """The package's one layout of a monomial (a_1, ..., a_k) in one int:
+    its exponent sum in the top field, then a_1, ..., a_k in fields of
+    ``width`` bits each, a_1 highest.  While every exponent is below
+    2^width, int order is grlex order and a monomial product is an int
+    sum.  ``times[j]`` is the packed w_j, and ``times[0] = 0`` packs 1.
+    """
+
+    def __init__(self, k: int, width: int):
+        self.k = k
+        self.width = width
+        self.mask = (1 << width) - 1
+        # shifts of the fields a_1, ..., a_k; the exponent sum sits above them
+        self.shifts = range(width * (k - 1), -1, -width)
+        self.sum_shift = width * k
+        self.times = [0] + [(1 << self.sum_shift) | (1 << s) for s in self.shifts]
+
+    def pack(self, t: Monomial) -> int:
+        width = self.width
+        v = sum(t)
+        for a in t:
+            v = (v << width) | a
+        return v
+
+    def unpack(self, packed: Iterable[int]) -> Iterator[Monomial]:
+        """The monomials of the packed ints, in their order, each field
+        cut out of all of them by one C-level map."""
+        packed = list(packed)
+        mask = self.mask.__and__
+        return zip(*[map(mask, map(s.__rrshift__, packed)) for s in self.shifts])
+
+    def to_poly(self, terms: Iterable[int]) -> Poly:
+        return Poly._make(self.k, frozenset(self.unpack(terms)))
 
 
 def _check_index(ctx: GrassmannContext, m: MultiIndex) -> None:
@@ -265,10 +303,10 @@ def _walk(m: MultiIndex, degree: int, times: list[int], bound: int) -> list[int]
 
 def _direct(k: int, m: MultiIndex, degree: int) -> Poly:
     """The terms of weighted degree ``degree`` with odd P(A, M), by the
-    walk at the width of the family of (k, max(k, degree)), whose fields
-    hold every exponent of such a term (a context needs n >= k)."""
-    family = GroebnerFamily(GrassmannContext(k, max(k, degree)))
-    return family.to_poly(_walk(m, degree, family._times, degree))
+    walk in a packing whose fields hold ``degree``, and so every exponent
+    of such a term."""
+    packing = Packing(k, degree.bit_length())
+    return packing.to_poly(_walk(m, degree, packing.times, degree))
 
 
 def g_direct(ctx: GrassmannContext, m: MultiIndex) -> Poly:
@@ -339,8 +377,9 @@ def _indices_up_to(k: int, bound: int) -> list[MultiIndex]:
     return level
 
 
-class GroebnerFamily:
-    """Lazy view of the basis {g_M : S_M <= n+1}, and its packing.
+class GroebnerFamily(Packing):
+    """Lazy view of the basis {g_M : S_M <= n+1}, in the packing whose
+    width (k, n) fixes.
 
     ``items``, ``polynomials`` and ``build_family`` build the whole family
     through the recurrence into the memo, ``{M: packed terms of g_M}``,
@@ -357,38 +396,14 @@ class GroebnerFamily:
     """
 
     def __init__(self, context: GrassmannContext):
-        k, n = context.k, context.n
+        super().__init__(context.k, (context.k * context.n).bit_length() + 1)
         self.context = context
-        self.width = width = (k * n).bit_length() + 1
-        self.mask = (1 << width) - 1
-        # shifts of the fields a_1, ..., a_k; the exponent sum sits above them
-        self.shifts = range(width * (k - 1), -1, -width)
-        self.sum_shift = width * k
-        # _times[j] is the packed w_j, 1 <= j <= k
-        self._times = [0] + [(1 << self.sum_shift) | (1 << s) for s in self.shifts]
         self._memo: dict[MultiIndex, tuple[int, ...]] = {}
         self.packed: dict[int, tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         k, n = self.context.k, self.context.n
         return math.comb(n + k, k - 1)
-
-    def pack(self, t: Monomial) -> int:
-        width = self.width
-        v = sum(t)
-        for a in t:
-            v = (v << width) | a
-        return v
-
-    def unpack(self, packed: Iterable[int]) -> Iterator[Monomial]:
-        """The monomials of the packed ints, in their order, each field
-        cut out of all of them by one C-level map."""
-        packed = list(packed)
-        mask = self.mask.__and__
-        return zip(*[map(mask, map(s.__rrshift__, packed)) for s in self.shifts])
-
-    def to_poly(self, terms: Iterable[int]) -> Poly:
-        return Poly._make(self.context.k, frozenset(self.unpack(terms)))
 
     def element(self, m: MultiIndex) -> Poly:
         return self.to_poly(self.packed_terms(m))
@@ -403,7 +418,7 @@ class GroebnerFamily:
             # S_M <= n+1 keeps within the fields, and by the leading-term
             # law no term has exponent sum above the lead's, n+1
             lead = leading_term_of(self.context, m)
-            terms = _walk(m, weighted_degree(lead), self._times, self.context.n + 1)
+            terms = _walk(m, weighted_degree(lead), self.times, self.context.n + 1)
             terms = tuple(sorted(terms, reverse=True))
         return terms
 
@@ -485,7 +500,7 @@ class GroebnerFamily:
     ) -> tuple[int, ...]:
         """The packed terms of g_{M^{i,j}}, from the packed terms ``lookup``
         gives for the three indices on the right of the recurrence."""
-        times = self._times
+        times = self.times
         terms = set(map(times[i].__add__, lookup(raised(m, j))))
         terms.symmetric_difference_update(map(times[j + 1].__add__, lookup(raised(m, i - 1))))
         if j < self.context.k - 1:

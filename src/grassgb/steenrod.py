@@ -4,26 +4,28 @@ Sq^i comes from one Cartan kernel on packed monomials (``_cartan``): a
 monomial in the w_j that is a square is handled as one (Sq^{2i}(x^2) =
 (Sq^i x)^2, each packed term doubled), and otherwise one generator is
 split off, its squares taken from Wu's formula (``_wu``) and added to
-every term of the rest's with one C-level toggle.  The packing is the
-family's: k exponent fields of W bits, a_1 highest, the exponent sum
-above them, so a monomial product is an integer sum and halving a
-square is one shift.  Every class the kernel meets has weighted degree
-at most deg(t) + i, and no exponent exceeds its weighted degree, so
-fields that hold that degree never overflow.  ``immersion_obstruction_check``
-runs the kernel in the packing of the family of G_{5,n} and hands its
-terms straight to ``GroebnerFamily.reduce_packed``; ``sq`` is the
-kernel's ``Poly`` edge, at a width of its own that holds its largest
-weighted degree plus i, so it serves every k, k = 1 included.  A result
+every term of the rest's with one C-level toggle.  The kernel runs in
+a ``groebner_family.Packing``, the package's one layout of a monomial:
+k exponent fields, a_1 highest, the exponent sum above them, so a
+monomial product is an integer sum and halving a square is one shift;
+this module builds no field of its own.  Every class the kernel meets
+has weighted degree at most deg(t) + i, and no exponent exceeds its
+weighted degree, so fields that hold that degree never overflow.
+``immersion_obstruction_check`` runs the kernel in the family of
+G_{5,n}, itself a ``Packing``, and hands its terms straight to
+``GroebnerFamily.reduce_packed``; ``sq`` is the kernel's ``Poly`` edge,
+in a ``Packing`` whose fields hold f's largest weighted degree plus i,
+so it serves every k, k = 1 included.  A result
 term with an exponent past MAX_EXPONENT raises ``OverflowError``, as a
 ``Poly`` product does; an exponent never exceeds the weighted degree, so
 only a result of degree past MAX_EXPONENT is checked term by term.
 
 The tensor-square total class is one resultant over F_2[w_1, ..., w_k],
 computed as a permanent, so no formal roots are introduced.  The
-permanent runs on sets of packed ints in the packing of the family of
-G_{k,k}, unpacked once at the end: every entry (r, c) of its matrix has
-weighted degree at most k-1+r-c, so no partial product passes degree
-k(k-1) and no exponent outgrows those fields.
+permanent runs on sets of packed ints in a ``Packing`` whose fields
+hold k(k-1), unpacked once at the end: every entry (r, c) of its matrix
+has weighted degree at most k-1+r-c, so no partial product passes
+degree k(k-1) and no exponent outgrows those fields.
 
 Both read the parity of a binomial by the carry test of the g_M walk in
 ``groebner_family``, the package's one parity rule: binom(x + c, x) is
@@ -48,12 +50,11 @@ the check share.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Collection, Iterable, Iterator
-from operator import mul
+from collections.abc import Callable, Collection, Iterable
 
-from .cohomology import CohomologyClass
-from .f2poly import MAX_EXPONENT, Monomial, Poly, weighted_degree
-from .groebner_family import GrassmannContext, GroebnerFamily
+from .cohomology import CohomologyClass, _family_of
+from .f2poly import MAX_EXPONENT, Poly, weighted_degree
+from .groebner_family import GrassmannContext, GroebnerFamily, Packing
 from .record import Record
 
 __all__ = [
@@ -109,9 +110,8 @@ def sq_on_generator(i: int, j: int, k: int) -> Poly:
     return Poly._make(k, frozenset(terms))
 
 
-def _cartan(times: list[int], width: int) -> Callable[[int, int, int], Collection[int]]:
-    """The Cartan kernel in a packing of k fields of ``width`` bits, a_1
-    highest, whose packed w_j is ``times[j]`` (``times[0]`` = 0 packs 1).
+def _cartan(packing: Packing) -> Callable[[int, int, int], Collection[int]]:
+    """The Cartan kernel in ``packing``.
 
     The kernel ``square(i, v, d)`` returns Sq^i of the packed monomial v of
     weighted degree d, as distinct packed ints, which the caller must not
@@ -126,9 +126,9 @@ def _cartan(times: list[int], width: int) -> Callable[[int, int, int], Collectio
     d + i and no exponent exceeds its weighted degree, so the fields must
     hold d + i.
     """
-    k = len(times) - 1
+    k, width, times = packing.k, packing.width, packing.times
     # bit 0 of every exponent field, the exponent sum above them left out
-    odd = sum(1 << width * (k - j) for j in range(1, k + 1))
+    odd = sum(1 << s for s in packing.shifts)
     memo: dict[tuple[int, int], Collection[int]] = {}
 
     def square(i: int, v: int, d: int) -> Collection[int]:
@@ -159,48 +159,39 @@ def _cartan(times: list[int], width: int) -> Callable[[int, int, int], Collectio
     return square
 
 
-def _unpack(terms: Iterable[int], k: int, width: int) -> Iterator[Monomial]:
-    """The monomials of packed ints with k fields of ``width`` bits."""
-    terms, mask = list(terms), (1 << width) - 1
-    return zip(*[[(u >> width * (k - j)) & mask for u in terms] for j in range(1, k + 1)])
-
-
-def _check_exponents(terms: Iterable[int], k: int, width: int, i: int) -> None:
-    """Raise OverflowError if a packed term of Sq^i has an exponent past
-    MAX_EXPONENT, that is a bit set at 31 or above in one of its k fields
-    of ``width`` bits.  An exponent never exceeds the weighted degree, so
-    only a result of degree past MAX_EXPONENT needs the check."""
-    high = ((1 << width) - 1) & ~MAX_EXPONENT
-    high = sum(high << width * (k - j) for j in range(1, k + 1))
+def _check_exponents(terms: Iterable[int], packing: Packing, i: int) -> None:
+    """Raise OverflowError if a term of Sq^i, packed in ``packing``, has an
+    exponent past MAX_EXPONENT, that is a bit set at 31 or above in one of
+    its fields.  An exponent never exceeds the weighted degree, so only a
+    result of degree past MAX_EXPONENT needs the check."""
+    high = packing.mask & ~MAX_EXPONENT
+    high = sum(high << s for s in packing.shifts)
     for u in terms:
         if u & high:
-            (t,) = _unpack((u,), k, width)
+            (t,) = packing.unpack((u,))
             raise OverflowError(f"exponent overflow in Sq^{i} term {t}")
 
 
 def sq(i: int, f: Poly) -> Poly:
     """Sq^i of a polynomial, term by term (before cohomological reduction).
 
-    f is packed at a width of its own, one that holds its largest
-    weighted degree plus i, squared by one ``_cartan`` kernel, and
-    unpacked once.  A term with an exponent past MAX_EXPONENT raises
-    ``OverflowError``."""
+    f is packed in a ``Packing`` whose fields hold its largest weighted
+    degree plus i, squared by one ``_cartan`` kernel, and unpacked once.
+    A term with an exponent past MAX_EXPONENT raises ``OverflowError``."""
     if i < 0:
         raise ValueError("negative square")
     if i == 0 or not f:
         return f
-    k = f.k
     degrees = {t: weighted_degree(t) for t in f.terms}
     top = max(degrees.values()) + i
-    width = top.bit_length()
-    times = [0] + [(1 << width * k) | (1 << width * (k - j)) for j in range(1, k + 1)]
-    square = _cartan(times, width)
+    packing = Packing(f.k, top.bit_length())
+    square = _cartan(packing)
     acc: set[int] = set()
     for t, d in degrees.items():
-        acc.symmetric_difference_update(square(i, sum(map(mul, t, times[1:])), d))
+        acc.symmetric_difference_update(square(i, packing.pack(t), d))
     if top > MAX_EXPONENT:
-        _check_exponents(acc, k, width, i)
-    return Poly._make(k, frozenset(_unpack(acc, k, width)))
+        _check_exponents(acc, packing, i)
+    return packing.to_poly(acc)
 
 
 def tensor_square_sw(k: int) -> Poly:
@@ -214,19 +205,19 @@ def tensor_square_sw(k: int) -> Poly:
     multiplication by F(y+1) on F_2[w][y]/(F) in the basis 1, y, ...,
     y^{k-1}.
 
-    The matrix and the permanent are sets of packed ints, in the packing
-    of the family of G_{k,k}: w_j is its ``_times[j]``, 1 is 0, a sum is
-    a symmetric difference, and a product adds each term of one factor to
-    every term of the other, the sums for one term all distinct.  No field
-    overflows: by induction on r, entry (r, c) has weighted degree at
-    most k-1+r-c, so a product over rows 0..r-1 in distinct columns has
-    degree at most r(k-1), and no exponent met exceeds k(k-1) < k*k,
-    which the fields of G_{k,k} hold.
+    The matrix and the permanent are sets of packed ints, in a
+    ``Packing`` whose fields hold k(k-1): w_j is its ``times[j]``, 1 is
+    0, a sum is a symmetric difference, and a product adds each term of
+    one factor to every term of the other, the sums for one term all
+    distinct.  No field overflows: by induction on r, entry (r, c) has
+    weighted degree at most k-1+r-c, so a product over rows 0..r-1 in
+    distinct columns has degree at most r(k-1), and no exponent met
+    exceeds k(k-1).
     """
     if not 2 <= k:
         raise ValueError("need k >= 2")
-    family = GroebnerFamily(GrassmannContext(k, k))
-    w = family._times
+    packing = Packing(k, (k * (k - 1)).bit_length())
+    w = packing.times
     # F(y+1) - F(y): the y^q coefficient sums w_{k-p} over p > q with
     # binom(p, q) odd, that is q & (p - q) == 0; each further row is y
     # times the last, reduced by y^k = sum_{q<k} w_{k-q} y^q
@@ -248,22 +239,15 @@ def tensor_square_sw(k: int) -> Poly:
                     for b in entry:
                         acc.symmetric_difference_update(map(b.__add__, prod))
         partial = merged
-    return family.to_poly(partial[(1 << k) - 1])
+    return packing.to_poly(partial[(1 << k) - 1])
 
 
-def _g5n_context(
-    n: int, family: GroebnerFamily | None
-) -> tuple[GrassmannContext, GroebnerFamily]:
-    """The context of G_{5,n}, n a positive multiple of 8, and a family for
-    it: the one given, checked, or a fresh one."""
+def _g5n_family(n: int, family: GroebnerFamily | None) -> GroebnerFamily:
+    """A family for G_{5,n}, n a positive multiple of 8: the one given,
+    checked, or a fresh one."""
     if n < 8 or n % 8:
         raise ValueError(f"n must be a positive multiple of 8, got {n}")
-    ctx = GrassmannContext(5, n)
-    if family is None:
-        family = GroebnerFamily(ctx)
-    if family.context != ctx:
-        raise ValueError("family context does not match n")
-    return ctx, family
+    return _family_of(GrassmannContext(5, n), family)
 
 
 def normal_bundle_sw(
@@ -284,7 +268,7 @@ def normal_bundle_sw(
 
         w(nu) = w(T)^{-1} = w(gamma (x) gamma) w(gamma)^e,
 
-    of top degree k(k-1) + k e.  Only ``_g5n_context`` fixes k = 5.
+    of top degree k(k-1) + k e.  Only ``_g5n_family`` fixes k = 5.
 
     The product runs on packed ints in the family's packing
     (``GroebnerFamily.packed_product``): each factor is split by weighted
@@ -294,8 +278,8 @@ def normal_bundle_sw(
     ``GroebnerFamily.reduce_packed`` and are unpacked once, as its class.  w(gamma)^e stays a ``Poly``
     power, so an exponent past 2^31 - 1 still raises ``OverflowError``.
     """
-    ctx, family = _g5n_context(n, family)
-    k = ctx.k
+    family = _g5n_family(n, family)
+    ctx, k = family.context, family.k
     e = 2 ** (n + k - 1).bit_length() - n - k
     total_w = sum((Poly.variable(k, j) for j in range(1, k + 1)), Poly.one(k))
     products = family.packed_product(tensor_square_sw(k), total_w**e)
@@ -318,9 +302,9 @@ def immersion_obstruction_check(
     straight to ``GroebnerFamily.reduce_packed``.  Past degree
     MAX_EXPONENT a term with an exponent past it raises ``OverflowError``.
     """
-    ctx, family = _g5n_context(n, family)
-    w, width = family._times, family.width
-    square = _cartan(w, width)
+    family = _g5n_family(n, family)
+    ctx, w = family.context, family.times
+    square = _cartan(family)
     w5_power = (n - 1) * w[5]
     sq1 = set(square(1, w[4] + w5_power, 5 * n - 1))
     w2_w5 = w[2] + w5_power
@@ -328,8 +312,8 @@ def immersion_obstruction_check(
     # w1^2 w2 w5^{n-1} + w2^2 w5^{n-1}: w2 of the normal bundle times w2 w5^{n-1}
     k1.symmetric_difference_update((2 * w[1] + w2_w5, w[2] + w2_w5))
     if 5 * n > MAX_EXPONENT:
-        _check_exponents(sq1, 5, width, 1)
-        _check_exponents(k1, 5, width, 2)
+        _check_exponents(sq1, family, 1)
+        _check_exponents(k1, family, 2)
     sq1_value = CohomologyClass(ctx, family.to_poly(family.reduce_packed(sq1)))
     k1_value = CohomologyClass(ctx, family.to_poly(family.reduce_packed(k1)))
     return ObstructionReport(

@@ -42,7 +42,7 @@ def test_sequence_lists_every_class(k):
 @pytest.mark.parametrize("k", range(2, 6))
 def test_explicit_is_g0_of_the_filter_path(k):
     # wbar_r = g_0 at n = r-1, there by enumerate-then-filter; r < k too,
-    # where the kernel's family width comes from k, not from r
+    # where no G_{k,r-1} exists and the kernel's fields hold only r
     for r in range(1, 16):
         assert wbar_explicit(r, k) == g_direct_reference(k, r - 1, (0,) * (k - 1)), (r, k)
 

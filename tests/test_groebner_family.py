@@ -26,6 +26,7 @@ from grassgb.f2poly import (
 from grassgb.groebner_family import (
     GrassmannContext,
     GroebnerFamily,
+    Packing,
     _indices_up_to,
     _least_admissible,
     build_family,
@@ -303,6 +304,32 @@ def test_packing_round_trips_in_grlex_order(k, n):
         assert family.pack(raised_t) == family.pack(t) + family.pack(
             Poly.variable(k, j).leading_term()
         )
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_packing_layout(k):
+    # seeded monomials with fields at 0, at their largest value 2^W - 1
+    # and in between: the exponent sum sits above the fields, so a full
+    # field never spills into its neighbour
+    rng = random.Random(7100 + k)
+    for width in (1, 2, 5, 13):
+        packing = Packing(k, width)
+        top = (1 << width) - 1
+        monomials = [(top,) * k, (0,) * k] + [
+            tuple(rng.choice((0, top, rng.randint(0, top))) for _ in range(k)) for _ in range(200)
+        ]
+        packed = [packing.pack(t) for t in monomials]
+        assert list(packing.unpack(packed)) == monomials, width
+        assert list(packing.unpack(sorted(packed))) == sorted(monomials, key=grlex_key), width
+        # a monomial product is an int sum whenever the product's fields
+        # fit, up to 2^W - 1 each
+        for a in monomials:
+            b = tuple(rng.choice((top - x, rng.randint(0, top - x))) for x in a)
+            product = tuple(x + y for x, y in zip(a, b))
+            assert packing.pack(a) + packing.pack(b) == packing.pack(product), (width, a, b)
+        assert packing.times[0] == packing.pack((0,) * k) == 0
+        for j in range(1, k + 1):
+            assert packing.times[j] == packing.pack(Poly.variable(k, j).leading_term()), (width, j)
 
 
 def test_memo_holds_packed_terms():
