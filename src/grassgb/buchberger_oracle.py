@@ -57,23 +57,17 @@ the lowest field where it is larger borrows through its guard bit, so
 v - lead has a guard bit set; with G the mask of guard bits, a | b iff
 ``((b | G) - a) & G == G`` on the exponent fields alone.
 
-The normal form of ``reduce_basis`` and ``oracle_reduce`` holds -v for
-each term v in a heap, and a term's divisor is the lowest-index lead that
-divides it, found by testing every lead at once: all leads sit side by
-side in one int, lead i in the block of B = k(W+1) + 1 bits at bit B*i,
-whose top bit is spare.  One multiply replicates a probe into every
-block, one subtraction runs the test above in all blocks (no borrow
-leaves a block), and adding 2^(B-1) - 1 to the cleared guards of a block
-carries into its spare bit iff some field failed.  So ``dividing``
-returns, in one pass over the machine words, a mask whose spare bit i is
-set iff lead i divides the probe.  A divisor that does not divide leaves
-a guard bit set in the quotient, and ``normal_form`` raises instead of
-running on.
+The normal form of ``reduce_basis`` and ``oracle_reduce`` takes the
+largest term left in its working set at every step, by a rescan of the
+whole set, and reduces it by the lowest-index lead that divides it,
+found by testing the leads one at a time in index order.  The basis
+multiple is built afresh at each step, one int add per term, and toggled
+into the set.  A divisor that does not divide leaves a guard bit set in
+the quotient, and ``normal_form`` raises instead of running on.
 """
 
 from __future__ import annotations
 
-import heapq
 from itertools import repeat
 from operator import add, lshift
 
@@ -116,13 +110,9 @@ class _Reducer:
     Every term is one int in the grlex packing (module docstring), whose
     fields hold exponent sums up to ``total``; the width never changes.
     ``polys[i]`` holds the packed terms of basis element i and ``leads[i]``
-    its packed lead.  ``cat`` holds the leads' exponent fields, block i at
-    bit ``block * i``.  ``rep`` has a 1 at the bottom of each block;
-    ``grep``, ``fill`` and ``spare`` replicate the guard mask, 2^(B-1) - 1
-    and the spare bit into each.  A divisor costs one ``dividing`` call and
-    is not memoized.  Basis multiples are memoized per (element, quotient);
-    entries stay valid when the basis grows because an element, once
-    added, never changes.
+    its packed lead.  ``divisor`` scans the leads in index order, and
+    ``normal_form`` rescans its working set for the largest term at every
+    step; nothing is memoized.
     """
 
     def __init__(self, k: int, total: int):
@@ -133,11 +123,8 @@ class _Reducer:
         self._shifts = [(width + 1) * i for i in range(k - 1, -1, -1)]
         self.fields = field**k - 1
         self.guard = self.fields // (field - 1) << width
-        self.block = k * (width + 1) + 1
         self.leads: list[int] = []
         self.polys: list[frozenset] = []
-        self.cat = self.rep = self.grep = self.fill = self.spare = 0
-        self._prod: dict[tuple[int, int], frozenset] = {}
 
     @classmethod
     def load(cls, polys: list[Poly]) -> tuple[_Reducer, list[frozenset]]:
@@ -162,49 +149,23 @@ class _Reducer:
         return Poly._make(self.k, frozenset(map(self.unpack, terms)))
 
     def add(self, terms: frozenset) -> None:
-        lead = max(terms)
-        shift = self.block * len(self.leads)
-        self.leads.append(lead)
+        self.leads.append(max(terms))
         self.polys.append(terms)
-        self.cat |= (lead & self.fields) << shift
-        self.rep |= 1 << shift
-        spare = 1 << (self.block - 1)
-        self.grep = self.guard * self.rep
-        self.fill = (spare - 1) * self.rep
-        self.spare = spare * self.rep
-
-    def dividing(self, probe: int) -> int:
-        """The mask of leads dividing ``probe``, packed exponent fields with
-        their guard bits set: bit ``block * i + block - 1`` is set iff lead
-        i divides it."""
-        grep = self.grep
-        cleared = ((probe * self.rep - self.cat) & grep) ^ grep
-        return ~(cleared + self.fill) & self.spare
 
     def divisor(self, v: int) -> int | None:
-        mask = self.dividing(v & self.fields | self.guard)
-        if not mask:
-            return None
-        return (mask & -mask).bit_length() // self.block - 1
-
-    def _product(self, gi: int, q: int) -> frozenset:
-        key = (gi, q)
-        cached = self._prod.get(key)
-        if cached is None:
-            cached = frozenset(map(q.__add__, self.polys[gi]))
-            self._prod[key] = cached
-        return cached
+        """The index of the first lead that divides v, or None."""
+        fields, guard = self.fields, self.guard
+        probe = v & fields | guard
+        for i, lead in enumerate(self.leads):
+            if (probe - (lead & fields)) & guard == guard:
+                return i
+        return None
 
     def normal_form(self, terms) -> frozenset:
         work = set(terms)
-        heap = [-v for v in work]
-        heapq.heapify(heap)
-        queued = set(work)  # the pops fall, so no term is queued twice
         remainder = set()
-        while heap:
-            v = -heapq.heappop(heap)
-            if v not in work:
-                continue
+        while work:
+            v = max(work)
             gi = self.divisor(v)
             if gi is None:
                 work.remove(v)
@@ -217,11 +178,7 @@ class _Reducer:
                 raise RuntimeError(
                     f"lead {self.unpack(self.leads[gi])} does not divide {self.unpack(v)}"
                 )
-            prod = self._product(gi, q)
-            work.symmetric_difference_update(prod)
-            for u in prod - queued:
-                heapq.heappush(heap, -u)
-            queued |= prod
+            work.symmetric_difference_update(map(q.__add__, self.polys[gi]))
         return frozenset(remainder)
 
 

@@ -16,9 +16,11 @@ G_{5,n}, itself a ``Packing``, and hands its terms straight to
 ``GroebnerFamily.reduce_packed``; ``sq`` is the kernel's ``Poly`` edge,
 in a ``Packing`` whose fields hold f's largest weighted degree plus i,
 so it serves every k, k = 1 included.  A result
-term with an exponent past MAX_EXPONENT raises ``OverflowError``, as a
-``Poly`` product does; an exponent never exceeds the weighted degree, so
-only a result of degree past MAX_EXPONENT is checked term by term.
+term of ``sq`` with an exponent past MAX_EXPONENT raises
+``OverflowError``, as a ``Poly`` product does; an exponent never exceeds
+the weighted degree, so only a result of degree past MAX_EXPONENT is
+checked term by term.  ``immersion_obstruction_check`` raises it for n
+past MAX_EXPONENT before it squares anything.
 
 The tensor-square total class is one resultant over F_2[w_1, ..., w_k],
 computed as a permanent, so no formal roots are introduced.  The
@@ -50,7 +52,7 @@ the check share.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Collection, Iterable
+from collections.abc import Callable, Collection
 
 from .cohomology import CohomologyClass, _family_of
 from .f2poly import MAX_EXPONENT, Poly, weighted_degree
@@ -159,19 +161,6 @@ def _cartan(packing: Packing) -> Callable[[int, int, int], Collection[int]]:
     return square
 
 
-def _check_exponents(terms: Iterable[int], packing: Packing, i: int) -> None:
-    """Raise OverflowError if a term of Sq^i, packed in ``packing``, has an
-    exponent past MAX_EXPONENT, that is a bit set at 31 or above in one of
-    its fields.  An exponent never exceeds the weighted degree, so only a
-    result of degree past MAX_EXPONENT needs the check."""
-    high = packing.mask & ~MAX_EXPONENT
-    high = sum(high << s for s in packing.shifts)
-    for u in terms:
-        if u & high:
-            (t,) = packing.unpack((u,))
-            raise OverflowError(f"exponent overflow in Sq^{i} term {t}")
-
-
 def sq(i: int, f: Poly) -> Poly:
     """Sq^i of a polynomial, term by term (before cohomological reduction).
 
@@ -190,7 +179,14 @@ def sq(i: int, f: Poly) -> Poly:
     for t, d in degrees.items():
         acc.symmetric_difference_update(square(i, packing.pack(t), d))
     if top > MAX_EXPONENT:
-        _check_exponents(acc, packing, i)
+        # an exponent never exceeds the weighted degree, so only a result of
+        # degree past MAX_EXPONENT can hold an exponent past it: a bit set
+        # at 31 or above in one of its fields
+        high = sum((packing.mask & ~MAX_EXPONENT) << s for s in packing.shifts)
+        for u in acc:
+            if u & high:
+                (t,) = packing.unpack((u,))
+                raise OverflowError(f"exponent overflow in Sq^{i} term {t}")
     return packing.to_poly(acc)
 
 
@@ -299,10 +295,13 @@ def immersion_obstruction_check(
     packed and squared by one ``_cartan`` kernel, whose memo they share;
     the squares have degrees 5n and 5n-1, within the family's fields,
     and (w1^2 + w2) w2 w5^{n-1} is two more packed terms.  Both sums go
-    straight to ``GroebnerFamily.reduce_packed``.  Past degree
-    MAX_EXPONENT a term with an exponent past it raises ``OverflowError``.
+    straight to ``GroebnerFamily.reduce_packed``.  n past MAX_EXPONENT
+    raises ``OverflowError`` first: Sq^1(w4 w5^{n-1}) holds w5^n, and no
+    term of either sum has a larger exponent.
     """
     family = _g5n_family(n, family)
+    if n > MAX_EXPONENT:
+        raise OverflowError(f"exponent overflow: w5^{n} in Sq^1(w4 w5^{n - 1})")
     ctx, w = family.context, family.times
     square = _cartan(family)
     w5_power = (n - 1) * w[5]
@@ -311,9 +310,6 @@ def immersion_obstruction_check(
     k1 = set(square(2, w2_w5, 5 * n - 3))
     # w1^2 w2 w5^{n-1} + w2^2 w5^{n-1}: w2 of the normal bundle times w2 w5^{n-1}
     k1.symmetric_difference_update((2 * w[1] + w2_w5, w[2] + w2_w5))
-    if 5 * n > MAX_EXPONENT:
-        _check_exponents(sq1, family, 1)
-        _check_exponents(k1, family, 2)
     sq1_value = CohomologyClass(ctx, family.to_poly(family.reduce_packed(sq1)))
     k1_value = CohomologyClass(ctx, family.to_poly(family.reduce_packed(k1)))
     return ObstructionReport(

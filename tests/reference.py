@@ -49,16 +49,19 @@ generates both in order.  The JSON of ``generate`` comes from
 json.dumps(indent=2) over terms sorted by ``grlex_key``; the package
 prints it with one format string per depth, one record per write.
 
-The Buchberger oracle tests divisibility on exponent tuples, recomputes the
-lcm of every queued pair at each Gebauer-Moller update and inter-reduces
-each element against a fresh reducer of the others until nothing changes;
-the package tests every packed lead at once, keeps each pair's lcm and
-inter-reduces in one pass over one shared reducer.  Both select pairs by
-the same key, weighted sugar and then grlex of the lcm, so their raw
-element streams can be compared: the dual-class ideal is homogeneous in
-the weighted degree, so the run goes degree by degree and builds
-binom(n+k, k-1) elements, while non-homogeneous input can take several
-times longer than with the grlex-smallest lcm first.
+The Buchberger oracle runs S-pairs on exponent tuples, selected by
+weighted sugar and then grlex of the lcm, recomputes the lcm of every
+queued pair at each Gebauer-Moller update and inter-reduces each element
+against a fresh reducer of the others until nothing changes
+(``buchberger_reference``, ``reduce_basis_reference``); its normal form
+pops the largest term from a heap and memoizes divisors and basis
+multiples per monomial.  The package's ``buchberger`` forms no S-pair: it
+eliminates F5 matrices one weighted degree at a time and reads the
+reduced basis off the pivots, so the tests compare reduced bases only.
+The package's ``reduce_basis`` and ``oracle_reduce`` work on packed
+ints: they rescan for the largest term at every step, test the leads one
+at a time by guard bits, memoize nothing, and inter-reduce in one pass
+over one shared reducer.
 
 The text parser scans by hand, one character at a time, in a class of
 small methods (``parse_reference``); the package's ``parse`` is one

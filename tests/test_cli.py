@@ -360,11 +360,12 @@ def test_parser_reuse_leaks_nothing(capsys, monkeypatch):
 
 
 def test_import_loads_no_dataclasses_or_typing():
-    # a structural check of start-up: -S keeps site's own imports out, and
-    # the parser is built by the first run, not at import
+    # a structural check of start-up: -S keeps site's own imports out, no
+    # module loads heapq, and the parser is built by the first run, not at
+    # import
     code = (
         "import sys, grassgb, grassgb.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & sys.modules.keys()), "
+        "print(sorted({'dataclasses', 'heapq', 'inspect', 'typing'} & sys.modules.keys()), "
         "grassgb.cli._parser)"
     )
     out = subprocess.run(

@@ -11,6 +11,7 @@ from reference import (
 from grassgb.f2poly import MAX_EXPONENT, Poly, parse, weighted_degree
 from grassgb.cohomology import normal_form
 from grassgb.groebner_family import GrassmannContext, GroebnerFamily, build_family
+from grassgb import steenrod
 from grassgb.steenrod import (
     immersion_obstruction_check,
     normal_bundle_sw,
@@ -321,6 +322,15 @@ class TestImmersionObstruction:
         assert report.sq1_value.value == Poly.monomial((0, 0, 0, 0, n))
         assert report.k1_obstruction_value.value == Poly.monomial((0, 0, 0, 1, n - 1))
         with pytest.raises(OverflowError, match="^exponent overflow"):
+            immersion_obstruction_check(2**31)
+
+    def test_exponent_overflow_raised_before_squaring(self, monkeypatch):
+        # n past 2^31 - 1 is refused on the input, before the Cartan kernel
+        def no_kernel(packing):
+            pytest.fail("squared before the exponent check")
+
+        monkeypatch.setattr(steenrod, "_cartan", no_kernel)
+        with pytest.raises(OverflowError, match="^exponent overflow: w5\\^2147483648 "):
             immersion_obstruction_check(2**31)
 
     def test_guard(self):
