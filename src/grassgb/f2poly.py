@@ -10,6 +10,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from operator import add, mul
 
+from .record import Record
+
 __all__ = [
     "Poly",
     "ParseError",
@@ -49,8 +51,10 @@ def monomials_of_weighted_degree(d: int, k: int) -> tuple[Monomial, ...]:
     return tuple(out)
 
 
-class Poly:
-    """Immutable F2 polynomial: a frozenset of exponent tuples plus k."""
+class Poly(Record):
+    """Immutable F2 polynomial: a frozenset of exponent tuples plus k.  A
+    ``Record`` with the fields k and terms, so it compares and hashes as
+    (k, terms), and copies and pickles through ``__init__``."""
 
     __slots__ = ("k", "terms")
 
@@ -62,11 +66,12 @@ class Poly:
             t = tuple(t)
             if len(t) != k:
                 raise ValueError(f"monomial {t} does not have {k} exponents")
+            if not all(isinstance(e, int) for e in t):
+                raise TypeError(f"exponents must be integers, got {t}")
             if any(e < 0 for e in t):
                 raise ValueError(f"negative exponent in {t}")
             seen.symmetric_difference_update((t,))
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "terms", frozenset(seen))
+        super().__init__(k, frozenset(seen))
 
     @classmethod
     def _make(cls, k: int, terms: frozenset) -> "Poly":
@@ -75,9 +80,6 @@ class Poly:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "terms", terms)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -106,16 +108,6 @@ class Poly:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Poly)
-            and self.k == other.k
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.terms))
 
     def __iter__(self) -> Iterator[Monomial]:
         return iter(self.terms)

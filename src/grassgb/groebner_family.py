@@ -24,9 +24,9 @@ sum is skipped with every branch below it.  The two-term elements with
 m_k = n-1 then take a handful of nodes at any n; without the limit the
 walk visits about n^2 dead ends on them.  It works in a packing (below)
 throughout: each level adds a_t times the packed w_t to a partial int,
-and a leaf appends the packed term, so no tuple is built.  The last
-level, a_2, runs in a loop of its own, where each value costs one carry
-test for the a_1 it forces and no further call.
+and the last level, a_2, appends a packed term for each value whose
+forced a_1 passes its carry test, with no further call, so no tuple is
+built.  One recursive function runs every level, the last one included.
 
 Whole families are built through the paper's three-term recurrence
 
@@ -255,40 +255,29 @@ def _walk(m: MultiIndex, degree: int, times: list[int], bound: int) -> list[int]
         # acc packs (a_{t+1}, ..., a_k), whose sum is asuf; rem is the
         # weighted degree left for a_1, ..., a_t.  a_t = x runs over the
         # values lo <= x <= rem // t with x & c == 0, in increasing order.
-        # Levels t > 2 walk here and t = 2 in ``leaf``.
         c = asuf - msuf[t]
         top = rem // t
-        wt = times[t]
         lo = rem - (t - 1) * (bound - asuf)
         x = lo if lo > 0 else 0
         if x & c:  # c forbids a bit of lo itself
             x = _least_admissible(c, x)
         if not lo <= x <= top:
             return
-        down = walk if t > 3 else leaf
+        if t == 2:
+            # the last level: a_2 = x forces a_1 = rem - 2x, whose c_1 is
+            # c1 + x, so each x costs one carry test and no call
+            c1 = asuf - msuf[1]
+            while True:
+                if (rem - 2 * x) & (c1 + x) == 0:
+                    terms.append(acc + x * w2 + (rem - 2 * x) * w1)
+                # the least admissible value above x; for c < 0 it wraps
+                # to 0 after the largest one, -c - 1
+                x = ((x | c) + 1) & ~c
+                if not 0 < x <= top:
+                    return
+        wt = times[t]
         while True:
-            down(t - 1, rem - t * x, asuf + x, acc + x * wt)
-            # the least admissible value above x; for c < 0 it wraps to 0
-            # after the largest one, -c - 1
-            x = ((x | c) + 1) & ~c
-            if not 0 < x <= top:
-                return
-
-    def leaf(t: int, rem: int, asuf: int, acc: int) -> None:
-        # level t = 2 (t is taken only so that ``walk`` calls both levels
-        # alike): a_2 = x forces a_1 = rem - 2x, whose c_1 is c1 + x, so
-        # each x costs one carry test and no call
-        c, c1 = asuf - msuf[2], asuf - msuf[1]
-        top = rem >> 1
-        lo = rem - bound + asuf
-        x = lo if lo > 0 else 0
-        if x & c:
-            x = _least_admissible(c, x)
-        if not lo <= x <= top:
-            return
-        while True:
-            if (rem - 2 * x) & (c1 + x) == 0:
-                terms.append(acc + x * w2 + (rem - 2 * x) * w1)
+            walk(t - 1, rem - t * x, asuf + x, acc + x * wt)
             x = ((x | c) + 1) & ~c
             if not 0 < x <= top:
                 return
@@ -296,8 +285,7 @@ def _walk(m: MultiIndex, degree: int, times: list[int], bound: int) -> list[int]
     # a_t = 0 for t > degree, so the walk starts below those levels: a
     # dual class of small degree in many variables recurses only as deep
     # as its degree
-    t = max(2, min(k, degree))
-    (walk if t > 2 else leaf)(t, degree, 0, 0)
+    walk(max(2, min(k, degree)), degree, 0, 0)
     return terms
 
 

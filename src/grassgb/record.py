@@ -1,11 +1,13 @@
-"""Immutable value records: the base of ``GrassmannContext``,
+"""Immutable value records: the base of ``Poly``, ``GrassmannContext``,
 ``CohomologyClass`` and ``ObstructionReport``.
 
 A record's fields are its class's ``__slots__``, in order.  The subclass's
 ``__init__`` checks its arguments and passes every field, in that order, to
 ``Record.__init__``.  Records compare and hash by their fields, within one
-type only, and print as ``Name(field=value, ...)``.  This is the part of a
-frozen dataclass the package uses, without importing ``dataclasses``.
+type only, and print as ``Name(field=value, ...)`` unless the subclass
+prints otherwise.  copy and pickle rebuild a record through its class's
+``__init__``.  This is the part of a frozen dataclass the package uses,
+without importing ``dataclasses``.
 """
 
 from __future__ import annotations

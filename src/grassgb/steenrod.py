@@ -33,8 +33,8 @@ Both read the parity of a binomial by the carry test of the g_M walk in
 ``groebner_family``, the package's one parity rule: binom(x + c, x) is
 odd iff x & c == 0, for every integer c in two's complement.  Wu's
 coefficient binom(j-i+t-1, t) is the case x = t, c = j-i-1, read in
-``_wu`` alone, which both the kernel and ``sq_on_generator`` use; the
-resultant's binom(p, q) is x = q, c = p-q.
+``_wu`` by the kernel alone: ``sq_on_generator`` is ``sq`` of one
+generator.  The resultant's binom(p, q) is x = q, c = p-q.
 
 The normal classes multiply w(gamma (x) gamma) by w(gamma)^e with
 ``GroebnerFamily.packed_product``, on packed ints in the packing of the
@@ -96,20 +96,11 @@ def _wu(i: int, j: int, k: int) -> list[tuple[int, int]]:
 
 def sq_on_generator(i: int, j: int, k: int) -> Poly:
     """Wu's formula: Sq^i(w_j) = sum_t binom(j-i+t-1, t) w_{i-t} w_{j+t},
-    with w_0 = 1 and w_m = 0 for m > k."""
+    with w_0 = 1 and w_m = 0 for m > k.  It is ``sq`` of the generator
+    w_j, whose Cartan kernel reads the formula from ``_wu``."""
     if not 1 <= j <= k:
         raise ValueError(f"generator index {j} out of 1..{k}")
-    if i < 0:
-        raise ValueError("negative square")
-    if i > j:
-        return Poly.zero(k)
-    terms = []
-    for a, b in _wu(i, j, k):
-        exps = [0] * (k + 1)  # exps[0] stands for w_0 = 1
-        exps[a] += 1
-        exps[b] += 1
-        terms.append(tuple(exps[1:]))
-    return Poly._make(k, frozenset(terms))
+    return sq(i, Poly.variable(k, j))
 
 
 def _cartan(packing: Packing) -> Callable[[int, int, int], Collection[int]]:

@@ -300,12 +300,14 @@ def test_parse_matches_reference():
         (lambda: Poly(0, []), ValueError, "need at least one variable"),
         (lambda: Poly(2, [(1,)]), ValueError, "does not have 2 exponents"),
         (lambda: Poly(2, [(1, -1)]), ValueError, "negative exponent"),
+        # 0.5 would print as w2 and fail later inside normal_form
+        (lambda: Poly(2, [(0.5, 1)]), TypeError, "exponents must be integers, got (0.5, 1)"),
         (lambda: Poly.variable(2, 3), ValueError, "out of 1..2"),
         (lambda: Poly.one(2) ** -1, ValueError, "negative power"),
         (lambda: Poly.one(2) + 3, TypeError, "expected Poly, got int"),
     ],
-    ids=["no_variables", "short_monomial", "negative_exponent", "variable_index",
-         "negative_power", "add_non_poly"],
+    ids=["no_variables", "short_monomial", "negative_exponent", "non_integer_exponent",
+         "variable_index", "negative_power", "add_non_poly"],
 )
 def test_input_guards(build, error, message):
     with pytest.raises(error, match=re.escape(message)):

@@ -1,6 +1,7 @@
 """The three records keep what a frozen dataclass gave their callers:
 construction by position or keyword, value equality and hash within one
-type, the field repr, and no assignment."""
+type, the field repr, and no assignment.  ``Poly`` is a record too: its
+fields are fixed, and it copies and pickles, alone or inside a record."""
 
 import copy
 import pickle
@@ -10,7 +11,7 @@ import pytest
 from grassgb.cohomology import CohomologyClass
 from grassgb.f2poly import parse
 from grassgb.groebner_family import GrassmannContext
-from grassgb.steenrod import ObstructionReport
+from grassgb.steenrod import ObstructionReport, immersion_obstruction_check
 
 CTX22 = GrassmannContext(2, 2)
 W2 = parse("w2^2", 2)
@@ -76,3 +77,30 @@ def test_record_errors_unchanged():
     with pytest.raises(TypeError):
         ObstructionReport(8, CLASS, CLASS)
 
+
+
+CLONES = [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))]
+
+
+@pytest.mark.parametrize("clone", CLONES, ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize(
+    "make",
+    [lambda: W2, lambda: CLASS, lambda: immersion_obstruction_check(16)],
+    ids=["Poly", "CohomologyClass", "ObstructionReport"],
+)
+def test_copy_and_pickle_round_trip(make, clone):
+    value = make()
+    twin = clone(value)
+    assert type(twin) is type(value)
+    assert twin == value and hash(twin) == hash(value)
+
+
+def test_poly_fields_are_fixed():
+    p = parse("w1^2 + w2", 2)
+    assert hash(p) == hash((p.k, p.terms))
+    for name in ("k", "terms"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(p, name, 3)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(p, name)
+    assert p == parse("w1^2 + w2", 2) and p
