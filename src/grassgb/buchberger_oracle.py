@@ -322,7 +322,7 @@ def oracle_equals_family(ctx: GrassmannContext, cap: int = DEFAULT_CAP) -> bool:
     """Build the reduced basis of the dual-class generators and compare it,
     as a set of polynomials, with the structured family."""
     family = GroebnerFamily(ctx)
-    size = len(family)
+    size = family.size
     if size > cap:
         raise OracleCapExceeded(
             f"instance has {size} basis elements, above the cap of {cap}"

@@ -116,8 +116,7 @@ def _print_json(family: GroebnerFamily, elements: list) -> None:
 def _cmd_generate(args) -> int:
     family = GroebnerFamily(_context(args))
     if args.only_m is None:
-        k, n = family.context.k, family.context.n
-        _within_budget(math.comb(n + k, k - 1), "basis elements to build (--only-m builds one)")
+        _within_budget(family.size, "basis elements to build (--only-m builds one)")
         elements = list(family.packed_items())
     else:
         only_m = tuple(int(x) for x in args.only_m.split(","))
@@ -150,7 +149,7 @@ def _cmd_dual(args) -> int:
 def _cmd_verify(args) -> int:
     ctx = _context(args)
     if oracle_equals_family(ctx, cap=args.cap):
-        count = len(GroebnerFamily(ctx))
+        count = GroebnerFamily(ctx).size
         print(f"OK: reduced Groebner basis matches oracle ({count} elements)")
         return 0
     print(f"MISMATCH: family and oracle disagree for k={args.k}, n={args.n}")

@@ -59,6 +59,8 @@ class Poly(Record):
     __slots__ = ("k", "terms")
 
     def __init__(self, k: int, terms: Iterable[Monomial] = ()):
+        if not isinstance(k, int):
+            raise TypeError(f"the variable count must be an integer, got {k!r}")
         if k < 1:
             raise ValueError("need at least one variable")
         seen: set[Monomial] = set()
@@ -75,7 +77,8 @@ class Poly(Record):
 
     @classmethod
     def _make(cls, k: int, terms: frozenset) -> "Poly":
-        # trusted fast path: terms must already be a canonical frozenset
+        # trusted fast path for results the package computes: terms must
+        # already be a canonical frozenset; every constructor below checks
         self = object.__new__(cls)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "terms", terms)
@@ -85,11 +88,11 @@ class Poly(Record):
 
     @classmethod
     def zero(cls, k: int) -> "Poly":
-        return cls._make(k, frozenset())
+        return cls(k)
 
     @classmethod
     def one(cls, k: int) -> "Poly":
-        return cls._make(k, frozenset(((0,) * k,)))
+        return cls(k, [(0,) * k])
 
     @classmethod
     def variable(cls, k: int, j: int) -> "Poly":
@@ -97,7 +100,7 @@ class Poly(Record):
         if not 1 <= j <= k:
             raise ValueError(f"variable index {j} out of 1..{k}")
         mono = tuple(1 if i == j - 1 else 0 for i in range(k))
-        return cls._make(k, frozenset((mono,)))
+        return cls(k, [mono])
 
     @classmethod
     def monomial(cls, exponents: Iterable[int]) -> "Poly":

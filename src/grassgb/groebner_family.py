@@ -55,12 +55,12 @@ that it checks the family independently.  A monomial (a_1, ..., a_k)
 packs to its exponent sum in the top field, then a_1, ..., a_k in
 fields of W bits each, a_1 highest.  Integer order on packed monomials
 is then grlex order, a monomial product is an integer sum, and
-v >> (W*k) is the exponent sum of a packed v.  ``steenrod`` and
-``_direct`` build a ``Packing`` at the width their degrees need; a
-family is a ``Packing`` at a width W that (k, n) fixes: W is the bit
-length of k*n, plus one.  No field of a family overflows: g_M is
+v >> (W*k) is the exponent sum of a packed v.  A ``Packing`` is made
+from the largest value its fields must hold, and W is that value's bit
+length: ``steenrod`` and ``_direct`` pass the degrees they reach, and
+a family's fields hold 2kn.  No field of a family overflows: g_M is
 homogeneous of weighted degree n+1+S'_M, at most k(n+1) when S_M <= n+1,
-so no exponent of a family element exceeds k(n+1) <= 2kn < 2^W, and a
+so no exponent of a family element exceeds k(n+1) <= 2kn, and a
 normal form meets only terms of weighted degree <= k*n (below).
 Multiplying by w_j adds the packed w_j to every term, so a recurrence
 step is two maps of one int add each and at most two symmetric
@@ -146,14 +146,16 @@ class GrassmannContext(Record):
 class Packing:
     """The package's one layout of a monomial (a_1, ..., a_k) in one int:
     its exponent sum in the top field, then a_1, ..., a_k in fields of
-    ``width`` bits each, a_1 highest.  While every exponent is below
-    2^width, int order is grlex order and a monomial product is an int
-    sum.  ``times[j]`` is the packed w_j, and ``times[0] = 0`` packs 1.
+    ``width`` bits each, a_1 highest.  The fields hold ``top``, the
+    largest exponent the caller will pack: ``width`` is its bit length.
+    While every exponent fits, int order is grlex order and a monomial
+    product is an int sum.  ``times[j]`` is the packed w_j, and
+    ``times[0] = 0`` packs 1.
     """
 
-    def __init__(self, k: int, width: int):
+    def __init__(self, k: int, top: int):
         self.k = k
-        self.width = width
+        self.width = width = top.bit_length()
         self.mask = (1 << width) - 1
         # shifts of the fields a_1, ..., a_k; the exponent sum sits above them
         self.shifts = range(width * (k - 1), -1, -width)
@@ -181,6 +183,8 @@ class Packing:
 def _check_index(ctx: GrassmannContext, m: MultiIndex) -> None:
     if len(m) != ctx.k - 1:
         raise ValueError(f"multi-index must have {ctx.k - 1} entries, got {m}")
+    if not all(isinstance(x, int) for x in m):
+        raise TypeError(f"multi-index entries must be integers: {m}")
     if any(x < 0 for x in m):
         raise ValueError(f"multi-index entries must be nonnegative: {m}")
 
@@ -196,12 +200,7 @@ def raised(m: MultiIndex, i: int) -> MultiIndex:
 
 def raised2(m: MultiIndex, i: int, j: int) -> MultiIndex:
     """M^{i,j}: add 1 to the i-th and j-th coordinates; M^j when i < 1."""
-    if i < 1:
-        return raised(m, j)
-    out = list(m)
-    out[i - 1] += 1
-    out[j - 1] += 1
-    return tuple(out)
+    return raised(raised(m, i), j)
 
 
 def leading_term_of(ctx: GrassmannContext, m: MultiIndex) -> Monomial:
@@ -293,7 +292,7 @@ def _direct(k: int, m: MultiIndex, degree: int) -> Poly:
     """The terms of weighted degree ``degree`` with odd P(A, M), by the
     walk in a packing whose fields hold ``degree``, and so every exponent
     of such a term."""
-    packing = Packing(k, degree.bit_length())
+    packing = Packing(k, degree)
     return packing.to_poly(_walk(m, degree, packing.times, degree))
 
 
@@ -367,7 +366,7 @@ def _indices_up_to(k: int, bound: int) -> list[MultiIndex]:
 
 class GroebnerFamily(Packing):
     """Lazy view of the basis {g_M : S_M <= n+1}, in the packing whose
-    width (k, n) fixes.
+    fields hold 2kn.
 
     ``items``, ``polynomials`` and ``build_family`` build the whole family
     through the recurrence into the memo, ``{M: packed terms of g_M}``,
@@ -384,14 +383,20 @@ class GroebnerFamily(Packing):
     """
 
     def __init__(self, context: GrassmannContext):
-        super().__init__(context.k, (context.k * context.n).bit_length() + 1)
+        super().__init__(context.k, 2 * context.k * context.n)
         self.context = context
         self._memo: dict[MultiIndex, tuple[int, ...]] = {}
         self.packed: dict[int, tuple[int, ...]] = {}
 
-    def __len__(self) -> int:
+    @property
+    def size(self) -> int:
+        """The number of elements, binom(n+k, k-1): the one count of the
+        family, which ``len`` returns while it fits an index."""
         k, n = self.context.k, self.context.n
         return math.comb(n + k, k - 1)
+
+    def __len__(self) -> int:
+        return self.size
 
     def element(self, m: MultiIndex) -> Poly:
         return self.to_poly(self.packed_terms(m))

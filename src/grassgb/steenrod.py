@@ -8,9 +8,10 @@ every term of the rest's with one C-level toggle.  The kernel runs in
 a ``groebner_family.Packing``, the package's one layout of a monomial:
 k exponent fields, a_1 highest, the exponent sum above them, so a
 monomial product is an integer sum and halving a square is one shift;
-this module builds no field of its own.  Every class the kernel meets
-has weighted degree at most deg(t) + i, and no exponent exceeds its
-weighted degree, so fields that hold that degree never overflow.
+this module builds no field of its own and names no width, only the
+largest value a packing's fields must hold.  Every class the kernel
+meets has weighted degree at most deg(t) + i, and no exponent exceeds
+its weighted degree, so fields that hold that degree never overflow.
 ``immersion_obstruction_check`` runs the kernel in the family of
 G_{5,n}, itself a ``Packing``, and hands its terms straight to
 ``GroebnerFamily.reduce_packed``; ``sq`` is the kernel's ``Poly`` edge,
@@ -70,18 +71,19 @@ __all__ = [
 
 
 class ObstructionReport(Record):
-    """Outcome of the two k-invariant computations at G_{5,n}."""
+    """Outcome of the two k-invariant computations at G_{5,n}: the two
+    classes, and ``lift_possible``, read off them, so that no report
+    contradicts its own classes."""
 
-    __slots__ = ("n", "sq1_value", "k1_obstruction_value", "lift_possible")
+    __slots__ = ("n", "sq1_value", "k1_obstruction_value")
 
-    def __init__(
-        self,
-        n: int,
-        sq1_value: CohomologyClass,
-        k1_obstruction_value: CohomologyClass,
-        lift_possible: bool,
-    ):
-        super().__init__(n, sq1_value, k1_obstruction_value, lift_possible)
+    def __init__(self, n: int, sq1_value: CohomologyClass, k1_obstruction_value: CohomologyClass):
+        super().__init__(n, sq1_value, k1_obstruction_value)
+
+    @property
+    def lift_possible(self) -> bool:
+        """True iff both classes are nonzero."""
+        return bool(self.sq1_value) and bool(self.k1_obstruction_value)
 
 
 def _wu(i: int, j: int, k: int) -> list[tuple[int, int]]:
@@ -155,16 +157,16 @@ def _cartan(packing: Packing) -> Callable[[int, int, int], Collection[int]]:
 def sq(i: int, f: Poly) -> Poly:
     """Sq^i of a polynomial, term by term (before cohomological reduction).
 
-    f is packed in a ``Packing`` whose fields hold its largest weighted
-    degree plus i, squared by one ``_cartan`` kernel, and unpacked once.
-    A term with an exponent past MAX_EXPONENT raises ``OverflowError``."""
+    f is packed in a ``Packing`` whose fields hold top, its largest
+    weighted degree plus i, squared by one ``_cartan`` kernel, and
+    unpacked once.  A term with an exponent past MAX_EXPONENT raises ``OverflowError``."""
     if i < 0:
         raise ValueError("negative square")
     if i == 0 or not f:
         return f
     degrees = {t: weighted_degree(t) for t in f.terms}
     top = max(degrees.values()) + i
-    packing = Packing(f.k, top.bit_length())
+    packing = Packing(f.k, top)
     square = _cartan(packing)
     acc: set[int] = set()
     for t, d in degrees.items():
@@ -203,7 +205,7 @@ def tensor_square_sw(k: int) -> Poly:
     """
     if not 2 <= k:
         raise ValueError("need k >= 2")
-    packing = Packing(k, (k * (k - 1)).bit_length())
+    packing = Packing(k, k * (k - 1))
     w = packing.times
     # F(y+1) - F(y): the y^q coefficient sums w_{k-p} over p > q with
     # binom(p, q) odd, that is q & (p - q) == 0; each further row is y
@@ -303,9 +305,4 @@ def immersion_obstruction_check(
     k1.symmetric_difference_update((2 * w[1] + w2_w5, w[2] + w2_w5))
     sq1_value = CohomologyClass(ctx, family.to_poly(family.reduce_packed(sq1)))
     k1_value = CohomologyClass(ctx, family.to_poly(family.reduce_packed(k1)))
-    return ObstructionReport(
-        n=n,
-        sq1_value=sq1_value,
-        k1_obstruction_value=k1_value,
-        lift_possible=bool(sq1_value) and bool(k1_value),
-    )
+    return ObstructionReport(n, sq1_value, k1_value)

@@ -203,6 +203,16 @@ def test_verify_cap(capsys):
     assert "cap" in err
 
 
+def test_verify_cap_past_an_index_sized_count(capsys):
+    # the family's size is past 2^63 - 1, which len() cannot return
+    code, out, err = invoke(capsys, "verify", "-k", "5", "-n", "4294967296")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: instance has 14178432001255530832199756818174443525 basis elements,"
+        " above the cap of 256\n"
+    )
+
+
 def test_immersion_check(capsys):
     code, out, _ = invoke(capsys, "immersion-check", "-n", "8")
     assert code == 0

@@ -314,6 +314,19 @@ def test_input_guards(build, error, message):
         build()
 
 
+def test_every_constructor_checks_the_variable_count():
+    # 2.0 would equal k = 2 and fail later in (0,) * k; zero and one
+    # build through __init__ as the others do
+    for build in (lambda: Poly(2.0, [(1, 1)]), lambda: Poly.zero(2.0)):
+        with pytest.raises(TypeError, match=re.escape("must be an integer, got 2.0")):
+            build()
+    for build in (lambda: Poly.zero(0), lambda: Poly.one(-1), lambda: Poly.one(0)):
+        with pytest.raises(ValueError, match="need at least one variable"):
+            build()
+    assert Poly.zero(3) == Poly(3) and Poly.one(3) == Poly(3, [(0, 0, 0)])
+    assert Poly.variable(3, 2) == Poly(3, [(0, 1, 0)])
+
+
 def test_monomial_enumeration():
     assert set(monomials_of_weighted_degree(3, 2)) == {(3, 0), (1, 1)}
     assert set(monomials_of_weighted_degree(4, 2)) == {(4, 0), (2, 1), (0, 2)}

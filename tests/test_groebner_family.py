@@ -2,6 +2,7 @@ import bisect
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -310,11 +311,13 @@ def test_packing_round_trips_in_grlex_order(k, n):
 def test_packing_layout(k):
     # seeded monomials with fields at 0, at their largest value 2^W - 1
     # and in between: the exponent sum sits above the fields, so a full
-    # field never spills into its neighbour
+    # field never spills into its neighbour.  Fields made to hold 2^W - 1
+    # are W bits wide.
     rng = random.Random(7100 + k)
     for width in (1, 2, 5, 13):
-        packing = Packing(k, width)
         top = (1 << width) - 1
+        packing = Packing(k, top)
+        assert packing.width == width
         monomials = [(top,) * k, (0,) * k] + [
             tuple(rng.choice((0, top, rng.randint(0, top))) for _ in range(k)) for _ in range(200)
         ]
@@ -493,6 +496,29 @@ def test_index_validation():
         g_direct(CTX22, (1, 1))
     with pytest.raises(ValueError):
         g_direct(CTX22, (-1,))
+
+
+def test_index_entries_must_be_integers():
+    # 1.5 would otherwise give the lead (3.5, 1.5, 0), and 1.0 a bare
+    # TypeError from the packed walk
+    ctx = GrassmannContext(3, 4)
+    message = re.escape("multi-index entries must be integers: ")
+    for m in ((1.5, 0), (1.0, 0), (0, "1")):
+        with pytest.raises(TypeError, match=message + re.escape(str(m))):
+            leading_term_of(ctx, m)
+        with pytest.raises(TypeError, match=message):
+            GroebnerFamily(ctx).element(m)
+        with pytest.raises(TypeError, match=message):
+            g_direct(ctx, m)
+
+
+def test_family_size_is_one_closed_form():
+    # len() stops at an index-sized int; size is the count past it too
+    for k, n in ((2, 2), (3, 4), (5, 9), (5, 2**32)):
+        assert GroebnerFamily(GrassmannContext(k, n)).size == math.comb(n + k, k - 1)
+    huge = GroebnerFamily(GrassmannContext(5, 2**32)).size
+    assert huge == 14178432001255530832199756818174443525 > 2**63
+    assert len(GroebnerFamily(GrassmannContext(5, 9))) == 1001
 
 
 def test_parity_rule_matches_binom_parity():

@@ -29,11 +29,10 @@ RECORDS = [
     ),
     (
         ObstructionReport,
-        ("n", "sq1_value", "k1_obstruction_value", "lift_possible"),
-        (2, CLASS, CLASS, True),
+        ("n", "sq1_value", "k1_obstruction_value"),
+        (2, CLASS, CLASS),
         3,
-        "ObstructionReport(n=2, sq1_value=%r, k1_obstruction_value=%r, lift_possible=True)"
-        % (CLASS, CLASS),
+        "ObstructionReport(n=2, sq1_value=%r, k1_obstruction_value=%r)" % (CLASS, CLASS),
     ),
 ]
 
@@ -75,7 +74,9 @@ def test_record_errors_unchanged():
         CohomologyClass(CTX22, parse("w1^3 + w2", 2))
     assert str(info.value) == "not in normal form, offending terms: [(3, 0)]"
     with pytest.raises(TypeError):
-        ObstructionReport(8, CLASS, CLASS)
+        ObstructionReport(8, CLASS, CLASS, True)
+    with pytest.raises(TypeError):
+        ObstructionReport(8, CLASS)
 
 
 

@@ -9,10 +9,11 @@ from reference import (
 )
 
 from grassgb.f2poly import MAX_EXPONENT, Poly, parse, weighted_degree
-from grassgb.cohomology import normal_form
+from grassgb.cohomology import CohomologyClass, normal_form
 from grassgb.groebner_family import GrassmannContext, GroebnerFamily, build_family
 from grassgb import steenrod
 from grassgb.steenrod import (
+    ObstructionReport,
     immersion_obstruction_check,
     normal_bundle_sw,
     sq,
@@ -336,6 +337,18 @@ class TestImmersionObstruction:
     def test_guard(self):
         with pytest.raises(ValueError):
             immersion_obstruction_check(12)
+
+    def test_lift_possible_is_read_off_the_classes(self):
+        # a report holds its two classes, and lift_possible is their
+        # conjunction, so no report can contradict them
+        nonzero = immersion_obstruction_check(8).sq1_value
+        zero = CohomologyClass(nonzero.context, Poly.zero(5))
+        assert ObstructionReport.__slots__ == ("n", "sq1_value", "k1_obstruction_value")
+        for sq1, k1 in ((nonzero, nonzero), (zero, nonzero), (nonzero, zero), (zero, zero)):
+            report = ObstructionReport(8, sq1, k1)
+            assert report.lift_possible is (sq1 is nonzero and k1 is nonzero), (sq1, k1)
+            with pytest.raises(AttributeError, match="cannot assign to field 'lift_possible'"):
+                report.lift_possible = True
 
     def test_family_context_checked(self):
         with pytest.raises(ValueError):
