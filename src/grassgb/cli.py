@@ -16,8 +16,8 @@ import sys
 from .buchberger_oracle import DEFAULT_CAP, oracle_equals_family
 from .cohomology import normal_form, standard_monomials
 from .dual_classes import wbar_explicit
-from .f2poly import format_monomial, format_poly, parse
-from .groebner_family import GrassmannContext, GroebnerFamily
+from .f2poly import MAX_EXPONENT, format_monomial, format_poly, parse
+from .groebner_family import GrassmannContext, GroebnerFamily, leading_term_of
 from .steenrod import immersion_obstruction_check
 
 __all__ = ["run", "main"]
@@ -113,6 +113,13 @@ def _print_json(family: GroebnerFamily, elements: list) -> None:
     write("\n]\n")
 
 
+def _check_exponents(m, monomials) -> None:
+    for t in monomials:
+        if max(t) > MAX_EXPONENT:
+            label = ",".join(map(str, m))
+            raise OverflowError(f"exponent overflow in the term {format_monomial(t)} of g[{label}]")
+
+
 def _cmd_generate(args) -> int:
     family = GroebnerFamily(_context(args))
     if args.only_m is None:
@@ -120,7 +127,15 @@ def _cmd_generate(args) -> int:
         elements = list(family.packed_items())
     else:
         only_m = tuple(int(x) for x in args.only_m.split(","))
-        elements = [(only_m, family.packed_terms(only_m))]
+        # no exponent of g_M exceeds n+1, so only a larger n needs a check:
+        # of the lead before the walk, which might not end, then of every term
+        capped = family.context.n + 1 > MAX_EXPONENT
+        if capped:
+            _check_exponents(only_m, [leading_term_of(family.context, only_m)])
+        terms = family.packed_terms(only_m)
+        if capped:
+            _check_exponents(only_m, family.unpack(terms))
+        elements = [(only_m, terms)]
     if args.format == "json":
         _print_json(family, elements)
     else:

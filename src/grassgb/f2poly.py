@@ -51,6 +51,13 @@ def monomials_of_weighted_degree(d: int, k: int) -> tuple[Monomial, ...]:
     return tuple(out)
 
 
+def _check_variable_count(k: int) -> None:
+    if not isinstance(k, int):
+        raise TypeError(f"the variable count must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError("need at least one variable")
+
+
 class Poly(Record):
     """Immutable F2 polynomial: a frozenset of exponent tuples plus k.  A
     ``Record`` with the fields k and terms, so it compares and hashes as
@@ -59,10 +66,7 @@ class Poly(Record):
     __slots__ = ("k", "terms")
 
     def __init__(self, k: int, terms: Iterable[Monomial] = ()):
-        if not isinstance(k, int):
-            raise TypeError(f"the variable count must be an integer, got {k!r}")
-        if k < 1:
-            raise ValueError("need at least one variable")
+        _check_variable_count(k)
         seen: set[Monomial] = set()
         for t in terms:
             t = tuple(t)
@@ -92,11 +96,13 @@ class Poly(Record):
 
     @classmethod
     def one(cls, k: int) -> "Poly":
+        _check_variable_count(k)
         return cls(k, [(0,) * k])
 
     @classmethod
     def variable(cls, k: int, j: int) -> "Poly":
         """The generator w_j, 1 <= j <= k."""
+        _check_variable_count(k)
         if not 1 <= j <= k:
             raise ValueError(f"variable index {j} out of 1..{k}")
         mono = tuple(1 if i == j - 1 else 0 for i in range(k))

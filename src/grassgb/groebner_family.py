@@ -85,7 +85,12 @@ lt(g_M) divides t, subtracting the packed leading term never borrows.
 
 The divisor is read off the packed term v itself: the excess is the sum
 field minus n+1, and the packed lead is v with that excess subtracted from
-the sum field and, field by field from a_1, from the exponents.  The lead
+the sum field and, field by field from a_1, from the exponents.  Every
+term of a level has the same excess e, so the level works out e times
+the packed w_1 and e shifted to the a_1 field once; a v whose a_1 field
+is at least e (one masked compare) has the lead v - e*w_1, one
+subtraction.  Only a v with a_1 < e walks the fields, and in the
+products of ``cup`` that is under a tenth of the steps.  The lead
 keys the family's one table ``packed``, whose entry is the tail of g_M as
 offsets pack(u) - lead, u over the terms of g_M but its lead.  A step is
 then one table hit and one add per tail term, v + (pack(u) - lead) =
@@ -105,7 +110,8 @@ reduced are those that rescanning the whole working set for its
 grlex-largest reducible term at every step reduces, only not in the
 same order within a level.  A tail term of sum above n would break that
 order: it shows as a level that does not drop, which raises
-``ValueError`` instead of reducing forever.
+``ValueError`` instead of reducing forever.  One ``max`` over the levels
+left after a sweep gives both that check and the next level.
 """
 
 from __future__ import annotations
@@ -113,6 +119,8 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator
+from itertools import repeat
+from operator import and_, rshift
 
 from .f2poly import Monomial, Poly, weighted_degree
 from .record import Record
@@ -171,10 +179,14 @@ class Packing:
 
     def unpack(self, packed: Iterable[int]) -> Iterator[Monomial]:
         """The monomials of the packed ints, in their order, each field
-        cut out of all of them by one C-level map."""
+        cut out of all of them by two maps of ``operator`` functions,
+        ``rshift`` by its shift and then ``and_`` with the mask, so no
+        Python frame or bound slot wrapper runs per int."""
         packed = list(packed)
-        mask = self.mask.__and__
-        return zip(*[map(mask, map(s.__rrshift__, packed)) for s in self.shifts])
+        mask = self.mask
+        return zip(
+            *[map(and_, map(rshift, packed, repeat(s)), repeat(mask)) for s in self.shifts]
+        )
 
     def to_poly(self, terms: Iterable[int]) -> Poly:
         return Poly._make(self.k, frozenset(self.unpack(terms)))
@@ -431,22 +443,30 @@ class GroebnerFamily(Packing):
         ``packed`` with the tail of each g_M it uses."""
         n, table = self.context.n, self.packed
         mask, shifts, sum_shift = self.mask, self.shifts, self.sum_shift
+        w1, a1_shift = self.times[1], shifts[0]
+        a1_field = mask << a1_shift
         work: defaultdict[int, set[int]] = defaultdict(set)
         for v in terms:
             work[v >> sum_shift].add(v)
-        while (level_sum := max(work, default=0)) > n:
+        level_sum = max(work, default=0)
+        while level_sum > n:
+            # the divisor's lead: v with its exponent sum cut to n+1, the
+            # excess taken from a_1, a_2, ... in turn; when a_1 covers it,
+            # that is v minus excess times the packed w_1
+            excess = level_sum - n - 1
+            cut, floor = excess * w1, excess << a1_shift
             for v in work.pop(level_sum):
-                # the divisor's lead: v with its exponent sum cut to n+1, the
-                # excess taken from a_1, a_2, ... in turn
-                excess = level_sum - n - 1
-                lead = v - (excess << sum_shift)
-                for s in shifts:
-                    a = (v >> s) & mask
-                    if a >= excess:
-                        lead -= excess << s
-                        break
-                    lead -= a << s
-                    excess -= a
+                if v & a1_field >= floor:
+                    lead = v - cut
+                else:
+                    lead, e = v - (excess << sum_shift), excess
+                    for s in shifts:
+                        a = (v >> s) & mask
+                        if a >= e:
+                            lead -= e << s
+                            break
+                        lead -= a << s
+                        e -= a
                 tail = table.get(lead)
                 if tail is None:
                     # M = (a_2, ..., a_k) of the lead
@@ -459,8 +479,10 @@ class GroebnerFamily(Packing):
                         level.remove(u)
                     else:
                         level.add(u)
-            if max(work, default=0) >= level_sum:
+            below = max(work, default=0)
+            if below >= level_sum:
                 raise ValueError("a basis element has a tail term of exponent sum > n")
+            level_sum = below
         return set().union(*work.values())
 
     def packed_product(self, f: Poly, g: Poly) -> dict[int, set[int]]:

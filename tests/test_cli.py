@@ -255,6 +255,30 @@ def test_exponent_overflow_exits_2(capsys):
     assert err.startswith("error: exponent overflow")
 
 
+@pytest.mark.parametrize(
+    "k,n,only,term",
+    [
+        (5, 2**32, "2,0,0,4294967295", "w2^2*w5^4294967295"),
+        (2, 2**31 - 1, "2147483648", "w2^2147483648"),
+        # the lead's w1^(n+1) stops g_0 before a walk that would not end
+        (5, 2**32, "0,0,0,0", "w1^4294967297"),
+        (2, 2**32, "0", "w1^4294967297"),
+    ],
+)
+def test_generate_only_m_exponent_overflow_exits_2(capsys, k, n, only, term):
+    # the exponent cap of reduce and immersion-check holds for --only-m too
+    code, out, err = invoke(capsys, "generate", "-k", str(k), "-n", str(n), "--only-m", only)
+    assert (code, out) == (2, "")
+    assert err == f"error: exponent overflow in the term {term} of g[{only}]\n"
+
+
+def test_generate_only_m_at_the_exponent_cap(capsys):
+    # n+1 passes the cap, but no exponent of this g_M does
+    cap = str(2**31 - 1)
+    code, out, _ = invoke(capsys, "generate", "-k", "2", "-n", cap, "--only-m", cap)
+    assert (code, out) == (0, "g[2147483647] = w1*w2^2147483647\n")
+
+
 DEEP_K = "error: k is too large for the g_M walk, which recurses once per variable\n"
 
 

@@ -154,6 +154,63 @@ def test_reduce_packed_is_pack_then_reduce():
         assert family.reduce_packed(iter(kept)) == got
 
 
+class _CountedShifts(list):
+    """The field shifts of a packing, counting the loops run over them;
+    a slice is a plain list and is not counted."""
+
+    loops = 0
+
+    def __iter__(self):
+        self.loops += 1
+        return super().__iter__()
+
+
+def _divisor_inputs(k, n):
+    # all of exponent sum n+2, so of excess 1: in w1^(n+2) a_1 is above
+    # it, in w1*w2^(n+1) equal to it, in w2^(n+2) and w_{k-1}^a*w_k^b below
+    yield Poly.monomial((n + 2,) + (0,) * (k - 1))
+    if k >= 3:
+        yield Poly.monomial((1, n + 1) + (0,) * (k - 2))
+        yield Poly.monomial((0, n + 2) + (0,) * (k - 2))
+        for a in range(2 * k, n + 3):
+            yield Poly.monomial((0,) * (k - 2) + (a, n + 2 - a))
+    # and sums of random terms of exponent sum n+2..n+4, a_1 anywhere
+    rng = random.Random(7700 + k)
+    for _ in range(4):
+        terms = []
+        while len(terms) < 3:
+            s = n + 2 + rng.randrange(3)
+            cuts = sorted(rng.randint(0, s) for _ in range(k - 1))
+            t = tuple(b - a for a, b in zip([0, *cuts], [*cuts, s]))
+            if weighted_degree(t) <= k * n:
+                terms.append(t)
+        yield Poly(k, terms)
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_both_divisor_paths_match_the_reference(k):
+    # a lead is v minus excess times w_1 when a_1 covers the excess, and
+    # the field loop runs on exactly the other steps, the ones the
+    # reference takes with t[0] below the excess
+    n = 2 * k + 2
+    ctx = GrassmannContext(k, n)
+    family = GroebnerFamily(ctx)
+    family.shifts = shifts = _CountedShifts(family.shifts)
+    steps = {"fast": 0, "loop": 0}
+
+    def counting_divisor(ctx, family, t):
+        steps["fast" if t[0] >= sum(t) - n - 1 else "loop"] += 1
+        return structured_divisor(ctx, family, t)
+
+    for f in _divisor_inputs(k, n):
+        expected = normal_form_reference(ctx, f, None, counting_divisor)
+        got = family.reduce_packed(map(family.pack, f.terms))
+        assert got == set(map(family.pack, expected.terms)), f
+    assert steps["fast"]
+    assert steps["loop"] if k >= 3 else not steps["loop"]
+    assert shifts.loops == steps["loop"]
+
+
 def test_reduce_packed_of_nothing():
     family = GroebnerFamily(GrassmannContext(4, 6))
     assert family.reduce_packed(()) == set()

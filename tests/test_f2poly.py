@@ -315,9 +315,14 @@ def test_input_guards(build, error, message):
 
 
 def test_every_constructor_checks_the_variable_count():
-    # 2.0 would equal k = 2 and fail later in (0,) * k; zero and one
-    # build through __init__ as the others do
-    for build in (lambda: Poly(2.0, [(1, 1)]), lambda: Poly.zero(2.0)):
+    # 2.0 would equal k = 2 and fail later in (0,) * k or range(k), with a
+    # message that does not name k; every constructor checks k first
+    for build in (
+        lambda: Poly(2.0, [(1, 1)]),
+        lambda: Poly.zero(2.0),
+        lambda: Poly.one(2.0),
+        lambda: Poly.variable(2.0, 1),
+    ):
         with pytest.raises(TypeError, match=re.escape("must be an integer, got 2.0")):
             build()
     for build in (lambda: Poly.zero(0), lambda: Poly.one(-1), lambda: Poly.one(0)):

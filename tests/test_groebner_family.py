@@ -289,14 +289,17 @@ def test_family_width_holds_every_exponent():
             assert family.width == (k * n).bit_length() + 1
 
 
-@pytest.mark.parametrize("k,n", [(2, 3), (4, 6), (6, 7)])
+@pytest.mark.parametrize("k,n", [(2, 3), (4, 6), (6, 7), (7, 20)])
 def test_packing_round_trips_in_grlex_order(k, n):
     family = GroebnerFamily(GrassmannContext(k, n))
     rng = random.Random(k * 100 + n)
     top = k * (n + 1)
     monomials = [tuple(rng.randint(0, top) for _ in range(k)) for _ in range(300)]
     packed = [family.pack(t) for t in monomials]
+    # at (7,20) the packed ints pass 64 bits
+    assert (max(packed).bit_length() > 64) == (k == 7)
     assert list(family.unpack(packed)) == monomials
+    assert list(family.unpack(iter(packed))) == monomials
     assert sorted(monomials, key=grlex_key) == list(family.unpack(sorted(packed)))
     # w_j times a monomial is one add
     for j in range(1, k + 1):
