@@ -33,9 +33,11 @@ Whole families are built through the paper's three-term recurrence
     g_{M^{i,j}} = w_i g_{M^j} + w_{j+1} g_{M^{i-1}} + g_{M^{i-1,j+1}},
 
 which needs no enumeration at all: only the k elements with S_M <= 1 come
-from the walk.  The indices come from ``_indices_up_to``, which builds
-them one position at a time with no recursion, from the last and most
-significant, so they come out in the order ``generate`` prints.  A
+from the walk.  The step is ``Packing._step``, on packed ints, and the
+public ``g_recurrence_step`` runs it too, on its summands packed.  The
+indices come from ``_indices_up_to``, which builds them one position at
+a time with no recursion, from the last and most significant, so they
+come out in the order ``generate`` prints.  A
 single element asked for on its own (a reduction step,
 ``generate --only-m``) is one walk at the family's width, not the
 elements below it, and the family does not keep it.  ``g_direct`` runs
@@ -67,6 +69,15 @@ step is two maps of one int add each and at most two symmetric
 differences of int sets.  Each g_M is kept as the basis is printed: a
 tuple of its packed ints in decreasing, so grlex, order, the lead first.
 ``element``, ``items`` and ``polynomials`` unpack to Poly.
+
+The exponent cap, MAX_EXPONENT = 2^31 - 1, has two kinds of check.  An
+input is checked before work that might not end: ``parse``, the n of
+``immersion_obstruction_check``, the degree of a dual class and the lead
+of ``generate --only-m``.  Every computed term is checked at
+``Packing.unpack``, the one way from packed ints to monomials, so no
+``Poly`` built from a packing holds an exponent past the cap.  Fields of
+at most 31 bits cannot hold one, and then the check costs one test per
+call.
 
 ``GroebnerFamily.reduce`` takes a polynomial to its normal form in the
 same packing.  No standard monomial has weighted degree above k*n, the
@@ -122,7 +133,7 @@ from collections.abc import Callable, Iterable, Iterator
 from itertools import repeat
 from operator import and_, rshift
 
-from .f2poly import Monomial, Poly, weighted_degree
+from .f2poly import MAX_EXPONENT, Monomial, Poly, format_monomial, weighted_degree
 from .record import Record
 
 __all__ = [
@@ -158,7 +169,9 @@ class Packing:
     largest exponent the caller will pack: ``width`` is its bit length.
     While every exponent fits, int order is grlex order and a monomial
     product is an int sum.  ``times[j]`` is the packed w_j, and
-    ``times[0] = 0`` packs 1.
+    ``times[0] = 0`` packs 1.  ``over`` holds the bits of every field
+    above MAX_EXPONENT, none unless ``width`` passes 31: ``unpack``, the
+    only way out of a packing, refuses a term that sets one.
     """
 
     def __init__(self, k: int, top: int):
@@ -169,6 +182,7 @@ class Packing:
         self.shifts = range(width * (k - 1), -1, -width)
         self.sum_shift = width * k
         self.times = [0] + [(1 << self.sum_shift) | (1 << s) for s in self.shifts]
+        self.over = sum((self.mask & ~MAX_EXPONENT) << s for s in self.shifts)
 
     def pack(self, t: Monomial) -> int:
         width = self.width
@@ -181,15 +195,31 @@ class Packing:
         """The monomials of the packed ints, in their order, each field
         cut out of all of them by two maps of ``operator`` functions,
         ``rshift`` by its shift and then ``and_`` with the mask, so no
-        Python frame or bound slot wrapper runs per int."""
+        Python frame or bound slot wrapper runs per int.  A term with an
+        exponent past MAX_EXPONENT raises ``OverflowError``."""
         packed = list(packed)
-        mask = self.mask
-        return zip(
-            *[map(and_, map(rshift, packed, repeat(s)), repeat(mask)) for s in self.shifts]
-        )
+        mask, shifts, over = self.mask, self.shifts, self.over
+        if over:
+            for v in packed:
+                if v & over:
+                    t = tuple((v >> s) & mask for s in shifts)
+                    raise OverflowError(f"exponent overflow in the term {format_monomial(t)}")
+        return zip(*[map(and_, map(rshift, packed, repeat(s)), repeat(mask)) for s in shifts])
 
     def to_poly(self, terms: Iterable[int]) -> Poly:
         return Poly._make(self.k, frozenset(self.unpack(terms)))
+
+    def _step(
+        self, m: MultiIndex, i: int, j: int, lookup: Callable[[MultiIndex], Iterable[int]]
+    ) -> tuple[int, ...]:
+        """The packed terms of g_{M^{i,j}}, from the packed terms ``lookup``
+        gives for the three indices on the right of the recurrence."""
+        times = self.times
+        terms = set(map(times[i].__add__, lookup(raised(m, j))))
+        terms.symmetric_difference_update(map(times[j + 1].__add__, lookup(raised(m, i - 1))))
+        if j < self.k - 1:
+            terms.symmetric_difference_update(lookup(raised2(m, i - 1, j + 1)))
+        return tuple(sorted(terms, reverse=True))
 
 
 def _check_index(ctx: GrassmannContext, m: MultiIndex) -> None:
@@ -349,18 +379,23 @@ def g_recurrence_step(
     """Assemble g_{M^{i,j}} = w_i g_{M^j} + w_{j+1} g_{M^{i-1}} + g_{M^{i-1,j+1}}.
 
     The third summand is absent when j = k-1; ``lookup`` supplies the
-    right-hand-side polynomials.  The sum is taken on Poly, apart from the
-    family's packing, and a term past MAX_EXPONENT raises OverflowError.
+    right-hand-side polynomials, one call per index.  They are packed in
+    fields that hold their largest exponent plus one and summed by
+    ``Packing._step``, the step that builds every family; a term past
+    MAX_EXPONENT raises ``OverflowError`` as the sum is unpacked.
     """
     _check_index(ctx, m)
     k = ctx.k
     if not 1 <= i <= j <= k - 1:
         raise ValueError(f"need 1 <= i <= j <= {k - 1}, got i={i}, j={j}")
-    g = Poly.variable(k, i) * lookup(raised(m, j))
-    g = g + Poly.variable(k, j + 1) * lookup(raised(m, i - 1))
+    needed = [raised(m, j), raised(m, i - 1)]
     if j < k - 1:
-        g = g + lookup(raised2(m, i - 1, j + 1))
-    return g
+        needed.append(raised2(m, i - 1, j + 1))
+    # a sum with zero runs Poly's checks: each summand is a Poly in k variables
+    terms = {index: (Poly.zero(k) + lookup(index)).terms for index in needed}
+    top = max((max(t) for ts in terms.values() for t in ts), default=0)
+    packing = Packing(k, top + 1)
+    return packing.to_poly(packing._step(m, i, j, lambda index: map(packing.pack, terms[index])))
 
 
 def _indices_up_to(k: int, bound: int) -> list[MultiIndex]:
@@ -509,18 +544,6 @@ class GroebnerFamily(Packing):
                     for b in p2:
                         acc.symmetric_difference_update(map(b.__add__, p1))
         return parts
-
-    def _step(
-        self, m: MultiIndex, i: int, j: int, lookup: Callable[[MultiIndex], Iterable[int]]
-    ) -> tuple[int, ...]:
-        """The packed terms of g_{M^{i,j}}, from the packed terms ``lookup``
-        gives for the three indices on the right of the recurrence."""
-        times = self.times
-        terms = set(map(times[i].__add__, lookup(raised(m, j))))
-        terms.symmetric_difference_update(map(times[j + 1].__add__, lookup(raised(m, i - 1))))
-        if j < self.context.k - 1:
-            terms.symmetric_difference_update(lookup(raised2(m, i - 1, j + 1)))
-        return tuple(sorted(terms, reverse=True))
 
     def _materialise(self) -> list[MultiIndex]:
         """Put every g_M of the family in the memo; return the indices in

@@ -18,9 +18,8 @@ G_{5,n}, itself a ``Packing``, and hands its terms straight to
 in a ``Packing`` whose fields hold f's largest weighted degree plus i,
 so it serves every k, k = 1 included.  A result
 term of ``sq`` with an exponent past MAX_EXPONENT raises
-``OverflowError``, as a ``Poly`` product does; an exponent never exceeds
-the weighted degree, so only a result of degree past MAX_EXPONENT is
-checked term by term.  ``immersion_obstruction_check`` raises it for n
+``OverflowError`` in ``Packing.unpack``, as a ``Poly`` product does.
+``immersion_obstruction_check`` checks its input: it raises it for n
 past MAX_EXPONENT before it squares anything.
 
 The tensor-square total class is one resultant over F_2[w_1, ..., w_k],
@@ -159,7 +158,8 @@ def sq(i: int, f: Poly) -> Poly:
 
     f is packed in a ``Packing`` whose fields hold top, its largest
     weighted degree plus i, squared by one ``_cartan`` kernel, and
-    unpacked once.  A term with an exponent past MAX_EXPONENT raises ``OverflowError``."""
+    unpacked once, which raises ``OverflowError`` for a term with an
+    exponent past MAX_EXPONENT."""
     if i < 0:
         raise ValueError("negative square")
     if i == 0 or not f:
@@ -171,15 +171,6 @@ def sq(i: int, f: Poly) -> Poly:
     acc: set[int] = set()
     for t, d in degrees.items():
         acc.symmetric_difference_update(square(i, packing.pack(t), d))
-    if top > MAX_EXPONENT:
-        # an exponent never exceeds the weighted degree, so only a result of
-        # degree past MAX_EXPONENT can hold an exponent past it: a bit set
-        # at 31 or above in one of its fields
-        high = sum((packing.mask & ~MAX_EXPONENT) << s for s in packing.shifts)
-        for u in acc:
-            if u & high:
-                (t,) = packing.unpack((u,))
-                raise OverflowError(f"exponent overflow in Sq^{i} term {t}")
     return packing.to_poly(acc)
 
 

@@ -184,6 +184,11 @@ def test_recurrence_step_validates_indices():
         g_recurrence_step(ctx, (0, 0), 2, 1, lookup)
     with pytest.raises(ValueError):
         g_recurrence_step(ctx, (0, 0), 1, 3, lookup)
+    # the summands must be polynomials in k variables
+    with pytest.raises(ValueError, match="variable counts differ: 3 != 4"):
+        g_recurrence_step(ctx, (0, 0), 1, 1, lambda m: Poly.one(4))
+    with pytest.raises(TypeError, match="expected Poly"):
+        g_recurrence_step(ctx, (0, 0), 1, 1, lambda m: {(1, 0, 0)})
 
 
 def test_recurrence_step_overflow_guard():
@@ -251,8 +256,9 @@ def test_recurrence_step_matches_reference_on_random_summands(k):
 
 
 def test_recurrence_step_overflow_boundary():
-    # the step works on Poly, so exponents at and past the family's field
-    # limit 2^W - 1 (W = 4 at (2, 2)) are raised like any other
+    # the step packs in fields sized to its summands, not the family's, so
+    # exponents at and past the family's field limit 2^W - 1 (W = 4 at
+    # (2, 2)) are raised like any other
     ctx = GrassmannContext(2, 2)
     top = (1 << GroebnerFamily(ctx).width) - 1
     assert top == 15
@@ -336,6 +342,15 @@ def test_packing_layout(k):
         assert packing.times[0] == packing.pack((0,) * k) == 0
         for j in range(1, k + 1):
             assert packing.times[j] == packing.pack(Poly.variable(k, j).leading_term()), (width, j)
+    # fields of 32 bits: every field at 2^31 - 1 unpacks, and a field at 2^31
+    # in any position raises
+    packing = Packing(k, 2**31)
+    top = (MAX_EXPONENT,) * k
+    assert list(packing.unpack([packing.pack(top)])) == [top]
+    for p in range(k):
+        t = top[:p] + (2**31,) + top[p + 1 :]
+        with pytest.raises(OverflowError, match="^exponent overflow in the term "):
+            packing.unpack([packing.pack(t)])
 
 
 def test_memo_holds_packed_terms():
@@ -401,6 +416,14 @@ def test_element_unpacks_packed_terms():
                 family.element(m)
         assert g_direct(ctx, m) == g_direct_reference(4, 6, m), m
     assert not unbuilt._memo
+
+
+def test_element_past_the_exponent_cap_raises():
+    # g_(0, 2^31) = (w1^2 + w2) w3^(2^31): two terms, so the walk is instant,
+    # and unpacking them meets the cap
+    family = GroebnerFamily(GrassmannContext(3, 2**31 + 1))
+    with pytest.raises(OverflowError, match=re.escape("in the term w1^2*w3^2147483648")):
+        family.element((0, 2**31))
 
 
 def test_packed_terms_takes_any_index_sequence():
