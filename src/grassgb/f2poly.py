@@ -183,15 +183,6 @@ class Poly(Record):
             raise ValueError("zero polynomial has no leading term")
         return max(self.terms, key=grlex_key)
 
-    def weighted_components(self) -> dict[int, "Poly"]:
-        """Split into homogeneous parts keyed by weighted degree."""
-        buckets: dict[int, set[Monomial]] = {}
-        for t in self.terms:
-            buckets.setdefault(weighted_degree(t), set()).add(t)
-        return {
-            d: Poly._make(self.k, frozenset(ts)) for d, ts in sorted(buckets.items())
-        }
-
 
 # -- text format -----------------------------------------------------------
 

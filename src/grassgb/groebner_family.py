@@ -88,9 +88,10 @@ dropped before packing.  The packed terms left go to
 and returns the normal form as a set of them; ``reduce`` unpacks it.  A
 caller holding packed terms of degree at most k*n calls
 ``reduce_packed`` itself: ``cup`` and ``normal_bundle_sw`` take them
-from ``packed_product``, which multiplies two polynomials in the packing,
-one pair of weighted degrees at a time, and keeps only the degrees up
-to k*n.  Each term met while reducing a kept term t has the weighted
+from ``packed_product``, which packs each term of both factors straight
+into a list per weighted degree, skipping the degrees above k*n, and
+multiplies one pair of degrees at a time, keeping only the sums up to
+k*n.  Each term met while reducing a kept term t has the weighted
 degree of t, at most k*n, so every exponent fits its field, and since
 lt(g_M) divides t, subtracting the packed leading term never borrows.
 
@@ -107,9 +108,11 @@ offsets pack(u) - lead, u over the terms of g_M but its lead.  A step is
 then one table hit and one add per tail term, v + (pack(u) - lead) =
 pack(u * t / lt(g_M)), and v itself leaves the working set.  Only a miss
 cuts M = (a_2, ..., a_k) out of the lead, field by field with the same
-shifts, and asks ``packed_terms`` for g_M: the memo's, when the whole
-family was built, else one walk's, and then the table is the only place
-the family keeps it.
+shifts, and takes the terms of g_M from the memo, when the whole family
+was built, else from one walk, and then the table is the only place the
+family keeps it.  The entry is made in one pass over those terms, in
+the order they come, the lead left out: the table holds a tail as a
+set, and no step reads its order.
 
 The basis fixes the order of the work.  Every lead has exponent sum
 n+1 and every other term of g_M has sum <= n, so a step on a term of sum
@@ -277,9 +280,10 @@ def _walk(m: MultiIndex, degree: int, times: list[int], bound: int) -> list[int]
     at least ceil((rem - t*x) / (t-1)), and the exponent sum can stay
     within ``bound`` iff x >= rem - (t-1)*(bound - asuf).  Each level scans its
     admissible values from that limit up, and no branch that can only
-    end in terms above the bound is entered.  ``packed_terms`` passes
-    bound = n+1: by the paper's leading-term law lt(g_M), of exponent
-    sum n+1, is the grlex-largest term of g_M, so no term is cut.
+    end in terms above the bound is entered.  ``GroebnerFamily._g``
+    passes bound = n+1: by the paper's leading-term law lt(g_M), of
+    exponent sum n+1, is the grlex-largest term of g_M, so no term is
+    cut.
     ``_direct`` passes bound = degree, which every term meets, since
     sum a_t <= sum t*a_t: ``g_direct`` keeps the unpruned enumeration,
     valid for S_M > n+1, and the tests compare the pruned walk with it.
@@ -418,15 +422,16 @@ class GroebnerFamily(Packing):
     ``items``, ``polynomials`` and ``build_family`` build the whole family
     through the recurrence into the memo, ``{M: packed terms of g_M}``,
     each a tuple in decreasing order, lead first.  ``packed_terms``
-    returns the memo's entry; on a family that was not built it walks
-    one g_M at the family's width and keeps nothing, so
-    reductions at large n only ever build the indices they touch, and
+    returns the memo's entry; on a family that was not built ``_g``
+    walks one g_M at the family's width, which ``packed_terms`` sorts
+    and keeps nothing of, and ``element`` unpacks a fresh Poly from it.
+    Reductions at large n only ever build the indices they touch, and
     each once: ``reduce`` fills ``packed``, the family's one table
     ``{packed lead: tail}`` (the tail as the offsets pack(u) - lead over
-    the other terms u of g_M), with what it needs of each g_M it
-    touches.  ``element`` unpacks a fresh Poly from ``packed_terms``.
-    Both stores are dicts on the instance: they live as long as the
-    family, and two families never share one.
+    the other terms u of g_M, in no fixed order), taking each g_M it
+    touches from ``_g``, unsorted.  Both stores are dicts on the
+    instance: they live as long as the family, and two families never
+    share one.
     """
 
     def __init__(self, context: GrassmannContext):
@@ -449,18 +454,25 @@ class GroebnerFamily(Packing):
         return self.to_poly(self.packed_terms(m))
 
     def packed_terms(self, m: MultiIndex) -> tuple[int, ...]:
-        """The packed terms of g_M, lead first: the memo's entry, else the
-        walk's, not kept."""
+        """The packed terms of g_M in decreasing order, lead first: the
+        memo's entry, else the walk's, sorted and not kept.  ``element``,
+        ``generate --only-m`` and the family's build read it; a
+        reduction reads ``_g``."""
         m = tuple(m)
         terms = self._memo.get(m)
         if terms is None:
-            # g_M is homogeneous of its lead's degree, which the guard on
-            # S_M <= n+1 keeps within the fields, and by the leading-term
-            # law no term has exponent sum above the lead's, n+1
-            lead = leading_term_of(self.context, m)
-            terms = _walk(m, weighted_degree(lead), self.times, self.context.n + 1)
-            terms = tuple(sorted(terms, reverse=True))
+            leading_term_of(self.context, m)  # raises on an M out of range
+            terms = tuple(sorted(self._g(m), reverse=True))
         return terms
+
+    def _g(self, m: MultiIndex) -> tuple[int, ...] | list[int]:
+        """The packed terms of g_M, for M with S_M <= n+1, in no fixed
+        order: the memo's entry, else one walk's, not kept."""
+        # g_M is homogeneous of its lead's degree, n+1 + weighted_degree(M),
+        # which the guard on S_M <= n+1 keeps within the fields, and by
+        # the leading-term law no term has exponent sum above the lead's
+        n = self.context.n
+        return self._memo.get(m) or _walk(m, n + 1 + weighted_degree(m), self.times, n + 1)
 
     def reduce(self, f: Poly) -> Poly:
         """The normal form of f: f minus an element of the ideal, with no
@@ -475,7 +487,9 @@ class GroebnerFamily(Packing):
     def reduce_packed(self, terms: Iterable[int]) -> set[int]:
         """The normal form of a sum of distinct packed terms, each of
         weighted degree at most k*n, as a set of packed ints.  Fills
-        ``packed`` with the tail of each g_M it uses."""
+        ``packed`` with the tail of each g_M it uses: a miss takes g_M
+        from ``_g`` and keeps the offsets of its terms but the lead,
+        unsorted."""
         n, table = self.context.n, self.packed
         mask, shifts, sum_shift = self.mask, self.shifts, self.sum_shift
         w1, a1_shift = self.times[1], shifts[0]
@@ -505,8 +519,8 @@ class GroebnerFamily(Packing):
                 tail = table.get(lead)
                 if tail is None:
                     # M = (a_2, ..., a_k) of the lead
-                    g = self.packed_terms(tuple((lead >> s) & mask for s in shifts[1:]))
-                    tail = table[lead] = tuple(p - lead for p in g[1:])
+                    g = self._g(tuple((lead >> s) & mask for s in shifts[1:]))
+                    tail = table[lead] = tuple([p - lead for p in g if p != lead])
                 for u in tail:
                     u += v
                     level = work[u >> sum_shift]
@@ -525,17 +539,20 @@ class GroebnerFamily(Packing):
         set of packed ints; no standard monomial lies above k*n, so the
         parts there reduce to 0 and are left out.
 
-        Each factor is split by weighted degree, and only its parts of
-        degree at most k*n are packed, once.  Only the pairs of degrees
+        Each term of each factor is packed, once, into the list of its
+        weighted degree, with no ``Poly`` per degree and no sort; a term
+        of degree above k*n is skipped.  Only the pairs of degrees
         summing to at most k*n are multiplied, one term of one factor
         added to every term of the other.  A term of degree d has no
         exponent above d, so no field of a kept product overflows.
         """
         top, pack = self.context.k * self.context.n, self.pack
-        fs, gs = (
-            {d: list(map(pack, q)) for d, q in h.weighted_components().items() if d <= top}
-            for h in (f, g)
-        )
+        fs: dict[int, list[int]] = {}
+        gs: dict[int, list[int]] = {}
+        for h, split in ((f, fs), (g, gs)):
+            for t in h.terms:
+                if (d := weighted_degree(t)) <= top:
+                    split.setdefault(d, []).append(pack(t))
         parts: dict[int, set[int]] = {}
         for d1, p1 in fs.items():
             for d2, p2 in gs.items():

@@ -414,6 +414,15 @@ def weighted_degree_reference(mono: Monomial) -> int:
     return sum(j * a for j, a in enumerate(mono, start=1))
 
 
+def weighted_components(f: Poly) -> dict[int, Poly]:
+    """Split f into homogeneous parts keyed by weighted degree, in
+    increasing degree."""
+    buckets: dict[int, set[Monomial]] = {}
+    for t in f.terms:
+        buckets.setdefault(weighted_degree(t), set()).add(t)
+    return {d: Poly(f.k, ts) for d, ts in sorted(buckets.items())}
+
+
 def normal_bundle_sw_reference(
     n: int, family: Optional[GroebnerFamily] = None
 ) -> dict[int, CohomologyClass]:
@@ -426,7 +435,7 @@ def normal_bundle_sw_reference(
         family = GroebnerFamily(ctx)
     e = 2 ** (n + k - 1).bit_length() - n - k
     total_w = sum((Poly.variable(k, j) for j in range(1, k + 1)), Poly.one(k))
-    components = (tensor_square_sw(k) * total_w**e).weighted_components()
+    components = weighted_components(tensor_square_sw(k) * total_w**e)
     zero = Poly.zero(k)
     return {
         d: normal_form(ctx, components.get(d, zero), family)

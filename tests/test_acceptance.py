@@ -8,7 +8,13 @@ import math
 import random
 
 import pytest
-from reference import binom_int, binom_parity, indices_up_to_reference, normal_form_reference
+from reference import (
+    binom_int,
+    binom_parity,
+    indices_up_to_reference,
+    normal_form_reference,
+    weighted_components,
+)
 
 from grassgb.buchberger_oracle import buchberger, oracle_reduce, reduce_basis
 from grassgb.cohomology import normal_form, standard_basis
@@ -190,7 +196,7 @@ def test_criterion_10_normal_bundle():
         if d >= 36:
             assert not cls, d
     assert max(nb) < 36
-    comps = tensor_square_sw(5).weighted_components()
+    comps = weighted_components(tensor_square_sw(5))
     assert 1 not in comps and 2 not in comps
     assert all(d % 2 == 0 for d in comps)
     assert max(comps) == 20

@@ -13,6 +13,7 @@ from reference import (
 )
 
 import grassgb
+from grassgb import groebner_family
 from grassgb.buchberger_oracle import buchberger, oracle_reduce, reduce_basis
 from grassgb.cohomology import (
     CohomologyClass,
@@ -319,32 +320,42 @@ def test_standard_input_at_huge_n_is_left_alone():
     assert time.perf_counter() - start < 1.0
 
 
-def _family_with_a_tail_above_n(monkeypatch, ctx):
-    # g_{(0,0)} gains the tail term w1^6, of exponent sum n+2, which lands
-    # above the level being swept
+# extra tail terms of g_{(0,0)} at (3,4): w1^6, of exponent sum n+2, lands
+# above the level being swept, so without the guard the level climbs for
+# ever; w1^4*w2, of sum n+1 like the lead, keeps the level where it is
+TAIL_TERMS_ABOVE_N = [(6, 0, 0), (4, 1, 0)]
+
+
+def _family_with_a_tail_above_n(monkeypatch, ctx, extra):
+    # a table miss on a family not built whole takes g_M from the walk,
+    # which is corrupted
     family = GroebnerFamily(ctx)
-    packed_terms = family.packed_terms
-    extra = family.pack((6, 0, 0))
+    walk = groebner_family._walk
+    extra = family.pack(extra)
 
-    def bad_packed_terms(m):
-        terms = packed_terms(m)
-        return terms + (extra,) if m == (0, 0) else terms
+    def bad_walk(m, *args):
+        terms = walk(m, *args)
+        return terms + [extra] if m == (0, 0) else terms
 
-    monkeypatch.setattr(family, "packed_terms", bad_packed_terms)
+    monkeypatch.setattr(groebner_family, "_walk", bad_walk)
     return family
 
 
 def test_tail_term_above_n_raises_instead_of_looping(monkeypatch):
     ctx = GrassmannContext(3, 4)
-    family = _family_with_a_tail_above_n(monkeypatch, ctx)
-    with pytest.raises(ValueError, match="tail term"):
-        normal_form(ctx, parse("w1^5", 3), family)
+    for extra in TAIL_TERMS_ABOVE_N:
+        with monkeypatch.context() as patch:
+            family = _family_with_a_tail_above_n(patch, ctx, extra)
+            with pytest.raises(ValueError, match="tail term"):
+                normal_form(ctx, parse("w1^5", 3), family)
 
 
 def test_tail_term_above_n_raises_through_reduce_packed(monkeypatch):
-    family = _family_with_a_tail_above_n(monkeypatch, GrassmannContext(3, 4))
-    with pytest.raises(ValueError, match="tail term"):
-        family.reduce_packed([family.pack((5, 0, 0))])
+    for extra in TAIL_TERMS_ABOVE_N:
+        with monkeypatch.context() as patch:
+            family = _family_with_a_tail_above_n(patch, GrassmannContext(3, 4), extra)
+            with pytest.raises(ValueError, match="tail term"):
+                family.reduce_packed([family.pack((5, 0, 0))])
 
 
 def test_packed_memo_belongs_to_the_family():

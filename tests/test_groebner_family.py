@@ -1,4 +1,5 @@
 import bisect
+import itertools
 import math
 import os
 import random
@@ -13,9 +14,12 @@ from reference import (
     g_recurrence_step_reference,
     indices_up_to_reference,
     poly_mul_reference,
+    weighted_components,
 )
 
 import grassgb
+from grassgb import groebner_family
+from grassgb.cohomology import CohomologyClass, cup
 from grassgb.dual_classes import wbar_recurrence
 from grassgb.f2poly import (
     MAX_EXPONENT,
@@ -471,7 +475,7 @@ def test_packed_product_matches_poly_product(rng):
             g = f + g  # shares terms with f, so products cancel
         expected = {
             d: part
-            for d, part in poly_mul_reference(f, g).weighted_components().items()
+            for d, part in weighted_components(poly_mul_reference(f, g)).items()
             if d <= k * n
         }
         parts = family.packed_product(f, g)
@@ -687,18 +691,78 @@ def test_immersion_check_and_two_term_elements_at_n_2_to_30():
     assert proc.stdout.splitlines() == expected
 
 
+def _cup_stream(ctx, seed, count=100):
+    # pairs of classes of eight standard monomials of exponent sum n/2 to
+    # n, drawn from a seeded generator, as the cup benchmark draws them
+    k, n = ctx.k, ctx.n
+    pool = [t for t in itertools.product(range(n + 1), repeat=k) if (n + 1) // 2 <= sum(t) <= n]
+    draw = random.Random(seed)
+
+    def cls():
+        return CohomologyClass(ctx, Poly(k, draw.sample(pool, 8)))
+
+    return [(cls(), cls()) for _ in range(count)]
+
+
+def _assert_tails_match_g_direct(family):
+    # each tail, in whatever order it was stored, is the offsets from the
+    # lead of every other term of g_M by the unpruned enumeration
+    for lead, tail in family.packed.items():
+        m = next(family.unpack([lead]))[1:]
+        terms = set(map(family.pack, g_direct(family.context, m).terms))
+        assert max(terms) == lead, m
+        assert len(set(tail)) == len(tail), m
+        assert set(tail) == {p - lead for p in terms - {lead}}, m
+
+
 def test_pruned_walk_matches_g_direct_on_the_normal_bundle_elements():
     # the dense elements a normal-bundle reduction touches, each walked
     # once under the bound n+1 and kept as its packed tail
-    ctx = GrassmannContext(5, 16)
-    family = GroebnerFamily(ctx)
+    family = GroebnerFamily(GrassmannContext(5, 16))
     normal_bundle_sw(16, family)
     assert len(family.packed) > 1000
-    for lead, tail in family.packed.items():
-        m = next(family.unpack([lead]))[1:]
-        terms = sorted(map(family.pack, g_direct(ctx, m).terms), reverse=True)
-        assert terms[0] == lead, m
-        assert tail == tuple(p - lead for p in terms[1:]), m
+    _assert_tails_match_g_direct(family)
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The index of every g_M walk, as the calls are made."""
+    calls = []
+    walk = groebner_family._walk
+
+    def counted(m, *args):
+        calls.append(m)
+        return walk(m, *args)
+
+    monkeypatch.setattr(groebner_family, "_walk", counted)
+    return calls
+
+
+def test_one_walk_per_table_entry_of_the_normal_bundle(walks):
+    family = GroebnerFamily(GrassmannContext(5, 8))
+    first = normal_bundle_sw(8, family)
+    assert len(walks) == len(family.packed) == 277
+    walks.clear()
+    assert normal_bundle_sw(8, family) == first
+    assert not walks
+
+
+def test_one_walk_per_table_entry_of_a_cup_stream(walks):
+    ctx = GrassmannContext(4, 10)
+    family = GroebnerFamily(ctx)
+    stream = _cup_stream(ctx, "walks at (4,10)")
+    first = [cup(ctx, a, b, family) for a, b in stream]
+    assert len(walks) == len(family.packed) > 200
+    _assert_tails_match_g_direct(family)
+    walks.clear()
+    assert [cup(ctx, a, b, family) for a, b in stream] == first
+    assert not walks
+    # on a family built whole, a miss reads the memo and walks nothing
+    built = build_family(ctx)
+    walks.clear()
+    assert [cup(ctx, a, b, built) for a, b in stream] == first
+    assert not walks and built.packed.keys() == family.packed.keys()
+    assert all(set(built.packed[lead]) == set(t) for lead, t in family.packed.items())
 
 
 def test_memo_lives_on_the_family():

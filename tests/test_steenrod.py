@@ -5,6 +5,7 @@ from reference import (
     sq_reference,
     tensor_square_sw_permanent_reference,
     tensor_square_sw_reference,
+    weighted_components,
     wu_reference,
 )
 
@@ -157,13 +158,13 @@ class TestCartan:
 
 class TestTensorSquare:
     def test_low_degrees_vanish_for_k5(self):
-        comps = tensor_square_sw(5).weighted_components()
+        comps = weighted_components(tensor_square_sw(5))
         assert 1 not in comps
         assert 2 not in comps
 
     @pytest.mark.parametrize("k", (2, 3, 4, 5, 6, 7))
     def test_no_odd_degrees_and_no_linear_part(self, k):
-        comps = tensor_square_sw(k).weighted_components()
+        comps = weighted_components(tensor_square_sw(k))
         assert all(d % 2 == 0 for d in comps)
         assert 1 not in comps
 
@@ -178,11 +179,11 @@ class TestTensorSquare:
         assert tensor_square_sw(k) == tensor_square_sw_permanent_reference(k)
 
     def test_top_degree_k5(self):
-        comps = tensor_square_sw(5).weighted_components()
+        comps = weighted_components(tensor_square_sw(5))
         assert max(comps) == 20
 
     def test_k2_degree_two_component(self):
-        comps = tensor_square_sw(2).weighted_components()
+        comps = weighted_components(tensor_square_sw(2))
         assert comps[2] == parse("w1^2", 2)
 
     def test_direct_expansion_small_k(self):
