@@ -45,34 +45,30 @@ generator that is not weighted-homogeneous.  The dual classes
 wbar_{n+1}, ..., wbar_{n+k} are such a sequence, and on them no row
 reduces to zero.
 
-Every term is packed into one int, the oracle's own grlex packing: the
-exponents a_1, ..., a_k sit in W-bit fields, a_k lowest, each topped by a
-guard bit, and the exponent sum sits above them all, so comparing ints is
-comparing in grlex and a product of monomials is a sum of ints.  W is
-fixed once, when a reducer is made: for ``buchberger`` it holds every
-exponent sum up to the last degree it may reach, and for ``reduce_basis``
-and ``oracle_reduce`` every sum of their input (reduction never raises a
-sum above the largest it started from).  If a lead does not divide v,
-the lowest field where it is larger borrows through its guard bit, so
-v - lead has a guard bit set; with G the mask of guard bits, a | b iff
-``((b | G) - a) & G == G`` on the exponent fields alone.
+``buchberger`` packs every monomial into one int, the oracle's own grlex
+packing (``_Packing``): the exponents a_1, ..., a_k sit in W-bit fields,
+a_k lowest, and the exponent sum sits above them all, so comparing ints
+is comparing in grlex and a product of monomials is a sum of ints.  W is
+the bit length of the last degree the run may reach, and no exponent
+sum exceeds the weighted degree, so no field overflows into the next.
 
-The normal form of ``reduce_basis`` and ``oracle_reduce`` takes the
-largest term left in its working set at every step, by a rescan of the
-whole set, and reduces it by the lowest-index lead that divides it,
-found by testing the leads one at a time in index order.  The basis
-multiple is built afresh at each step, one int add per term, and toggled
-into the set.  A divisor that does not divide leaves a guard bit set in
-the quotient, and ``normal_form`` raises instead of running on.
+``reduce_basis`` and ``oracle_reduce`` work on exponent tuples, in one
+normal form, ``_normal_form``.  At every step it takes the grlex-largest
+term t left in its working set, by a rescan of the whole set, and
+reduces it by the first lead, in basis order, that divides it, tested
+field by field as lead <= t.  The basis multiple q*g, with q = t / lead,
+is built afresh at each step, one tuple sum per term of g, and toggled
+into the set; it cancels t, and every other term it brings is below t.
+Nothing is memoized.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
-from operator import add, lshift
+from operator import add, le, lshift, sub
 
 from .dual_classes import wbar_sequence
-from .f2poly import Monomial, Poly, weighted_degree
+from .f2poly import Monomial, Poly, grlex_key, weighted_degree
 from .groebner_family import GrassmannContext, GroebnerFamily
 
 __all__ = [
@@ -104,41 +100,20 @@ def s_polynomial(f: Poly, g: Poly) -> Poly:
     return qf * f + qg * g
 
 
-class _Reducer:
-    """Normal forms against a growing basis, with generic divisor search.
-
-    Every term is one int in the grlex packing (module docstring), whose
-    fields hold exponent sums up to ``total``; the width never changes.
-    ``polys[i]`` holds the packed terms of basis element i and ``leads[i]``
-    its packed lead.  ``divisor`` scans the leads in index order, and
-    ``normal_form`` rescans its working set for the largest term at every
-    step; nothing is memoized.
-    """
+class _Packing:
+    """The oracle's grlex packing of monomials in k variables whose
+    exponent sums are at most ``total`` (module docstring)."""
 
     def __init__(self, k: int, total: int):
         self.k = k
         self.width = width = max(total, 1).bit_length()
-        field = 1 << (width + 1)
         self._top = (1 << width) - 1
-        self._shifts = [(width + 1) * i for i in range(k - 1, -1, -1)]
-        self.fields = field**k - 1
-        self.guard = self.fields // (field - 1) << width
-        self.leads: list[int] = []
-        self.polys: list[frozenset] = []
-
-    @classmethod
-    def load(cls, polys: list[Poly]) -> tuple[_Reducer, list[frozenset]]:
-        """A reducer whose fields hold every exponent sum among ``polys``,
-        and the packed terms of each."""
-        total = max((sum(t) for g in polys for t in g.terms), default=0)
-        red = cls(polys[0].k, total)
-        return red, [frozenset(map(red.pack, g.terms)) for g in polys]
+        self._shifts = [width * i for i in range(k - 1, -1, -1)]
 
     def pack(self, t: Monomial) -> int:
-        shift = self.width + 1
         v = sum(t)
         for e in t:
-            v = v << shift | e
+            v = v << self.width | e
         return v
 
     def unpack(self, v: int) -> Monomial:
@@ -148,38 +123,23 @@ class _Reducer:
     def to_poly(self, terms) -> Poly:
         return Poly._make(self.k, frozenset(map(self.unpack, terms)))
 
-    def add(self, terms: frozenset) -> None:
-        self.leads.append(max(terms))
-        self.polys.append(terms)
 
-    def divisor(self, v: int) -> int | None:
-        """The index of the first lead that divides v, or None."""
-        fields, guard = self.fields, self.guard
-        probe = v & fields | guard
-        for i, lead in enumerate(self.leads):
-            if (probe - (lead & fields)) & guard == guard:
-                return i
-        return None
-
-    def normal_form(self, terms) -> frozenset:
-        work = set(terms)
-        remainder = set()
-        while work:
-            v = max(work)
-            gi = self.divisor(v)
-            if gi is None:
-                work.remove(v)
-                remainder.add(v)
-                continue
-            q = v - self.leads[gi]
-            if q & self.guard:
-                # a wrong divisor would shift terms to ever lower degrees
-                # and never finish
-                raise RuntimeError(
-                    f"lead {self.unpack(self.leads[gi])} does not divide {self.unpack(v)}"
-                )
-            work.symmetric_difference_update(map(q.__add__, self.polys[gi]))
-        return frozenset(remainder)
+def _normal_form(terms, basis: list[tuple[Monomial, frozenset]]) -> frozenset:
+    """The remainder of the sum of the exponent tuples ``terms`` modulo
+    ``basis``, a list of (lead, terms) pairs (module docstring)."""
+    work = set(terms)
+    remainder = set()
+    while work:
+        t = max(work, key=grlex_key)
+        for lead, g in basis:
+            if all(map(le, lead, t)):
+                q = tuple(map(sub, t, lead))
+                work.symmetric_difference_update([tuple(map(add, q, u)) for u in g])
+                break
+        else:
+            work.remove(t)
+            remainder.add(t)
+    return frozenset(remainder)
 
 
 def _check(polys: list[Poly], k: int, name: str) -> None:
@@ -217,9 +177,9 @@ def buchberger(generators: list[Poly]) -> list[Poly]:
             raise ValueError(f"generator {i} is not weighted-homogeneous")
         degrees.extend(ds)
     bound = sum(degrees)
-    red = _Reducer(k, bound + k)  # the run stops by degree bound + k - 1
-    gens = [list(map(red.pack, g.terms)) for g in generators]
-    units = [red.pack((0,) * (j - 1) + (1,) + (0,) * (k - j)) for j in range(1, k + 1)]
+    packing = _Packing(k, bound + k)  # the run stops by degree bound + k - 1
+    gens = [list(map(packing.pack, g.terms)) for g in generators]
+    units = [packing.pack((0,) * (j - 1) + (1,) + (0,) * (k - j)) for j in range(1, k + 1)]
     columns = [[0]]  # columns[e]: the packed monomials of degree e
     d = min(degrees)
     leads: list[dict[int, int]] = [{} for _ in range(d)]  # lead -> its generator
@@ -285,37 +245,33 @@ def buchberger(generators: list[Poly]) -> list[Poly]:
         # free this degree's rows before the next degree's columns are built
         del pivots, bit
     basis.sort()
-    return [red.to_poly(terms) for _, terms in basis]
+    return [packing.to_poly(terms) for _, terms in basis]
 
 
 def reduce_basis(gb: list[Poly]) -> list[Poly]:
     """The unique reduced basis: minimal leads, every element tail-reduced,
     sorted by grlex of the leading term.
 
-    One pass over one reducer of the minimal basis suffices: a tail term is
-    grlex-smaller than its own lead, so that lead never divides it, and the
-    reduced tails contain no term any lead divides.
+    One pass over the minimal basis suffices: a tail term is grlex-smaller
+    than its own lead, so that lead never divides it, and the reduced tails
+    contain no term any lead divides.
     """
     if not gb:
         raise ValueError("empty basis")
-    _check(gb, gb[0].k, "basis element")
-    reducer, packed = _Reducer.load(gb)
-    for terms in sorted(packed, key=max):
-        if reducer.divisor(max(terms)) is None:
-            reducer.add(terms)
-    return [
-        reducer.to_poly(reducer.normal_form(terms - {lead}) | {lead})
-        for lead, terms in zip(reducer.leads, reducer.polys)
-    ]
+    k = gb[0].k
+    _check(gb, k, "basis element")
+    pairs = sorted([(g.leading_term(), g.terms) for g in gb], key=lambda e: grlex_key(e[0]))
+    basis: list[tuple[Monomial, frozenset]] = []
+    for lead, terms in pairs:
+        if not any(all(map(le, other, lead)) for other, _ in basis):
+            basis.append((lead, terms))
+    return [Poly._make(k, _normal_form(terms - {lead}, basis) | {lead}) for lead, terms in basis]
 
 
 def oracle_reduce(f: Poly, basis: list[Poly]) -> Poly:
     """Full normal form of f against an arbitrary basis (generic search)."""
     _check(basis, f.k, "basis element")
-    reducer, (*packed, terms) = _Reducer.load(basis + [f])
-    for element in packed:
-        reducer.add(element)
-    return reducer.to_poly(reducer.normal_form(terms))
+    return Poly._make(f.k, _normal_form(f.terms, [(g.leading_term(), g.terms) for g in basis]))
 
 
 def oracle_equals_family(ctx: GrassmannContext, cap: int = DEFAULT_CAP) -> bool:

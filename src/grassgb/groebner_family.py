@@ -72,12 +72,12 @@ tuple of its packed ints in decreasing, so grlex, order, the lead first.
 
 The exponent cap, MAX_EXPONENT = 2^31 - 1, has two kinds of check.  An
 input is checked before work that might not end: ``parse``, the n of
-``immersion_obstruction_check``, the degree of a dual class and the lead
-of ``generate --only-m``.  Every computed term is checked at
-``Packing.unpack``, the one way from packed ints to monomials, so no
-``Poly`` built from a packing holds an exponent past the cap.  Fields of
-at most 31 bits cannot hold one, and then the check costs one test per
-call.
+``immersion_obstruction_check``, the degree of a dual class and the
+lead of each g_M that ``GroebnerFamily.packed_terms`` walks.  Every
+computed term is checked at ``Packing.unpack``, the one way from packed
+ints to monomials, so no ``Poly`` built from a packing holds an exponent
+past the cap.  Fields of at most 31 bits cannot hold one, and then the
+check costs one test per call.
 
 ``GroebnerFamily.reduce`` takes a polynomial to its normal form in the
 same packing.  No standard monomial has weighted degree above k*n, the
@@ -461,7 +461,11 @@ class GroebnerFamily(Packing):
         m = tuple(m)
         terms = self._memo.get(m)
         if terms is None:
-            leading_term_of(self.context, m)  # raises on an M out of range
+            # the lead is checked before the walk, which past the cap might
+            # not end; every other term meets the cap as it is unpacked
+            lead = leading_term_of(self.context, m)  # raises on an M out of range
+            if max(lead) > MAX_EXPONENT:
+                raise OverflowError(f"exponent overflow in the term {format_monomial(lead)}")
             terms = tuple(sorted(self._g(m), reverse=True))
         return terms
 

@@ -58,10 +58,10 @@ pops the largest term from a heap and memoizes divisors and basis
 multiples per monomial.  The package's ``buchberger`` forms no S-pair: it
 eliminates F5 matrices one weighted degree at a time and reads the
 reduced basis off the pivots, so the tests compare reduced bases only.
-The package's ``reduce_basis`` and ``oracle_reduce`` work on packed
-ints: they rescan for the largest term at every step, test the leads one
-at a time by guard bits, memoize nothing, and inter-reduce in one pass
-over one shared reducer.
+The package's ``reduce_basis`` and ``oracle_reduce`` share one normal
+form on exponent tuples: it rescans for the largest term at every step,
+tests the leads one at a time in basis order, and memoizes nothing, and
+``reduce_basis`` inter-reduces in one pass over the minimal basis.
 
 The text parser scans by hand, one character at a time, in a class of
 small methods (``parse_reference``); the package's ``parse`` is one
@@ -517,11 +517,6 @@ def sq_reference(i: int, f: Poly) -> Poly:
 
 def _divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
-
-
-def dividing_reference(lts: list[Monomial], t: Monomial) -> list[int]:
-    """The indices of the leads that divide t, in order."""
-    return [i for i, lt in enumerate(lts) if _divides(lt, t)]
 
 
 def _lcm(a: Monomial, b: Monomial) -> Monomial:

@@ -430,6 +430,18 @@ def test_element_past_the_exponent_cap_raises():
         family.element((0, 2**31))
 
 
+def test_element_lead_past_the_exponent_cap_raises_before_the_walk(monkeypatch):
+    # g_0 = wbar_{n+1} has about n/2 terms, a walk that would not end in
+    # time; its lead w1^(n+1) is refused first
+    def walk(*args):
+        pytest.fail("walked g_0 past the exponent cap")
+
+    monkeypatch.setattr(groebner_family, "_walk", walk)
+    family = GroebnerFamily(GrassmannContext(2, 2**31 + 5))
+    with pytest.raises(OverflowError, match=re.escape("in the term w1^2147483654")):
+        family.element((0,))
+
+
 def test_packed_terms_takes_any_index_sequence():
     ctx = GrassmannContext(3, 4)
     for family in (build_family(ctx), GroebnerFamily(ctx)):
