@@ -72,13 +72,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _context(args) -> GrassmannContext:
-    return GrassmannContext(args.k, args.n)
-
-
 def _within_budget(count: int, what: str) -> None:
     if count > SIZE_BUDGET:
         raise ValueError(f"{count} {what}, above the size budget of {SIZE_BUDGET}")
+
+
+def _only_m_entry(text: str) -> int:
+    """One comma-separated entry of ``--only-m``, as an int."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"--only-m entry {text!r} is not an integer") from None
 
 
 def _json_rows(count: int, indent: int) -> str:
@@ -114,12 +118,12 @@ def _print_json(family: GroebnerFamily, elements: list) -> None:
 
 
 def _cmd_generate(args) -> int:
-    family = GroebnerFamily(_context(args))
+    family = GroebnerFamily(GrassmannContext(args.k, args.n))
     if args.only_m is None:
         _within_budget(family.size, "basis elements to build (--only-m builds one)")
         elements = list(family.packed_items())
     else:
-        only_m = tuple(int(x) for x in args.only_m.split(","))
+        only_m = tuple(map(_only_m_entry, args.only_m.split(",")))
         elements = [(only_m, family.packed_terms(only_m))]
     if args.format == "json":
         _print_json(family, elements)
@@ -133,7 +137,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    ctx = _context(args)
+    ctx = GrassmannContext(args.k, args.n)
     f = parse(args.poly, ctx.k)
     print(format_poly(normal_form(ctx, f).value))
     return 0
@@ -145,7 +149,7 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    ctx = _context(args)
+    ctx = GrassmannContext(args.k, args.n)
     if oracle_equals_family(ctx, cap=args.cap):
         count = GroebnerFamily(ctx).size
         print(f"OK: reduced Groebner basis matches oracle ({count} elements)")
@@ -165,7 +169,7 @@ def _cmd_immersion_check(args) -> int:
 
 
 def _cmd_basis(args) -> int:
-    ctx = _context(args)
+    ctx = GrassmannContext(args.k, args.n)
     count = math.comb(ctx.n + ctx.k, ctx.k)
     _within_budget(count, "standard monomials to print")
     sys.stdout.writelines(f"{format_monomial(m)}\n" for m in standard_monomials(ctx))

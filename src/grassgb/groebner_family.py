@@ -34,10 +34,23 @@ Whole families are built through the paper's three-term recurrence
 
 which needs no enumeration at all: only the k elements with S_M <= 1 come
 from the walk.  The step is ``Packing._step``, on packed ints, and the
-public ``g_recurrence_step`` runs it too, on its summands packed.  The
-indices come from ``_indices_up_to``, which builds them one position at
-a time with no recursion, from the last and most significant, so they
-come out in the order ``generate`` prints.  A
+public ``g_recurrence_step`` runs it too, on its summands packed.  A
+built family keys each g_M by its packed lead, and in a packing each
+summand's lead is the target's plus a constant that depends only on
+(i, j).  Let T = M^{i,j} have first and last nonzero positions i <= j
+and packed lead L, and let f_p be the unit of field p, f_0 that of a_1,
+so that raising position p of an index adds f_p - f_0 to its lead and
+raising position 0 adds nothing.  Then
+
+    lead(g_{M^j})         = L + f_0 - f_i,
+    lead(g_{M^{i-1}})     = L + f_0 - f_i - f_j + f_{i-1},
+    lead(g_{M^{i-1,j+1}}) = L - f_i - f_j + f_{i-1} + f_{j+1}   (j < k-1),
+
+and i = 1 needs no case of its own.  The build (``_materialise``) never
+forms an index: it makes the leads of each exponent sum from those of
+the sum below with one add each, and reads every summand at an int
+offset.  The order ``generate`` prints comes from ``_print_order``, on
+leads too, and M is unpacked from them only to be printed.  A
 single element asked for on its own (a reduction step,
 ``generate --only-m``) is one walk at the family's width, not the
 elements below it, and the family does not keep it.  ``g_direct`` runs
@@ -65,9 +78,10 @@ homogeneous of weighted degree n+1+S'_M, at most k(n+1) when S_M <= n+1,
 so no exponent of a family element exceeds k(n+1) <= 2kn, and a
 normal form meets only terms of weighted degree <= k*n (below).
 Multiplying by w_j adds the packed w_j to every term, so a recurrence
-step is two maps of one int add each and at most two symmetric
-differences of int sets.  Each g_M is kept as the basis is printed: a
-tuple of its packed ints in decreasing, so grlex, order, the lead first.
+step is two set comprehensions of one int add each and at most two
+symmetric differences of int sets.  Each g_M is kept, under its packed lead, as
+the basis is printed: a tuple of its packed ints in decreasing, so
+grlex, order, the lead first.
 ``element``, ``items`` and ``polynomials`` unpack to Poly.
 
 The exponent cap, MAX_EXPONENT = 2^31 - 1, has two kinds of check.  An
@@ -107,9 +121,9 @@ keys the family's one table ``packed``, whose entry is the tail of g_M as
 offsets pack(u) - lead, u over the terms of g_M but its lead.  A step is
 then one table hit and one add per tail term, v + (pack(u) - lead) =
 pack(u * t / lt(g_M)), and v itself leaves the working set.  Only a miss
-cuts M = (a_2, ..., a_k) out of the lead, field by field with the same
-shifts, and takes the terms of g_M from the memo, when the whole family
-was built, else from one walk, and then the table is the only place the
+takes the terms of g_M, from the memo under the same lead when the
+whole family was built, else from one walk, for which M = (a_2, ...,
+a_k) is cut out of the lead, and then the table is the only place the
 family keeps it.  The entry is made in one pass over those terms, in
 the order they come, the lead left out: the table holds a tail as a
 set, and no step reads its order.
@@ -175,6 +189,9 @@ class Packing:
     ``times[0] = 0`` packs 1.  ``over`` holds the bits of every field
     above MAX_EXPONENT, none unless ``width`` passes 31: ``unpack``, the
     only way out of a packing, refuses a term that sets one.
+    ``up[p]``, the packed w_{p+1} / w_1, is what raising position p of M
+    adds to the lead (n+1-S_M, M) of g_M: f_p - f_0 in the module's
+    terms, and ``up[0] = 0``.
     """
 
     def __init__(self, k: int, top: int):
@@ -184,7 +201,8 @@ class Packing:
         # shifts of the fields a_1, ..., a_k; the exponent sum sits above them
         self.shifts = range(width * (k - 1), -1, -width)
         self.sum_shift = width * k
-        self.times = [0] + [(1 << self.sum_shift) | (1 << s) for s in self.shifts]
+        self.times = times = [0] + [(1 << self.sum_shift) | (1 << s) for s in self.shifts]
+        self.up = [t - times[1] for t in times[1:]]
         self.over = sum((self.mask & ~MAX_EXPONENT) << s for s in self.shifts)
 
     def pack(self, t: Monomial) -> int:
@@ -212,16 +230,14 @@ class Packing:
     def to_poly(self, terms: Iterable[int]) -> Poly:
         return Poly._make(self.k, frozenset(self.unpack(terms)))
 
-    def _step(
-        self, m: MultiIndex, i: int, j: int, lookup: Callable[[MultiIndex], Iterable[int]]
-    ) -> tuple[int, ...]:
-        """The packed terms of g_{M^{i,j}}, from the packed terms ``lookup``
-        gives for the three indices on the right of the recurrence."""
-        times = self.times
-        terms = set(map(times[i].__add__, lookup(raised(m, j))))
-        terms.symmetric_difference_update(map(times[j + 1].__add__, lookup(raised(m, i - 1))))
-        if j < self.k - 1:
-            terms.symmetric_difference_update(lookup(raised2(m, i - 1, j + 1)))
+    def _step(self, i: int, j: int, a: Iterable[int], b: Iterable[int], c=()) -> tuple[int, ...]:
+        """The packed terms of g_{M^{i,j}}, from the packed terms a, b and c
+        of the summands g_{M^j}, g_{M^{i-1}} and g_{M^{i-1,j+1}}, c empty
+        when j = k-1, where that summand is absent."""
+        wi, wj = self.times[i], self.times[j + 1]
+        terms = {v + wi for v in a}
+        terms ^= {v + wj for v in b}
+        terms.symmetric_difference_update(c)
         return tuple(sorted(terms, reverse=True))
 
 
@@ -396,23 +412,26 @@ def g_recurrence_step(
     if j < k - 1:
         needed.append(raised2(m, i - 1, j + 1))
     # a sum with zero runs Poly's checks: each summand is a Poly in k variables
-    terms = {index: (Poly.zero(k) + lookup(index)).terms for index in needed}
-    top = max((max(t) for ts in terms.values() for t in ts), default=0)
+    summands = [(Poly.zero(k) + lookup(index)).terms for index in needed]
+    top = max((max(t) for ts in summands for t in ts), default=0)
     packing = Packing(k, top + 1)
-    return packing.to_poly(packing._step(m, i, j, lambda index: map(packing.pack, terms[index])))
+    return packing.to_poly(packing._step(i, j, *[map(packing.pack, ts) for ts in summands]))
 
 
-def _indices_up_to(k: int, bound: int) -> list[MultiIndex]:
-    """All (k-1)-tuples with entry sum <= bound, increasing lex-from-the-right.
+def _print_order(packing: Packing, bound: int) -> list[int]:
+    """The packed monomials (bound - S_M, M) over the (k-1)-tuples M with
+    S_M <= bound, in increasing lex-from-the-right order of M: for
+    bound = n+1 the leads of a family, in the order ``generate`` prints.
 
-    Built one position at a time from the last, the most significant:
-    each suffix, already in order, is extended by every entry it leaves
-    room for, in increasing order, which keeps the order.  No recursion,
-    so k is bounded by memory, not by the recursion limit."""
-    level: list[MultiIndex] = [()]
-    for _ in range(k - 1):
-        level = [(x,) + s for s in level for x in range(bound + 1 - sum(s))]
-    return level
+    Built one position of M at a time from the last, the most
+    significant: each lead, already in order, is raised at the next
+    position by every count its a_1 field, bound minus the sum so far,
+    leaves room for, in increasing order, which keeps the order."""
+    up, mask, a1_shift = packing.up, packing.mask, packing.shifts[0]
+    leads = [bound * packing.times[1]]
+    for p in range(packing.k - 1, 0, -1):
+        leads = [v + c * up[p] for v in leads for c in range(((v >> a1_shift) & mask) + 1)]
+    return leads
 
 
 class GroebnerFamily(Packing):
@@ -420,24 +439,24 @@ class GroebnerFamily(Packing):
     fields hold 2kn.
 
     ``items``, ``polynomials`` and ``build_family`` build the whole family
-    through the recurrence into the memo, ``{M: packed terms of g_M}``,
-    each a tuple in decreasing order, lead first.  ``packed_terms``
-    returns the memo's entry; on a family that was not built ``_g``
-    walks one g_M at the family's width, which ``packed_terms`` sorts
-    and keeps nothing of, and ``element`` unpacks a fresh Poly from it.
-    Reductions at large n only ever build the indices they touch, and
-    each once: ``reduce`` fills ``packed``, the family's one table
-    ``{packed lead: tail}`` (the tail as the offsets pack(u) - lead over
-    the other terms u of g_M, in no fixed order), taking each g_M it
-    touches from ``_g``, unsorted.  Both stores are dicts on the
-    instance: they live as long as the family, and two families never
-    share one.
+    through the recurrence into the memo, ``{packed lead: packed terms
+    of g_M}``, each a tuple in decreasing order, lead first.
+    ``packed_terms`` returns the memo's entry; on a family that was not
+    built ``_g`` walks one g_M at the family's width, which
+    ``packed_terms`` sorts and keeps nothing of, and ``element`` unpacks
+    a fresh Poly from it.  Reductions at large n only ever build the
+    indices they touch, and each once: ``reduce`` fills ``packed``, the
+    family's one table ``{packed lead: tail}`` (the tail as the offsets
+    pack(u) - lead over the other terms u of g_M, in no fixed order),
+    taking each g_M it touches from the memo, else from ``_g``, unsorted.
+    Both stores are dicts on the instance: they live as long as the
+    family, and two families never share one.
     """
 
     def __init__(self, context: GrassmannContext):
         super().__init__(context.k, 2 * context.k * context.n)
         self.context = context
-        self._memo: dict[MultiIndex, tuple[int, ...]] = {}
+        self._memo: dict[int, tuple[int, ...]] = {}
         self.packed: dict[int, tuple[int, ...]] = {}
 
     @property
@@ -457,26 +476,25 @@ class GroebnerFamily(Packing):
         """The packed terms of g_M in decreasing order, lead first: the
         memo's entry, else the walk's, sorted and not kept.  ``element``,
         ``generate --only-m`` and the family's build read it; a
-        reduction reads ``_g``."""
-        m = tuple(m)
-        terms = self._memo.get(m)
+        reduction reads the memo or ``_g``."""
+        lead = leading_term_of(self.context, tuple(m))  # raises on an M out of range
+        terms = self._memo.get(self.pack(lead))
         if terms is None:
             # the lead is checked before the walk, which past the cap might
             # not end; every other term meets the cap as it is unpacked
-            lead = leading_term_of(self.context, m)  # raises on an M out of range
             if max(lead) > MAX_EXPONENT:
                 raise OverflowError(f"exponent overflow in the term {format_monomial(lead)}")
-            terms = tuple(sorted(self._g(m), reverse=True))
+            terms = tuple(sorted(self._g(lead[1:]), reverse=True))
         return terms
 
-    def _g(self, m: MultiIndex) -> tuple[int, ...] | list[int]:
-        """The packed terms of g_M, for M with S_M <= n+1, in no fixed
-        order: the memo's entry, else one walk's, not kept."""
+    def _g(self, m: MultiIndex) -> list[int]:
+        """The packed terms of g_M, for M with S_M <= n+1, by one walk at
+        the family's width, in no fixed order; nothing is kept."""
         # g_M is homogeneous of its lead's degree, n+1 + weighted_degree(M),
         # which the guard on S_M <= n+1 keeps within the fields, and by
         # the leading-term law no term has exponent sum above the lead's
         n = self.context.n
-        return self._memo.get(m) or _walk(m, n + 1 + weighted_degree(m), self.times, n + 1)
+        return _walk(m, n + 1 + weighted_degree(m), self.times, n + 1)
 
     def reduce(self, f: Poly) -> Poly:
         """The normal form of f: f minus an element of the ideal, with no
@@ -492,9 +510,9 @@ class GroebnerFamily(Packing):
         """The normal form of a sum of distinct packed terms, each of
         weighted degree at most k*n, as a set of packed ints.  Fills
         ``packed`` with the tail of each g_M it uses: a miss takes g_M
-        from ``_g`` and keeps the offsets of its terms but the lead,
-        unsorted."""
-        n, table = self.context.n, self.packed
+        from the memo, else from ``_g``, and keeps the offsets of its
+        terms but the lead, unsorted."""
+        n, table, memo = self.context.n, self.packed, self._memo
         mask, shifts, sum_shift = self.mask, self.shifts, self.sum_shift
         w1, a1_shift = self.times[1], shifts[0]
         a1_field = mask << a1_shift
@@ -522,8 +540,8 @@ class GroebnerFamily(Packing):
                         e -= a
                 tail = table.get(lead)
                 if tail is None:
-                    # M = (a_2, ..., a_k) of the lead
-                    g = self._g(tuple((lead >> s) & mask for s in shifts[1:]))
+                    # the memo's g_M, else a walk of M = (a_2, ..., a_k) of the lead
+                    g = memo.get(lead) or self._g(tuple((lead >> s) & mask for s in shifts[1:]))
                     tail = table[lead] = tuple([p - lead for p in g if p != lead])
                 for u in tail:
                     u += v
@@ -566,40 +584,54 @@ class GroebnerFamily(Packing):
                         acc.symmetric_difference_update(map(b.__add__, p1))
         return parts
 
-    def _materialise(self) -> list[MultiIndex]:
-        """Put every g_M of the family in the memo; return the indices in
-        increasing lex-from-the-right order, the order ``generate`` prints.
+    def _offsets(self, i: int, j: int) -> tuple[int, int, int | None]:
+        """lead(g_S) - lead(g_T) for T = M^{i,j} and each summand S of its
+        step in turn, M^j, M^{i-1} and M^{i-1,j+1}: the last None when
+        j = k-1, where that summand is absent."""
+        second = self.up[i - 1] - self.up[i] - self.up[j]
+        return -self.up[i], second, (second + self.up[j + 1] if j < self.k - 1 else None)
 
-        The elements with S_M <= 1 come from the walk, every other T from
-        the recurrence with i and j its first and last nonzero positions
-        and M = T - e_i - e_j.  Built in order of (S_T, i): g_{M^j} and
-        g_{M^{i-1}} lie below T's level, and g_{M^{i-1,j+1}} is on it with
-        its first nonzero at i-1, so every summand is built before T.
+    def _materialise(self) -> dict[int, tuple[int, ...]]:
+        """Build every g_M of the family into the memo and return it.
+
+        The k elements with S_T <= 1 come from the walk.  Each index T of
+        exponent sum s >= 2 is T' + e_p for one T' of sum s-1 and p up to
+        the first nonzero position of T', so a level, the leads of the
+        indices of one sum kept by their first and last nonzero positions
+        (i, j), is made from the level below with one add per index, and
+        g_T is the step on the summands at its lead plus ``_offsets(i, j)``.
+        g_{M^j} and g_{M^{i-1}} lie on lower levels, and g_{M^{i-1,j+1}} on
+        the level below when i = 1, else on T's level with first nonzero
+        position i-1: a level built in increasing i has every summand
+        before T.  The memo is filled only once the build is through.
         """
-        ctx, memo = self.context, self._memo
-        indices = _indices_up_to(ctx.k, ctx.n + 1)
-        missing = []
-        for t in indices:
-            if t not in memo:
-                nonzero = [p for p, x in enumerate(t, start=1) if x]
-                i, j = (nonzero[0], nonzero[-1]) if nonzero else (0, 0)
-                missing.append((sum(t), i, j, t))
-        missing.sort()
-        lookup = memo.__getitem__
-        for s, i, j, t in missing:
-            if s <= 1:
-                memo[t] = self.packed_terms(t)
-            else:
-                m = list(t)
-                m[i - 1] -= 1
-                m[j - 1] -= 1
-                memo[t] = self._step(tuple(m), i, j, lookup)
-        return indices
+        k, up, step = self.k, self.up, self._step
+        # M = 0 and M = e_p by the walk; the level holds e_p at (p, p), and
+        # M = 0 at (0, 0), from which no position is raised
+        walked = [self.packed_terms([int(q == p) for q in range(1, k)]) for p in range(k)]
+        memo = {g[0]: g for g in walked}
+        level = defaultdict(list, {(p, p): [g[0]] for p, g in enumerate(walked)})
+        for _ in range(self.context.n):
+            below, level = level, defaultdict(list)
+            for (i, j), leads in below.items():
+                for p in range(1, i + 1):
+                    level[p, j] += map(up[p].__add__, leads)
+            for i, j in sorted(level):
+                a, b, c = self._offsets(i, j)
+                for v in level[i, j]:  # the lead of g_T
+                    memo[v] = step(i, j, memo[v + a], memo[v + b], memo[v + c] if c else ())
+        self._memo = memo
+        return memo
 
     def packed_items(self) -> Iterator[tuple[MultiIndex, tuple[int, ...]]]:
-        memo = self._memo
-        for m in self._materialise():
-            yield m, memo[m]
+        """(M, packed terms of g_M) over the whole family, built first, in
+        the order ``generate`` prints.  M is unpacked from the lead by a
+        packing of k-1 variables at the family's width: its fields are
+        the lowest k-1 of the lead, a_2, ..., a_k, and ``unpack`` reads no
+        others."""
+        memo = self._memo or self._materialise()
+        leads = _print_order(self, self.context.n + 1)
+        return zip(Packing(self.k - 1, self.mask).unpack(leads), map(memo.__getitem__, leads))
 
     def items(self) -> Iterator[tuple[MultiIndex, Poly]]:
         for m, terms in self.packed_items():

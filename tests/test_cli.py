@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -90,6 +91,25 @@ def test_generate_json_matches_reference_at_benchmark_sizes(capsys, k, n):
     assert out == generate_json_reference(ctx, indices_up_to_reference(k, n + 1)) + "\n"
 
 
+# sha256 prefixes of ``generate`` stdout at the family benchmark sizes
+GOLDEN_GENERATE = {
+    (4, 14): ("cada906b172aaea1", "e067915dc3945cf1"),
+    (5, 9): ("0d57bcc731411b1e", "17f8e17e0b24ada5"),
+    (6, 7): ("b953245936859d9a", "ff0e6d01ca42ce8a"),
+    (5, 10): ("1b4bb56a8eca814e", "894508ca03d7a1fa"),
+}
+
+
+@pytest.mark.parametrize("k,n", GOLDEN_GENERATE)
+def test_generate_output_is_golden(capsys, k, n):
+    digests = []
+    for fmt in ("json", "text"):
+        code, out, _ = invoke(capsys, "generate", "-k", str(k), "-n", str(n), "--format", fmt)
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest()[:16])
+    assert tuple(digests) == GOLDEN_GENERATE[k, n]
+
+
 @pytest.mark.parametrize("k,n,m", [(2, 2, (1,)), (4, 9, (2, 0, 3)), (6, 7, (1, 1, 1, 1, 1))])
 def test_generate_json_only_m_matches_json_dumps(capsys, k, n, m):
     only = ",".join(map(str, m))
@@ -133,6 +153,10 @@ def test_generate_only_m_rejects_bad_index(capsys, only):
     assert code == 2
     assert err.startswith("error:")
     assert out == ""
+    # an entry that is no integer is named, with the flag, on one line
+    bad = {"1,x": "'x'", "": "''"}.get(only)
+    if bad is not None:
+        assert err == f"error: --only-m entry {bad} is not an integer\n"
 
 
 def test_generate_deterministic(capsys):

@@ -32,8 +32,8 @@ from grassgb.groebner_family import (
     GrassmannContext,
     GroebnerFamily,
     Packing,
-    _indices_up_to,
     _least_admissible,
+    _print_order,
     build_family,
     g_closed_form,
     g_direct,
@@ -459,10 +459,19 @@ def test_items_keeps_elements_already_filled():
     assert family.polynomials() == list(table.values())
 
 
+def _assert_print_order(k, bound):
+    # the leads (bound - S_M, M), in the order of the reference indices
+    packing = Packing(k, max(bound, 1))
+    expected = [(bound - sum(m),) + m for m in indices_up_to_reference(k, bound)]
+    leads = _print_order(packing, bound)
+    assert leads == [packing.pack(t) for t in expected], (k, bound)
+    assert list(packing.unpack(leads)) == expected, (k, bound)
+
+
 @pytest.mark.parametrize("k", range(2, 7))
 def test_indices_match_reference(k):
     for bound in range(13):
-        assert _indices_up_to(k, bound) == indices_up_to_reference(k, bound), bound
+        _assert_print_order(k, bound)
 
 
 # the benchmark's family sizes, k = 2 up to a large bound, and (4,12);
@@ -472,8 +481,42 @@ INDEX_GRID = [(2, 0), (2, 100), (3, 5), (4, 12), (4, 14), (5, 9), (5, 10), (6, 7
 
 @pytest.mark.parametrize("k,n", INDEX_GRID)
 def test_indices_match_reference_on_the_grid(k, n):
-    assert _indices_up_to(k, n + 1) == indices_up_to_reference(k, n + 1)
-    assert _indices_up_to(1, n) == [()]
+    _assert_print_order(k, n + 1)
+    _assert_print_order(1, n)
+
+
+@pytest.mark.parametrize("k,n", FAMILY_GRID)
+def test_summand_offsets_match_raised_indices(k, n):
+    # every index T of sum >= 2 built by the step, T = M^{i,j} with i <= j
+    # its first and last nonzero positions: its lead plus each (i, j)
+    # offset is the lead of the summand raised and raised2 name
+    ctx = GrassmannContext(k, n)
+    family = GroebnerFamily(ctx)
+
+    def lead(m):
+        return family.pack(leading_term_of(ctx, m))
+
+    seen = set()
+    for t in indices_up_to_reference(k, n + 1):
+        if sum(t) < 2:
+            continue
+        nonzero = [p for p, x in enumerate(t, start=1) if x]
+        i, j = nonzero[0], nonzero[-1]
+        m = list(t)
+        m[i - 1] -= 1
+        m[j - 1] -= 1
+        m = tuple(m)
+        assert raised2(m, i, j) == t
+        first, second, third = family._offsets(i, j)
+        assert lead(t) + first == lead(raised(m, j)), (t, i, j)
+        assert lead(t) + second == lead(raised(m, i - 1)), (t, i, j)
+        if j < k - 1:
+            assert lead(t) + third == lead(raised2(m, i - 1, j + 1)), (t, i, j)
+        else:
+            assert third is None, (t, i, j)
+        seen.add((i, j))
+    # every pair 1 <= i <= j <= k-1 is met, i = 1 and j = k-1 included
+    assert seen == {(i, j) for i in range(1, k) for j in range(i, k)}
 
 
 def test_packed_product_matches_poly_product(rng):
