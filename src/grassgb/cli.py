@@ -1,6 +1,17 @@
 """Command-line front end: basis generation, reduction, verification,
 immersion checks.  All output is deterministic for fixed arguments.
 
+The command line is parsed from one table, ``_COMMANDS``: each
+subcommand's handler, one-line help and arguments.  ``run`` reads it with
+one loop and builds each help text from it, so a fresh process pays for
+no argparse, gettext, locale or re.  It takes ``-k K`` or ``-kK``,
+``--flag VALUE`` or ``--flag=VALUE``, options and the positional in any
+order, a value that starts with '-', and a repeated option, the last one
+winning.  Help goes to stdout and exits 0.  Any other command line the
+table does not accept prints the subcommand's usage line and one
+``grassgb <sub>: error: ...`` line to stderr and exits 2, in argparse's
+wording; there are no abbreviations and no ``--``.
+
 The two commands whose output grows with the family write it as they go,
 so the text is never held whole: ``generate`` writes one element per
 call, text or JSON, and ``basis`` one standard monomial per line as
@@ -8,10 +19,10 @@ call, text or JSON, and ``basis`` one standard monomial per line as
 
 from __future__ import annotations
 
-import argparse
 import math
 import signal
 import sys
+from types import SimpleNamespace
 
 from .buchberger_oracle import DEFAULT_CAP, oracle_equals_family
 from .cohomology import normal_form, standard_monomials
@@ -27,49 +38,6 @@ __all__ = ["run", "main"]
 # binom(n+k, k-1), so a larger request exits 2 before any work.  A count
 # of elements is no bound on their terms: that needs exact term counts.
 SIZE_BUDGET = 100_000
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="grassgb",
-        description="Groebner-basis computations in the mod-2 cohomology "
-        "of real Grassmann manifolds.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    # -k and -n, shared by the subcommands that work on one G_{k,n}
-    kn = argparse.ArgumentParser(add_help=False)
-    kn.add_argument("-k", type=int, required=True)
-    kn.add_argument("-n", type=int, required=True)
-
-    gen = sub.add_parser("generate", parents=[kn], help="print the reduced Groebner basis")
-    gen.set_defaults(command=_cmd_generate)
-    gen.add_argument("--format", choices=("text", "json"), default="text")
-    gen.add_argument(
-        "--only-m",
-        metavar="M2,...,MK",
-        help="restrict output to the element with this multi-index",
-    )
-
-    red = sub.add_parser("reduce", parents=[kn], help="normal form of a polynomial")
-    red.add_argument("poly", help="polynomial text, e.g. 'w1^2*w2 + w2^2'")
-    red.set_defaults(command=_cmd_reduce)
-
-    dual = sub.add_parser("dual", help="print a dual Stiefel-Whitney class")
-    dual.add_argument("-k", type=int, required=True)
-    dual.add_argument("-r", type=int, required=True)
-    dual.set_defaults(command=_cmd_dual)
-
-    ver = sub.add_parser("verify", parents=[kn], help="compare the family with the oracle")
-    ver.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    ver.set_defaults(command=_cmd_verify)
-
-    imm = sub.add_parser("immersion-check", help="run the obstruction checks")
-    imm.add_argument("-n", type=int, required=True)
-    imm.set_defaults(command=_cmd_immersion_check)
-
-    basis = sub.add_parser("basis", parents=[kn], help="list the standard monomials")
-    basis.set_defaults(command=_cmd_basis)
-    return parser
 
 
 def _within_budget(count: int, what: str) -> None:
@@ -177,23 +145,186 @@ def _cmd_basis(args) -> int:
     return 0
 
 
-# built by the first ``run``, not at import: making a parser imports shutil
-# (with bz2 and lzma) and locale, which ``import grassgb.cli`` should not pay
-_parser: argparse.ArgumentParser | None = None
+class _UsageError(Exception):
+    """A command line that the option table does not accept: exit 2."""
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
+
+
+def _cap(text: str) -> int:
+    """``--cap``: an int, at least 1."""
+    cap = _int(text)
+    if cap < 1:
+        raise ValueError(f"must be at least 1, got {cap}")
+    return cap
+
+
+# Each subcommand's name, handler, one-line help and arguments, as a tuple:
+# the table is a constant, and no module holds a dict.  An argument is
+# (flag, metavar, convert, required, default, help); a flag with no leading
+# '-' is a positional.  Its attribute on the handler's namespace is the flag
+# without dashes, '-' read as '_'.  convert is a tuple of choices or a
+# function that raises ValueError with the message to print.
+_K = ("-k", "K", _int, True, None, "the dimension k of the subspaces")
+_N = ("-n", "N", _int, True, None, "n, for the Grassmannian of k-planes in R^(n+k)")
+_COMMANDS = (
+    ("generate", _cmd_generate, "print the reduced Groebner basis", (
+        _K,
+        _N,
+        ("--format", "{text,json}", ("text", "json"), False, "text",
+         "output format (default: text)"),
+        ("--only-m", "M2,...,MK", str, False, None,
+         "restrict output to the element with this multi-index"),
+    )),
+    ("reduce", _cmd_reduce, "normal form of a polynomial", (
+        _K,
+        _N,
+        ("poly", "POLY", str, True, None, "polynomial text, e.g. 'w1^2*w2 + w2^2'"),
+    )),
+    ("dual", _cmd_dual, "print a dual Stiefel-Whitney class", (
+        _K,
+        ("-r", "R", _int, True, None, "the degree r of the class"),
+    )),
+    ("verify", _cmd_verify, "compare the family with the oracle", (
+        _K,
+        _N,
+        ("--cap", "CAP", _cap, False, DEFAULT_CAP,
+         f"most basis elements the oracle builds (default: {DEFAULT_CAP})"),
+    )),
+    ("immersion-check", _cmd_immersion_check, "run the obstruction checks", (
+        ("-n", "N", _int, True, None, "n of G_{5,n}, a positive multiple of 8"),
+    )),
+    ("basis", _cmd_basis, "list the standard monomials", (_K, _N)),
+)
+_DESCRIPTION = "Groebner-basis computations in the mod-2 cohomology of real Grassmann manifolds."
+_NAMES = tuple(name for name, *_ in _COMMANDS)
+_TOP_USAGE = "grassgb [-h] {%s} ..." % ",".join(_NAMES)
+_HELP_ROW = ("-h, --help", "show this help message and exit")
+
+
+def _invalid_choice(name: str, value: str, choices) -> _UsageError:
+    listed = ", ".join(map(repr, choices))
+    return _UsageError(f"argument {name}: invalid choice: {value!r} (choose from {listed})")
+
+
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _shown(flag: str, metavar: str) -> str:
+    """An argument as usage and help show it: ``-k K``, or ``POLY``."""
+    return f"{flag} {metavar}" if flag[0] == "-" else metavar
+
+
+def _usage(name: str, arguments: tuple) -> str:
+    parts = [f"grassgb {name} [-h]"]
+    for flag, metavar, _, required, _, _ in arguments:
+        part = _shown(flag, metavar)
+        parts.append(part if required else f"[{part}]")
+    return " ".join(parts)
+
+
+def _help(usage: str, summary: str, *sections: tuple[str, list]) -> str:
+    """A help text: the usage line, the summary, then each titled section's
+    (left, right) rows in two columns."""
+    width = max(len(left) for _, rows in sections for left, _ in rows) + 2
+    lines = [f"usage: {usage}", "", summary]
+    for title, rows in sections:
+        lines += ["", f"{title}:"]
+        lines += [f"  {left:<{width}}{right}".rstrip() for left, right in rows]
+    return "\n".join(lines)
+
+
+def _parse(arguments: tuple, argv: list[str]):
+    """The namespace of one subcommand's ``argv`` by its ``arguments``, or
+    None when it asks for help.  Options and positionals come in any
+    order; an option's value is the rest of its token (``-k3``,
+    ``--format=json``) or else the next token, whatever it starts with;
+    the last of a repeated option wins."""
+    options = {f: (_dest(f), convert) for f, _, convert, *_ in arguments if f[0] == "-"}
+    positionals = iter([(m, _dest(f), convert) for f, m, convert, *_ in arguments if f[0] != "-"])
+    values, extras = {}, []
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        if token[:1] != "-":
+            target = next(positionals, None)
+            if target is None:
+                extras.append(token)
+                continue
+            flag, dest, convert = target
+            value = token
+        else:
+            if token[:2] == "--":
+                flag, attached, value = token.partition("=")
+            else:
+                flag, value = token[:2], token[2:]
+                attached = value
+            if flag not in options:
+                extras.append(token)
+                continue
+            dest, convert = options[flag]
+            if not attached:
+                value = next(tokens, None)
+                if value is None:
+                    raise _UsageError(f"argument {flag}: expected one argument")
+        if isinstance(convert, tuple):
+            if value not in convert:
+                raise _invalid_choice(flag, value, convert)
+            values[dest] = value
+        else:
+            try:
+                values[dest] = convert(value)
+            except ValueError as exc:
+                raise _UsageError(f"argument {flag}: {exc}") from None
+    missing = [
+        flag if flag[0] == "-" else metavar
+        for flag, metavar, _, required, _, _ in arguments
+        if required and _dest(flag) not in values
+    ]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    for flag, _, _, _, default, _ in arguments:
+        values.setdefault(_dest(flag), default)
+    return SimpleNamespace(**values)
 
 
 def run(argv: list[str]) -> int:
-    """Run one command line; the parser is built once per process and
-    reused, since parsing keeps no state between calls."""
-    global _parser
-    if _parser is None:
-        _parser = _build_parser()
+    """Run one command line, parsed by ``_COMMANDS``; nothing is kept
+    between calls.  Help goes to stdout and exits 0; a command line the
+    table does not accept prints its usage line and one ``error:`` line
+    to stderr and exits 2."""
+    prog, usage = "grassgb", _TOP_USAGE
     try:
-        args = _parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+        if not argv:
+            raise _UsageError("the following arguments are required: subcommand")
+        name = argv[0]
+        if name in ("-h", "--help"):
+            commands = [(sub, summary) for sub, _, summary, _ in _COMMANDS]
+            print(_help(usage, _DESCRIPTION, ("subcommands", commands), ("options", [_HELP_ROW])))
+            return 0
+        if name not in _NAMES:
+            raise _invalid_choice("subcommand", name, _NAMES)
+        _, handler, summary, arguments = _COMMANDS[_NAMES.index(name)]
+        prog, usage = f"grassgb {name}", _usage(name, arguments)
+        args = _parse(arguments, argv[1:])
+    except _UsageError as exc:
+        print(f"usage: {usage}\n{prog}: error: {exc}", file=sys.stderr)
+        return 2
+    if args is None:
+        rows = [_HELP_ROW] + [(_shown(f, m), text) for f, m, _, _, _, text in arguments]
+        print(_help(usage, summary, ("arguments", rows)))
+        return 0
     try:
-        return args.command(args)
+        return handler(args)
     except (ValueError, OverflowError) as exc:
         # ParseError and OracleCapExceeded are ValueErrors; OverflowError is
         # an exponent too large for a term

@@ -384,18 +384,173 @@ def test_size_guard_spares_one_element(capsys, monkeypatch):
     assert out.startswith("g[0,0] = ")
 
 
-def test_parser_reuse_leaks_nothing(capsys, monkeypatch):
-    # help is wrapped to COLUMNS, here and in the fresh processes alike
-    monkeypatch.setenv("COLUMNS", "80")
+TOP_USAGE = (
+    "usage: grassgb [-h] {generate,reduce,dual,verify,immersion-check,basis} ...\n"
+)
+GENERATE_USAGE = (
+    "usage: grassgb generate [-h] -k K -n N [--format {text,json}] [--only-m M2,...,MK]\n"
+)
+REDUCE_USAGE = "usage: grassgb reduce [-h] -k K -n N POLY\n"
+
+
+@pytest.mark.parametrize(
+    "argv,usage,error",
+    [
+        ((), TOP_USAGE, "grassgb: error: the following arguments are required: subcommand"),
+        (
+            ("nonsense",),
+            TOP_USAGE,
+            "grassgb: error: argument subcommand: invalid choice: 'nonsense' (choose from"
+            " 'generate', 'reduce', 'dual', 'verify', 'immersion-check', 'basis')",
+        ),
+        (
+            ("generate", "-k", "2"),
+            GENERATE_USAGE,
+            "grassgb generate: error: the following arguments are required: -n",
+        ),
+        (
+            ("reduce", "-n", "2"),
+            REDUCE_USAGE,
+            "grassgb reduce: error: the following arguments are required: -k, POLY",
+        ),
+        (
+            ("generate", "-n", "2", "-k"),
+            GENERATE_USAGE,
+            "grassgb generate: error: argument -k: expected one argument",
+        ),
+        (
+            ("generate", "-k", "2", "-n", "x"),
+            GENERATE_USAGE,
+            "grassgb generate: error: argument -n: invalid int value: 'x'",
+        ),
+        (
+            ("generate", "-k", "2", "-n", "2", "--format", "xml"),
+            GENERATE_USAGE,
+            "grassgb generate: error: argument --format: invalid choice: 'xml'"
+            " (choose from 'text', 'json')",
+        ),
+        (
+            ("generate", "-k", "2", "-n", "2", "--bogus"),
+            GENERATE_USAGE,
+            "grassgb generate: error: unrecognized arguments: --bogus",
+        ),
+        # no abbreviations: --form is no prefix of --format here
+        (
+            ("generate", "-k", "2", "-n", "2", "--form", "json"),
+            GENERATE_USAGE,
+            "grassgb generate: error: unrecognized arguments: --form json",
+        ),
+        (
+            ("generate", "-k", "2", "-n", "2", "--"),
+            GENERATE_USAGE,
+            "grassgb generate: error: unrecognized arguments: --",
+        ),
+        # an extra positional is reported under the subcommand's own usage
+        (
+            ("reduce", "-k", "3", "-n", "4", "w1^5", "extra"),
+            REDUCE_USAGE,
+            "grassgb reduce: error: unrecognized arguments: extra",
+        ),
+    ],
+)
+def test_parse_errors_exit_2_with_usage_and_one_error_line(capsys, argv, usage, error):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"{usage}{error}\n"
+    assert [line for line in err.splitlines() if "error:" in line] == [error]
+
+
+def test_value_starting_with_dash_reaches_the_package(capsys):
+    # -n takes the next token whatever it starts with, so -8 meets the
+    # package's own guard, not a parse error
+    code, out, err = invoke(capsys, "immersion-check", "-n", "-8")
+    assert (code, out) == (2, "")
+    assert err == "error: n must be a positive multiple of 8, got -8\n"
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_verify_rejects_cap_below_1_when_parsing(capsys, monkeypatch, cap):
+    monkeypatch.setattr(cli, "oracle_equals_family", lambda ctx, cap: pytest.fail("ran"))
+    code, out, err = invoke(capsys, "verify", "-k", "3", "-n", "4", "--cap", cap)
+    assert (code, out) == (2, "")
+    assert err == (
+        "usage: grassgb verify [-h] -k K -n N [--cap CAP]\n"
+        f"grassgb verify: error: argument --cap: must be at least 1, got {cap}\n"
+    )
+
+
+def test_verify_accepts_cap_1(capsys):
+    # the least cap parses; the oracle then reports the instance above it
+    code, out, err = invoke(capsys, "verify", "-k", "2", "-n", "2", "--cap", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: instance has 4 basis elements, above the cap of 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv,spaced",
+    [
+        (("generate", "-k3", "-n4"), ("generate", "-k", "3", "-n", "4")),
+        (
+            ("generate", "-k", "2", "-n", "2", "--format=json"),
+            ("generate", "-k", "2", "-n", "2", "--format", "json"),
+        ),
+        (
+            ("generate", "-k", "3", "-n", "4", "--only-m=0,1"),
+            ("generate", "-k", "3", "-n", "4", "--only-m", "0,1"),
+        ),
+        (("reduce", "w1^5", "-k", "3", "-n", "4"), ("reduce", "-k", "3", "-n", "4", "w1^5")),
+        (("reduce", "-k", "3", "w1^5", "-n4"), ("reduce", "-k", "3", "-n", "4", "w1^5")),
+        # a repeated option: the last one wins
+        (("generate", "-k", "9", "-n", "4", "-k", "3"), ("generate", "-k", "3", "-n", "4")),
+        (
+            ("verify", "-k", "3", "-n", "3", "--cap", "1", "--cap=256"),
+            ("verify", "-k", "3", "-n", "3"),
+        ),
+        (("dual", "-r4", "-k2"), ("dual", "-k", "2", "-r", "4")),
+    ],
+)
+def test_accepted_spellings_match_the_spaced_form(capsys, argv, spaced):
+    expected = invoke(capsys, *spaced)
+    assert expected[0] == 0 and expected[1]
+    assert invoke(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize("entry", cli._COMMANDS, ids=lambda entry: entry[0])
+def test_subcommand_help_names_every_option(capsys, entry):
+    sub, _, _, arguments = entry
+    code, out, err = invoke(capsys, sub, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: grassgb {sub} [-h]")
+    assert "-h, --help" in out
+    for flag, metavar, *_ in arguments:
+        assert (flag if flag.startswith("-") else metavar) in out, flag
+    # -h is --help, and help comes first wherever it stands
+    assert invoke(capsys, sub, "-h") == (0, out, "")
+    assert invoke(capsys, sub, "-k", "2", "--help") == (0, out, "")
+
+
+def test_top_level_help_names_every_subcommand(capsys):
+    code, out, err = invoke(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(TOP_USAGE)
+    for sub, _, summary, _ in cli._COMMANDS:
+        assert f"  {sub} " in out and summary in out, sub
+    assert invoke(capsys, "-h") == (0, out, "")
+
+
+def test_parser_reuse_leaks_nothing(capsys):
+    # in-process runs, one after another, match fresh processes: the
+    # option table is read, never changed
     calls = [
         ["generate", "-k", "3", "-n", "4"],
         ["generate", "-k", "3", "-n", "x"],
         ["verify", "-k", "3", "-n", "4"],
         ["--help"],
+        ["reduce", "-k", "3", "-n", "4", "w1^5", "extra"],
+        ["generate", "--help"],
         ["generate", "-k", "3", "-n", "4"],
     ]
     invoke(capsys, "basis", "-k", "2", "-n", "2")
-    parser = cli._parser
     codes = []
     for argv in calls:
         fresh = subprocess.run(
@@ -407,49 +562,49 @@ def test_parser_reuse_leaks_nothing(capsys, monkeypatch):
         )
         assert invoke(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         codes.append(fresh.returncode)
-    assert codes == [0, 2, 0, 0, 0]
-    assert cli._parser is parser
-    # the help of the reused parser and of each subparser is a fresh parser's
-    for sub in ([], ["generate"], ["reduce"], ["dual"], ["verify"], ["immersion-check"], ["basis"]):
-        with pytest.raises(SystemExit):
-            cli._build_parser().parse_args([*sub, "--help"])
-        fresh_help = capsys.readouterr().out
-        assert invoke(capsys, *sub, "--help") == (0, fresh_help, ""), sub
+    assert codes == [0, 2, 0, 0, 2, 0, 0]
+
+
+# modules that ``import grassgb, grassgb.cli`` must not load: -S keeps
+# site's own imports out, no module loads heapq, the records are no
+# dataclasses, the command line is parsed without argparse (and so without
+# gettext and locale), and parse compiles its patterns on first use
+NOT_AT_IMPORT = ["argparse", "dataclasses", "gettext", "heapq", "inspect", "locale", "re", "typing"]
+
+
+def python_s(code: str) -> str:
+    """stdout of ``python -S -c code`` with this checkout's ``src``."""
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+        check=True,
+        timeout=120,
+    ).stdout
 
 
 def test_import_loads_no_dataclasses_or_typing():
-    # a structural check of start-up: -S keeps site's own imports out, no
-    # module loads heapq, and the parser is built by the first run, not at
-    # import
-    code = (
-        "import sys, grassgb, grassgb.cli; "
-        "print(sorted({'dataclasses', 'heapq', 'inspect', 'typing'} & sys.modules.keys()), "
-        "grassgb.cli._parser)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        capture_output=True,
-        text=True,
-        env=src_env(),
-        check=True,
-        timeout=120,
-    ).stdout
-    assert out == "[] None\n"
+    code = f"import sys, grassgb, grassgb.cli; print(sorted(sys.modules.keys() & {NOT_AT_IMPORT}))"
+    assert python_s(code) == "[]\n"
 
 
 def test_import_loads_no_re():
-    # parse compiles its patterns on first use; the CLI still loads re
-    # through argparse
-    code = "import sys, grassgb; print('re' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        capture_output=True,
-        text=True,
-        env=src_env(),
-        check=True,
-        timeout=120,
-    ).stdout
-    assert out == "False\n"
+    # parse compiles its patterns on first use, and the CLI has no argparse
+    for modules in ("grassgb", "grassgb, grassgb.cli"):
+        assert python_s(f"import sys, {modules}; print('re' in sys.modules)") == "False\n"
+
+
+def test_command_loads_no_argparse():
+    # a whole command, parse and report, still leaves argparse, gettext
+    # and locale unloaded
+    code = (
+        "import sys, grassgb.cli; code = grassgb.cli.run(['immersion-check', '-n', '16']); "
+        "print(code, sorted({'argparse', 'gettext', 'locale'} & sys.modules.keys()))"
+    )
+    out = python_s(code)
+    assert out.splitlines()[0] == "n: 16"
+    assert out.endswith("lift_possible: yes\n0 []\n")
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")

@@ -377,7 +377,7 @@ MODULES = ["grassgb"] + [
 @pytest.mark.parametrize("name", MODULES)
 def test_no_module_level_state(name):
     # memos live on a GroebnerFamily or in one call, and the CLI's
-    # subcommand table is its parser, so no module holds a dict
+    # option table is a tuple, so no module holds a dict
     module = importlib.import_module(name)
     caches = [a for a, v in vars(module).items() if hasattr(v, "cache_info")]
     dicts = [
