@@ -3,8 +3,11 @@ immersion checks.  All output is deterministic for fixed arguments.
 
 The command line is parsed from one table, ``_COMMANDS``: each
 subcommand's handler, one-line help and arguments.  ``run`` reads it with
-one loop and builds each help text from it, so a fresh process pays for
-no argparse, gettext, locale or re.  It takes ``-k K`` or ``-kK``,
+one loop and builds each usage line and help text from it, so a fresh
+process pays for no argparse, gettext, locale or re.  Every value goes
+through its argument's converter, a function that raises ValueError with
+the message to print, so a bad ``--format`` or ``--only-m`` entry is the
+same parse error as a bad ``-n``.  It takes ``-k K`` or ``-kK``,
 ``--flag VALUE`` or ``--flag=VALUE``, options and the positional in any
 order, a value that starts with '-', and a repeated option, the last one
 winning.  Help goes to stdout and exits 0.  Any other command line the
@@ -45,14 +48,6 @@ def _within_budget(count: int, what: str) -> None:
         raise ValueError(f"{count} {what}, above the size budget of {SIZE_BUDGET}")
 
 
-def _only_m_entry(text: str) -> int:
-    """One comma-separated entry of ``--only-m``, as an int."""
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"--only-m entry {text!r} is not an integer") from None
-
-
 def _json_rows(count: int, indent: int) -> str:
     return ",\n".join([" " * indent + "%d"] * count)
 
@@ -91,8 +86,7 @@ def _cmd_generate(args) -> int:
         _within_budget(family.size, "basis elements to build (--only-m builds one)")
         elements = list(family.packed_items())
     else:
-        only_m = tuple(map(_only_m_entry, args.only_m.split(",")))
-        elements = [(only_m, family.packed_terms(only_m))]
+        elements = [(args.only_m, family.packed_terms(args.only_m))]
     if args.format == "json":
         _print_json(family, elements)
     else:
@@ -164,21 +158,38 @@ def _cap(text: str) -> int:
     return cap
 
 
+def _ints(text: str) -> tuple[int, ...]:
+    """``--only-m``: comma-separated ints, each read as ``-k`` reads its value."""
+    return tuple(map(_int, text.split(",")))
+
+
+def _choice(*choices: str):
+    """The converter that accepts only the given strings."""
+
+    def convert(text: str) -> str:
+        if text not in choices:
+            listed = ", ".join(map(repr, choices))
+            raise ValueError(f"invalid choice: {text!r} (choose from {listed})")
+        return text
+
+    return convert
+
+
 # Each subcommand's name, handler, one-line help and arguments, as a tuple:
 # the table is a constant, and no module holds a dict.  An argument is
 # (flag, metavar, convert, required, default, help); a flag with no leading
 # '-' is a positional.  Its attribute on the handler's namespace is the flag
-# without dashes, '-' read as '_'.  convert is a tuple of choices or a
-# function that raises ValueError with the message to print.
+# without dashes, '-' read as '_'.  convert is a function from the token to
+# the value, which raises ValueError with the message to print.
 _K = ("-k", "K", _int, True, None, "the dimension k of the subspaces")
 _N = ("-n", "N", _int, True, None, "n, for the Grassmannian of k-planes in R^(n+k)")
 _COMMANDS = (
     ("generate", _cmd_generate, "print the reduced Groebner basis", (
         _K,
         _N,
-        ("--format", "{text,json}", ("text", "json"), False, "text",
+        ("--format", "{text,json}", _choice("text", "json"), False, "text",
          "output format (default: text)"),
-        ("--only-m", "M2,...,MK", str, False, None,
+        ("--only-m", "M2,...,MK", _ints, False, None,
          "restrict output to the element with this multi-index"),
     )),
     ("reduce", _cmd_reduce, "normal form of a polynomial", (
@@ -203,30 +214,17 @@ _COMMANDS = (
 )
 _DESCRIPTION = "Groebner-basis computations in the mod-2 cohomology of real Grassmann manifolds."
 _NAMES = tuple(name for name, *_ in _COMMANDS)
+_SUBCOMMAND = _choice(*_NAMES)
 _TOP_USAGE = "grassgb [-h] {%s} ..." % ",".join(_NAMES)
 _HELP_ROW = ("-h, --help", "show this help message and exit")
 
 
-def _invalid_choice(name: str, value: str, choices) -> _UsageError:
-    listed = ", ".join(map(repr, choices))
-    return _UsageError(f"argument {name}: invalid choice: {value!r} (choose from {listed})")
-
-
-def _dest(flag: str) -> str:
-    return flag.lstrip("-").replace("-", "_")
-
-
-def _shown(flag: str, metavar: str) -> str:
-    """An argument as usage and help show it: ``-k K``, or ``POLY``."""
-    return f"{flag} {metavar}" if flag[0] == "-" else metavar
-
-
-def _usage(name: str, arguments: tuple) -> str:
-    parts = [f"grassgb {name} [-h]"]
-    for flag, metavar, _, required, _, _ in arguments:
-        part = _shown(flag, metavar)
-        parts.append(part if required else f"[{part}]")
-    return " ".join(parts)
+def _convert(name: str, convert, text: str):
+    """``convert(text)``, its ValueError a usage error of the argument."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise _UsageError(f"argument {name}: {exc}") from None
 
 
 def _help(usage: str, summary: str, *sections: tuple[str, list]) -> str:
@@ -246,55 +244,41 @@ def _parse(arguments: tuple, argv: list[str]):
     order; an option's value is the rest of its token (``-k3``,
     ``--format=json``) or else the next token, whatever it starts with;
     the last of a repeated option wins."""
-    options = {f: (_dest(f), convert) for f, _, convert, *_ in arguments if f[0] == "-"}
-    positionals = iter([(m, _dest(f), convert) for f, m, convert, *_ in arguments if f[0] != "-"])
+    # each argument once as (attribute, name in errors, convert, required,
+    # default); an error names an option by its flag, a positional by its metavar
+    specs = [
+        (flag.lstrip("-").replace("-", "_"), flag if flag[0] == "-" else metavar, *rest)
+        for flag, metavar, *rest, _ in arguments
+    ]
+    options = {spec[1]: spec for spec in specs if spec[1][0] == "-"}
+    positionals = iter([spec for spec in specs if spec[1][0] != "-"])
     values, extras = {}, []
     tokens = iter(argv)
     for token in tokens:
         if token in ("-h", "--help"):
             return None
         if token[:1] != "-":
-            target = next(positionals, None)
-            if target is None:
-                extras.append(token)
-                continue
-            flag, dest, convert = target
-            value = token
+            spec, value = next(positionals, None), token
         else:
-            if token[:2] == "--":
-                flag, attached, value = token.partition("=")
-            else:
-                flag, value = token[:2], token[2:]
-                attached = value
-            if flag not in options:
-                extras.append(token)
-                continue
-            dest, convert = options[flag]
-            if not attached:
+            split = token.partition("=") if token[:2] == "--" else (token[:2], token[2:], token[2:])
+            flag, attached, value = split
+            spec = options.get(flag)
+            if spec is not None and not attached:
                 value = next(tokens, None)
                 if value is None:
                     raise _UsageError(f"argument {flag}: expected one argument")
-        if isinstance(convert, tuple):
-            if value not in convert:
-                raise _invalid_choice(flag, value, convert)
-            values[dest] = value
-        else:
-            try:
-                values[dest] = convert(value)
-            except ValueError as exc:
-                raise _UsageError(f"argument {flag}: {exc}") from None
-    missing = [
-        flag if flag[0] == "-" else metavar
-        for flag, metavar, _, required, _, _ in arguments
-        if required and _dest(flag) not in values
-    ]
+        # an unknown option and a positional past the last one alike
+        if spec is None:
+            extras.append(token)
+            continue
+        dest, name, convert, *_ = spec
+        values[dest] = _convert(name, convert, value)
+    missing = [name for dest, name, _, required, _ in specs if required and dest not in values]
     if missing:
         raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
     if extras:
         raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
-    for flag, _, _, _, default, _ in arguments:
-        values.setdefault(_dest(flag), default)
-    return SimpleNamespace(**values)
+    return SimpleNamespace(**{dest: default for dest, *_, default in specs} | values)
 
 
 def run(argv: list[str]) -> int:
@@ -311,17 +295,19 @@ def run(argv: list[str]) -> int:
             commands = [(sub, summary) for sub, _, summary, _ in _COMMANDS]
             print(_help(usage, _DESCRIPTION, ("subcommands", commands), ("options", [_HELP_ROW])))
             return 0
-        if name not in _NAMES:
-            raise _invalid_choice("subcommand", name, _NAMES)
+        _convert("subcommand", _SUBCOMMAND, name)
         _, handler, summary, arguments = _COMMANDS[_NAMES.index(name)]
-        prog, usage = f"grassgb {name}", _usage(name, arguments)
+        # each argument as usage and help show it, ``-k K`` or ``POLY``, with its help
+        rows = [(f"{f} {m}" if f[0] == "-" else m, text) for f, m, *_, text in arguments]
+        shown = [s if arg[3] else f"[{s}]" for (s, _), arg in zip(rows, arguments)]
+        prog = f"grassgb {name}"
+        usage = " ".join([f"{prog} [-h]", *shown])
         args = _parse(arguments, argv[1:])
     except _UsageError as exc:
         print(f"usage: {usage}\n{prog}: error: {exc}", file=sys.stderr)
         return 2
     if args is None:
-        rows = [_HELP_ROW] + [(_shown(f, m), text) for f, m, _, _, _, text in arguments]
-        print(_help(usage, summary, ("arguments", rows)))
+        print(_help(usage, summary, ("arguments", [_HELP_ROW, *rows])))
         return 0
     try:
         return handler(args)

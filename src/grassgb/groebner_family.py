@@ -97,15 +97,16 @@ check costs one test per call.
 same packing.  No standard monomial has weighted degree above k*n, the
 degree of the top class w_k^n, and every g_M is homogeneous in the
 weighted degree, so a term of degree above k*n has normal form 0 and is
-dropped before packing.  The packed terms left go to
-``GroebnerFamily.reduce_packed``, which does all that follows on ints
-and returns the normal form as a set of them; ``reduce`` unpacks it.  A
-caller holding packed terms of degree at most k*n calls
-``reduce_packed`` itself: ``cup`` and ``normal_bundle_sw`` take them
-from ``packed_product``, which packs each term of both factors straight
-into a list per weighted degree, skipping the degrees above k*n, and
-multiplies one pair of degrees at a time, keeping only the sums up to
-k*n.  Each term met while reducing a kept term t has the weighted
+dropped before packing.  One method, ``_pack_parts``, packs a ``Poly``:
+it refuses one in another number of variables, drops its terms above
+k*n and packs each other term straight into a list per weighted degree.
+The packed terms left go to ``GroebnerFamily.reduce_packed``, which does
+all that follows on ints and returns the normal form as a set of them;
+``reduce`` unpacks it.  A caller holding packed terms of degree at most
+k*n calls ``reduce_packed`` itself: ``cup`` and ``normal_bundle_sw``
+take them from ``packed_product``, which packs both factors by
+``_pack_parts`` and multiplies one pair of degrees at a time, keeping
+only the sums up to k*n.  Each term met while reducing a kept term t has the weighted
 degree of t, at most k*n, so every exponent fits its field, and since
 lt(g_M) divides t, subtracting the packed leading term never borrows.
 
@@ -500,11 +501,22 @@ class GroebnerFamily(Packing):
         """The normal form of f: f minus an element of the ideal, with no
         term of exponent sum > n.  Fills ``packed`` with the tail of each
         g_M it uses."""
-        k, n = self.context.k, self.context.n
-        if f.k != k:
+        return self.to_poly(self.reduce_packed(set().union(*self._pack_parts(f).values())))
+
+    def _pack_parts(self, f: Poly) -> dict[int, list[int]]:
+        """The terms of f of weighted degree d <= k*n, each packed once,
+        in a list keyed by d, with no ``Poly`` per degree and no sort; no
+        standard monomial lies above k*n, so the terms there reduce to 0
+        and are left out.  A term of degree d has no exponent above d, so
+        every kept term fits its fields."""
+        if f.k != self.k:
             raise ValueError("variable count does not match the context")
-        kept = {self.pack(t) for t in f.terms if weighted_degree(t) <= k * n}
-        return self.to_poly(self.reduce_packed(kept))
+        top, pack = self.k * self.context.n, self.pack
+        parts: dict[int, list[int]] = {}
+        for t in f.terms:
+            if (d := weighted_degree(t)) <= top:
+                parts.setdefault(d, []).append(pack(t))
+        return parts
 
     def reduce_packed(self, terms: Iterable[int]) -> set[int]:
         """The normal form of a sum of distinct packed terms, each of
@@ -561,22 +573,16 @@ class GroebnerFamily(Packing):
         set of packed ints; no standard monomial lies above k*n, so the
         parts there reduce to 0 and are left out.
 
-        Each term of each factor is packed, once, into the list of its
-        weighted degree, with no ``Poly`` per degree and no sort; a term
-        of degree above k*n is skipped.  Only the pairs of degrees
-        summing to at most k*n are multiplied, one term of one factor
-        added to every term of the other.  A term of degree d has no
-        exponent above d, so no field of a kept product overflows.
+        Each factor is packed by ``_pack_parts``, which checks its
+        variable count.  Only the pairs of degrees summing to at most k*n
+        are multiplied, one term of one factor added to every term of the
+        other.  A product of degree d has no exponent above d, so no field
+        of a kept product overflows.
         """
-        top, pack = self.context.k * self.context.n, self.pack
-        fs: dict[int, list[int]] = {}
-        gs: dict[int, list[int]] = {}
-        for h, split in ((f, fs), (g, gs)):
-            for t in h.terms:
-                if (d := weighted_degree(t)) <= top:
-                    split.setdefault(d, []).append(pack(t))
+        top = self.k * self.context.n
+        gs = self._pack_parts(g)
         parts: dict[int, set[int]] = {}
-        for d1, p1 in fs.items():
+        for d1, p1 in self._pack_parts(f).items():
             for d2, p2 in gs.items():
                 if d1 + d2 <= top:
                     acc = parts.setdefault(d1 + d2, set())

@@ -150,13 +150,17 @@ def test_generate_only_m(capsys):
 @pytest.mark.parametrize("only", ["1", "1,2,3", "-1,0", "9,0", "1,x", ""])
 def test_generate_only_m_rejects_bad_index(capsys, only):
     code, out, err = invoke(capsys, "generate", "-k", "3", "-n", "4", f"--only-m={only}")
-    assert code == 2
-    assert err.startswith("error:")
-    assert out == ""
-    # an entry that is no integer is named, with the flag, on one line
+    assert (code, out) == (2, "")
+    # an entry that is no integer is a parse error, like -n x: the usage
+    # line, then the entry named under the flag
     bad = {"1,x": "'x'", "": "''"}.get(only)
-    if bad is not None:
-        assert err == f"error: --only-m entry {bad} is not an integer\n"
+    if bad is None:
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+    else:
+        assert err == (
+            GENERATE_USAGE
+            + f"grassgb generate: error: argument --only-m: invalid int value: {bad}\n"
+        )
 
 
 def test_generate_deterministic(capsys):
@@ -451,6 +455,22 @@ REDUCE_USAGE = "usage: grassgb reduce [-h] -k K -n N POLY\n"
             REDUCE_USAGE,
             "grassgb reduce: error: unrecognized arguments: extra",
         ),
+        # each --only-m entry is read as -n reads its value
+        (
+            ("generate", "-k", "2", "-n", "2", "--only-m", "1,x"),
+            GENERATE_USAGE,
+            "grassgb generate: error: argument --only-m: invalid int value: 'x'",
+        ),
+        (
+            ("generate", "-k", "2", "-n", "2", "--only-m="),
+            GENERATE_USAGE,
+            "grassgb generate: error: argument --only-m: invalid int value: ''",
+        ),
+        (
+            ("generate", "-k", "2", "-n", "2", "--only-m", "1,,2"),
+            GENERATE_USAGE,
+            "grassgb generate: error: argument --only-m: invalid int value: ''",
+        ),
     ],
 )
 def test_parse_errors_exit_2_with_usage_and_one_error_line(capsys, argv, usage, error):
@@ -513,6 +533,96 @@ def test_accepted_spellings_match_the_spaced_form(capsys, argv, spaced):
     expected = invoke(capsys, *spaced)
     assert expected[0] == 0 and expected[1]
     assert invoke(capsys, *argv) == expected
+
+
+# each help text, byte for byte, by the subcommand it is asked of ("" for the top level)
+HELP_TEXTS = {
+    "": (
+        "usage: grassgb [-h] {generate,reduce,dual,verify,immersion-check,basis} ...\n"
+        "\n"
+        "Groebner-basis computations in the mod-2 cohomology of real Grassmann manifolds.\n"
+        "\n"
+        "subcommands:\n"
+        "  generate         print the reduced Groebner basis\n"
+        "  reduce           normal form of a polynomial\n"
+        "  dual             print a dual Stiefel-Whitney class\n"
+        "  verify           compare the family with the oracle\n"
+        "  immersion-check  run the obstruction checks\n"
+        "  basis            list the standard monomials\n"
+        "\n"
+        "options:\n"
+        "  -h, --help       show this help message and exit\n"
+    ),
+    "generate": (
+        "usage: grassgb generate [-h] -k K -n N [--format {text,json}] [--only-m M2,...,MK]\n"
+        "\n"
+        "print the reduced Groebner basis\n"
+        "\n"
+        "arguments:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  -k K                  the dimension k of the subspaces\n"
+        "  -n N                  n, for the Grassmannian of k-planes in R^(n+k)\n"
+        "  --format {text,json}  output format (default: text)\n"
+        "  --only-m M2,...,MK    restrict output to the element with this multi-index\n"
+    ),
+    "reduce": (
+        "usage: grassgb reduce [-h] -k K -n N POLY\n"
+        "\n"
+        "normal form of a polynomial\n"
+        "\n"
+        "arguments:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  -k K        the dimension k of the subspaces\n"
+        "  -n N        n, for the Grassmannian of k-planes in R^(n+k)\n"
+        "  POLY        polynomial text, e.g. 'w1^2*w2 + w2^2'\n"
+    ),
+    "dual": (
+        "usage: grassgb dual [-h] -k K -r R\n"
+        "\n"
+        "print a dual Stiefel-Whitney class\n"
+        "\n"
+        "arguments:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  -k K        the dimension k of the subspaces\n"
+        "  -r R        the degree r of the class\n"
+    ),
+    "verify": (
+        "usage: grassgb verify [-h] -k K -n N [--cap CAP]\n"
+        "\n"
+        "compare the family with the oracle\n"
+        "\n"
+        "arguments:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  -k K        the dimension k of the subspaces\n"
+        "  -n N        n, for the Grassmannian of k-planes in R^(n+k)\n"
+        "  --cap CAP   most basis elements the oracle builds (default: 256)\n"
+    ),
+    "immersion-check": (
+        "usage: grassgb immersion-check [-h] -n N\n"
+        "\n"
+        "run the obstruction checks\n"
+        "\n"
+        "arguments:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  -n N        n of G_{5,n}, a positive multiple of 8\n"
+    ),
+    "basis": (
+        "usage: grassgb basis [-h] -k K -n N\n"
+        "\n"
+        "list the standard monomials\n"
+        "\n"
+        "arguments:\n"
+        "  -h, --help  show this help message and exit\n"
+        "  -k K        the dimension k of the subspaces\n"
+        "  -n N        n, for the Grassmannian of k-planes in R^(n+k)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("sub", HELP_TEXTS, ids=lambda sub: sub or "top")
+def test_help_text_is_pinned(capsys, sub):
+    argv = (sub, "--help") if sub else ("--help",)
+    assert invoke(capsys, *argv) == (0, HELP_TEXTS[sub], "")
 
 
 @pytest.mark.parametrize("entry", cli._COMMANDS, ids=lambda entry: entry[0])

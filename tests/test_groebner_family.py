@@ -551,6 +551,16 @@ def test_packed_product_edges():
     assert family.packed_product(w1**40, one) == {}
 
 
+@pytest.mark.parametrize("f,g", [((1, 1), (1, 0, 0)), ((1, 0, 0), (1, 0)), ((1, 1), (1, 0))])
+def test_packed_product_checks_each_factor(f, g):
+    # a factor in 2 variables on a k = 3 family is refused, as reduce
+    # refuses it, not packed into the wrong fields
+    family = GroebnerFamily(GrassmannContext(3, 4))
+    with pytest.raises(ValueError, match="variable count does not match the context"):
+        family.packed_product(Poly(len(f), [f]), Poly(len(g), [g]))
+    assert family.packed == {}
+
+
 def test_recurrence_derivation_of_eq9():
     # w_k g_{N_{k-1}} = g_{N^1} + w_1 g_N at k=5
     n = 6
