@@ -7,7 +7,7 @@ one loop and builds each usage line and help text from it, so a fresh
 process pays for no argparse, gettext, locale or re.  Every value goes
 through its argument's converter, a function that raises ValueError with
 the message to print, so a bad ``--format`` or ``--only-m`` entry is the
-same parse error as a bad ``-n``.  It takes ``-k K`` or ``-kK``,
+same parse error as a bad ``-n``.  It takes ``-k K``, ``-kK`` or ``-k=K``,
 ``--flag VALUE`` or ``--flag=VALUE``, options and the positional in any
 order, a value that starts with '-', and a repeated option, the last one
 winning.  Help goes to stdout and exits 0.  Any other command line the
@@ -241,7 +241,7 @@ def _help(usage: str, summary: str, *sections: tuple[str, list]) -> str:
 def _parse(arguments: tuple, argv: list[str]):
     """The namespace of one subcommand's ``argv`` by its ``arguments``, or
     None when it asks for help.  Options and positionals come in any
-    order; an option's value is the rest of its token (``-k3``,
+    order; an option's value is the rest of its token (``-k3``, ``-k=3``,
     ``--format=json``) or else the next token, whatever it starts with;
     the last of a repeated option wins."""
     # each argument once as (attribute, name in errors, convert, required,
@@ -260,8 +260,10 @@ def _parse(arguments: tuple, argv: list[str]):
         if token[:1] != "-":
             spec, value = next(positionals, None), token
         else:
-            split = token.partition("=") if token[:2] == "--" else (token[:2], token[2:], token[2:])
-            flag, attached, value = split
+            # a short option's value is attached as -k3, or as -k=3, which
+            # argparse read with its one '=' dropped
+            short = token[:2], token[2:], token[2:].removeprefix("=")
+            flag, attached, value = token.partition("=") if token[:2] == "--" else short
             spec = options.get(flag)
             if spec is not None and not attached:
                 value = next(tokens, None)

@@ -73,10 +73,20 @@ is then grlex order, a monomial product is an integer sum, and
 v >> (W*k) is the exponent sum of a packed v.  A ``Packing`` is made
 from the largest value its fields must hold, and W is that value's bit
 length: ``steenrod`` and ``_direct`` pass the degrees they reach, and
-a family's fields hold 2kn.  No field of a family overflows: g_M is
-homogeneous of weighted degree n+1+S'_M, at most k(n+1) when S_M <= n+1,
-so no exponent of a family element exceeds k(n+1) <= 2kn, and a
-normal form meets only terms of weighted degree <= k*n (below).
+a family's fields hold kn.  No field of a family overflows, for n >= k
+>= 2:
+
+- an element: by the leading-term law no term of g_M has exponent sum
+  above n+1, and the pruned walk forms only partial terms whose fields
+  are at most its bound n+1 (``_walk``), so every exponent is <= n+1;
+- the build: a recurrence step's transient terms v + w_i have fields at
+  most n+2, and n+2 <= 2n <= kn;
+- a normal form meets only terms of weighted degree <= kn (below), and
+  no exponent exceeds its term's weighted degree; the squares of the
+  immersion check reach degree 5n = kn (``steenrod``).
+
+No smaller value will do: w1^kn, of weighted degree kn, is an input a
+normal form takes, and at kn = 2^W - 1 its a_1 fills its field.
 Multiplying by w_j adds the packed w_j to every term, so a recurrence
 step is two set comprehensions of one int add each and at most two
 symmetric differences of int sets.  Each g_M is kept, under its packed lead, as
@@ -289,7 +299,9 @@ def _least_admissible(c: int, lo: int) -> int:
 def _walk(m: MultiIndex, degree: int, times: list[int], bound: int) -> list[int]:
     """The terms of g_M of weighted degree ``degree`` and exponent sum at
     most ``bound``, packed: ``times[t]`` is the packed w_t, and every
-    field must hold ``degree``.
+    field must hold ``bound``, not ``degree``: a level's x >= lo and
+    x <= rem // t together give asuf + x <= bound, so no partial term
+    has a field above it.
 
     The bound is a per-level lower limit on a_t.  With rem the weighted
     degree left for a_1, ..., a_t and asuf = a_{t+1} + ... + a_k, once
@@ -437,7 +449,8 @@ def _print_order(packing: Packing, bound: int) -> list[int]:
 
 class GroebnerFamily(Packing):
     """Lazy view of the basis {g_M : S_M <= n+1}, in the packing whose
-    fields hold 2kn.
+    fields hold kn, the largest weighted degree a normal form meets; the
+    module docstring shows that every value the family packs fits.
 
     ``items``, ``polynomials`` and ``build_family`` build the whole family
     through the recurrence into the memo, ``{packed lead: packed terms
@@ -455,7 +468,7 @@ class GroebnerFamily(Packing):
     """
 
     def __init__(self, context: GrassmannContext):
-        super().__init__(context.k, 2 * context.k * context.n)
+        super().__init__(context.k, context.k * context.n)
         self.context = context
         self._memo: dict[int, tuple[int, ...]] = {}
         self.packed: dict[int, tuple[int, ...]] = {}
@@ -491,9 +504,9 @@ class GroebnerFamily(Packing):
     def _g(self, m: MultiIndex) -> list[int]:
         """The packed terms of g_M, for M with S_M <= n+1, by one walk at
         the family's width, in no fixed order; nothing is kept."""
-        # g_M is homogeneous of its lead's degree, n+1 + weighted_degree(M),
-        # which the guard on S_M <= n+1 keeps within the fields, and by
-        # the leading-term law no term has exponent sum above the lead's
+        # g_M is homogeneous of its lead's degree, n+1 + weighted_degree(M);
+        # by the leading-term law no term has exponent sum above the lead's,
+        # n+1, the walk's bound, which the fields hold as n+1 <= kn
         n = self.context.n
         return _walk(m, n + 1 + weighted_degree(m), self.times, n + 1)
 
@@ -523,7 +536,12 @@ class GroebnerFamily(Packing):
         weighted degree at most k*n, as a set of packed ints.  Fills
         ``packed`` with the tail of each g_M it uses: a miss takes g_M
         from the memo, else from ``_g``, and keeps the offsets of its
-        terms but the lead, unsorted."""
+        terms but the lead, unsorted.
+
+        Weighted degree <= k*n is a hard limit: the fields hold k*n and
+        no more, and ``pack`` checks no field, so a term above it may
+        spill into its neighbour and reduce to a wrong answer with no
+        error.  ``_pack_parts`` and ``packed_product`` keep to it."""
         n, table, memo = self.context.n, self.packed, self._memo
         mask, shifts, sum_shift = self.mask, self.shifts, self.sum_shift
         w1, a1_shift = self.times[1], shifts[0]

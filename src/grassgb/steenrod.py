@@ -277,8 +277,8 @@ def immersion_obstruction_check(
 
     Both run in the family's packing.  w4 w5^{n-1} and w2 w5^{n-1} are
     packed and squared by one ``_cartan`` kernel, whose memo they share;
-    the squares have degrees 5n and 5n-1, within the family's fields,
-    and (w1^2 + w2) w2 w5^{n-1} is two more packed terms.  Both sums go
+    the squares have degrees 5n and 5n-1, and the family's fields hold
+    5n = k*n, and (w1^2 + w2) w2 w5^{n-1} is two more packed terms.  Both sums go
     straight to ``GroebnerFamily.reduce_packed``.  n past MAX_EXPONENT
     raises ``OverflowError`` first: Sq^1(w4 w5^{n-1}) holds w5^n, and no
     term of either sum has a larger exponent.

@@ -471,6 +471,12 @@ REDUCE_USAGE = "usage: grassgb reduce [-h] -k K -n N POLY\n"
             GENERATE_USAGE,
             "grassgb generate: error: argument --only-m: invalid int value: ''",
         ),
+        # -k= attaches an empty value, as argparse reads it, not the next token
+        (
+            ("reduce", "-k=", "-n", "4", "w1^5"),
+            REDUCE_USAGE,
+            "grassgb reduce: error: argument -k: invalid int value: ''",
+        ),
     ],
 )
 def test_parse_errors_exit_2_with_usage_and_one_error_line(capsys, argv, usage, error):
@@ -527,6 +533,11 @@ def test_verify_accepts_cap_1(capsys):
             ("verify", "-k", "3", "-n", "3"),
         ),
         (("dual", "-r4", "-k2"), ("dual", "-k", "2", "-r", "4")),
+        # like -k3, a short option's value attached after '=', as argparse took it;
+        # appended, so the ids of the cases above stay
+        (("reduce", "-k=3", "-n", "4", "w1^5"), ("reduce", "-k", "3", "-n", "4", "w1^5")),
+        (("reduce", "-k=3", "-n=4", "w1^5"), ("reduce", "-k", "3", "-n", "4", "w1^5")),
+        (("dual", "-k=2", "-r=5"), ("dual", "-k", "2", "-r", "5")),
     ],
 )
 def test_accepted_spellings_match_the_spaced_form(capsys, argv, spaced):

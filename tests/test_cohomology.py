@@ -3,6 +3,7 @@ import math
 import pkgutil
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 from reference import (
@@ -35,6 +36,7 @@ from grassgb.groebner_family import (
     GrassmannContext,
     GroebnerFamily,
     build_family,
+    g_direct,
     leading_term_of,
 )
 
@@ -303,6 +305,47 @@ def test_terms_above_the_top_degree_vanish(k, n):
     for d in range(k * n - 2, k * n + 3):
         mixed = mixed + random_homogeneous(rng, k, d, max_terms=3)
     assert normal_form(ctx, mixed, family).value == normal_form_reference(ctx, mixed)
+
+
+# k*n = 2^W - 1: the family's fields hold k*n and not one value more
+FULL_FIELDS = [(3, 5), (3, 21), (7, 9)]
+
+
+@pytest.mark.parametrize("k,n", FULL_FIELDS)
+def test_reduce_where_kn_fills_the_fields(k, n):
+    # inputs of weighted degree <= k*n, w1^(k*n) among them, whose a_1 = k*n
+    # fills its field; the reference takes each g_M from the unpruned
+    # enumeration, in fields of its own
+    ctx = GrassmannContext(k, n)
+    family = GroebnerFamily(ctx)
+    top = k * n
+    assert top == (1 << family.width) - 1
+    direct = SimpleNamespace(element=lambda m: g_direct(ctx, m))
+    rng = random.Random(f"kn fills the fields at ({k},{n})")
+    w1_top = Poly.monomial((top,) + (0,) * (k - 1))
+    inputs = [w1_top, Poly.monomial((0,) * (k - 1) + (n,)) + w1_top]
+    for _ in range(6 if k > 5 else 20):
+        f = w1_top if rng.random() < 0.5 else Poly.zero(k)
+        for d in rng.sample(range(top + 1), 3):
+            f = f + random_homogeneous(rng, k, d, max_terms=3)
+        inputs.append(f)
+    for f in inputs:
+        assert family.reduce(f) == normal_form_reference(ctx, f, direct), f
+
+
+@pytest.mark.parametrize("k,n", FULL_FIELDS)
+def test_cup_where_kn_fills_the_fields(k, n):
+    # products up to 2kn, of which the packed product keeps degree <= k*n
+    ctx = GrassmannContext(k, n)
+    family, reference = GroebnerFamily(ctx), GroebnerFamily(ctx)
+    rng = random.Random(f"cup where kn fills the fields at ({k},{n})")
+    basis = standard_basis(ctx)
+    classes = [CohomologyClass(ctx, Poly(k, rng.sample(basis, 6))) for _ in range(8)]
+    classes.append(CohomologyClass(ctx, Poly.monomial((n,) + (0,) * (k - 1))))
+    for a in classes:
+        for b in rng.sample(classes, 3):
+            expected = normal_form(ctx, a.value * b.value, reference)
+            assert cup(ctx, a, b, family) == expected, (a, b)
 
 
 def test_standard_input_at_huge_n_is_left_alone():

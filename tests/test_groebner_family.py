@@ -27,6 +27,7 @@ from grassgb.f2poly import (
     grlex_key,
     monomials_of_weighted_degree,
     parse,
+    weighted_degree,
 )
 from grassgb.groebner_family import (
     GrassmannContext,
@@ -261,11 +262,11 @@ def test_recurrence_step_matches_reference_on_random_summands(k):
 
 def test_recurrence_step_overflow_boundary():
     # the step packs in fields sized to its summands, not the family's, so
-    # exponents at and past the family's field limit 2^W - 1 (W = 4 at
+    # exponents at and past the family's field limit 2^W - 1 (W = 3 at
     # (2, 2)) are raised like any other
     ctx = GrassmannContext(2, 2)
     top = (1 << GroebnerFamily(ctx).width) - 1
-    assert top == 15
+    assert top == 7
 
     def lookup_with(a, b):
         # g_{M^j} = g_(1,) gets w_1, g_{M^{i-1}} = g_(0,) gets w_2
@@ -279,7 +280,7 @@ def test_recurrence_step_overflow_boundary():
     for a, b in ((top, 0), (0, top)):
         got = g_recurrence_step(ctx, (0,), 1, 1, lookup_with(a, b))
         assert got == Poly(2, [(a + 1, top), (top, b + 1)])
-    # W = 5 at (3, 3): the third summand is added as it is
+    # W = 4 at (3, 3): the third summand is added as it is
     ctx = GrassmannContext(3, 3)
     top = (1 << GroebnerFamily(ctx).width) - 1
     third = Poly(3, [(top, top, top)])
@@ -290,20 +291,23 @@ def test_recurrence_step_overflow_boundary():
 
 
 def test_family_width_holds_every_exponent():
-    # g_M has weighted degree at most k(n+1), which bounds every exponent
-    # and the exponent sum; W = bitlen(kn) + 1 gives 2^W > 2kn >= k(n+1)
+    # the fields hold kn: every exponent of g_M is at most n+1 by the
+    # leading-term law, a build step's transient v + w_i at most n+2 <= kn
+    # (n >= k >= 2), and a normal form meets weighted degree <= kn only
     for k in range(2, 9):
         for n in range(k, 301):
             family = GroebnerFamily(GrassmannContext(k, n))
-            assert k * (n + 1) < 1 << family.width, (k, n)
-            assert family.width == (k * n).bit_length() + 1
+            assert family.width == (k * n).bit_length(), (k, n)
+            assert k * n < 1 << family.width, (k, n)
+            assert n + 2 <= k * n, (k, n)
 
 
 @pytest.mark.parametrize("k,n", [(2, 3), (4, 6), (6, 7), (7, 20)])
 def test_packing_round_trips_in_grlex_order(k, n):
     family = GroebnerFamily(GrassmannContext(k, n))
     rng = random.Random(k * 100 + n)
-    top = k * (n + 1)
+    # the fields' contract: each exponent at most kn
+    top = k * n
     monomials = [tuple(rng.randint(0, top) for _ in range(k)) for _ in range(300)]
     packed = [family.pack(t) for t in monomials]
     # at (7,20) the packed ints pass 64 bits
@@ -381,7 +385,8 @@ def _assert_walk_matches_recurrence(built: GroebnerFamily) -> None:
     assert not unbuilt._memo
 
 
-# k*n = 2^j - 1 or 2^j: the family's field width is as tight as it gets
+# the family's fields hold k*n: at k*n = 2^j - 1 that fills all j bits, the
+# tight case, and at k*n = 2^j the width has just grown by one bit
 @pytest.mark.parametrize("k,n", [(3, 5), (3, 21), (2, 8), (4, 4), (4, 16)])
 def test_walk_matches_recurrence_at_width_edges(k, n):
     _assert_walk_matches_recurrence(build_family(GrassmannContext(k, n)))
@@ -401,10 +406,20 @@ FAMILY_GRID = [(k, n) for k in range(2, 7) for n in sorted({k, 7, 9})] + [(5, 12
 def test_whole_family_by_recurrence_matches_direct(k, n):
     ctx = GrassmannContext(k, n)
     family = build_family(ctx)
+    # every partial term of the pruned walk has fields at most its bound
+    # n+1, so the walk runs in fields narrower than the family's kn
+    walk_packing = Packing(k, n + 1)
     for m, g in family.items():
         assert g == g_direct(ctx, m), m
+        walked = groebner_family._walk(m, n + 1 + weighted_degree(m), walk_packing.times, n + 1)
+        assert len(set(walked)) == len(walked) and walk_packing.to_poly(walked) == g, m
     assert list(dict(family.items())) == indices_up_to_reference(k, n + 1)
     _assert_walk_matches_recurrence(family)
+    # a build step's transient v + w_i has fields at most n+2 <= kn, so a
+    # family repacked that narrow builds the same elements
+    narrow = GroebnerFamily(ctx)
+    Packing.__init__(narrow, k, n + 2)
+    assert list(narrow.items()) == list(family.items())
 
 
 def test_element_unpacks_packed_terms():
