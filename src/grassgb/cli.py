@@ -53,10 +53,11 @@ def _json_rows(count: int, indent: int) -> str:
 
 
 def _term_table(family: GroebnerFamily, elements: list, template) -> dict[int, str]:
-    """Each distinct packed term of the elements, unpacked and formatted
-    by ``template`` once, whichever elements share it."""
+    """Each distinct packed term of the elements, in the family's build
+    packing, unpacked and formatted by ``template`` once, whichever
+    elements share it."""
     distinct = set().union(*[terms for _, terms in elements])
-    return dict(zip(distinct, map(template, family.unpack(distinct))))
+    return dict(zip(distinct, map(template, family.build_packing.unpack(distinct))))
 
 
 def _print_json(family: GroebnerFamily, elements: list) -> None:

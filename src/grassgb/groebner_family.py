@@ -52,8 +52,8 @@ the sum below with one add each, and reads every summand at an int
 offset.  The order ``generate`` prints comes from ``_print_order``, on
 leads too, and M is unpacked from them only to be printed.  A
 single element asked for on its own (a reduction step,
-``generate --only-m``) is one walk at the family's width, not the
-elements below it, and the family does not keep it.  ``g_direct`` runs
+``generate --only-m``) is one walk, not the elements below it, and the
+family does not keep it.  ``g_direct`` runs
 the same walk in a ``Packing`` whose fields hold its weighted degree,
 and with the weighted degree as its bound, which every term meets, so
 the limit never binds: it stays valid for S_M > n+1, where the law does
@@ -72,21 +72,32 @@ fields of W bits each, a_1 highest.  Integer order on packed monomials
 is then grlex order, a monomial product is an integer sum, and
 v >> (W*k) is the exponent sum of a packed v.  A ``Packing`` is made
 from the largest value its fields must hold, and W is that value's bit
-length: ``steenrod`` and ``_direct`` pass the degrees they reach, and
-a family's fields hold kn.  No field of a family overflows, for n >= k
->= 2:
+length: ``steenrod`` and ``_direct`` pass the degrees they reach.  A
+family has two packings, for n >= k >= 2:
 
-- an element: by the leading-term law no term of g_M has exponent sum
-  above n+1, and the pruned walk forms only partial terms whose fields
-  are at most its bound n+1 (``_walk``), so every exponent is <= n+1;
-- the build: a recurrence step's transient terms v + w_i have fields at
-  most n+2, and n+2 <= 2n <= kn;
-- a normal form meets only terms of weighted degree <= kn (below), and
-  no exponent exceeds its term's weighted degree; the squares of the
-  immersion check reach degree 5n = kn (``steenrod``).
+- the build's fields hold n+2.  By the leading-term law no term of g_M
+  has exponent sum above n+1, and the pruned walk forms only partial
+  terms whose fields are at most its bound n+1 (``_walk``), so every
+  exponent of an element is <= n+1; a recurrence step's transient terms
+  v + w_i have fields at most n+2;
+- the family's own fields hold kn: a normal form meets only terms of
+  weighted degree <= kn (below), and no exponent exceeds its term's
+  weighted degree; the squares of the immersion check reach degree
+  5n = kn (``steenrod``).  No smaller value will do: w1^kn, of weighted
+  degree kn, is an input a normal form takes, and at kn = 2^W - 1 its
+  a_1 fills its field.
 
-No smaller value will do: w1^kn, of weighted degree kn, is an input a
-normal form takes, and at kn = 2^W - 1 its a_1 fills its field.
+What the memo and ``packed_terms`` hand out is in the build packing, and
+what ``reduce_packed`` takes and returns is in the family's.  So the
+build, ``packed_terms``, ``packed_items``, ``element``, ``items`` and
+``polynomials`` work in fields of bit length (n+2).bit_length(), and
+``reduce_packed``, its table ``packed``, ``packed_product`` and
+``steenrod`` in fields of (kn).bit_length().  At (4,14), (5,9), (6,7)
+and (5,10) a memo term is then 24 to 28 bits, one 30-bit CPython int
+digit, where fields holding kn take two.  The two meet at one
+point: a table miss on a family built whole moves that one g_M from the
+memo into the family's fields as it makes the tail.
+
 Multiplying by w_j adds the packed w_j to every term, so a recurrence
 step is two set comprehensions of one int add each and at most two
 symmetric differences of int sets.  Each g_M is kept, under its packed lead, as
@@ -104,7 +115,7 @@ past the cap.  Fields of at most 31 bits cannot hold one, and then the
 check costs one test per call.
 
 ``GroebnerFamily.reduce`` takes a polynomial to its normal form in the
-same packing.  No standard monomial has weighted degree above k*n, the
+family's own packing.  No standard monomial has weighted degree above k*n, the
 degree of the top class w_k^n, and every g_M is homogeneous in the
 weighted degree, so a term of degree above k*n has normal form 0 and is
 dropped before packing.  One method, ``_pack_parts``, packs a ``Poly``:
@@ -132,12 +143,13 @@ keys the family's one table ``packed``, whose entry is the tail of g_M as
 offsets pack(u) - lead, u over the terms of g_M but its lead.  A step is
 then one table hit and one add per tail term, v + (pack(u) - lead) =
 pack(u * t / lt(g_M)), and v itself leaves the working set.  Only a miss
-takes the terms of g_M, from the memo under the same lead when the
-whole family was built, else from one walk, for which M = (a_2, ...,
-a_k) is cut out of the lead, and then the table is the only place the
-family keeps it.  The entry is made in one pass over those terms, in
-the order they come, the lead left out: the table holds a tail as a
-set, and no step reads its order.
+takes the terms of g_M: when the whole family was built, from the
+memo, under the lead repacked in the build's fields, each term moved
+into the family's; else from one walk at the family's width, for which
+M = (a_2, ..., a_k) is cut out of the lead, and then the table is the
+only place the family keeps it.  The entry is made in one pass over
+those terms, in the order they come, the lead left out: the table holds
+a tail as a set, and no step reads its order.
 
 The basis fixes the order of the work.  Every lead has exponent sum
 n+1 and every other term of g_M has sum <= n, so a step on a term of sum
@@ -158,6 +170,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator
+from functools import cached_property
 from itertools import repeat
 from operator import and_, rshift
 
@@ -448,23 +461,28 @@ def _print_order(packing: Packing, bound: int) -> list[int]:
 
 
 class GroebnerFamily(Packing):
-    """Lazy view of the basis {g_M : S_M <= n+1}, in the packing whose
-    fields hold kn, the largest weighted degree a normal form meets; the
-    module docstring shows that every value the family packs fits.
+    """Lazy view of the basis {g_M : S_M <= n+1}.  The family is the
+    packing whose fields hold kn, the largest weighted degree a normal
+    form meets, and ``build_packing`` the one whose fields hold n+2, the
+    largest value a build meets; the module docstring shows that every
+    value each packs fits.  What the memo and ``packed_terms`` hand out is
+    in the build packing, and what ``reduce_packed`` takes and returns is
+    in the family's.
 
     ``items``, ``polynomials`` and ``build_family`` build the whole family
     through the recurrence into the memo, ``{packed lead: packed terms
     of g_M}``, each a tuple in decreasing order, lead first.
     ``packed_terms`` returns the memo's entry; on a family that was not
-    built ``_g`` walks one g_M at the family's width, which
+    built ``_g`` walks one g_M in the build packing, which
     ``packed_terms`` sorts and keeps nothing of, and ``element`` unpacks
     a fresh Poly from it.  Reductions at large n only ever build the
     indices they touch, and each once: ``reduce`` fills ``packed``, the
     family's one table ``{packed lead: tail}`` (the tail as the offsets
     pack(u) - lead over the other terms u of g_M, in no fixed order),
-    taking each g_M it touches from the memo, else from ``_g``, unsorted.
-    Both stores are dicts on the instance: they live as long as the
-    family, and two families never share one.
+    taking each g_M it touches from the memo, moved into the family's
+    fields, else from ``_g`` at the family's width, unsorted.  Both stores
+    are dicts on the instance: they live as long as the family, and two
+    families never share one.
     """
 
     def __init__(self, context: GrassmannContext):
@@ -472,6 +490,13 @@ class GroebnerFamily(Packing):
         self.context = context
         self._memo: dict[int, tuple[int, ...]] = {}
         self.packed: dict[int, tuple[int, ...]] = {}
+
+    @cached_property
+    def build_packing(self) -> Packing:
+        """The packing of the memo and of ``packed_terms``, whose fields
+        hold n+2; made on first use, so a family that only reduces never
+        makes it."""
+        return Packing(self.k, self.context.n + 2)
 
     @property
     def size(self) -> int:
@@ -484,31 +509,32 @@ class GroebnerFamily(Packing):
         return self.size
 
     def element(self, m: MultiIndex) -> Poly:
-        return self.to_poly(self.packed_terms(m))
+        return self.build_packing.to_poly(self.packed_terms(m))
 
     def packed_terms(self, m: MultiIndex) -> tuple[int, ...]:
-        """The packed terms of g_M in decreasing order, lead first: the
-        memo's entry, else the walk's, sorted and not kept.  ``element``,
-        ``generate --only-m`` and the family's build read it; a
-        reduction reads the memo or ``_g``."""
+        """The packed terms of g_M in the build packing, in decreasing
+        order, lead first: the memo's entry, else the walk's, sorted and
+        not kept.  ``element``, ``generate --only-m`` and the family's
+        build read it; a reduction reads the memo or ``_g``."""
         lead = leading_term_of(self.context, tuple(m))  # raises on an M out of range
-        terms = self._memo.get(self.pack(lead))
+        build = self.build_packing
+        terms = self._memo.get(build.pack(lead))
         if terms is None:
             # the lead is checked before the walk, which past the cap might
             # not end; every other term meets the cap as it is unpacked
             if max(lead) > MAX_EXPONENT:
                 raise OverflowError(f"exponent overflow in the term {format_monomial(lead)}")
-            terms = tuple(sorted(self._g(lead[1:]), reverse=True))
+            terms = tuple(sorted(self._g(lead[1:], build), reverse=True))
         return terms
 
-    def _g(self, m: MultiIndex) -> list[int]:
-        """The packed terms of g_M, for M with S_M <= n+1, by one walk at
-        the family's width, in no fixed order; nothing is kept."""
+    def _g(self, m: MultiIndex, packing: Packing) -> list[int]:
+        """The terms of g_M, for M with S_M <= n+1, packed in ``packing``
+        by one walk, in no fixed order; nothing is kept."""
         # g_M is homogeneous of its lead's degree, n+1 + weighted_degree(M);
         # by the leading-term law no term has exponent sum above the lead's,
-        # n+1, the walk's bound, which the fields hold as n+1 <= kn
+        # n+1, the walk's bound, which both of the family's packings hold
         n = self.context.n
-        return _walk(m, n + 1 + weighted_degree(m), self.times, n + 1)
+        return _walk(m, n + 1 + weighted_degree(m), packing.times, n + 1)
 
     def reduce(self, f: Poly) -> Poly:
         """The normal form of f: f minus an element of the ideal, with no
@@ -533,10 +559,11 @@ class GroebnerFamily(Packing):
 
     def reduce_packed(self, terms: Iterable[int]) -> set[int]:
         """The normal form of a sum of distinct packed terms, each of
-        weighted degree at most k*n, as a set of packed ints.  Fills
-        ``packed`` with the tail of each g_M it uses: a miss takes g_M
-        from the memo, else from ``_g``, and keeps the offsets of its
-        terms but the lead, unsorted.
+        weighted degree at most k*n, as a set of packed ints, all in the
+        family's packing.  Fills ``packed`` with the tail of each g_M it
+        uses: a miss takes g_M from the memo, moved into the family's
+        fields, else from ``_g``, and keeps the offsets of its terms but
+        the lead, unsorted.
 
         Weighted degree <= k*n is a hard limit: the fields hold k*n and
         no more, and ``pack`` checks no field, so a term above it may
@@ -570,8 +597,13 @@ class GroebnerFamily(Packing):
                         e -= a
                 tail = table.get(lead)
                 if tail is None:
-                    # the memo's g_M, else a walk of M = (a_2, ..., a_k) of the lead
-                    g = memo.get(lead) or self._g(tuple((lead >> s) & mask for s in shifts[1:]))
+                    m = tuple((lead >> s) & mask for s in shifts[1:])  # (a_2, ..., a_k)
+                    if memo:
+                        # a family built whole holds every g_M, in the build's fields
+                        build = self.build_packing
+                        g = map(self.pack, build.unpack(memo[build.pack((n + 1 - sum(m),) + m)]))
+                    else:
+                        g = self._g(m, self)
                     tail = table[lead] = tuple([p - lead for p in g if p != lead])
                 for u in tail:
                     u += v
@@ -611,9 +643,10 @@ class GroebnerFamily(Packing):
     def _offsets(self, i: int, j: int) -> tuple[int, int, int | None]:
         """lead(g_S) - lead(g_T) for T = M^{i,j} and each summand S of its
         step in turn, M^j, M^{i-1} and M^{i-1,j+1}: the last None when
-        j = k-1, where that summand is absent."""
-        second = self.up[i - 1] - self.up[i] - self.up[j]
-        return -self.up[i], second, (second + self.up[j + 1] if j < self.k - 1 else None)
+        j = k-1, where that summand is absent; all in the build packing."""
+        up = self.build_packing.up
+        second = up[i - 1] - up[i] - up[j]
+        return -up[i], second, (second + up[j + 1] if j < self.k - 1 else None)
 
     def _materialise(self) -> dict[int, tuple[int, ...]]:
         """Build every g_M of the family into the memo and return it.
@@ -627,9 +660,11 @@ class GroebnerFamily(Packing):
         g_{M^j} and g_{M^{i-1}} lie on lower levels, and g_{M^{i-1,j+1}} on
         the level below when i = 1, else on T's level with first nonzero
         position i-1: a level built in increasing i has every summand
-        before T.  The memo is filled only once the build is through.
+        before T.  The memo, in the build packing, is filled only once the
+        build is through.
         """
-        k, up, step = self.k, self.up, self._step
+        build = self.build_packing
+        k, up, step = self.k, build.up, build._step
         # M = 0 and M = e_p by the walk; the level holds e_p at (p, p), and
         # M = 0 at (0, 0), from which no position is raised
         walked = [self.packed_terms([int(q == p) for q in range(1, k)]) for p in range(k)]
@@ -649,17 +684,19 @@ class GroebnerFamily(Packing):
 
     def packed_items(self) -> Iterator[tuple[MultiIndex, tuple[int, ...]]]:
         """(M, packed terms of g_M) over the whole family, built first, in
-        the order ``generate`` prints.  M is unpacked from the lead by a
-        packing of k-1 variables at the family's width: its fields are
-        the lowest k-1 of the lead, a_2, ..., a_k, and ``unpack`` reads no
-        others."""
+        the order ``generate`` prints, the terms in the build packing.  M
+        is unpacked from the lead by a packing of k-1 variables at the
+        build's width: its fields are the lowest k-1 of the lead, a_2,
+        ..., a_k, and ``unpack`` reads no others."""
+        build = self.build_packing
         memo = self._memo or self._materialise()
-        leads = _print_order(self, self.context.n + 1)
-        return zip(Packing(self.k - 1, self.mask).unpack(leads), map(memo.__getitem__, leads))
+        leads = _print_order(build, self.context.n + 1)
+        return zip(Packing(self.k - 1, build.mask).unpack(leads), map(memo.__getitem__, leads))
 
     def items(self) -> Iterator[tuple[MultiIndex, Poly]]:
+        to_poly = self.build_packing.to_poly
         for m, terms in self.packed_items():
-            yield m, self.to_poly(terms)
+            yield m, to_poly(terms)
 
     def polynomials(self) -> list[Poly]:
         return [g for _, g in self.items()]

@@ -1,15 +1,22 @@
 """Slow references for the package's fast paths, used only by the tests.
 
-g_M is computed straight from its definition: enumerate every exponent
-tuple of weighted degree n+1+S'_M, then keep those whose coefficient
-product P(A, M) is odd.  The package's kernel never builds the tuples this
-discards; the tests assert the two agree.
+g_M is computed straight from its definition: enumerate the exponent
+tuples of weighted degree n+1+S'_M, a_k first, and keep those whose
+coefficient product P(A, M) is odd, by Lucas' theorem and a reflection
+(``binom_parity``) on each factor as its entry is chosen and by
+``p_product`` on each tuple found.  Inside the family, S_M <= n+1, the
+enumeration may stop at exponent sum n+1, where the leading-term law puts
+every term; the tests check that the cap drops no term.  The package's
+kernel walks packed ints with the carry test and jumps between
+admissible values; the tests assert the two agree.
 
 The normal form rescans the working set for its grlex-largest reducible
 term at every step, on exponent tuples, and picks the divisor's index from
 the term (``structured_divisor``, or any other chooser a test passes); the
 package sweeps levels of packed ints by exponent sum, from the top down,
-and reads the divisor's packed lead off each int.
+and reads the divisor's packed lead off each int.  The reference takes
+each divisor g_M from ``g_direct_reference``, kept per (k, n, M), so no
+packing of the package's meets the g_M it reduces by.
 
 The tensor-square class expands the product of the 1 + x_i^2 + x_j^2 in
 formal root variables, multiplying frozensets of root exponent tuples
@@ -46,8 +53,9 @@ package adds one packed int to every packed term.
 The multi-indices of a family, and the standard monomials, are every
 tuple of the box filtered by entry sum and then sorted; the package
 generates both in order.  The JSON of ``generate`` comes from
-json.dumps(indent=2) over terms sorted by ``grlex_key``; the package
-prints it with one format string per depth, one record per write.
+json.dumps(indent=2) over the terms of ``g_direct_reference`` sorted by
+``grlex_key``; the package builds the family by the recurrence and prints
+it with one format string per depth, one record per write.
 
 The Buchberger oracle runs S-pairs on exponent tuples, selected by
 weighted sugar and then grlex of the lcm, recomputes the lcm of every
@@ -84,7 +92,7 @@ import heapq
 import itertools
 import json
 import math
-from functools import reduce
+from functools import cache, reduce
 from operator import or_
 from typing import Callable, Optional
 
@@ -95,13 +103,11 @@ from grassgb.f2poly import (
     ParseError,
     Poly,
     grlex_key,
-    monomials_of_weighted_degree,
     weighted_degree,
 )
 from grassgb.groebner_family import (
     GrassmannContext,
     GroebnerFamily,
-    g_direct,
     leading_term_of,
     raised,
     raised2,
@@ -182,13 +188,40 @@ def multinomial_parity(a: tuple[int, ...]) -> int:
     return 1 if reduce(or_, a, 0) == sum(a) else 0
 
 
-def g_direct_reference(k: int, n: int, m: tuple[int, ...]) -> Poly:
-    """g_M by enumerate-then-filter over all tuples of its weighted degree."""
-    target = n + 1 + weighted_degree(m)
-    terms = frozenset(
-        a for a in monomials_of_weighted_degree(target, k) if p_product(a, m)
-    )
-    return Poly._make(k, terms)
+@cache
+def g_direct_reference(
+    k: int, n: int, m: tuple[int, ...], cap: Optional[int] = None
+) -> Poly:
+    """g_M from its definition, on exponent tuples: every A of weighted
+    degree n+1+S'_M, or with ``cap`` only those of exponent sum at most
+    cap, with P(A, M) odd.  a_k is chosen first, then a_{k-1}, ..., and
+    a_1 is the degree left; each factor binom(a_t + c_t, a_t) is tested
+    by ``binom_parity`` once a_t is chosen, and a branch with an even
+    factor, or with more degree left than its weights carry within the
+    cap, is not entered.  Each tuple found is filtered once more by
+    ``p_product``.  For S_M <= n+1 the leading-term law puts every term
+    at exponent sum <= n+1, so cap = n+1 gives g_M with far fewer
+    branches when S'_M is large.  Kept per argument for the tests' whole
+    run: a Poly is immutable."""
+    degree = n + 1 + weighted_degree(m)
+    found: list[Monomial] = []
+
+    def choose(t: int, rem: int, left: int, asuf: int, suffix: Monomial) -> None:
+        # suffix = (a_{t+1}, ..., a_k), of sum asuf; rem is the weighted
+        # degree left for a_1, ..., a_t, and left the exponent sum
+        c = asuf - sum(m[t - 1 :])
+        if t == 1:
+            if rem <= left and binom_parity(rem + c, rem):
+                found.append((rem,) + suffix)
+            return
+        for x in range(min(rem // t, left) + 1):
+            if rem - t * x > (t - 1) * (left - x):
+                continue
+            if t == k or binom_parity(x + c, x):
+                choose(t - 1, rem - t * x, left - x, asuf + x, (x,) + suffix)
+
+    choose(k, degree, degree if cap is None else cap, 0, ())
+    return Poly._make(k, frozenset(a for a in found if p_product(a, m)))
 
 
 def _times_variable(g: Poly, j: int) -> frozenset:
@@ -236,10 +269,11 @@ def standard_basis_reference(k: int, n: int) -> list[Monomial]:
 
 def generate_json_reference(ctx: GrassmannContext, indices) -> str:
     """``generate --format json`` output (without the final newline) for
-    the given indices, each g_M computed by g_direct."""
+    the given indices, each g_M computed by ``g_direct_reference``."""
     records = []
     for m in indices:
-        ordered = sorted(g_direct(ctx, m).terms, key=grlex_key, reverse=True)
+        g = g_direct_reference(ctx.k, ctx.n, m, ctx.n + 1)
+        ordered = sorted(g.terms, key=grlex_key, reverse=True)
         records.append(
             {
                 "M": list(m),
@@ -275,23 +309,21 @@ def normal_form_reference(
     ] = structured_divisor,
 ) -> Poly:
     """Remainder of f modulo the family, reducing the grlex-max reducible
-    term found by a full rescan at every step.  Any divisor ``choose_divisor``
-    returns must give the same remainder, since the basis is a Groebner
-    basis."""
+    term found by a full rescan at every step, by g_M from
+    ``g_direct_reference`` capped at exponent sum n+1.  Any divisor
+    ``choose_divisor`` returns must give the same remainder, since the
+    basis is a Groebner basis; the family is only passed on to it."""
     if family is None:
         family = GroebnerFamily(ctx)
     n = ctx.n
     work = set(f.terms)
-    elements: dict[tuple[int, ...], Poly] = {}
     while True:
         reducible = [t for t in work if sum(t) > n]
         if not reducible:
             break
         t = max(reducible, key=grlex_key)
         m = choose_divisor(ctx, family, t)
-        g = elements.get(m)
-        if g is None:
-            g = elements[m] = family.element(m)
+        g = g_direct_reference(ctx.k, n, m, n + 1)
         lt = leading_term_of(ctx, m)
         q = tuple(a - b for a, b in zip(t, lt))
         work.symmetric_difference_update(

@@ -291,15 +291,17 @@ def test_recurrence_step_overflow_boundary():
 
 
 def test_family_width_holds_every_exponent():
-    # the fields hold kn: every exponent of g_M is at most n+1 by the
-    # leading-term law, a build step's transient v + w_i at most n+2 <= kn
-    # (n >= k >= 2), and a normal form meets weighted degree <= kn only
+    # the build's fields hold n+2: every exponent of g_M is at most n+1 by
+    # the leading-term law, a build step's transient v + w_i at most n+2;
+    # the family's hold kn, as a normal form meets weighted degree <= kn
+    # only, and so every term of the memo moved into them, n+1 <= kn
     for k in range(2, 9):
         for n in range(k, 301):
             family = GroebnerFamily(GrassmannContext(k, n))
+            assert family.build_packing.width == (n + 2).bit_length(), (k, n)
             assert family.width == (k * n).bit_length(), (k, n)
             assert k * n < 1 << family.width, (k, n)
-            assert n + 2 <= k * n, (k, n)
+            assert n + 1 <= k * n, (k, n)
 
 
 @pytest.mark.parametrize("k,n", [(2, 3), (4, 6), (6, 7), (7, 20)])
@@ -366,7 +368,7 @@ def test_memo_holds_packed_terms():
     family = build_family(ctx)
     for m, terms in family.packed_items():
         assert all(type(v) is int for v in terms)
-        assert family.to_poly(terms) == g_direct(ctx, m)
+        assert family.build_packing.to_poly(terms) == g_direct(ctx, m)
         assert family.packed_terms(m) is terms
 
 
@@ -380,7 +382,7 @@ def _assert_walk_matches_recurrence(built: GroebnerFamily) -> None:
         for t in (terms, walked):
             assert type(t) is tuple and all(type(v) is int for v in t), m
             assert all(a > b for a, b in zip(t, t[1:])), m
-            assert t[0] == built.pack(leading_term_of(ctx, m)), m
+            assert t[0] == built.build_packing.pack(leading_term_of(ctx, m)), m
         assert walked == terms, m
     assert not unbuilt._memo
 
@@ -390,6 +392,32 @@ def _assert_walk_matches_recurrence(built: GroebnerFamily) -> None:
 @pytest.mark.parametrize("k,n", [(3, 5), (3, 21), (2, 8), (4, 4), (4, 16)])
 def test_walk_matches_recurrence_at_width_edges(k, n):
     _assert_walk_matches_recurrence(build_family(GrassmannContext(k, n)))
+
+
+def _memo_monomials(family: GroebnerFamily):
+    """The whole family in print order as its indices, its term counts
+    and every term unpacked in turn, so two families built in different
+    packings compare as monomials."""
+    items = list(family.packed_items())
+    terms = list(family.build_packing.unpack([v for _, t in items for v in t]))
+    return [m for m, _ in items], [len(t) for _, t in items], terms
+
+
+def _assert_build_matches_a_wide_build(ctx: GrassmannContext) -> None:
+    # a build in fields that hold k*n >= n+2 gives the same memo as the
+    # family's build in fields that hold n+2
+    family, wide = build_family(ctx), GroebnerFamily(ctx)
+    wide.build_packing = Packing(ctx.k, ctx.k * ctx.n)
+    assert _memo_monomials(family) == _memo_monomials(wide)
+
+
+# the build's fields hold n+2: at n = 6 and 14, n+2 = 2^W has just grown
+# the width by one bit and n+1 = 2^(W-1) - 1 fills the bits below; at
+# n = 7 and 15, n+1 = 2^(W-1) needs the top bit, which fields of n lack
+@pytest.mark.parametrize("n", (6, 7, 14, 15))
+@pytest.mark.parametrize("k", range(2, 7))
+def test_build_matches_a_wide_build_at_width_edges(k, n):
+    _assert_build_matches_a_wide_build(GrassmannContext(k, n))
 
 
 def test_g_direct_above_the_family_width():
@@ -407,7 +435,7 @@ def test_whole_family_by_recurrence_matches_direct(k, n):
     ctx = GrassmannContext(k, n)
     family = build_family(ctx)
     # every partial term of the pruned walk has fields at most its bound
-    # n+1, so the walk runs in fields narrower than the family's kn
+    # n+1, so the walk runs in fields narrower than the build's n+2
     walk_packing = Packing(k, n + 1)
     for m, g in family.items():
         assert g == g_direct(ctx, m), m
@@ -415,11 +443,7 @@ def test_whole_family_by_recurrence_matches_direct(k, n):
         assert len(set(walked)) == len(walked) and walk_packing.to_poly(walked) == g, m
     assert list(dict(family.items())) == indices_up_to_reference(k, n + 1)
     _assert_walk_matches_recurrence(family)
-    # a build step's transient v + w_i has fields at most n+2 <= kn, so a
-    # family repacked that narrow builds the same elements
-    narrow = GroebnerFamily(ctx)
-    Packing.__init__(narrow, k, n + 2)
-    assert list(narrow.items()) == list(family.items())
+    _assert_build_matches_a_wide_build(ctx)
 
 
 def test_element_unpacks_packed_terms():
@@ -427,7 +451,7 @@ def test_element_unpacks_packed_terms():
     built, unbuilt = build_family(ctx), GroebnerFamily(ctx)
     for family in (built, unbuilt):
         for m in indices_up_to_reference(4, 7):
-            assert family.element(m) == family.to_poly(family.packed_terms(m)), m
+            assert family.element(m) == family.build_packing.to_poly(family.packed_terms(m)), m
     # S_M = n+2 lies outside the family; g_direct still gives g_M there
     for m in ((8, 0, 0), (0, 3, 5), (2, 2, 4)):
         for family in (built, unbuilt):
@@ -509,7 +533,7 @@ def test_summand_offsets_match_raised_indices(k, n):
     family = GroebnerFamily(ctx)
 
     def lead(m):
-        return family.pack(leading_term_of(ctx, m))
+        return family.build_packing.pack(leading_term_of(ctx, m))
 
     seen = set()
     for t in indices_up_to_reference(k, n + 1):
@@ -667,6 +691,17 @@ def test_g_direct_matches_reference_on_edge_indices():
             assert g_direct(ctx, m) == g_direct_reference(k, n, m), (k, n, m)
 
 
+@pytest.mark.parametrize("k,n", [(2, 9), (3, 9), (4, 7), (5, 6)])
+def test_reference_cap_keeps_every_term(k, n):
+    # the references reduce by and print g_M enumerated up to exponent sum
+    # n+1 only, where the leading-term law puts every term: the full
+    # enumeration and the package's unpruned one give the same g_M
+    ctx = GrassmannContext(k, n)
+    for m in indices_up_to_reference(k, n + 1):
+        g = g_direct_reference(k, n, m)
+        assert g_direct_reference(k, n, m, n + 1) == g == g_direct(ctx, m), m
+
+
 @pytest.mark.parametrize("k,n", FAMILY_GRID)
 def test_leading_term_law_bounds_every_exponent_sum(k, n):
     # the law the pruned walk relies on, read off the unpruned g_direct:
@@ -688,7 +723,7 @@ def test_least_admissible_matches_brute_force():
 
 def _assert_pruned_walk_matches_g_direct(ctx: GrassmannContext, m) -> None:
     family = GroebnerFamily(ctx)
-    expected = tuple(sorted(map(family.pack, g_direct(ctx, m).terms), reverse=True))
+    expected = tuple(sorted(map(family.build_packing.pack, g_direct(ctx, m).terms), reverse=True))
     assert family.packed_terms(m) == expected, (ctx, m)
 
 
@@ -827,22 +862,34 @@ def test_one_walk_per_table_entry_of_the_normal_bundle(walks):
     assert not walks
 
 
-def test_one_walk_per_table_entry_of_a_cup_stream(walks):
-    ctx = GrassmannContext(4, 10)
+def _assert_one_walk_per_table_entry(walks, ctx):
     family = GroebnerFamily(ctx)
-    stream = _cup_stream(ctx, "walks at (4,10)")
+    stream = _cup_stream(ctx, f"walks at ({ctx.k},{ctx.n})")
     first = [cup(ctx, a, b, family) for a, b in stream]
     assert len(walks) == len(family.packed) > 200
     _assert_tails_match_g_direct(family)
     walks.clear()
     assert [cup(ctx, a, b, family) for a, b in stream] == first
     assert not walks
-    # on a family built whole, a miss reads the memo and walks nothing
+    # on a family built whole, a miss moves the memo's g_M from the build's
+    # fields into the family's and walks nothing
     built = build_family(ctx)
+    assert built.build_packing.width < built.width
     walks.clear()
+    products = [a.value * b.value for a, b in stream[:20]]
+    assert [built.reduce(f) for f in products] == [c.value for c in first[:20]]
     assert [cup(ctx, a, b, built) for a, b in stream] == first
     assert not walks and built.packed.keys() == family.packed.keys()
     assert all(set(built.packed[lead]) == set(t) for lead, t in family.packed.items())
+
+
+def test_one_walk_per_table_entry_of_a_cup_stream(walks):
+    _assert_one_walk_per_table_entry(walks, GrassmannContext(4, 10))
+
+
+def test_one_walk_per_table_entry_where_kn_fills_the_fields(walks):
+    # k*n = 63 fills the family's fields, and the build's hold n+2 = 23
+    _assert_one_walk_per_table_entry(walks, GrassmannContext(3, 21))
 
 
 def test_memo_lives_on_the_family():

@@ -1,0 +1,119 @@
+"""Run parent/change pairs of the benchmark and keep them in one file.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR \\
+        --parent-commit REV --change-commit REV \\
+        --workload family --seeds 1-10 --seconds 20 --out BENCH_<n>.json
+
+DIR is a checkout of each side, made by ``git archive`` or a plain copy.
+Each pair runs ``bench/run.py --workload W --seed S --seconds X --trace 0``
+once in each tree, each side with the harness of its own tree and with
+PYTHONDONTWRITEBYTECODE=1, so that neither tree gains a ``__pycache__``
+the other lacks.  Odd pairs run the parent first, even pairs the change.
+
+The file keeps every raw record: workload, seed, pair, side, run order,
+commit and the harness's result line.  It also keeps a summary per
+workload and end-to-end metric: each side's median over the records, and
+in how many pairs the change read lower.  Running the tool again on the
+same file adds records, so workloads can be run one at a time, and the
+summary is rewritten from all of them.  ``tests/test_bench.py`` checks
+every ``BENCH_*.json`` at the root against ``BENCHMARK.json``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def seeds(text: str) -> list[int]:
+    """'1-10' or '3' or '1,4,7'."""
+    out = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        out.extend(range(int(lo), int(hi or lo) + 1))
+    return out
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The harness's result line for one untraced run in ``tree``."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree,
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+        check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def summarise(records: list[dict]) -> dict:
+    """{workload: {metric: {unit, parent, change, pairs, lower}}}: each
+    side's median value, the number of (workload, seed) pairs with both
+    sides, and the number of those where the change read lower."""
+    summary: dict = {}
+    for workload in sorted({r["workload"] for r in records}):
+        mine = [r for r in records if r["workload"] == workload]
+        by_pair = {(r["seed"], r["side"]): r["output"]["metrics"] for r in mine}
+        pairs = sorted({s for s, _ in by_pair if (s, "parent") in by_pair and (s, "change") in by_pair})
+        table = summary[workload] = {}
+        for name, metric in mine[0]["output"]["metrics"].items():
+            row = table[name] = {"unit": metric["unit"]}
+            for side in SIDES:
+                row[side] = statistics.median(
+                    r["output"]["metrics"][name]["value"] for r in mine if r["side"] == side
+                )
+            row["pairs"] = len(pairs)
+            row["lower"] = sum(
+                by_pair[s, "change"][name]["value"] < by_pair[s, "parent"][name]["value"] for s in pairs
+            )
+    return summary
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--parent-commit", required=True)
+    parser.add_argument("--change-commit", required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", type=seeds, default=seeds("1-10"))
+    parser.add_argument("--seconds", type=float, default=20)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(ROOT / "bench"))
+    from run import machine
+
+    data = json.loads(args.out.read_text()) if args.out.exists() else {"records": []}
+    data["machine"] = machine()
+    data["command"] = "python3 bench/run.py --workload W --seed S --seconds X --trace 0"
+    trees = {"parent": args.parent, "change": args.change}
+    commits = {"parent": args.parent_commit, "change": args.change_commit}
+    for pair, seed in enumerate(args.seeds, start=1):
+        order = SIDES if pair % 2 else SIDES[::-1]
+        for position, side in enumerate(order):
+            output = run_once(trees[side], args.workload, seed, args.seconds)
+            data["records"].append({
+                "workload": args.workload, "seed": seed, "seconds": args.seconds,
+                "pair": pair, "order": position, "side": side, "commit": commits[side],
+                "output": output,
+            })
+            wall = output["metrics"]["wall_ref_s"]["value"]
+            print(f"{args.workload} seed {seed} {side}: wall_ref_s {wall:.4f}", flush=True)
+        data["summary"] = summarise(data["records"])
+        args.out.write_text(json.dumps(data, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
