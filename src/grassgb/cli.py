@@ -18,7 +18,12 @@ wording; there are no abbreviations and no ``--``.
 The two commands whose output grows with the family write it as they go,
 so the text is never held whole: ``generate`` writes one element per
 call, text or JSON, and ``basis`` one standard monomial per line as
-``standard_monomials`` makes it, its count a closed form."""
+``standard_monomials`` makes it, its count a closed form.  ``generate``
+makes each distinct term's text once for all the elements that share it:
+in text by ``format_monomial``, the package's one monomial formatter, and
+in JSON by joining k strings, one per field, each from a table of that
+field's values formatted on first use (``_Texts``), so a value is
+formatted once per field, not once per term."""
 
 from __future__ import annotations
 
@@ -48,31 +53,50 @@ def _within_budget(count: int, what: str) -> None:
         raise ValueError(f"{count} {what}, above the size budget of {SIZE_BUDGET}")
 
 
-def _json_rows(count: int, indent: int) -> str:
-    return ",\n".join([" " * indent + "%d"] * count)
+class _Texts(dict):
+    """Field value -> ``template % value``, formatted on first use: a
+    table holds only the values a field takes, however wide the field."""
+
+    def __init__(self, template: str):
+        super().__init__()
+        self.template = template
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = self.template % value
+        return text
 
 
-def _term_table(family: GroebnerFamily, elements: list, template) -> dict[int, str]:
-    """Each distinct packed term of the elements, in the family's build
-    packing, unpacked and formatted by ``template`` once, whichever
-    elements share it."""
-    distinct = set().union(*[terms for _, terms in elements])
-    return dict(zip(distinct, map(template, family.build_packing.unpack(distinct))))
+def _term_table(elements: list, texts) -> dict[int, str]:
+    """Each distinct packed term of the elements -> its text, made once,
+    whichever elements share it: ``texts`` maps the list of them to their
+    texts, in its order."""
+    distinct = list(set().union(*[terms for _, terms in elements]))
+    return dict(zip(distinct, texts(distinct)))
 
 
 def _print_json(family: GroebnerFamily, elements: list) -> None:
     """Print the records {"M", "lt", "poly"} exactly as
-    json.dumps(records, indent=2) would, with one format string per
-    nesting depth; terms go in the family's order, decreasing grlex,
-    and "lt" is (n+1-S_M, M).  Each record is one ``write``, so no more
-    than one record's text is held at a time."""
+    json.dumps(records, indent=2) would; terms go in the family's order,
+    decreasing grlex, and "lt" is (n+1-S_M, M).  A record's head is one
+    format string of its 2k-1 ints.  A term's row is k strings joined, one
+    per field, each taken from that field's ``_Texts``, so a value is
+    formatted once per field, not once per term: the first field's text
+    opens the row and the last one's closes it.  Each record is one
+    ``write``, so no more than one record's text is held at a time."""
     k, lead_sum = family.context.k, family.context.n + 1
+    m_rows = ",\n".join(["      %d"] * (k - 1))
+    lt_rows = "      %d,\n" + m_rows
     head = (
-        '  {\n    "M": [\n%s\n    ],\n    "lt": [\n%s\n    ],\n    "poly": [\n'
-        % (_json_rows(k - 1, 6), _json_rows(k, 6))
+        '  {\n    "M": [\n%s\n    ],\n    "lt": [\n%s\n    ],\n    "poly": [\n' % (m_rows, lt_rows)
     )
-    term = "      [\n%s\n      ]" % _json_rows(k, 8)
-    rows = _term_table(family, elements, term.__mod__)
+    field = ",\n        %d"
+    tables = [_Texts(t) for t in ("      [\n        %d", *[field] * (k - 2), field + "\n      ]")]
+
+    def texts(distinct: list[int]):
+        columns = family.build_packing.fields(distinct)
+        return map("".join, zip(*[map(t.__getitem__, c) for t, c in zip(tables, columns)]))
+
+    rows = _term_table(elements, texts)
     write, sep = sys.stdout.write, "[\n"
     for m, terms in elements:
         body = ",\n".join(map(rows.__getitem__, terms))
@@ -92,7 +116,8 @@ def _cmd_generate(args) -> int:
         _print_json(family, elements)
     else:
         # the stored terms are already in print order, decreasing grlex
-        rows = _term_table(family, elements, format_monomial)
+        unpack = family.build_packing.unpack
+        rows = _term_table(elements, lambda distinct: map(format_monomial, unpack(distinct)))
         for m, terms in elements:
             label = ",".join(str(x) for x in m)
             print(f"g[{label}] = {' + '.join(map(rows.__getitem__, terms))}")

@@ -109,10 +109,12 @@ The exponent cap, MAX_EXPONENT = 2^31 - 1, has two kinds of check.  An
 input is checked before work that might not end: ``parse``, the n of
 ``immersion_obstruction_check``, the degree of a dual class and the
 lead of each g_M that ``GroebnerFamily.packed_terms`` walks.  Every
-computed term is checked at ``Packing.unpack``, the one way from packed
-ints to monomials, so no ``Poly`` built from a packing holds an exponent
-past the cap.  Fields of at most 31 bits cannot hold one, and then the
-check costs one test per call.
+computed term is checked at ``Packing.fields``, the one way out of a
+packing: ``unpack`` zips its fields into monomials, and ``generate
+--format json`` prints them a field at a time.  So no ``Poly`` built from
+a packing, and no printed term, holds an exponent past the cap.  Fields
+of at most 31 bits cannot hold one, and then the check costs one test
+per call.
 
 ``GroebnerFamily.reduce`` takes a polynomial to its normal form in the
 family's own packing.  No standard monomial has weighted degree above k*n, the
@@ -211,8 +213,9 @@ class Packing:
     While every exponent fits, int order is grlex order and a monomial
     product is an int sum.  ``times[j]`` is the packed w_j, and
     ``times[0] = 0`` packs 1.  ``over`` holds the bits of every field
-    above MAX_EXPONENT, none unless ``width`` passes 31: ``unpack``, the
-    only way out of a packing, refuses a term that sets one.
+    above MAX_EXPONENT, none unless ``width`` passes 31: ``fields``, the
+    only way out of a packing, which ``unpack`` zips into monomials,
+    refuses a term that sets one.
     ``up[p]``, the packed w_{p+1} / w_1, is what raising position p of M
     adds to the lead (n+1-S_M, M) of g_M: f_p - f_0 in the module's
     terms, and ``up[0] = 0``.
@@ -236,12 +239,13 @@ class Packing:
             v = (v << width) | a
         return v
 
-    def unpack(self, packed: Iterable[int]) -> Iterator[Monomial]:
-        """The monomials of the packed ints, in their order, each field
-        cut out of all of them by two maps of ``operator`` functions,
-        ``rshift`` by its shift and then ``and_`` with the mask, so no
-        Python frame or bound slot wrapper runs per int.  A term with an
-        exponent past MAX_EXPONENT raises ``OverflowError``."""
+    def fields(self, packed: Iterable[int]) -> list[Iterator[int]]:
+        """The fields a_1, ..., a_k of the packed ints, one iterator per
+        field over all of them in their order, each cut out by two maps of
+        ``operator`` functions, ``rshift`` by its shift and then ``and_``
+        with the mask, so no Python frame or bound slot wrapper runs per
+        int.  A term with an exponent past MAX_EXPONENT raises
+        ``OverflowError`` here, before any field is read."""
         packed = list(packed)
         mask, shifts, over = self.mask, self.shifts, self.over
         if over:
@@ -249,7 +253,12 @@ class Packing:
                 if v & over:
                     t = tuple((v >> s) & mask for s in shifts)
                     raise OverflowError(f"exponent overflow in the term {format_monomial(t)}")
-        return zip(*[map(and_, map(rshift, packed, repeat(s)), repeat(mask)) for s in shifts])
+        return [map(and_, map(rshift, packed, repeat(s)), repeat(mask)) for s in shifts]
+
+    def unpack(self, packed: Iterable[int]) -> Iterator[Monomial]:
+        """The monomials of the packed ints, in their order: ``fields``
+        zipped, with its exponent check."""
+        return zip(*self.fields(packed))
 
     def to_poly(self, terms: Iterable[int]) -> Poly:
         return Poly._make(self.k, frozenset(self.unpack(terms)))

@@ -38,12 +38,17 @@ also kept as it was on ``Poly`` (``tensor_square_sw_permanent_reference``),
 with ``poly_mul_reference`` for its products; the package runs the same
 resultant on sets of packed ints.
 
-The normal classes of G_{5,n} multiply w(gamma (x) gamma) by w(gamma)^e
-as ``Poly``s, split the whole product with ``weighted_components`` and
-reduce each degree with ``normal_form`` (``normal_bundle_sw_reference``);
-the package multiplies packed ints one pair of degrees at a time, only
-up to the top degree k*n, and reduces each degree's packed terms as they
-are.  The weighted degree is one generator over ``enumerate``
+The normal classes of G_{5,n} multiply w(gamma (x) gamma), from
+``tensor_square_sw_reference``, by w(gamma)^e as ``Poly``s, split the
+whole product with ``weighted_components`` and reduce each degree with
+``normal_form_reference`` (``normal_bundle_sw_reference``); the package
+multiplies packed ints one pair of degrees at a time, only up to the top
+degree k*n, and reduces each degree's packed terms by ``reduce_packed``
+as they are.
+
+No reference reaches the package's g_M walk, ``reduce_packed``, its
+Cartan kernel or its ``buchberger``: ``tests/test_reference.py`` runs
+each one with those four patched to raise.  The weighted degree is one generator over ``enumerate``
 (``weighted_degree_reference``); the package maps ``operator.mul``.
 
 The recurrence step raises one exponent of every term of a tuple
@@ -55,7 +60,8 @@ tuple of the box filtered by entry sum and then sorted; the package
 generates both in order.  The JSON of ``generate`` comes from
 json.dumps(indent=2) over the terms of ``g_direct_reference`` sorted by
 ``grlex_key``; the package builds the family by the recurrence and prints
-it with one format string per depth, one record per write.
+each record's head by one format string and each term's row by joining
+one text per field from per-field tables, one record per write.
 
 The Buchberger oracle runs S-pairs on exponent tuples, selected by
 weighted sugar and then grlex of the lcm, recomputes the lcm of every
@@ -96,7 +102,7 @@ from functools import cache, reduce
 from operator import or_
 from typing import Callable, Optional
 
-from grassgb.cohomology import CohomologyClass, normal_form
+from grassgb.cohomology import CohomologyClass
 from grassgb.f2poly import (
     MAX_EXPONENT,
     Monomial,
@@ -112,7 +118,6 @@ from grassgb.groebner_family import (
     raised,
     raised2,
 )
-from grassgb.steenrod import tensor_square_sw
 
 
 def binom_int(alpha: int, beta: int) -> int:
@@ -456,21 +461,27 @@ def weighted_components(f: Poly) -> dict[int, Poly]:
 
 
 def normal_bundle_sw_reference(
-    n: int, family: Optional[GroebnerFamily] = None
+    n: int,
+    choose_divisor: Callable[
+        [GrassmannContext, GroebnerFamily, Monomial], tuple[int, ...]
+    ] = structured_divisor,
 ) -> dict[int, CohomologyClass]:
     """The normal classes of G_{5,n} as ``normal_bundle_sw`` gives them:
-    w(gamma (x) gamma) w(gamma)^e multiplied as ``Poly``s, split by
-    weighted degree, and each degree through ``normal_form``."""
+    w(gamma (x) gamma) from ``tensor_square_sw_reference``, of top degree
+    k(k-1), times w(gamma)^e, multiplied as ``Poly``s, split by weighted
+    degree, and each degree through ``normal_form_reference``, which is
+    passed ``choose_divisor``."""
     k = 5
     ctx = GrassmannContext(k, n)
-    if family is None:
-        family = GroebnerFamily(ctx)
     e = 2 ** (n + k - 1).bit_length() - n - k
     total_w = sum((Poly.variable(k, j) for j in range(1, k + 1)), Poly.one(k))
-    components = weighted_components(tensor_square_sw(k) * total_w**e)
+    components = weighted_components(tensor_square_sw_reference(k, k * (k - 1)) * total_w**e)
     zero = Poly.zero(k)
     return {
-        d: normal_form(ctx, components.get(d, zero), family)
+        d: CohomologyClass(
+            ctx,
+            normal_form_reference(ctx, components.get(d, zero), choose_divisor=choose_divisor),
+        )
         for d in range(k * (k - 1) + k * e + 1)
     }
 

@@ -91,6 +91,37 @@ def test_generate_json_matches_reference_at_benchmark_sizes(capsys, k, n):
     assert out == generate_json_reference(ctx, indices_up_to_reference(k, n + 1)) + "\n"
 
 
+@pytest.mark.parametrize("k,n", [(7, 7), (2, 14), (3, 14), (2, 30)])
+def test_generate_json_matches_reference_past_the_grid(capsys, k, n):
+    # k = 7, past the k = 2..6 grid above, and sizes whose build fields hold
+    # n+2 = 2^W, one bit more than the largest printed exponent, n+1, needs
+    ctx = GrassmannContext(k, n)
+    argv = ("generate", "-k", str(k), "-n", str(n), "--format", "json")
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    assert out == generate_json_reference(ctx, indices_up_to_reference(k, n + 1)) + "\n"
+
+
+def test_generate_json_only_m_at_n_2_to_the_30():
+    # the build fields are 31 bits wide here; the per-field text tables hold
+    # only the values present, so one element prints at once
+    n = 2**30
+    m = [2, 0, 0, n - 1]
+    only = ",".join(map(str, m))
+    argv = ("generate", "-k", "5", "-n", str(n), "--only-m", only, "--format", "json")
+    proc = subprocess.run(
+        [sys.executable, "-m", "grassgb.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+        timeout=30,
+    )
+    lead = [0, *m]
+    record = {"M": m, "lt": lead, "poly": [lead, [0, 0, 0, 1, n - 1]]}
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == json.dumps([record], indent=2) + "\n"
+
+
 # sha256 prefixes of ``generate`` stdout at the family benchmark sizes
 GOLDEN_GENERATE = {
     (4, 14): ("cada906b172aaea1", "e067915dc3945cf1"),

@@ -343,6 +343,8 @@ def test_packing_layout(k):
         packed = [packing.pack(t) for t in monomials]
         assert list(packing.unpack(packed)) == monomials, width
         assert list(packing.unpack(sorted(packed))) == sorted(monomials, key=grlex_key), width
+        # fields gives the same exponents a field at a time, a_1 first
+        assert list(map(list, packing.fields(packed))) == list(map(list, zip(*monomials))), width
         # a monomial product is an int sum whenever the product's fields
         # fit, up to 2^W - 1 each
         for a in monomials:
@@ -361,6 +363,9 @@ def test_packing_layout(k):
         t = top[:p] + (2**31,) + top[p + 1 :]
         with pytest.raises(OverflowError, match="^exponent overflow in the term "):
             packing.unpack([packing.pack(t)])
+        # fields checks as it is called, before any field is read
+        with pytest.raises(OverflowError, match="^exponent overflow in the term "):
+            packing.fields([packing.pack(top), packing.pack(t)])
 
 
 def test_memo_holds_packed_terms():

@@ -3,6 +3,7 @@ from reference import (
     alpha,
     normal_bundle_sw_reference,
     sq_reference,
+    structured_divisor,
     tensor_square_sw_permanent_reference,
     tensor_square_sw_reference,
     weighted_components,
@@ -11,7 +12,12 @@ from reference import (
 
 from grassgb.f2poly import MAX_EXPONENT, Poly, parse, weighted_degree
 from grassgb.cohomology import CohomologyClass, normal_form
-from grassgb.groebner_family import GrassmannContext, GroebnerFamily, build_family
+from grassgb.groebner_family import (
+    GrassmannContext,
+    GroebnerFamily,
+    build_family,
+    leading_term_of,
+)
 from grassgb import steenrod
 from grassgb.steenrod import (
     ObstructionReport,
@@ -255,16 +261,24 @@ class TestNormalBundle:
     @pytest.mark.parametrize("n", (8, 16))
     @pytest.mark.parametrize("make", (GroebnerFamily, build_family))
     def test_matches_poly_reference(self, n, make):
-        # on a fresh family and on a built one, each path on its own family
+        # on a fresh family and on a built one, against the reference, which
+        # reaches neither the packed product nor reduce_packed
         ctx = GrassmannContext(5, n)
-        packed, poly = make(ctx), make(ctx)
+        packed = make(ctx)
         got = normal_bundle_sw(n, packed)
-        expected = normal_bundle_sw_reference(n, poly)
+        used = set()
+
+        def record(ctx, family, term):
+            m = structured_divisor(ctx, family, term)
+            used.add(m)
+            return m
+
+        expected = normal_bundle_sw_reference(n, record)
         assert got.keys() == expected.keys()
         for d in expected:
             assert got[d] == expected[d], d
-        # the packed path reduces by exactly the g_M the Poly path does
-        assert packed.packed.keys() == poly.packed.keys()
+        # the packed path reduces by exactly the g_M the reference does
+        assert packed.packed.keys() == {packed.pack(leading_term_of(ctx, m)) for m in used}
 
     def test_exponent_congruence(self):
         # 2^{r+1} - n - 5 = 3 and 3 mod 8 = 3 for n = 8
