@@ -52,8 +52,8 @@ the sum below with one add each, and reads every summand at an int
 offset.  The order ``generate`` prints comes from ``_print_order``, on
 leads too, and M is unpacked from them only to be printed.  A
 single element asked for on its own (a reduction step,
-``generate --only-m``) is one walk, not the elements below it, and the
-family does not keep it.  ``g_direct`` runs
+``generate --only-m``) is one walk, not the elements below it, on a
+built family too, and the memo does not keep it.  ``g_direct`` runs
 the same walk in a ``Packing`` whose fields hold its weighted degree,
 and with the weighted degree as its bound, which every term meets, so
 the limit never binds: it stays valid for S_M > n+1, where the law does
@@ -94,9 +94,11 @@ build, ``packed_terms``, ``packed_items``, ``element``, ``items`` and
 ``reduce_packed``, its table ``packed``, ``packed_product`` and
 ``steenrod`` in fields of (kn).bit_length().  At (4,14), (5,9), (6,7)
 and (5,10) a memo term is then 24 to 28 bits, one 30-bit CPython int
-digit, where fields holding kn take two.  The two meet at one
-point: a table miss on a family built whole moves that one g_M from the
-memo into the family's fields as it makes the tail.
+digit, where fields holding kn take two.  The two never meet: the memo
+is written only by the build and read only by ``packed_items``, for the
+printers, and every other g_M, a reduction's or a single element's,
+comes from one walk in the packing that asks for it.  So a normal form
+or an ``element`` does not depend on whether its family was built.
 
 Multiplying by w_j adds the packed w_j to every term, so a recurrence
 step is two set comprehensions of one int add each and at most two
@@ -145,13 +147,12 @@ keys the family's one table ``packed``, whose entry is the tail of g_M as
 offsets pack(u) - lead, u over the terms of g_M but its lead.  A step is
 then one table hit and one add per tail term, v + (pack(u) - lead) =
 pack(u * t / lt(g_M)), and v itself leaves the working set.  Only a miss
-takes the terms of g_M: when the whole family was built, from the
-memo, under the lead repacked in the build's fields, each term moved
-into the family's; else from one walk at the family's width, for which
-M = (a_2, ..., a_k) is cut out of the lead, and then the table is the
-only place the family keeps it.  The entry is made in one pass over
-those terms, in the order they come, the lead left out: the table holds
-a tail as a set, and no step reads its order.
+takes the terms of g_M, from one walk at the family's width, for which
+M = (a_2, ..., a_k) is cut out of the lead, whether or not the family
+was built, and the table is the only place the reduction keeps it.  The
+entry is made in one pass over those terms, in the order they come, the
+lead left out: the table holds a tail as a set, and no step reads its
+order.
 
 The basis fixes the order of the work.  Every lead has exponent sum
 n+1 and every other term of g_M has sum <= n, so a step on a term of sum
@@ -480,18 +481,17 @@ class GroebnerFamily(Packing):
 
     ``items``, ``polynomials`` and ``build_family`` build the whole family
     through the recurrence into the memo, ``{packed lead: packed terms
-    of g_M}``, each a tuple in decreasing order, lead first.
-    ``packed_terms`` returns the memo's entry; on a family that was not
-    built ``_g`` walks one g_M in the build packing, which
-    ``packed_terms`` sorts and keeps nothing of, and ``element`` unpacks
-    a fresh Poly from it.  Reductions at large n only ever build the
-    indices they touch, and each once: ``reduce`` fills ``packed``, the
-    family's one table ``{packed lead: tail}`` (the tail as the offsets
-    pack(u) - lead over the other terms u of g_M, in no fixed order),
-    taking each g_M it touches from the memo, moved into the family's
-    fields, else from ``_g`` at the family's width, unsorted.  Both stores
-    are dicts on the instance: they live as long as the family, and two
-    families never share one.
+    of g_M}``, each a tuple in decreasing order, lead first; only
+    ``packed_items`` reads it.  ``packed_terms`` has ``_g`` walk one g_M
+    in the build packing, which it sorts and keeps nothing of, and
+    ``element`` unpacks a fresh Poly from it.  Reductions at large n only
+    ever build the indices they touch, and each once: ``reduce`` fills
+    ``packed``, the family's one table ``{packed lead: tail}`` (the tail
+    as the offsets pack(u) - lead over the other terms u of g_M, in no
+    fixed order), taking each g_M it touches from ``_g`` at the family's
+    width, unsorted, built family or not.  Both stores are dicts on the
+    instance: they live as long as the family, and two families never
+    share one.
     """
 
     def __init__(self, context: GrassmannContext):
@@ -522,23 +522,21 @@ class GroebnerFamily(Packing):
 
     def packed_terms(self, m: MultiIndex) -> tuple[int, ...]:
         """The packed terms of g_M in the build packing, in decreasing
-        order, lead first: the memo's entry, else the walk's, sorted and
-        not kept.  ``element``, ``generate --only-m`` and the family's
-        build read it; a reduction reads the memo or ``_g``."""
+        order, lead first: one walk's, sorted and not kept, whether or
+        not the family was built.  ``element``, ``generate --only-m`` and
+        the family's build read it; a reduction calls ``_g`` itself."""
         lead = leading_term_of(self.context, tuple(m))  # raises on an M out of range
-        build = self.build_packing
-        terms = self._memo.get(build.pack(lead))
-        if terms is None:
-            # the lead is checked before the walk, which past the cap might
-            # not end; every other term meets the cap as it is unpacked
-            if max(lead) > MAX_EXPONENT:
-                raise OverflowError(f"exponent overflow in the term {format_monomial(lead)}")
-            terms = tuple(sorted(self._g(lead[1:], build), reverse=True))
-        return terms
+        # the lead is checked before the walk, which past the cap might not
+        # end; every other term meets the cap as it is unpacked
+        if max(lead) > MAX_EXPONENT:
+            raise OverflowError(f"exponent overflow in the term {format_monomial(lead)}")
+        return tuple(sorted(self._g(lead[1:], self.build_packing), reverse=True))
 
     def _g(self, m: MultiIndex, packing: Packing) -> list[int]:
         """The terms of g_M, for M with S_M <= n+1, packed in ``packing``
-        by one walk, in no fixed order; nothing is kept."""
+        by one walk, in no fixed order; nothing is kept.  Every g_M but
+        the memo's comes from here: ``packed_terms`` walks in the build
+        packing and a table miss of ``reduce_packed`` in the family's."""
         # g_M is homogeneous of its lead's degree, n+1 + weighted_degree(M);
         # by the leading-term law no term has exponent sum above the lead's,
         # n+1, the walk's bound, which both of the family's packings hold
@@ -570,15 +568,14 @@ class GroebnerFamily(Packing):
         """The normal form of a sum of distinct packed terms, each of
         weighted degree at most k*n, as a set of packed ints, all in the
         family's packing.  Fills ``packed`` with the tail of each g_M it
-        uses: a miss takes g_M from the memo, moved into the family's
-        fields, else from ``_g``, and keeps the offsets of its terms but
-        the lead, unsorted.
+        uses: a miss takes g_M from ``_g``, never from the memo, and keeps
+        the offsets of its terms but the lead, unsorted.
 
         Weighted degree <= k*n is a hard limit: the fields hold k*n and
         no more, and ``pack`` checks no field, so a term above it may
         spill into its neighbour and reduce to a wrong answer with no
         error.  ``_pack_parts`` and ``packed_product`` keep to it."""
-        n, table, memo = self.context.n, self.packed, self._memo
+        n, table = self.context.n, self.packed
         mask, shifts, sum_shift = self.mask, self.shifts, self.sum_shift
         w1, a1_shift = self.times[1], shifts[0]
         a1_field = mask << a1_shift
@@ -607,13 +604,7 @@ class GroebnerFamily(Packing):
                 tail = table.get(lead)
                 if tail is None:
                     m = tuple((lead >> s) & mask for s in shifts[1:])  # (a_2, ..., a_k)
-                    if memo:
-                        # a family built whole holds every g_M, in the build's fields
-                        build = self.build_packing
-                        g = map(self.pack, build.unpack(memo[build.pack((n + 1 - sum(m),) + m)]))
-                    else:
-                        g = self._g(m, self)
-                    tail = table[lead] = tuple([p - lead for p in g if p != lead])
+                    tail = table[lead] = tuple([p - lead for p in self._g(m, self) if p != lead])
                 for u in tail:
                     u += v
                     level = work[u >> sum_shift]

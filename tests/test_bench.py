@@ -1,12 +1,16 @@
 """The benchmark harness's self-test: every workload on tiny sizes, with the
 traced run, so a renamed tracer target or a broken workload check fails here.
-And the committed BENCH_*.json files, checked against BENCHMARK.json."""
+And the committed BENCH_*.json files, checked against BENCHMARK.json, and the
+refusals of tools/bench_pairs.py, which writes them."""
 
+import importlib.util
 import json
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,6 +44,10 @@ def test_bench_files_match_the_benchmark():
             assert {name: m["unit"] for name, m in metrics.items()} == units, (path.name, r)
             assert metrics["ok_ratio"]["value"] == 1, (path.name, r)
             assert r["output"]["correct"] and not r["output"]["failed"], (path.name, r)
+        # one commit per side and one --seconds: a summary mixes no two runs
+        for side in ("parent", "change"):
+            assert len({r["commit"] for r in records if r["side"] == side}) == 1, (path.name, side)
+        assert len({r["seconds"] for r in records}) == 1, path.name
         workloads = {r["workload"] for r in records}
         assert set(data["summary"]) == workloads, path.name
         for workload, table in data["summary"].items():
@@ -54,3 +62,81 @@ def test_bench_files_match_the_benchmark():
                     assert row[side] == statistics.median(values), (path.name, workload, name, side)
                 lower = sum(value[s, "change"][name]["value"] < value[s, "parent"][name]["value"] for s in seeds)
                 assert (row["pairs"], row["lower"]) == (len(seeds), lower), (path.name, workload, name)
+
+
+@pytest.fixture
+def bench_pairs(monkeypatch):
+    """tools/bench_pairs.py, imported by its path, whose benchmark runs fail
+    the test: each refusal must come before the first one."""
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+
+    def run_once(*args):
+        raise AssertionError("a benchmark run started")
+
+    monkeypatch.setattr(module, "run_once", run_once)
+    return module
+
+
+def _trees(tmp_path):
+    # two trees that each hold a harness file, which no test runs
+    for side in ("parent", "change"):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text("")
+    return tmp_path / "parent", tmp_path / "change"
+
+
+def _main(bench_pairs, parent, change, out, *extra):
+    return bench_pairs.main([
+        "--parent", str(parent), "--change", str(change), "--parent-commit", "p1",
+        "--change-commit", "c1", "--workload", "cup", "--out", str(out), *extra,
+    ])
+
+
+def test_bench_pairs_refuses_empty_or_descending_seeds(bench_pairs, tmp_path, capsys):
+    assert bench_pairs.seeds("1-3,7,9-9") == [1, 2, 3, 7, 9]
+    for text in ("3-1", "", "1,,2", "2-", "-2"):
+        with pytest.raises(ValueError):
+            bench_pairs.seeds(text)
+    parent, change = _trees(tmp_path)
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exit_:
+        _main(bench_pairs, parent, change, out, "--seeds", "3-1")
+    assert exit_.value.code == 2 and "--seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bench_pairs_refuses_a_tree_without_the_harness(bench_pairs, tmp_path, capsys):
+    parent, change = _trees(tmp_path)
+    out = tmp_path / "out.json"
+    missing = tmp_path / "missing"
+    assert _main(bench_pairs, missing, change, out) == 2
+    assert capsys.readouterr().err == f"bench_pairs: --parent {missing} has no bench/run.py\n"
+    (change / "bench" / "run.py").unlink()
+    assert _main(bench_pairs, parent, change, out) == 2
+    assert capsys.readouterr().err == f"bench_pairs: --change {change} has no bench/run.py\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "extra,reason",
+    [
+        (("--parent-commit", "p2"), "holds parent commit p1, not p2"),
+        (("--change-commit", "c2"), "holds change commit c1, not c2"),
+        (("--seconds", "10"), "holds runs of --seconds 20.0, not 10.0"),
+    ],
+)
+def test_bench_pairs_refuses_to_mix_runs(bench_pairs, tmp_path, capsys, extra, reason):
+    parent, change = _trees(tmp_path)
+    out = tmp_path / "out.json"
+    records = [
+        {"side": "parent", "commit": "p1", "seconds": 20.0},
+        {"side": "change", "commit": "c1", "seconds": 20.0},
+    ]
+    out.write_text(json.dumps({"records": records}))
+    before = out.read_text()
+    # argparse keeps the last of a repeated option, so extra overrides _main's
+    assert _main(bench_pairs, parent, change, out, *extra) == 2
+    assert capsys.readouterr().err == f"bench_pairs: {out} {reason}\n"
+    assert out.read_text() == before

@@ -366,8 +366,8 @@ TAIL_TERMS_ABOVE_N = [(6, 0, 0), (4, 1, 0)]
 
 
 def _family_with_a_tail_above_n(monkeypatch, ctx, extra):
-    # a table miss on a family not built whole takes g_M from the walk,
-    # which is corrupted
+    # a table miss takes g_M from the walk, built family or not, and the
+    # walk is corrupted
     family = GroebnerFamily(ctx)
     walk = groebner_family._walk
     extra = family.pack(extra)

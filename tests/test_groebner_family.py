@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+from collections.abc import Mapping
 
 import pytest
 from reference import (
@@ -374,7 +375,8 @@ def test_memo_holds_packed_terms():
     for m, terms in family.packed_items():
         assert all(type(v) is int for v in terms)
         assert family.build_packing.to_poly(terms) == g_direct(ctx, m)
-        assert family.packed_terms(m) is terms
+        # a single element is walked, not read from the memo, and equal to it
+        assert family.packed_terms(m) == terms
 
 
 def _assert_walk_matches_recurrence(built: GroebnerFamily) -> None:
@@ -876,15 +878,15 @@ def _assert_one_walk_per_table_entry(walks, ctx):
     walks.clear()
     assert [cup(ctx, a, b, family) for a, b in stream] == first
     assert not walks
-    # on a family built whole, a miss moves the memo's g_M from the build's
-    # fields into the family's and walks nothing
+    # on a family built whole, a miss walks its g_M at the family's width
+    # as on a fresh family: one walk per table entry, the same tails
     built = build_family(ctx)
     assert built.build_packing.width < built.width
     walks.clear()
     products = [a.value * b.value for a, b in stream[:20]]
     assert [built.reduce(f) for f in products] == [c.value for c in first[:20]]
     assert [cup(ctx, a, b, built) for a, b in stream] == first
-    assert not walks and built.packed.keys() == family.packed.keys()
+    assert len(walks) == len(built.packed) and built.packed.keys() == family.packed.keys()
     assert all(set(built.packed[lead]) == set(t) for lead, t in family.packed.items())
 
 
@@ -895,6 +897,32 @@ def test_one_walk_per_table_entry_of_a_cup_stream(walks):
 def test_one_walk_per_table_entry_where_kn_fills_the_fields(walks):
     # k*n = 63 fills the family's fields, and the build's hold n+2 = 23
     _assert_one_walk_per_table_entry(walks, GrassmannContext(3, 21))
+
+
+class _UnreadableMemo(Mapping):
+    """A memo that fails any test that reads it."""
+
+    def _read(self, *args):
+        raise AssertionError("the memo was read")
+
+    __getitem__ = __iter__ = __len__ = _read
+
+
+@pytest.mark.parametrize("k,n", [(4, 10), (3, 21)])
+def test_only_the_printers_read_the_memo(k, n):
+    # a built family whose memo can no longer be read reduces, multiplies
+    # and hands out single elements as a family never built does
+    ctx = GrassmannContext(k, n)
+    built, fresh = build_family(ctx), GroebnerFamily(ctx)
+    assert len(built._memo) == built.size
+    built._memo = _UnreadableMemo()
+    stream = _cup_stream(ctx, f"memo unread at ({k},{n})", count=40)
+    assert [cup(ctx, a, b, built) for a, b in stream] == [cup(ctx, a, b, fresh) for a, b in stream]
+    products = [a.value * b.value for a, b in stream[:10]]
+    assert [built.reduce(f) for f in products] == [fresh.reduce(f) for f in products]
+    for m in indices_up_to_reference(k, n + 1):
+        assert built.packed_terms(m) == fresh.packed_terms(m), m
+        assert built.element(m) == fresh.element(m), m
 
 
 def test_memo_lives_on_the_family():

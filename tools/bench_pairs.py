@@ -17,6 +17,12 @@ in how many pairs the change read lower.  Running the tool again on the
 same file adds records, so workloads can be run one at a time, and the
 summary is rewritten from all of them.  ``tests/test_bench.py`` checks
 every ``BENCH_*.json`` at the root against ``BENCHMARK.json``.
+
+The tool refuses, with exit 2 and before any run, what it cannot run or
+would mix into one summary: an empty or descending part of ``--seeds``
+(argparse's own error), a tree with no ``bench/run.py``, and an
+``--out`` file whose records name another commit for a side or another
+``--seconds``.
 """
 
 from __future__ import annotations
@@ -34,12 +40,31 @@ SIDES = ("parent", "change")
 
 
 def seeds(text: str) -> list[int]:
-    """'1-10' or '3' or '1,4,7'."""
+    """'1-10' or '3' or '1,4,7'.  An empty or descending part raises
+    ``ValueError``, which argparse reports with exit 2."""
     out = []
     for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        out.extend(range(int(lo), int(hi or lo) + 1))
+        lo, dash, hi = part.partition("-")
+        first, last = int(lo), int(hi if dash else lo)
+        if last < first:
+            raise ValueError(f"descending seed range {part!r}")
+        out.extend(range(first, last + 1))
     return out
+
+
+def refusal(trees: dict, commits: dict, seconds: float, out: Path, records: list[dict]) -> str | None:
+    """Why the run must not start, or None: a tree with no harness, or a
+    record of ``out`` from another commit of its side or another
+    ``--seconds``, which one summary would mix with the new ones."""
+    for side, tree in trees.items():
+        if not (tree / "bench" / "run.py").is_file():
+            return f"--{side} {tree} has no bench/run.py"
+    for r in records:
+        if r["commit"] != commits[r["side"]]:
+            return f"{out} holds {r['side']} commit {r['commit']}, not {commits[r['side']]}"
+        if r["seconds"] != seconds:
+            return f"{out} holds runs of --seconds {r['seconds']}, not {seconds}"
+    return None
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -91,14 +116,19 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
+    data = json.loads(args.out.read_text()) if args.out.exists() else {"records": []}
+    trees = {"parent": args.parent, "change": args.change}
+    commits = {"parent": args.parent_commit, "change": args.change_commit}
+    reason = refusal(trees, commits, args.seconds, args.out, data["records"])
+    if reason:
+        print(f"bench_pairs: {reason}", file=sys.stderr)
+        return 2
+
     sys.path.insert(0, str(ROOT / "bench"))
     from run import machine
 
-    data = json.loads(args.out.read_text()) if args.out.exists() else {"records": []}
     data["machine"] = machine()
     data["command"] = "python3 bench/run.py --workload W --seed S --seconds X --trace 0"
-    trees = {"parent": args.parent, "change": args.change}
-    commits = {"parent": args.parent_commit, "change": args.change_commit}
     for pair, seed in enumerate(args.seeds, start=1):
         order = SIDES if pair % 2 else SIDES[::-1]
         for position, side in enumerate(order):
