@@ -1,8 +1,8 @@
 """Generic reduced-Groebner-basis engine over F2 (the validation oracle).
 
-Deliberately independent of the structured family: it takes nothing from
-the family's kernel or packing, and its leads come from linear algebra, so
-a wrong g_M cannot make the oracle agree with it.
+Deliberately independent of the structured family: its basis takes
+nothing from the family's kernel or packing, and its leads come from
+linear algebra, so a wrong g_M cannot make the oracle agree with it.
 
 ``buchberger`` builds the reduced basis of an ideal spanned by
 weighted-homogeneous generators f_1, ..., f_s (w_j has degree j) one
@@ -25,12 +25,14 @@ higher degree is w_j times a lead, so no minimal lead lies above.
 The hot loop runs at C level where it can.  The columns of degree d are
 built packed, from the lower degrees, with no recursion: every monomial
 of degree d is w_j times one of degree d - j, so they are the union over
-j of the columns of degree d - j plus the packed w_j, sorted.  The rows
-of every m for one f_i come from one ``map(sum, zip(...))`` over maps of
-m + t -> column -> 1 << column, one map per term t of f_i.  The leads
-that are not minimal in degree d are one set, {l + w_j : l a lead of
-degree d - j}, built once per degree.  A minimal row is back-reduced only
-at its bits that are pivots, ``row & mask`` with one bit per pivot.
+j of the columns of degree d - j plus the packed w_j, sorted.  One dict
+per degree maps each column to its one-hot int, 1 << its index, so the
+row of m*f_i is the sum of one lookup per term t of f_i, of m + t, and
+the rows of every m for one f_i come from one ``map(sum, zip(...))``
+over one map per term.  The leads that are not minimal in degree d are
+one set, {l + w_j : l a lead of degree d - j}, built once per degree.  A
+minimal row is back-reduced only at its bits that are pivots, ``row &
+mask``, where the mask is the sum of the pivots' one-hot ints.
 
 The bound.  If the input contains a regular sequence of k generators, of
 degrees d_1, ..., d_k, the quotient by them has the Hilbert series
@@ -45,12 +47,28 @@ generator that is not weighted-homogeneous.  The dual classes
 wbar_{n+1}, ..., wbar_{n+k} are such a sequence, and on them no row
 reduces to zero.
 
-``buchberger`` packs every monomial into one int, the oracle's own grlex
-packing (``_Packing``): the exponents a_1, ..., a_k sit in W-bit fields,
-a_k lowest, and the exponent sum sits above them all, so comparing ints
-is comparing in grlex and a product of monomials is a sum of ints.  W is
-the bit length of the last degree the run may reach, and no exponent
-sum exceeds the weighted degree, so no field overflows into the next.
+The degree loop is ``_reduced_basis``.  It packs every monomial into one
+int, the oracle's own grlex packing (``_Packing``): the exponents a_1,
+..., a_k sit in W-bit fields, a_k lowest, and the exponent sum sits above
+them all, so comparing ints is comparing in grlex and a product of
+monomials is a sum of ints.  W is the bit length of the last degree the
+run may reach, and no exponent sum exceeds the weighted degree, so no
+field overflows into the next.  It returns that packing and the basis,
+each element the list of its packed terms, lead first, sorted by lead.
+``_Packing.unpack`` turns any number of packed ints into exponent tuples
+in one C-level pass, a zip over the fields, each field cut from every
+term by maps of ``rshift`` and ``and_``, and ``_term_sets`` cuts that
+stream into one frozenset per element with ``islice``.  ``buchberger``
+wraps each of those in a ``Poly``.
+
+``oracle_equals_family`` builds no ``Poly``: it compares the two bases as
+sets of term sets, each element the frozenset of its exponent tuples.
+The oracle's side is ``_term_sets`` of its packed basis by ``_Packing``,
+the family's is ``_term_sets`` of every g_M of ``packed_items`` by the
+family's own build packing.  So each side turns its own packed ints into
+plain tuples with its own code, the two packings never meet, and the
+oracle's leads still come only from elimination: the comparison adds no
+path by which a wrong g_M could agree.
 
 ``reduce_basis`` and ``oracle_reduce`` work on exponent tuples, in one
 normal form, ``_normal_form``.  At every step it takes the grlex-largest
@@ -64,8 +82,8 @@ Nothing is memoized.
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import add, le, lshift, sub
+from itertools import chain, islice, repeat
+from operator import add, and_, le, lshift, rshift, sub
 
 from .dual_classes import wbar_sequence
 from .f2poly import Monomial, Poly, grlex_key, weighted_degree
@@ -116,12 +134,19 @@ class _Packing:
             v = v << self.width | e
         return v
 
-    def unpack(self, v: int) -> Monomial:
-        top = self._top
-        return tuple([v >> shift & top for shift in self._shifts])
+    def unpack(self, terms) -> zip:
+        """The exponent tuples of the packed ints ``terms``, in their order:
+        one zip over the fields, each read from every term at once by maps
+        of ``rshift`` and ``and_``."""
+        terms, top = list(terms), self._top
+        return zip(*[map(and_, map(rshift, terms, repeat(s)), repeat(top)) for s in self._shifts])
 
-    def to_poly(self, terms) -> Poly:
-        return Poly._make(self.k, frozenset(map(self.unpack, terms)))
+
+def _term_sets(packing, elements: list) -> list[frozenset]:
+    """Each element's exponent tuples as one frozenset, in order, from one
+    ``unpack`` by ``packing`` of the packed terms of all the ``elements``."""
+    monomials = packing.unpack(chain.from_iterable(elements))
+    return [frozenset(islice(monomials, len(terms))) for terms in elements]
 
 
 def _normal_form(terms, basis: list[tuple[Monomial, frozenset]]) -> frozenset:
@@ -162,10 +187,10 @@ def _times_units(by_degree: list, units: list[int]) -> set[int]:
     return set().union(*[map(add, repeat(w), by_degree[d - j]) for j, w in enumerate(units[:d], 1)])
 
 
-def buchberger(generators: list[Poly]) -> list[Poly]:
-    """The reduced Groebner basis of the ideal spanned by weighted-homogeneous
-    generators, sorted by grlex of the leading term, built one weighted
-    degree at a time (module docstring)."""
+def _reduced_basis(generators: list[Poly]) -> tuple[_Packing, list[list[int]]]:
+    """The oracle's packing and the reduced basis of the ideal spanned by
+    weighted-homogeneous generators, each element the list of its packed
+    terms, lead first, sorted by lead (module docstring)."""
     if not generators:
         raise ValueError("need at least one generator")
     k = generators[0].k
@@ -189,7 +214,8 @@ def buchberger(generators: list[Poly]) -> list[Poly]:
         while len(columns) <= d:
             columns.append(sorted(_times_units(columns, units)))
         cols = columns[d]
-        bit = dict(zip(cols, range(len(cols))))
+        # one_hot[m]: the int whose one set bit is m's column
+        one_hot = dict(zip(cols, map(lshift, repeat(1), range(len(cols)))))
         # pivots[b] is the row whose lead is column b - 1, the bit_length of
         # the row, or 0 if there is none yet; pivots[0] stays 0, so a row
         # that reduces to 0 ends the loop below
@@ -202,11 +228,9 @@ def buchberger(generators: list[Poly]) -> list[Poly]:
             # the F5 criterion: m*f_i adds nothing new when m is a lead of
             # f_1, ..., f_{i-1}
             ms = [m for m in columns[d - e] if earlier.get(m, i) >= i]
-            # the row of m*f_i is the sum of 1 << bit[m + t] over the terms t
+            # the row of m*f_i is the sum of one_hot[m + t] over the terms t
             # of f_i, built for every m at once, one term t at a time
-            shifted = [
-                map(lshift, repeat(1), map(bit.__getitem__, map(add, repeat(t), ms))) for t in f
-            ]
+            shifted = [map(one_hot.__getitem__, map(add, repeat(t), ms)) for t in f]
             for row in map(sum, zip(*shifted)):
                 b = row.bit_length()
                 while pivot := pivots[b]:
@@ -219,10 +243,10 @@ def buchberger(generators: list[Poly]) -> list[Poly]:
         minimal = found.keys() - _times_units(leads, units)
         leads.append(found)
         if minimal:
-            mask = sum(map(lshift, repeat(1), map(bit.__getitem__, found)))
+            mask = sum(map(one_hot.__getitem__, found))
             for lead in minimal:
-                p = bit[lead]
-                row = pivots[p + 1] ^ 1 << p
+                bit = one_hot[lead]
+                row = pivots[bit.bit_length()] ^ bit
                 hit = row & mask
                 while hit:
                     row ^= pivots[hit.bit_length()]
@@ -232,7 +256,7 @@ def buchberger(generators: list[Poly]) -> list[Poly]:
                     b = row.bit_length() - 1
                     row ^= 1 << b
                     terms.append(cols[b])
-                basis.append((lead, terms))
+                basis.append(terms)
         if len(found) == len(cols):
             full += 1
         elif d >= bound:
@@ -243,9 +267,17 @@ def buchberger(generators: list[Poly]) -> list[Poly]:
             full = 0
         d += 1
         # free this degree's rows before the next degree's columns are built
-        del pivots, bit
-    basis.sort()
-    return [packing.to_poly(terms) for _, terms in basis]
+        del pivots, one_hot
+    basis.sort()  # by lead: the leads differ, and each list starts with its own
+    return packing, basis
+
+
+def buchberger(generators: list[Poly]) -> list[Poly]:
+    """The reduced Groebner basis of the ideal spanned by weighted-homogeneous
+    generators, sorted by grlex of the leading term, built one weighted
+    degree at a time (module docstring)."""
+    packing, basis = _reduced_basis(generators)
+    return [Poly._make(packing.k, terms) for terms in _term_sets(packing, basis)]
 
 
 def reduce_basis(gb: list[Poly]) -> list[Poly]:
@@ -276,12 +308,10 @@ def oracle_reduce(f: Poly, basis: list[Poly]) -> Poly:
 
 def oracle_equals_family(ctx: GrassmannContext, cap: int = DEFAULT_CAP) -> bool:
     """Build the reduced basis of the dual-class generators and compare it,
-    as a set of polynomials, with the structured family."""
+    as a set of term sets, with the structured family (module docstring)."""
     family = GroebnerFamily(ctx)
-    size = family.size
-    if size > cap:
-        raise OracleCapExceeded(
-            f"instance has {size} basis elements, above the cap of {cap}"
-        )
-    generators = wbar_sequence(ctx.n + ctx.k, ctx.k)[ctx.n + 1 :]
-    return set(buchberger(generators)) == set(family.polynomials())
+    if family.size > cap:
+        raise OracleCapExceeded(f"instance has {family.size} basis elements, above the cap of {cap}")
+    packing, basis = _reduced_basis(wbar_sequence(ctx.n + ctx.k, ctx.k)[ctx.n + 1 :])
+    theirs = [terms for _, terms in family.packed_items()]
+    return set(_term_sets(packing, basis)) == set(_term_sets(family.build_packing, theirs))

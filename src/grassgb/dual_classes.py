@@ -35,11 +35,12 @@ def wbar_sequence(r: int, k: int) -> list[Poly]:
     It shares no code with the g_M kernel, so the oracle's generators,
     which come from here, check the kernel independently."""
     _validate(r, k)
+    variables = [Poly.variable(k, i) for i in range(1, k + 1)]
     wbar = [Poly.one(k)]
     for d in range(1, r + 1):
         acc = Poly.zero(k)
         for i in range(1, min(d, k) + 1):
-            acc = acc + Poly.variable(k, i) * wbar[d - i]
+            acc = acc + variables[i - 1] * wbar[d - i]
         wbar.append(acc)
     return wbar
 

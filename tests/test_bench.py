@@ -107,6 +107,38 @@ def test_bench_pairs_refuses_empty_or_descending_seeds(bench_pairs, tmp_path, ca
     assert not out.exists()
 
 
+def test_bench_pairs_refuses_an_unknown_workload(bench_pairs, tmp_path, capsys):
+    parent, change = _trees(tmp_path)
+    out = tmp_path / "out.json"
+    assert _main(bench_pairs, parent, change, out, "--workload", "nope") == 2
+    assert capsys.readouterr().err == (
+        "bench_pairs: --workload nope is not in BENCHMARK.json (family, obstruction, cup, verify)\n"
+    )
+    assert not out.exists()
+
+
+def test_bench_pairs_ends_on_a_failed_run(bench_pairs, tmp_path, capsys, monkeypatch):
+    # the second run, the change side of pair 1, exits 3: the tool ends
+    # with one line and exit 1, and writes no half pair
+    parent, change = _trees(tmp_path)
+    out = tmp_path / "out.json"
+    runs = []
+
+    def run_once(tree, workload, seed, seconds):
+        runs.append((tree, seed))
+        if len(runs) == 2:
+            raise subprocess.CalledProcessError(3, ["bench/run.py"])
+        return {"metrics": {"wall_ref_s": {"unit": "ref_s", "value": 1.0}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(sys, "path", [*sys.path])  # main puts bench/ in front
+    assert _main(bench_pairs, parent, change, out, "--seeds", "4-5") == 1
+    captured = capsys.readouterr()
+    assert captured.err == "bench_pairs: the change run of seed 4 exited with code 3\n"
+    assert runs == [(parent, 4), (change, 4)]
+    assert not out.exists()
+
+
 def test_bench_pairs_refuses_a_tree_without_the_harness(bench_pairs, tmp_path, capsys):
     parent, change = _trees(tmp_path)
     out = tmp_path / "out.json"

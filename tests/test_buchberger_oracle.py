@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -25,7 +26,8 @@ from grassgb.f2poly import (
     parse,
     weighted_degree,
 )
-from grassgb.groebner_family import GrassmannContext, build_family
+from grassgb.cli import run
+from grassgb.groebner_family import GrassmannContext, GroebnerFamily, build_family
 
 from conftest import random_homogeneous, random_poly
 from reference import (
@@ -160,7 +162,47 @@ class TestColumns:
         for d, cols in enumerate(columns):
             monomials = monomials_of_weighted_degree(d, k)
             assert cols == sorted(map(packing.pack, monomials)), d
-            assert list(map(packing.unpack, cols)) == sorted(monomials, key=grlex_key), d
+            assert list(packing.unpack(cols)) == sorted(monomials, key=grlex_key), d
+
+
+def _fields_one_by_one(v, k, width):
+    """The k fields of v below its exponent sum, a_1 first, read from the
+    lowest up with one divmod each."""
+    fields = []
+    for _ in range(k):
+        v, a = divmod(v, 1 << width)
+        fields.append(a)
+    return tuple(reversed(fields))
+
+
+class TestUnpack:
+    """``_Packing.unpack`` reads every field of many terms in one pass; it
+    must agree with reading each term's fields one by one."""
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_empty_input(self, k):
+        packing = _Packing(k, 40)
+        assert list(packing.unpack([])) == []
+        assert list(packing.unpack(iter(()))) == []
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    # fields of W = 3, 6, 17 and 21 bits
+    @pytest.mark.parametrize("total", [5, 40, 1 << 16, (1 << 20) + 3])
+    def test_matches_the_fields_one_by_one(self, k, total, rng):
+        packing = _Packing(k, total)
+        width = packing.width
+        assert width == total.bit_length()
+        full = (1 << width) - 1
+        # a field holding 2^W - 1, alone and beside full or empty neighbours
+        terms = [tuple(full if i == j else 0 for i in range(k)) for j in range(k)]
+        terms += [(full,) * k, (0,) * k, (full,) + (0,) * (k - 2) + (full,)]
+        terms += [tuple(rng.randint(0, full) for _ in range(k)) for _ in range(50)]
+        packed = list(map(packing.pack, terms))
+        assert [_fields_one_by_one(v, k, width) for v in packed] == terms
+        assert list(packing.unpack(packed)) == terms
+        assert list(packing.unpack(iter(packed))) == terms
+        # one pass over many terms equals one pass per term
+        assert list(packing.unpack(packed)) == [t for v in packed for t in packing.unpack([v])]
 
 
 class TestSugarStrategy:
@@ -247,6 +289,74 @@ class TestOracleEqualsFamily:
     def test_cap_guard(self):
         with pytest.raises(OracleCapExceeded):
             oracle_equals_family(GrassmannContext(5, 8), cap=100)
+
+
+def _tails(memo):
+    """The leads of the memo's elements that have a tail, in increasing order."""
+    return [v for v in sorted(memo) if len(memo[v]) > 1]
+
+
+def _drop_a_tail_term(memo):
+    lead = _tails(memo)[0]
+    memo[lead] = memo[lead][:-1]
+
+
+def _add_a_foreign_term(memo):
+    # a term of another element, below this element's lead
+    lead = _tails(memo)[-1]
+    g = memo[lead]
+    u = next(t for h in memo.values() for t in h if t < lead and t not in g)
+    memo[lead] = tuple(sorted(g + (u,), reverse=True))
+
+
+def _swap_tail_terms(memo):
+    # one tail term of each of two elements trades places; each is below
+    # both leads and in neither other element, so every lead, every count
+    # and the union of all the terms stay as they were
+    for a, b in combinations(_tails(memo), 2):
+        ta = [t for t in memo[a][1:] if t not in memo[b] and t < b]
+        tb = [t for t in memo[b][1:] if t not in memo[a] and t < a]
+        if ta and tb:
+            break
+    memo[a] = tuple(sorted(set(memo[a]) - {ta[0]} | {tb[0]}, reverse=True))
+    memo[b] = tuple(sorted(set(memo[b]) - {tb[0]} | {ta[0]}, reverse=True))
+
+
+class TestCorruptedFamily:
+    """A family whose whole build is corrupted after the fact, with every
+    lead and the element count kept, so only a comparison of whole term
+    sets tells it from the true one: ``oracle_equals_family`` must say
+    False and ``grassgb verify`` must exit 1 with the MISMATCH line."""
+
+    CORRUPTIONS = [_drop_a_tail_term, _add_a_foreign_term, _swap_tail_terms]
+
+    @pytest.fixture
+    def corrupt(self, monkeypatch):
+        def install(corruption):
+            materialise = GroebnerFamily._materialise
+
+            def corrupted(self):
+                memo = materialise(self)
+                corruption(memo)
+                return memo
+
+            monkeypatch.setattr(GroebnerFamily, "_materialise", corrupted)
+
+        return install
+
+    @pytest.mark.parametrize("k,n", [(3, 4), (4, 5)])
+    @pytest.mark.parametrize("corruption", CORRUPTIONS, ids=lambda c: c.__name__.strip("_"))
+    def test_mismatch(self, corrupt, capsys, corruption, k, n):
+        ctx = GrassmannContext(k, n)
+        true = GroebnerFamily(ctx).polynomials()
+        corrupt(corruption)
+        wrong = GroebnerFamily(ctx).polynomials()
+        assert len(wrong) == len(true)
+        assert [g.leading_term() for g in wrong] == [g.leading_term() for g in true]
+        assert set(wrong) != set(true)
+        assert not oracle_equals_family(ctx)
+        assert run(["verify", "-k", str(k), "-n", str(n)]) == 1
+        assert capsys.readouterr().out == f"MISMATCH: family and oracle disagree for k={k}, n={n}\n"
 
 
 def test_becker_standard_monomials():

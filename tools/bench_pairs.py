@@ -20,9 +20,11 @@ every ``BENCH_*.json`` at the root against ``BENCHMARK.json``.
 
 The tool refuses, with exit 2 and before any run, what it cannot run or
 would mix into one summary: an empty or descending part of ``--seeds``
-(argparse's own error), a tree with no ``bench/run.py``, and an
-``--out`` file whose records name another commit for a side or another
-``--seconds``.
+(argparse's own error), a ``--workload`` that ``BENCHMARK.json`` does not
+list, a tree with no ``bench/run.py``, and an ``--out`` file whose records
+name another commit for a side or another ``--seconds``.  A harness run
+that exits non-zero ends the tool with exit 1 and one line that names the
+side, the seed and the exit code; ``--out`` keeps the pairs before it.
 """
 
 from __future__ import annotations
@@ -52,10 +54,16 @@ def seeds(text: str) -> list[int]:
     return out
 
 
-def refusal(trees: dict, commits: dict, seconds: float, out: Path, records: list[dict]) -> str | None:
-    """Why the run must not start, or None: a tree with no harness, or a
-    record of ``out`` from another commit of its side or another
-    ``--seconds``, which one summary would mix with the new ones."""
+def refusal(
+    workload: str, trees: dict, commits: dict, seconds: float, out: Path, records: list[dict]
+) -> str | None:
+    """Why the run must not start, or None: a workload the benchmark does
+    not declare, a tree with no harness, or a record of ``out`` from
+    another commit of its side or another ``--seconds``, which one summary
+    would mix with the new ones."""
+    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    if workload not in names:
+        return f"--workload {workload} is not in BENCHMARK.json ({', '.join(names)})"
     for side, tree in trees.items():
         if not (tree / "bench" / "run.py").is_file():
             return f"--{side} {tree} has no bench/run.py"
@@ -119,7 +127,7 @@ def main(argv=None) -> int:
     data = json.loads(args.out.read_text()) if args.out.exists() else {"records": []}
     trees = {"parent": args.parent, "change": args.change}
     commits = {"parent": args.parent_commit, "change": args.change_commit}
-    reason = refusal(trees, commits, args.seconds, args.out, data["records"])
+    reason = refusal(args.workload, trees, commits, args.seconds, args.out, data["records"])
     if reason:
         print(f"bench_pairs: {reason}", file=sys.stderr)
         return 2
@@ -132,7 +140,12 @@ def main(argv=None) -> int:
     for pair, seed in enumerate(args.seeds, start=1):
         order = SIDES if pair % 2 else SIDES[::-1]
         for position, side in enumerate(order):
-            output = run_once(trees[side], args.workload, seed, args.seconds)
+            try:
+                output = run_once(trees[side], args.workload, seed, args.seconds)
+            except subprocess.CalledProcessError as e:
+                print(f"bench_pairs: the {side} run of seed {seed} exited with code {e.returncode}",
+                      file=sys.stderr)
+                return 1
             data["records"].append({
                 "workload": args.workload, "seed": seed, "seconds": args.seconds,
                 "pair": pair, "order": position, "side": side, "commit": commits[side],
