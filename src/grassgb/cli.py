@@ -23,13 +23,17 @@ makes each distinct term's text once for all the elements that share it:
 in text by ``format_monomial``, the package's one monomial formatter, and
 in JSON by joining k strings, one per field, each from a table of that
 field's values formatted on first use (``_Texts``), so a value is
-formatted once per field, not once per term."""
+formatted once per field, not once per term.  It prints each element
+from its packed lead, with no M tuple: the fields of all the leads are
+cut at once, and a record's head in JSON, or its ``g[...]`` label in
+text, is joined from per-field tables the same way."""
 
 from __future__ import annotations
 
 import math
 import signal
 import sys
+from collections.abc import Iterator
 from types import SimpleNamespace
 
 from .buchberger_oracle import DEFAULT_CAP, oracle_equals_family
@@ -66,6 +70,14 @@ class _Texts(dict):
         return text
 
 
+def _joined(columns: list, templates) -> Iterator[str]:
+    """One text per position of the ``columns``, k iterators over the same
+    ints, each field's text taken from a ``_Texts`` of its template and
+    the k texts joined in order."""
+    cells = [map(_Texts(t).__getitem__, c) for t, c in zip(templates, columns)]
+    return map("".join, zip(*cells))
+
+
 def _term_table(elements: list, texts) -> dict[int, str]:
     """Each distinct packed term of the elements -> its text, made once,
     whichever elements share it: ``texts`` maps the list of them to their
@@ -75,32 +87,28 @@ def _term_table(elements: list, texts) -> dict[int, str]:
 
 
 def _print_json(family: GroebnerFamily, elements: list) -> None:
-    """Print the records {"M", "lt", "poly"} exactly as
-    json.dumps(records, indent=2) would; terms go in the family's order,
-    decreasing grlex, and "lt" is (n+1-S_M, M).  A record's head is one
-    format string of its 2k-1 ints.  A term's row is k strings joined, one
-    per field, each taken from that field's ``_Texts``, so a value is
-    formatted once per field, not once per term: the first field's text
-    opens the row and the last one's closes it.  Each record is one
-    ``write``, so no more than one record's text is held at a time."""
-    k, lead_sum = family.context.k, family.context.n + 1
-    m_rows = ",\n".join(["      %d"] * (k - 1))
-    lt_rows = "      %d,\n" + m_rows
-    head = (
-        '  {\n    "M": [\n%s\n    ],\n    "lt": [\n%s\n    ],\n    "poly": [\n' % (m_rows, lt_rows)
-    )
+    """Print the records {"M", "lt", "poly"} of the (packed lead, packed
+    terms) ``elements`` exactly as json.dumps(records, indent=2) would;
+    terms go in the family's order, decreasing grlex, and "lt" is the
+    lead, (n+1-S_M, M).  Every text is joined from per-field ``_Texts``
+    tables, so a value is formatted once per field, not once per term or
+    record.  A term's row is its k fields' texts, the first one opening
+    the row and the last one closing it.  A record's head is cut from its
+    lead: the M block is the texts of m_2, ..., m_k, and it appears twice,
+    in "M" and after a_1's text in "lt".  Each record is one ``write``,
+    so no more than one record's text is held at a time."""
+    k, fields = family.context.k, family.build_packing.fields
     field = ",\n        %d"
-    tables = [_Texts(t) for t in ("      [\n        %d", *[field] * (k - 2), field + "\n      ]")]
-
-    def texts(distinct: list[int]):
-        columns = family.build_packing.fields(distinct)
-        return map("".join, zip(*[map(t.__getitem__, c) for t, c in zip(tables, columns)]))
-
-    rows = _term_table(elements, texts)
+    rows = _term_table(elements, lambda distinct: _joined(
+        fields(distinct), ("      [\n        %d", *[field] * (k - 2), field + "\n      ]")))
+    a_1, *m = fields([lead for lead, _ in elements])
+    a_1 = map(_Texts("      %d,\n").__getitem__, a_1)
+    m = _joined(m, ("      %d", *[",\n      %d"] * (k - 2)))
     write, sep = sys.stdout.write, "[\n"
-    for m, terms in elements:
+    for m_text, a_text, (_, terms) in zip(m, a_1, elements):
         body = ",\n".join(map(rows.__getitem__, terms))
-        write(f"{sep}{head % (m + (lead_sum - sum(m),) + m)}{body}\n    ]\n  }}")
+        write(f'{sep}  {{\n    "M": [\n{m_text}\n    ],\n    "lt": [\n{a_text}{m_text}'
+              f'\n    ],\n    "poly": [\n{body}\n    ]\n  }}')
         sep = ",\n"
     write("\n]\n")
 
@@ -111,16 +119,18 @@ def _cmd_generate(args) -> int:
         _within_budget(family.size, "basis elements to build (--only-m builds one)")
         elements = list(family.packed_items())
     else:
-        elements = [(args.only_m, family.packed_terms(args.only_m))]
+        terms = family.packed_terms(args.only_m)
+        elements = [(terms[0], terms)]
     if args.format == "json":
         _print_json(family, elements)
     else:
         # the stored terms are already in print order, decreasing grlex
-        unpack = family.build_packing.unpack
-        rows = _term_table(elements, lambda distinct: map(format_monomial, unpack(distinct)))
-        for m, terms in elements:
-            label = ",".join(str(x) for x in m)
-            print(f"g[{label}] = {' + '.join(map(rows.__getitem__, terms))}")
+        build = family.build_packing
+        rows = _term_table(elements, lambda distinct: map(format_monomial, build.unpack(distinct)))
+        _, *m = build.fields([lead for lead, _ in elements])
+        labels = _joined(m, ("g[%d", *[",%d"] * (family.k - 2)))
+        for label, (_, terms) in zip(labels, elements):
+            print(f"{label}] = {' + '.join(map(rows.__getitem__, terms))}")
     return 0
 
 

@@ -50,7 +50,9 @@ and i = 1 needs no case of its own.  The build (``_materialise``) never
 forms an index: it makes the leads of each exponent sum from those of
 the sum below with one add each, and reads every summand at an int
 offset.  The order ``generate`` prints comes from ``_print_order``, on
-leads too, and M is unpacked from them only to be printed.  A
+leads too.  ``packed_items`` hands out each element beside its lead,
+not M: the printers cut M's text from the lead's fields, and only
+``items`` unpacks M, from all the leads at once.  A
 single element asked for on its own (a reduction step,
 ``generate --only-m``) is one walk, not the elements below it, on a
 built family too, and the memo does not keep it.  ``g_direct`` runs
@@ -96,7 +98,7 @@ build, ``packed_terms``, ``packed_items``, ``element``, ``items`` and
 and (5,10) a memo term is then 24 to 28 bits, one 30-bit CPython int
 digit, where fields holding kn take two.  The two never meet: the memo
 is written only by the build and read only by ``packed_items``, for the
-printers, and every other g_M, a reduction's or a single element's,
+printers, ``items`` and ``verify``, and every other g_M, a reduction's or a single element's,
 comes from one walk in the packing that asks for it.  So a normal form
 or an ``element`` does not depend on whether its family was built.
 
@@ -482,7 +484,7 @@ class GroebnerFamily(Packing):
     ``items``, ``polynomials`` and ``build_family`` build the whole family
     through the recurrence into the memo, ``{packed lead: packed terms
     of g_M}``, each a tuple in decreasing order, lead first; only
-    ``packed_items`` reads it.  ``packed_terms`` has ``_g`` walk one g_M
+    ``packed_items`` reads it, and hands out each tuple beside its key.  ``packed_terms`` has ``_g`` walk one g_M
     in the build packing, which it sorts and keeps nothing of, and
     ``element`` unpacks a fresh Poly from it.  Reductions at large n only
     ever build the indices they touch, and each once: ``reduce`` fills
@@ -682,21 +684,25 @@ class GroebnerFamily(Packing):
         self._memo = memo
         return memo
 
-    def packed_items(self) -> Iterator[tuple[MultiIndex, tuple[int, ...]]]:
-        """(M, packed terms of g_M) over the whole family, built first, in
-        the order ``generate`` prints, the terms in the build packing.  M
-        is unpacked from the lead by a packing of k-1 variables at the
-        build's width: its fields are the lowest k-1 of the lead, a_2,
-        ..., a_k, and ``unpack`` reads no others."""
-        build = self.build_packing
+    def packed_items(self) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """(packed lead of g_M, packed terms of g_M) over the whole family,
+        built first, in the order ``generate`` prints, all in the build
+        packing.  The lead is the memo key, made from M by
+        ``_print_order`` and not read off the terms, so a right memo has it
+        as each element's first term; its fields are (n+1-S_M, M)."""
         memo = self._memo or self._materialise()
-        leads = _print_order(build, self.context.n + 1)
-        return zip(Packing(self.k - 1, build.mask).unpack(leads), map(memo.__getitem__, leads))
+        leads = _print_order(self.build_packing, self.context.n + 1)
+        return zip(leads, map(memo.__getitem__, leads))
 
     def items(self) -> Iterator[tuple[MultiIndex, Poly]]:
-        to_poly = self.build_packing.to_poly
-        for m, terms in self.packed_items():
-            yield m, to_poly(terms)
+        """(M, g_M) over the whole family, in the order ``generate``
+        prints: the one place M is unpacked, from all the leads at once by
+        a packing of k-1 variables at the build's width, whose fields are
+        the lowest k-1 of a lead, a_2, ..., a_k."""
+        build = self.build_packing
+        leads, elements = zip(*self.packed_items())
+        indices = Packing(self.k - 1, build.mask).unpack(leads)
+        return zip(indices, map(build.to_poly, elements))
 
     def polynomials(self) -> list[Poly]:
         return [g for _, g in self.items()]

@@ -85,7 +85,9 @@ def test_criterion_03_family_size(families):
         assert len(families[(k, n)]) == math.comb(n + k, k - 1), (k, n)
     extra = build_family(GrassmannContext(5, 8))
     assert len(extra) == math.comb(13, 4)
-    assert sum(1 for _ in extra.packed_items()) == math.comb(13, 4)
+    # one element under each lead, which is its first term
+    leads = {lead for lead, terms in extra.packed_items() if lead == terms[0]}
+    assert len(leads) == sum(1 for _ in extra.items()) == math.comb(13, 4)
     print("PASS criterion 3: family sizes match binom(n+k, k-1)")
 
 

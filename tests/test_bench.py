@@ -31,7 +31,8 @@ def test_bench_files_match_the_benchmark():
     # each committed BENCH_*.json holds parent/change pairs of bench/run.py:
     # every record names exactly BENCHMARK.json's end-to-end metrics with
     # their units and had no failed op, and each summary is the medians of
-    # its records and the count of pairs where the change read lower
+    # its records, their quartiles where the summary has them, and the
+    # count of pairs where the change read lower
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
     paths = sorted(ROOT.glob("BENCH_*.json"))
@@ -60,6 +61,10 @@ def test_bench_files_match_the_benchmark():
                 for side in ("parent", "change"):
                     values = [r["output"]["metrics"][name]["value"] for r in mine if r["side"] == side]
                     assert row[side] == statistics.median(values), (path.name, workload, name, side)
+                    # the quartiles, in the files whose summaries have them
+                    if f"{side}_q" in row:
+                        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+                        assert row[f"{side}_q"] == [q1, q3], (path.name, workload, name, side)
                 lower = sum(value[s, "change"][name]["value"] < value[s, "parent"][name]["value"] for s in seeds)
                 assert (row["pairs"], row["lower"]) == (len(seeds), lower), (path.name, workload, name)
 
@@ -172,3 +177,22 @@ def test_bench_pairs_refuses_to_mix_runs(bench_pairs, tmp_path, capsys, extra, r
     assert _main(bench_pairs, parent, change, out, *extra) == 2
     assert capsys.readouterr().err == f"bench_pairs: {out} {reason}\n"
     assert out.read_text() == before
+
+
+def test_bench_pairs_summary_has_quartiles(bench_pairs):
+    # each side's first and third quartile sit beside its median, so a claim
+    # reads off one row; one run is its own quartiles
+    def record(seed, side, value):
+        metrics = {"wall_ref_s": {"unit": "ref_s", "value": value}}
+        return {"workload": "cup", "seed": seed, "side": side, "output": {"metrics": metrics}}
+
+    parent, change = [1.0, 2.0, 3.0, 4.0, 5.0], [0.5, 1.5, 2.5, 3.5, 4.5]
+    records = [record(s, "parent", p) for s, p in enumerate(parent)]
+    records += [record(s, "change", c) for s, c in enumerate(change)]
+    row = bench_pairs.summarise(records)["cup"]["wall_ref_s"]
+    assert row == {
+        "unit": "ref_s", "parent": 3.0, "parent_q": [2.0, 4.0], "change": 2.5,
+        "change_q": [1.5, 3.5], "pairs": 5, "lower": 5,
+    }
+    row = bench_pairs.summarise(records[:1] + records[5:6])["cup"]["wall_ref_s"]
+    assert (row["parent_q"], row["change_q"], row["lower"]) == ([1.0, 1.0], [0.5, 0.5], 1)

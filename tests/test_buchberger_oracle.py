@@ -359,6 +359,45 @@ class TestCorruptedFamily:
         assert capsys.readouterr().out == f"MISMATCH: family and oracle disagree for k={k}, n={n}\n"
 
 
+def _swap_two_smallest(memo):
+    a, b = sorted(memo)[:2]
+    memo[a], memo[b] = memo[b], memo[a]
+
+
+def _copy_under_another_lead(memo):
+    # the smallest element's terms kept under the next lead too
+    a, b = sorted(memo)[:2]
+    memo[b] = memo[a]
+
+
+class TestMisplacedElements:
+    """A family whose elements are all right but kept under the wrong
+    leads: as a set of term sets the swap equals the true basis, so only a
+    check of each element under its own index tells them apart."""
+
+    @pytest.mark.parametrize("k,n", [(3, 4), (4, 5)])
+    @pytest.mark.parametrize("misplace", [_swap_two_smallest, _copy_under_another_lead],
+                             ids=lambda c: c.__name__.strip("_"))
+    def test_mismatch(self, monkeypatch, capsys, misplace, k, n):
+        ctx = GrassmannContext(k, n)
+        true = GroebnerFamily(ctx).polynomials()
+        materialise = GroebnerFamily._materialise
+
+        def misplaced(self):
+            memo = materialise(self)
+            misplace(memo)
+            return memo
+
+        monkeypatch.setattr(GroebnerFamily, "_materialise", misplaced)
+        wrong = GroebnerFamily(ctx).polynomials()
+        assert wrong != true
+        if misplace is _swap_two_smallest:
+            assert set(wrong) == set(true)
+        assert not oracle_equals_family(ctx)
+        assert run(["verify", "-k", str(k), "-n", str(n)]) == 1
+        assert capsys.readouterr().out == f"MISMATCH: family and oracle disagree for k={k}, n={n}\n"
+
+
 def test_becker_standard_monomials():
     # terms not divisible by any oracle leading term are exactly sum <= n
     import itertools

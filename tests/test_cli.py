@@ -45,10 +45,11 @@ def text_lines(ctx, indices):
     return [f"g[{','.join(map(str, m))}] = {format_poly(g_direct(ctx, m))}\n" for m in indices]
 
 
-@pytest.mark.parametrize("k", range(2, 7))
+@pytest.mark.parametrize("k", range(2, 8))
 def test_generate_text_matches_format_poly(capsys, k):
-    # the grid of the JSON test below: both formats share one term table
-    for n in sorted({k, 7, 9}):
+    # the grid of the JSON test below, both formats sharing one term table,
+    # and (7,7), which the JSON tests reach past that grid
+    for n in sorted({k, 7, 9}) if k < 7 else (7,):
         ctx = GrassmannContext(k, n)
         code, out, _ = invoke(capsys, "generate", "-k", str(k), "-n", str(n))
         assert code == 0
@@ -148,6 +149,22 @@ def test_generate_json_only_m_matches_json_dumps(capsys, k, n, m):
     code, out, _ = invoke(capsys, *argv)
     assert code == 0
     assert out == generate_json_reference(GrassmannContext(k, n), [m]) + "\n"
+
+
+# S_M = n+1, so a_1 = 0: the lead's a_1 text and the M block's texts come
+# from tables of the same value, in "lt" and in "M"
+A_1_IS_ZERO = [(2, 5, (6,)), (2, 2, (3,)), (5, 6, (0, 3, 0, 4)), (5, 5, (6, 0, 0, 0))]
+
+
+@pytest.mark.parametrize("k,n,m", A_1_IS_ZERO)
+def test_generate_only_m_with_a_1_zero(capsys, k, n, m):
+    ctx, only = GrassmannContext(k, n), ",".join(map(str, m))
+    assert sum(m) == n + 1
+    code, out, _ = invoke(capsys, "generate", "-k", str(k), "-n", str(n), "--only-m", only, "--format", "json")
+    assert (code, out) == (0, generate_json_reference(ctx, [m]) + "\n")
+    assert json.loads(out)[0]["lt"] == [0, *m]
+    code, out, _ = invoke(capsys, "generate", "-k", str(k), "-n", str(n), "--only-m", only)
+    assert (code, out) == (0, text_lines(ctx, [m])[0])
 
 
 class WriteLog:

@@ -126,7 +126,7 @@ def test_family_size_and_leading_terms(k, n):
 
 def test_family_iteration_order_is_lex_from_the_right():
     family = GroebnerFamily(GrassmannContext(3, 3))
-    indices = [m for m, _ in family.packed_items()]
+    indices = [m for m, _ in family.items()]
     assert indices == sorted(indices, key=lambda m: m[::-1])
     assert indices[0] == (0, 0)
 
@@ -372,9 +372,10 @@ def test_packing_layout(k):
 def test_memo_holds_packed_terms():
     ctx = GrassmannContext(4, 6)
     family = build_family(ctx)
-    for m, terms in family.packed_items():
+    for (m, g), (lead, terms) in zip(family.items(), family.packed_items()):
         assert all(type(v) is int for v in terms)
-        assert family.build_packing.to_poly(terms) == g_direct(ctx, m)
+        assert lead == terms[0] == family.build_packing.pack(leading_term_of(ctx, m))
+        assert family.build_packing.to_poly(terms) == g == g_direct(ctx, m)
         # a single element is walked, not read from the memo, and equal to it
         assert family.packed_terms(m) == terms
 
@@ -384,7 +385,8 @@ def _assert_walk_matches_recurrence(built: GroebnerFamily) -> None:
     # lead first, and the walk and the recurrence give the same tuple
     ctx = built.context
     unbuilt = GroebnerFamily(ctx)
-    for m, terms in built.packed_items():
+    for (m, _), (lead, terms) in zip(built.items(), built.packed_items()):
+        assert lead == terms[0], m
         walked = unbuilt.packed_terms(m)
         for t in (terms, walked):
             assert type(t) is tuple and all(type(v) is int for v in t), m
@@ -402,12 +404,13 @@ def test_walk_matches_recurrence_at_width_edges(k, n):
 
 
 def _memo_monomials(family: GroebnerFamily):
-    """The whole family in print order as its indices, its term counts
-    and every term unpacked in turn, so two families built in different
-    packings compare as monomials."""
-    items = list(family.packed_items())
-    terms = list(family.build_packing.unpack([v for _, t in items for v in t]))
-    return [m for m, _ in items], [len(t) for _, t in items], terms
+    """The whole family in print order as its leads (n+1-S_M, M), its term
+    counts and every term unpacked in turn, so two families built in
+    different packings compare as monomials."""
+    leads, items = zip(*family.packed_items())
+    unpack = family.build_packing.unpack
+    terms = list(unpack([v for t in items for v in t]))
+    return list(unpack(leads)), [len(t) for t in items], terms
 
 
 def _assert_build_matches_a_wide_build(ctx: GrassmannContext) -> None:

@@ -12,8 +12,8 @@ the other lacks.  Odd pairs run the parent first, even pairs the change.
 
 The file keeps every raw record: workload, seed, pair, side, run order,
 commit and the harness's result line.  It also keeps a summary per
-workload and end-to-end metric: each side's median over the records, and
-in how many pairs the change read lower.  Running the tool again on the
+workload and end-to-end metric: each side's median and first and third
+quartiles over the records, and in how many pairs the change read lower.  Running the tool again on the
 same file adds records, so workloads can be run one at a time, and the
 summary is rewritten from all of them.  ``tests/test_bench.py`` checks
 every ``BENCH_*.json`` at the root against ``BENCHMARK.json``.
@@ -89,10 +89,22 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def quartiles(values: list[float]) -> list[float]:
+    """The first and third quartile of ``values``, inclusive method; a
+    single value is its own quartiles."""
+    if len(values) < 2:
+        return values * 2
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, q3]
+
+
 def summarise(records: list[dict]) -> dict:
-    """{workload: {metric: {unit, parent, change, pairs, lower}}}: each
-    side's median value, the number of (workload, seed) pairs with both
-    sides, and the number of those where the change read lower."""
+    """{workload: {metric: {unit, parent, change, parent_q, change_q,
+    pairs, lower}}}: each side's median value and its first and third
+    quartile, the number of (workload, seed) pairs with both sides, and
+    the number of those where the change read lower.  A claim reads off
+    one row: ``lower`` out of ``pairs``, and the median gap against the
+    parent's interquartile range."""
     summary: dict = {}
     for workload in sorted({r["workload"] for r in records}):
         mine = [r for r in records if r["workload"] == workload]
@@ -102,9 +114,9 @@ def summarise(records: list[dict]) -> dict:
         for name, metric in mine[0]["output"]["metrics"].items():
             row = table[name] = {"unit": metric["unit"]}
             for side in SIDES:
-                row[side] = statistics.median(
-                    r["output"]["metrics"][name]["value"] for r in mine if r["side"] == side
-                )
+                values = [r["output"]["metrics"][name]["value"] for r in mine if r["side"] == side]
+                row[side] = statistics.median(values)
+                row[f"{side}_q"] = quartiles(values)
             row["pairs"] = len(pairs)
             row["lower"] = sum(
                 by_pair[s, "change"][name]["value"] < by_pair[s, "parent"][name]["value"] for s in pairs
