@@ -62,18 +62,20 @@ stream into one frozenset per element with ``islice``.  ``buchberger``
 wraps each of those in a ``Poly``.
 
 ``oracle_equals_family`` builds no ``Poly``: it compares the two bases as
-maps from lead to term set, each element keyed by the exponent tuple of
-its lead and holding the frozenset of its exponent tuples, so each
-element is checked under its own index.  The oracle's lead is its own
-first term.  ``packed_items`` hands out each g_M under the lead the
-leading-term law gives its M, and the family must first have that lead
-as each element's first term, so no element passes under another's
-lead.  The oracle's side is ``_by_lead`` of its packed basis by
-``_Packing``, the family's ``_by_lead`` of every g_M by the family's own
-build packing.  So each side turns its own packed ints into plain tuples
-with its own code, the two packings never meet, and the oracle's leads
-still come only from elimination: the comparison adds no path by which
-a wrong g_M could agree.
+maps from lead to term set, so each element is checked under its own
+index.  ``packed_items`` hands out each g_M beside the lead that the
+leading-term law gives its M, and that lead must be the element's first
+and grlex-largest term, so no element passes under another's lead.  The
+oracle's lead is its own first and largest term.  On both sides a lead
+is then the largest term of its set, so the map is fixed by its term
+sets, and the maps are equal when the sets of term sets are, each
+element the frozenset of its exponent tuples.  The oracle's side is
+``_term_sets`` of its packed basis by ``_Packing``, the family's is
+``_term_sets`` of every g_M by the family's own build packing.  So each
+side turns its own packed ints into plain tuples with its own code, the
+two packings never meet, and the oracle's leads still come only from
+elimination: the comparison adds no path by which a wrong g_M could
+agree.
 
 ``reduce_basis`` and ``oracle_reduce`` work on exponent tuples, in one
 normal form, ``_normal_form``.  At every step it takes the grlex-largest
@@ -152,12 +154,6 @@ def _term_sets(packing, elements: list) -> list[frozenset]:
     ``unpack`` by ``packing`` of the packed terms of all the ``elements``."""
     monomials = packing.unpack(chain.from_iterable(elements))
     return [frozenset(islice(monomials, len(terms))) for terms in elements]
-
-
-def _by_lead(packing, elements) -> dict:
-    """{lead: term set} of the ``elements``, each a sequence of packed
-    ints led by its lead, all unpacked by ``packing``."""
-    return dict(zip(packing.unpack([terms[0] for terms in elements]), _term_sets(packing, elements)))
 
 
 def _normal_form(terms, basis: list[tuple[Monomial, frozenset]]) -> frozenset:
@@ -320,12 +316,14 @@ def oracle_reduce(f: Poly, basis: list[Poly]) -> Poly:
 def oracle_equals_family(ctx: GrassmannContext, cap: int = DEFAULT_CAP) -> bool:
     """Build the reduced basis of the dual-class generators and compare it,
     as a map from lead to term set, with the structured family, each of
-    whose elements must lead with its own lead (module docstring)."""
+    whose elements must have its own lead as its first and largest term
+    (module docstring)."""
     family = GroebnerFamily(ctx)
     if family.size > cap:
         raise OracleCapExceeded(f"instance has {family.size} basis elements, above the cap of {cap}")
     packing, basis = _reduced_basis(wbar_sequence(ctx.n + ctx.k, ctx.k)[ctx.n + 1 :])
-    leads, theirs = zip(*family.packed_items())
-    if any(lead != terms[0] for lead, terms in zip(leads, theirs)):
-        return False  # an element kept under another element's lead
-    return _by_lead(packing, basis) == _by_lead(family.build_packing, theirs)
+    elements = list(family.packed_items())
+    if any(lead != terms[0] or lead != max(terms) for lead, terms in elements):
+        return False  # an element kept under another lead, or led by a tail term
+    theirs = [terms for _, terms in elements]
+    return set(_term_sets(packing, basis)) == set(_term_sets(family.build_packing, theirs))

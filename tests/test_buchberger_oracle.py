@@ -370,17 +370,25 @@ def _copy_under_another_lead(memo):
     memo[b] = memo[a]
 
 
+def _lead_not_first(memo):
+    # the longest element's terms kept whole under its own lead, but led by
+    # a tail term, which generate would print first
+    lead = max(memo, key=lambda v: len(memo[v]))
+    memo[lead] = memo[lead][1:] + memo[lead][:1]
+
+
 class TestMisplacedElements:
     """A family whose elements are all right but kept under the wrong
-    leads: as a set of term sets the swap equals the true basis, so only a
-    check of each element under its own index tells them apart."""
+    leads, or led by the wrong term: as a set of term sets the swap and the
+    rotation equal the true basis, so only a check of each element under
+    its own index tells them apart."""
 
     @pytest.mark.parametrize("k,n", [(3, 4), (4, 5)])
-    @pytest.mark.parametrize("misplace", [_swap_two_smallest, _copy_under_another_lead],
+    @pytest.mark.parametrize("misplace", [_swap_two_smallest, _copy_under_another_lead, _lead_not_first],
                              ids=lambda c: c.__name__.strip("_"))
     def test_mismatch(self, monkeypatch, capsys, misplace, k, n):
         ctx = GrassmannContext(k, n)
-        true = GroebnerFamily(ctx).polynomials()
+        true = list(GroebnerFamily(ctx).packed_items())
         materialise = GroebnerFamily._materialise
 
         def misplaced(self):
@@ -389,10 +397,10 @@ class TestMisplacedElements:
             return memo
 
         monkeypatch.setattr(GroebnerFamily, "_materialise", misplaced)
-        wrong = GroebnerFamily(ctx).polynomials()
-        assert wrong != true
-        if misplace is _swap_two_smallest:
-            assert set(wrong) == set(true)
+        wrong = list(GroebnerFamily(ctx).packed_items())
+        assert [terms for _, terms in wrong] != [terms for _, terms in true]
+        if misplace is not _copy_under_another_lead:
+            assert {frozenset(terms) for _, terms in wrong} == {frozenset(terms) for _, terms in true}
         assert not oracle_equals_family(ctx)
         assert run(["verify", "-k", str(k), "-n", str(n)]) == 1
         assert capsys.readouterr().out == f"MISMATCH: family and oracle disagree for k={k}, n={n}\n"
