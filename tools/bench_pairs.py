@@ -13,9 +13,9 @@ the other lacks.  Odd pairs run the parent first, even pairs the change.
 The file keeps every raw record: workload, seed, pair, side, run order,
 commit and the harness's result line.  It also keeps a summary per
 workload and end-to-end metric: each side's median and first and third
-quartiles over the records, and in how many pairs the change read lower.  Running the tool again on the
-same file adds records, so workloads can be run one at a time, and the
-summary is rewritten from all of them.  ``tests/test_bench.py`` checks
+quartiles over the records, and in how many pairs the change read lower.
+Running the tool again on the same file adds records, so workloads can be
+run one at a time, and the summary is rewritten from all of them.  ``tests/test_bench.py`` checks
 every ``BENCH_*.json`` at the root against ``BENCHMARK.json``.
 
 The tool refuses, with exit 2 and before any run, what it cannot run or
