@@ -29,7 +29,7 @@ from .steenrod import (
     tensor_square_sw,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "Poly",

@@ -103,14 +103,20 @@ __all__ = [
     "oracle_equals_family",
     "oracle_reduce",
     "OracleCapExceeded",
-    "DEFAULT_CAP",
+    "ORACLE_CAP",
 ]
 
-DEFAULT_CAP = 256
+# The most basis elements ``oracle_equals_family`` compares, checked before
+# any work and sized by the oracle's measured cost.  The worst shape inside
+# it is at k = 2: (2,790), 792 elements, took 1.9-2.3 s at 61 MiB (best of
+# 3 in its own process, in two series, 2-core Xeon VM, Python 3.11), and the
+# worst at k = 3 to 6, (3,37), (4,13), (5,8) and (6,6), at most 0.26 s.
+# 792 is binom(12, 5), the whole family of G_{6,6}.
+ORACLE_CAP = 792
 
 
 class OracleCapExceeded(ValueError):
-    """The requested instance is larger than the configured oracle cap."""
+    """The instance has more basis elements than ``ORACLE_CAP``."""
 
 
 def s_polynomial(f: Poly, g: Poly) -> Poly:
@@ -313,14 +319,17 @@ def oracle_reduce(f: Poly, basis: list[Poly]) -> Poly:
     return Poly._make(f.k, _normal_form(f.terms, [(g.leading_term(), g.terms) for g in basis]))
 
 
-def oracle_equals_family(ctx: GrassmannContext, cap: int = DEFAULT_CAP) -> bool:
+def oracle_equals_family(ctx: GrassmannContext) -> bool:
     """Build the reduced basis of the dual-class generators and compare it,
     as a map from lead to term set, with the structured family, each of
     whose elements must have its own lead as its first and largest term
-    (module docstring)."""
+    (module docstring).  A family of more than ``ORACLE_CAP`` elements
+    raises ``OracleCapExceeded`` first."""
     family = GroebnerFamily(ctx)
-    if family.size > cap:
-        raise OracleCapExceeded(f"instance has {family.size} basis elements, above the cap of {cap}")
+    if family.size > ORACLE_CAP:
+        raise OracleCapExceeded(
+            f"instance has {family.size} basis elements, above ORACLE_CAP = {ORACLE_CAP}"
+        )
     packing, basis = _reduced_basis(wbar_sequence(ctx.n + ctx.k, ctx.k)[ctx.n + 1 :])
     elements = list(family.packed_items())
     if any(lead != terms[0] or lead != max(terms) for lead, terms in elements):

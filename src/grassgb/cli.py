@@ -36,7 +36,7 @@ import sys
 from collections.abc import Iterator
 from types import SimpleNamespace
 
-from .buchberger_oracle import DEFAULT_CAP, oracle_equals_family
+from .buchberger_oracle import oracle_equals_family
 from .cohomology import normal_form, standard_monomials
 from .dual_classes import wbar_explicit
 from .f2poly import format_monomial, format_poly, parse
@@ -148,7 +148,7 @@ def _cmd_dual(args) -> int:
 
 def _cmd_verify(args) -> int:
     ctx = GrassmannContext(args.k, args.n)
-    if oracle_equals_family(ctx, cap=args.cap):
+    if oracle_equals_family(ctx):
         count = GroebnerFamily(ctx).size
         print(f"OK: reduced Groebner basis matches oracle ({count} elements)")
         return 0
@@ -184,14 +184,6 @@ def _int(text: str) -> int:
         return int(text)
     except ValueError:
         raise ValueError(f"invalid int value: {text!r}") from None
-
-
-def _cap(text: str) -> int:
-    """``--cap``: an int, at least 1."""
-    cap = _int(text)
-    if cap < 1:
-        raise ValueError(f"must be at least 1, got {cap}")
-    return cap
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -237,12 +229,7 @@ _COMMANDS = (
         _K,
         ("-r", "R", _int, True, None, "the degree r of the class"),
     )),
-    ("verify", _cmd_verify, "compare the family with the oracle", (
-        _K,
-        _N,
-        ("--cap", "CAP", _cap, False, DEFAULT_CAP,
-         f"most basis elements the oracle builds (default: {DEFAULT_CAP})"),
-    )),
+    ("verify", _cmd_verify, "compare the family with the oracle", (_K, _N)),
     ("immersion-check", _cmd_immersion_check, "run the obstruction checks", (
         ("-n", "N", _int, True, None, "n of G_{5,n}, a positive multiple of 8"),
     )),

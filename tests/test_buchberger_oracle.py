@@ -9,6 +9,7 @@ import pytest
 import grassgb
 from grassgb import buchberger_oracle
 from grassgb.buchberger_oracle import (
+    ORACLE_CAP,
     OracleCapExceeded,
     _Packing,
     _times_units,
@@ -44,9 +45,9 @@ REFERENCE_INSTANCES = [
 
 
 # with REFERENCE_INSTANCES, every dual-class size whose basis, binom(n+k,
-# k-1) elements, is within the default cap of 256: all of them at k >= 3,
-# and at k = 2, where the tuple reference takes seconds per size past
-# n = 100, the sizes up to n = 12 and the edge of the cap, n = 254
+# k-1) elements, is within 256 elements: all of them at k >= 3, and at
+# k = 2, where the tuple reference takes seconds per size past n = 100,
+# the sizes up to n = 12 and the last one within 256, n = 254
 CAP_SIZES = [
     (k, n)
     for k in range(2, 6)
@@ -286,9 +287,38 @@ class TestOracleEqualsFamily:
         assert oracle_equals_family(GrassmannContext(3, 4))
         assert runs == [(7, 3)]
 
-    def test_cap_guard(self):
-        with pytest.raises(OracleCapExceeded):
-            oracle_equals_family(GrassmannContext(5, 8), cap=100)
+    def test_cap_guard(self, monkeypatch):
+        # at k = 2 the family has n+2 elements, so n = ORACLE_CAP - 1 is the
+        # first n past the guard; it fails on the guard before any elimination
+        monkeypatch.setattr(
+            buchberger_oracle, "_reduced_basis", lambda gens: pytest.fail("eliminated")
+        )
+        n = ORACLE_CAP - 1
+        assert GroebnerFamily(GrassmannContext(2, n)).size == ORACLE_CAP + 1
+        with pytest.raises(OracleCapExceeded) as caught:
+            oracle_equals_family(GrassmannContext(2, n))
+        assert str(caught.value) == (
+            f"instance has {ORACLE_CAP + 1} basis elements, above ORACLE_CAP = {ORACLE_CAP}"
+        )
+
+    def test_last_size_inside_the_cap_reaches_the_oracle(self, monkeypatch):
+        # the last n inside the guard passes it and hands the dual classes
+        # to the elimination, which is recorded, not run
+        calls = []
+
+        class Reached(Exception):
+            pass
+
+        def record(gens):
+            calls.append(gens)
+            raise Reached
+
+        monkeypatch.setattr(buchberger_oracle, "_reduced_basis", record)
+        n = ORACLE_CAP - 2
+        assert GroebnerFamily(GrassmannContext(2, n)).size == ORACLE_CAP
+        with pytest.raises(Reached):
+            oracle_equals_family(GrassmannContext(2, n))
+        assert calls == [[wbar_recurrence(n + 1, 2), wbar_recurrence(n + 2, 2)]]
 
 
 def _tails(memo):

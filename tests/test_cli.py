@@ -16,7 +16,7 @@ from reference import (
 )
 
 import grassgb
-from grassgb import cli
+from grassgb import buchberger_oracle, cli
 from grassgb.cli import run
 from grassgb.f2poly import Poly, format_poly
 from grassgb.groebner_family import GrassmannContext, GroebnerFamily, g_direct
@@ -140,6 +140,37 @@ def test_generate_output_is_golden(capsys, k, n):
         assert code == 0
         digests.append(hashlib.sha256(out.encode()).hexdigest()[:16])
     assert tuple(digests) == GOLDEN_GENERATE[k, n]
+
+
+# (exit code, sha256 prefix of stdout, of stderr) of command lines that no
+# other test pins byte for byte, EMPTY that of the empty text.  The
+# verify cases hold its OK line and its guard line, at k = 2 the first n
+# past ORACLE_CAP = 792 and at k = 5 the first n past it, (5,9)
+EMPTY = hashlib.sha256(b"").hexdigest()[:16]
+GOLDEN_COMMANDS = {
+    ("reduce", "-k", "3", "-n", "5", "w1^7*w2 + w3^4"): (0, "fb8a0cff17c83e14", EMPTY),
+    ("reduce", "-k", "4", "-n", "6", "w1^11 + w2^3*w4^2 + w3^5"): (0, "ca21822d55dd4814", EMPTY),
+    ("reduce", "-k", "2", "-n", "3", "1 + w1^4 + w2^2"): (0, "dabe7da2fd341e26", EMPTY),
+    ("reduce", "-k", "2", "-n", "2", "w1 w2"): (2, EMPTY, "03b3850ee3121bb7"),
+    ("dual", "-k", "3", "-r", "12"): (0, "832351428a495bc4", EMPTY),
+    ("dual", "-k", "5", "-r", "9"): (0, "57527ac501e80047", EMPTY),
+    ("basis", "-k", "3", "-n", "5"): (0, "3705417bbb2f8c2d", EMPTY),
+    ("basis", "-k", "4", "-n", "4"): (0, "fa05b57d7c147b37", EMPTY),
+    ("immersion-check", "-n", "16"): (0, "5ae32e29d6e89f09", EMPTY),
+    ("immersion-check", "-n", "24"): (0, "fb094f90a3e0252d", EMPTY),
+    ("immersion-check", "-n", "12"): (2, EMPTY, "e95c5afedd00e921"),
+    ("verify", "-k", "2", "-n", "5"): (0, "b36af227a7e65685", EMPTY),
+    ("verify", "-k", "4", "-n", "4"): (0, "f104f1af849be8e9", EMPTY),
+    ("verify", "-k", "2", "-n", "791"): (2, EMPTY, "cc2c1c0ea6a940af"),
+    ("verify", "-k", "5", "-n", "9"): (2, EMPTY, "91f9dbebf25fcae1"),
+}
+
+
+@pytest.mark.parametrize("argv", GOLDEN_COMMANDS, ids=" ".join)
+def test_command_output_is_golden(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    digests = [hashlib.sha256(text.encode()).hexdigest()[:16] for text in (out, err)]
+    assert (code, *digests) == GOLDEN_COMMANDS[argv]
 
 
 @pytest.mark.parametrize("k,n,m", [(2, 2, (1,)), (4, 9, (2, 0, 3)), (6, 7, (1, 1, 1, 1, 1))])
@@ -267,16 +298,22 @@ def test_verify_ok(capsys):
 
 
 def test_verify_mismatch_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr("grassgb.cli.oracle_equals_family", lambda ctx, cap: False)
+    monkeypatch.setattr("grassgb.cli.oracle_equals_family", lambda ctx: False)
     code, out, _ = invoke(capsys, "verify", "-k", "2", "-n", "2")
     assert code == 1
     assert out == "MISMATCH: family and oracle disagree for k=2, n=2\n"
 
 
-def test_verify_cap(capsys):
-    code, _, err = invoke(capsys, "verify", "-k", "5", "-n", "8")
-    assert code == 2
-    assert "cap" in err
+def test_verify_cap(capsys, monkeypatch):
+    # at k = 2 the family has n+2 elements: n = 791 is the first past
+    # ORACLE_CAP = 792, and it exits 2 on the guard before any elimination
+    monkeypatch.setattr(
+        buchberger_oracle, "_reduced_basis", lambda gens: pytest.fail("eliminated")
+    )
+    assert buchberger_oracle.ORACLE_CAP == 792
+    code, out, err = invoke(capsys, "verify", "-k", "2", "-n", "791")
+    assert (code, out) == (2, "")
+    assert err == "error: instance has 793 basis elements, above ORACLE_CAP = 792\n"
 
 
 def test_verify_cap_past_an_index_sized_count(capsys):
@@ -285,7 +322,7 @@ def test_verify_cap_past_an_index_sized_count(capsys):
     assert (code, out) == (2, "")
     assert err == (
         "error: instance has 14178432001255530832199756818174443525 basis elements,"
-        " above the cap of 256\n"
+        " above ORACLE_CAP = 792\n"
     )
 
 
@@ -525,6 +562,12 @@ REDUCE_USAGE = "usage: grassgb reduce [-h] -k K -n N POLY\n"
             REDUCE_USAGE,
             "grassgb reduce: error: argument -k: invalid int value: ''",
         ),
+        # verify takes no --cap: its guard is the constant ORACLE_CAP
+        (
+            ("verify", "-k", "3", "-n", "4", "--cap", "256"),
+            "usage: grassgb verify [-h] -k K -n N\n",
+            "grassgb verify: error: unrecognized arguments: --cap 256",
+        ),
     ],
 )
 def test_parse_errors_exit_2_with_usage_and_one_error_line(capsys, argv, usage, error):
@@ -540,24 +583,6 @@ def test_value_starting_with_dash_reaches_the_package(capsys):
     code, out, err = invoke(capsys, "immersion-check", "-n", "-8")
     assert (code, out) == (2, "")
     assert err == "error: n must be a positive multiple of 8, got -8\n"
-
-
-@pytest.mark.parametrize("cap", ["0", "-5"])
-def test_verify_rejects_cap_below_1_when_parsing(capsys, monkeypatch, cap):
-    monkeypatch.setattr(cli, "oracle_equals_family", lambda ctx, cap: pytest.fail("ran"))
-    code, out, err = invoke(capsys, "verify", "-k", "3", "-n", "4", "--cap", cap)
-    assert (code, out) == (2, "")
-    assert err == (
-        "usage: grassgb verify [-h] -k K -n N [--cap CAP]\n"
-        f"grassgb verify: error: argument --cap: must be at least 1, got {cap}\n"
-    )
-
-
-def test_verify_accepts_cap_1(capsys):
-    # the least cap parses; the oracle then reports the instance above it
-    code, out, err = invoke(capsys, "verify", "-k", "2", "-n", "2", "--cap", "1")
-    assert (code, out) == (2, "")
-    assert err == "error: instance has 4 basis elements, above the cap of 1\n"
 
 
 @pytest.mark.parametrize(
@@ -577,8 +602,8 @@ def test_verify_accepts_cap_1(capsys):
         # a repeated option: the last one wins
         (("generate", "-k", "9", "-n", "4", "-k", "3"), ("generate", "-k", "3", "-n", "4")),
         (
-            ("verify", "-k", "3", "-n", "3", "--cap", "1", "--cap=256"),
-            ("verify", "-k", "3", "-n", "3"),
+            ("generate", "-k", "3", "-n", "3", "--format", "json", "--format=text"),
+            ("generate", "-k", "3", "-n", "3"),
         ),
         (("dual", "-r4", "-k2"), ("dual", "-k", "2", "-r", "4")),
         # like -k3, a short option's value attached after '=', as argparse took it;
@@ -646,7 +671,7 @@ HELP_TEXTS = {
         "  -r R        the degree r of the class\n"
     ),
     "verify": (
-        "usage: grassgb verify [-h] -k K -n N [--cap CAP]\n"
+        "usage: grassgb verify [-h] -k K -n N\n"
         "\n"
         "compare the family with the oracle\n"
         "\n"
@@ -654,7 +679,6 @@ HELP_TEXTS = {
         "  -h, --help  show this help message and exit\n"
         "  -k K        the dimension k of the subspaces\n"
         "  -n N        n, for the Grassmannian of k-planes in R^(n+k)\n"
-        "  --cap CAP   most basis elements the oracle builds (default: 256)\n"
     ),
     "immersion-check": (
         "usage: grassgb immersion-check [-h] -n N\n"
