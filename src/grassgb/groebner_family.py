@@ -696,13 +696,12 @@ class GroebnerFamily(Packing):
 
     def items(self) -> Iterator[tuple[MultiIndex, Poly]]:
         """(M, g_M) over the whole family, in the order ``generate``
-        prints: the one place M is unpacked, from all the leads at once by
-        a packing of k-1 variables at the build's width, whose fields are
-        the lowest k-1 of a lead, a_2, ..., a_k."""
+        prints: the one place M is unpacked, from all the leads at once,
+        as the build packing's fields a_2, ..., a_k of the leads, which
+        the printers cut M's text from too."""
         build = self.build_packing
         leads, elements = zip(*self.packed_items())
-        indices = Packing(self.k - 1, build.mask).unpack(leads)
-        return zip(indices, map(build.to_poly, elements))
+        return zip(zip(*build.fields(leads)[1:]), map(build.to_poly, elements))
 
     def polynomials(self) -> list[Poly]:
         return [g for _, g in self.items()]

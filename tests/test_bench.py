@@ -45,7 +45,7 @@ def test_bench_files_match_the_benchmark():
             assert {name: m["unit"] for name, m in metrics.items()} == units, (path.name, r)
             assert metrics["ok_ratio"]["value"] == 1, (path.name, r)
             assert r["output"]["correct"] and not r["output"]["failed"], (path.name, r)
-        # one commit per side and one --seconds: a summary mixes no two runs
+        # one commit per side and one run length: a summary mixes no two runs
         for side in ("parent", "change"):
             assert len({r["commit"] for r in records if r["side"] == side}) == 1, (path.name, side)
         assert len({r["seconds"] for r in records}) == 1, path.name
@@ -161,7 +161,6 @@ def test_bench_pairs_refuses_a_tree_without_the_harness(bench_pairs, tmp_path, c
     [
         (("--parent-commit", "p2"), "holds parent commit p1, not p2"),
         (("--change-commit", "c2"), "holds change commit c1, not c2"),
-        (("--seconds", "10"), "holds runs of --seconds 20.0, not 10.0"),
     ],
 )
 def test_bench_pairs_refuses_to_mix_runs(bench_pairs, tmp_path, capsys, extra, reason):
@@ -176,6 +175,22 @@ def test_bench_pairs_refuses_to_mix_runs(bench_pairs, tmp_path, capsys, extra, r
     # argparse keeps the last of a repeated option, so extra overrides _main's
     assert _main(bench_pairs, parent, change, out, *extra) == 2
     assert capsys.readouterr().err == f"bench_pairs: {out} {reason}\n"
+    assert out.read_text() == before
+
+
+def test_bench_pairs_refuses_runs_of_another_length(bench_pairs, tmp_path, capsys):
+    # the run length is BENCHMARK.json's run_seconds, 20 s, and no option:
+    # an --out whose records ran 10 s is refused, and --seconds is unknown
+    parent, change = _trees(tmp_path)
+    out = tmp_path / "out.json"
+    out.write_text(json.dumps({"records": [{"side": "parent", "commit": "p1", "seconds": 10.0}]}))
+    before = out.read_text()
+    assert _main(bench_pairs, parent, change, out) == 2
+    assert capsys.readouterr().err == f"bench_pairs: {out} holds runs of 10.0 s, not run_seconds 20\n"
+    with pytest.raises(SystemExit) as exit_:
+        _main(bench_pairs, parent, change, out, "--seconds", "20")
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --seconds 20" in capsys.readouterr().err
     assert out.read_text() == before
 
 

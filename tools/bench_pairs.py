@@ -2,29 +2,32 @@
 
     python3 tools/bench_pairs.py --parent DIR --change DIR \\
         --parent-commit REV --change-commit REV \\
-        --workload family --seeds 1-10 --seconds 20 --out BENCH_<n>.json
+        --workload family --seeds 1-10 --out BENCH_<n>.json
 
 DIR is a checkout of each side, made by ``git archive`` or a plain copy.
 Each pair runs ``bench/run.py --workload W --seed S --seconds X --trace 0``
-once in each tree, each side with the harness of its own tree and with
-PYTHONDONTWRITEBYTECODE=1, so that neither tree gains a ``__pycache__``
-the other lacks.  Odd pairs run the parent first, even pairs the change.
+once in each tree, X being ``BENCHMARK.json``'s ``run_seconds``, each side
+with the harness of its own tree and with PYTHONDONTWRITEBYTECODE=1, so
+that neither tree gains a ``__pycache__`` the other lacks.  Odd pairs run
+the parent first, even pairs the change.
 
 The file keeps every raw record: workload, seed, pair, side, run order,
-commit and the harness's result line.  It also keeps a summary per
-workload and end-to-end metric: each side's median and first and third
-quartiles over the records, and in how many pairs the change read lower.
-Running the tool again on the same file adds records, so workloads can be
-run one at a time, and the summary is rewritten from all of them.  ``tests/test_bench.py`` checks
-every ``BENCH_*.json`` at the root against ``BENCHMARK.json``.
+commit, run length and the harness's result line.  It also keeps a
+summary per workload and end-to-end metric: each side's median and first
+and third quartiles over the records, and in how many pairs the change
+read lower.  Running the tool again on the same file adds records, so
+workloads can be run one at a time, and the summary is rewritten from all
+of them.  ``tests/test_bench.py`` checks every ``BENCH_*.json`` at the
+root against ``BENCHMARK.json``.
 
 The tool refuses, with exit 2 and before any run, what it cannot run or
 would mix into one summary: an empty or descending part of ``--seeds``
 (argparse's own error), a ``--workload`` that ``BENCHMARK.json`` does not
 list, a tree with no ``bench/run.py``, and an ``--out`` file whose records
-name another commit for a side or another ``--seconds``.  A harness run
-that exits non-zero ends the tool with exit 1 and one line that names the
-side, the seed and the exit code; ``--out`` keeps the pairs before it.
+name another commit for a side or ran for another length than
+``run_seconds``.  A harness run that exits non-zero ends the tool with
+exit 1 and one line that names the side, the seed and the exit code;
+``--out`` keeps the pairs before it.
 """
 
 from __future__ import annotations
@@ -55,13 +58,14 @@ def seeds(text: str) -> list[int]:
 
 
 def refusal(
-    workload: str, trees: dict, commits: dict, seconds: float, out: Path, records: list[dict]
+    spec: dict, workload: str, trees: dict, commits: dict, out: Path, records: list[dict]
 ) -> str | None:
-    """Why the run must not start, or None: a workload the benchmark does
-    not declare, a tree with no harness, or a record of ``out`` from
-    another commit of its side or another ``--seconds``, which one summary
-    would mix with the new ones."""
-    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    """Why the run must not start, or None: a workload the benchmark
+    ``spec`` does not declare, a tree with no harness, or a record of
+    ``out`` from another commit of its side or of a run length other than
+    the spec's ``run_seconds``, which one summary would mix with the new
+    ones."""
+    names = [w["name"] for w in spec["workloads"]]
     if workload not in names:
         return f"--workload {workload} is not in BENCHMARK.json ({', '.join(names)})"
     for side, tree in trees.items():
@@ -70,8 +74,8 @@ def refusal(
     for r in records:
         if r["commit"] != commits[r["side"]]:
             return f"{out} holds {r['side']} commit {r['commit']}, not {commits[r['side']]}"
-        if r["seconds"] != seconds:
-            return f"{out} holds runs of --seconds {r['seconds']}, not {seconds}"
+        if r["seconds"] != spec["run_seconds"]:
+            return f"{out} holds runs of {r['seconds']} s, not run_seconds {spec['run_seconds']}"
     return None
 
 
@@ -132,14 +136,15 @@ def main(argv=None) -> int:
     parser.add_argument("--change-commit", required=True)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=seeds, default=seeds("1-10"))
-    parser.add_argument("--seconds", type=float, default=20)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = float(spec["run_seconds"])
     data = json.loads(args.out.read_text()) if args.out.exists() else {"records": []}
     trees = {"parent": args.parent, "change": args.change}
     commits = {"parent": args.parent_commit, "change": args.change_commit}
-    reason = refusal(args.workload, trees, commits, args.seconds, args.out, data["records"])
+    reason = refusal(spec, args.workload, trees, commits, args.out, data["records"])
     if reason:
         print(f"bench_pairs: {reason}", file=sys.stderr)
         return 2
@@ -153,13 +158,13 @@ def main(argv=None) -> int:
         order = SIDES if pair % 2 else SIDES[::-1]
         for position, side in enumerate(order):
             try:
-                output = run_once(trees[side], args.workload, seed, args.seconds)
+                output = run_once(trees[side], args.workload, seed, seconds)
             except subprocess.CalledProcessError as e:
                 print(f"bench_pairs: the {side} run of seed {seed} exited with code {e.returncode}",
                       file=sys.stderr)
                 return 1
             data["records"].append({
-                "workload": args.workload, "seed": seed, "seconds": args.seconds,
+                "workload": args.workload, "seed": seed, "seconds": seconds,
                 "pair": pair, "order": position, "side": side, "commit": commits[side],
                 "output": output,
             })
