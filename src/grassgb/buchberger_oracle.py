@@ -22,6 +22,38 @@ leads, and it is homogeneous.  Once every generator has been used and k
 consecutive degrees have every monomial as a lead, every monomial of a
 higher degree is w_j times a lead, so no minimal lead lies above.
 
+The projection.  Call a degree e full when every monomial of degree e is
+a lead; then I_e holds every form of degree e, as dim I_e is the number
+of leads of degree e.  In degree d let Z = {j : degree d - j is full}.
+Each monomial of degree d with a factor w_j, j in Z, is w_j times a form
+of I_{d-j}, so it lies in I; call their span J_d.  Setting the w_j with j
+in Z to 0 is a ring map pi, and f - pi(f) lies in J_d for every f of
+degree d, so I_d = J_d + pi(I_d), where pi(I_d) lies on the monomials
+free of Z and J_d on the others.  Hence LM(I_d) is the monomials of J_d
+together with LM(pi(I_d)); and a reduced element led by a monomial free
+of Z has no term in J_d, whose monomials are all leads, so it is the
+reduced row of pi(I_d) with that lead.  The rows m*f_i span I_d, pi is
+linear and kills m*f_i when m has a factor w_j, j in Z, so the rows
+m*pi(f_i) with m free of Z span pi(I_d).  So degree d eliminates only over
+the columns free of Z, builds rows only for m free of Z, skips f_i when
+pi(f_i) = 0, and stops building rows once every column it kept is a
+pivot.  The monomials it dropped are recorded as leads of degree d: each
+is w_j times a lead of degree d - j, so none is minimal, and the later
+degrees read them for fullness and minimality.  The F5 criterion needs
+a lead's tag to be a generator i with the lead in LM((f_1, ..., f_i)).
+A degree with Z empty tags each pivot with the generator whose row first
+made it one.  In a projected degree neither kind of lead has a
+known tag: a pivot found by the rows of f_1, ..., f_i is a lead of
+pi((f_1, ..., f_i)_d), not always of (f_1, ..., f_i)_d.  So every lead
+of a projected degree is tagged s, past every generator, and the
+criterion skips no row for it.  Z comes only from the oracle's own
+eliminations of the lower degrees: it uses no Hilbert series and takes
+nothing from the family, and every lead and every reduced element still
+comes from a row reduction.  On the dual classes Z is empty up to degree
+kn+1, as the quotient is nonzero up to degree kn, so the projection
+shortens only the degrees kn+2, ..., kn+k, whose elements are bare
+monomials.
+
 The hot loop runs at C level where it can.  The columns of degree d are
 built packed, from the lower degrees, with no recursion: every monomial
 of degree d is w_j times one of degree d - j, so they are the union over
@@ -29,10 +61,12 @@ j of the columns of degree d - j plus the packed w_j, sorted.  One dict
 per degree maps each column to its one-hot int, 1 << its index, so the
 row of m*f_i is the sum of one lookup per term t of f_i, of m + t, and
 the rows of every m for one f_i come from one ``map(sum, zip(...))``
-over one map per term.  The leads that are not minimal in degree d are
-one set, {l + w_j : l a lead of degree d - j}, built once per degree.  A
-minimal row is back-reduced only at its bits that are pivots, ``row &
-mask``, where the mask is the sum of the pivots' one-hot ints.
+over one map per term.  A packed monomial is free of Z when it has no
+bit in the sum of the fields of the w_j in Z.  The leads that are not
+minimal in degree d are one set, {l + w_j : l a lead of degree d - j},
+built once per degree.  A minimal row is back-reduced only at its bits
+that are pivots, ``row & mask``, where the mask is the sum of the
+pivots' one-hot ints.
 
 The bound.  If the input contains a regular sequence of k generators, of
 degrees d_1, ..., d_k, the quotient by them has the Hilbert series
@@ -108,10 +142,11 @@ __all__ = [
 
 # The most basis elements ``oracle_equals_family`` compares, checked before
 # any work and sized by the oracle's measured cost.  The worst shape inside
-# it is at k = 2: (2,790), 792 elements, took 1.9-2.3 s at 61 MiB (best of
-# 3 in its own process, in two series, 2-core Xeon VM, Python 3.11), and the
-# worst at k = 3 to 6, (3,37), (4,13), (5,8) and (6,6), at most 0.26 s.
-# 792 is binom(12, 5), the whole family of G_{6,6}.
+# it is at k = 2: (2,790), 792 elements, took 2.2-2.3 s at 61 MiB (best of
+# 3 in its own process, in two series, 2-core Xeon VM, Python 3.11), about
+# two thirds of it in building rows, and the worst at k = 3 to 6, (3,37),
+# (4,13), (5,8) and (6,6), at most 0.28 s.  792 is binom(12, 5), the whole
+# family of G_{6,6}.
 ORACLE_CAP = 792
 
 
@@ -218,15 +253,22 @@ def _reduced_basis(generators: list[Poly]) -> tuple[_Packing, list[list[int]]]:
     packing = _Packing(k, bound + k)  # the run stops by degree bound + k - 1
     gens = [list(map(packing.pack, g.terms)) for g in generators]
     units = [packing.pack((0,) * (j - 1) + (1,) + (0,) * (k - j)) for j in range(1, k + 1)]
+    fields = [packing._top << s for s in packing._shifts]  # the bits of a_1, ..., a_k
     columns = [[0]]  # columns[e]: the packed monomials of degree e
     d = min(degrees)
-    leads: list[dict[int, int]] = [{} for _ in range(d)]  # lead -> its generator
+    leads: list[dict[int, int]] = [{} for _ in range(d)]  # lead -> its tag
     basis = []
     full = 0  # consecutive degrees in which every monomial is a lead
     while d <= max(degrees) or full < k:
         while len(columns) <= d:
             columns.append(sorted(_times_units(columns, units)))
-        cols = columns[d]
+        # the fields of the w_j in Z, those whose degree d - j is full
+        zmask = sum(
+            field
+            for j, field in enumerate(fields[:d], 1)
+            if len(leads[d - j]) == len(columns[d - j])
+        )
+        cols = [c for c in columns[d] if not c & zmask] if zmask else columns[d]
         # one_hot[m]: the int whose one set bit is m's column
         one_hot = dict(zip(cols, map(lshift, repeat(1), range(len(cols)))))
         # pivots[b] is the row whose lead is column b - 1, the bit_length of
@@ -235,12 +277,14 @@ def _reduced_basis(generators: list[Poly]) -> tuple[_Packing, list[list[int]]]:
         pivots = [0] * (len(cols) + 1)
         found: dict[int, int] = {}
         for i, (e, f) in enumerate(zip(degrees, gens)):
-            if e > d:
+            if zmask:
+                f = [t for t in f if not t & zmask]  # pi(f_i)
+            if e > d or not f or len(found) == len(cols):
                 continue
             earlier = leads[d - e]
             # the F5 criterion: m*f_i adds nothing new when m is a lead of
-            # f_1, ..., f_{i-1}
-            ms = [m for m in columns[d - e] if earlier.get(m, i) >= i]
+            # f_1, ..., f_{i-1}; and pi(m*f_i) is 0 when m has a w_j in Z
+            ms = [m for m in columns[d - e] if earlier.get(m, i) >= i and not m & zmask]
             # the row of m*f_i is the sum of one_hot[m + t] over the terms t
             # of f_i, built for every m at once, one term t at a time
             shifted = [map(one_hot.__getitem__, map(add, repeat(t), ms)) for t in f]
@@ -252,9 +296,18 @@ def _reduced_basis(generators: list[Poly]) -> tuple[_Packing, list[list[int]]]:
                 if b:
                     pivots[b] = row
                     found[cols[b - 1]] = i
-        # a lead is minimal iff it is no w_j times a lead j degrees lower
+                    if len(found) == len(cols):
+                        break  # every kept column is a pivot: no row adds one
+        # a lead is minimal iff it is no w_j times a lead j degrees lower;
+        # the dropped monomials are such multiples
         minimal = found.keys() - _times_units(leads, units)
-        leads.append(found)
+        if zmask:
+            # every lead of a projected degree, dropped or found, is tagged
+            # len(gens), on which the F5 criterion skips no row
+            dropped = [c for c in columns[d] if c & zmask]
+            leads.append(dict.fromkeys(chain(dropped, found), len(gens)))
+        else:
+            leads.append(found)
         if minimal:
             mask = sum(map(one_hot.__getitem__, found))
             for lead in minimal:

@@ -114,6 +114,14 @@ class TestBuchberger:
         gens = [parse(t, 3) for t in ("w1^2", "w2*w3", "w3^4", "w2^3")]
         assert buchberger(gens) == sorted(gens, key=lambda g: grlex_key(g.leading_term()))
 
+    def test_dropped_monomials_are_recorded_as_leads(self):
+        # degree 1 is full, degree 2 is not (w2 is no lead), degrees 3 and 4
+        # are: degree 3 drops w1*w2 and degree 4 drops w1^4 and w1^2*w2, and
+        # each must keep them as leads, or a later degree finds a multiple of
+        # them minimal
+        gens = [parse("w1", 2), parse("w2^2", 2)]
+        assert buchberger(gens) == gens
+
     def test_dual_class_run_k2(self):
         gens = [wbar_recurrence(3, 2), wbar_recurrence(4, 2)]
         assert gens[0] == parse("w1^3", 2)
@@ -497,6 +505,19 @@ class TestMatchesReference:
             assert gb == buchberger(duals), (k, n)
             assert reduce_basis(gb) == gb, (k, n)
         assert extras >= 8
+
+    def test_random_zero_dimensional_sets(self, rng):
+        # a power of each w_j makes degrees full early, and the random forms
+        # then add rows in the projected degrees above them, where the F5
+        # criterion must skip no row for a dropped lead
+        for _ in range(300):
+            k = rng.randint(2, 4)
+            powers = [[rng.randint(1, 3) * (i == j) for i in range(k)] for j in range(k)]
+            gens = list(map(Poly.monomial, powers))
+            for _ in range(rng.randint(1, 3)):
+                gens.append(random_homogeneous(rng, k, rng.randint(1, 3 * k)))
+            rng.shuffle(gens)
+            assert buchberger(gens) == reduce_basis_reference(buchberger_reference(gens)), gens
 
     def test_random_nonhomogeneous_generators(self, rng):
         # buchberger refuses these; reduce_basis stays generic, so it must

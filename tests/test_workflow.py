@@ -4,7 +4,10 @@ list but at its last command, so ``test "$code" = 2 && grep ...`` passes
 a wrong exit code.  No ``run:`` line may put a command after ``test`` or
 ``[`` and ``&&``; the console-script step checks exit codes with its one
 ``exits`` function instead, whose behaviour under ``bash -e`` is tested
-here too."""
+here too.  Neither -e nor pipefail sees the exit code of a command inside
+a process substitution ``<(...)`` either, so no ``run:`` line may run
+``grassgb`` inside one: ``diff <(grassgb ...) <(echo ...)`` passes a
+``grassgb`` that prints the right text and then fails."""
 
 import re
 import shutil
@@ -17,6 +20,9 @@ WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "t
 
 # test or [ in command position, then && later on the line
 TEST_THEN_AND = re.compile(r"(?:^|[;&|({]|\b(?:do|then|else)\b)\s*(?:test|\[)\s.*&&")
+
+# the console script as a command inside <(...), before any nested paren
+GRASSGB_IN_SUBSTITUTION = re.compile(r"<\((?:[^()]*[\s;|&])?grassgb(?![\w.])")
 
 
 def _run_lines(text):
@@ -47,6 +53,17 @@ def test_no_run_line_puts_a_command_after_test_and():
     assert not offenders, "\n".join(offenders)
 
 
+def test_no_run_line_runs_grassgb_inside_a_process_substitution():
+    found = GRASSGB_IN_SUBSTITUTION.search
+    assert found("diff <(timeout 30 grassgb verify -k 5 -n 8) <(echo OK)")
+    assert found("diff only.out <(grassgb generate -k 5 -n 8 | grep -F x)")
+    assert not found("exits 0 grassgb dual -k 3 -r 200; diff out <(echo x)")
+    assert not found('diff out <(python -c "from grassgb.f2poly import parse")')
+    lines = list(_run_lines(WORKFLOW.read_text()))
+    offenders = [f"{n}: {line.strip()}" for n, line in lines if found(line)]
+    assert not offenders, "\n".join(offenders)
+
+
 @pytest.mark.skipif(shutil.which("bash") is None, reason="needs bash")
 @pytest.mark.parametrize(
     "command,passes",
@@ -56,8 +73,10 @@ def test_no_run_line_puts_a_command_after_test_and():
         ("exits 2 sh -c 'exit 1'", False),
         ("exits 1 sh -c 'echo OK; exit 0'", False),
         ("exits 2 sh -c 'exit 2'; grep -q x err", False),
+        # the right text, then a failure, which diff <(...) <(echo OK) passes
+        ("exits 0 sh -c 'echo OK; exit 1'; diff out <(echo OK)", False),
     ],
-    ids=["guard", "stdout", "exit-1-for-2", "exit-0-for-1", "stderr-checked"],
+    ids=["guard", "stdout", "exit-1-for-2", "exit-0-for-1", "stderr-checked", "right-text-exit-1"],
 )
 def test_exits_fails_the_step_on_a_wrong_exit_code(tmp_path, command, passes):
     # the step's own definition of exits, run as GitHub runs the step
