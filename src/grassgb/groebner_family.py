@@ -37,25 +37,27 @@ from the walk.  The step is ``Packing._step``, on packed ints, and the
 public ``g_recurrence_step`` runs it too, on its summands packed.  A
 built family keys each g_M by its packed lead, and in a packing each
 summand's lead is the target's plus a constant that depends only on
-(i, j).  Let T = M^{i,j} have first and last nonzero positions i <= j
-and packed lead L, and let f_p be the unit of field p, f_0 that of a_1,
-so that raising position p of an index adds f_p - f_0 to its lead and
-raising position 0 adds nothing.  Then
+(i, j), ``Packing._offsets(i, j)``.  Let T = M^{i,j} for some
+1 <= i <= j <= k-1 that leaves M nonnegative, with packed lead L, and
+let f_p be the unit of field p, f_0 that of a_1, so that raising
+position p of an index adds f_p - f_0 to its lead and raising position 0
+adds nothing.  Then
 
     lead(g_{M^j})         = L + f_0 - f_i,
     lead(g_{M^{i-1}})     = L + f_0 - f_i - f_j + f_{i-1},
     lead(g_{M^{i-1,j+1}}) = L - f_i - f_j + f_{i-1} + f_{j+1}   (j < k-1),
 
-and i = 1 needs no case of its own.  The build (``_materialise``) never
-forms an index: it makes the leads of each exponent sum from those of
-the sum below with one add each, and reads every summand at an int
-offset.  The order ``generate`` prints comes from ``_print_order``, on
-leads too.  ``packed_items`` hands out each element beside its lead,
-not M: the printers cut M's text from the lead's fields, and only
-``items`` unpacks M, from all the leads at once.  A
-single element asked for on its own (a reduction step,
-``generate --only-m``) is one walk, not the elements below it, on a
-built family too, and the memo does not keep it.  ``g_direct`` runs
+and i = 1 needs no case of its own.  The build (``_materialise``), with
+i and j T's first and last nonzero positions, never forms an index: it
+makes the leads of each exponent sum from those of the sum below with
+one add each, and reads every summand at an int offset.  The order
+``generate`` prints comes from ``_print_order``, on leads too.
+``packed_items`` hands out each element beside its lead, not M: the
+printers cut M's text from the lead's fields, and only ``items``
+unpacks M, from all the leads at once.  A single element asked for on
+its own (``element``, ``generate --only-m``) is one walk, not the
+elements below it, on a built family too, and the memo does not keep
+it.  ``g_direct`` runs
 the same walk in a ``Packing`` whose fields hold its weighted degree,
 and with the weighted degree as its bound, which every term meets, so
 the limit never binds: it stays valid for S_M > n+1, where the law does
@@ -98,9 +100,10 @@ build, ``packed_terms``, ``packed_items``, ``element``, ``items`` and
 and (5,10) a memo term is then 24 to 28 bits, one 30-bit CPython int
 digit, where fields holding kn take two.  The two never meet: the memo
 is written only by the build and read only by ``packed_items``, for the
-printers, ``items`` and ``verify``, and every other g_M, a reduction's or a single element's,
-comes from one walk in the packing that asks for it.  So a normal form
-or an ``element`` does not depend on whether its family was built.
+printers, ``items`` and ``verify``.  A single element comes from one
+walk in the build packing, and a reduction's g_M from the reduction's
+own table or one walk, in the family's packing.  So a normal form or an
+``element`` does not depend on whether its family was built.
 
 Multiplying by w_j adds the packed w_j to every term, so a recurrence
 step is two set comprehensions of one int add each and at most two
@@ -149,12 +152,18 @@ keys the family's one table ``packed``, whose entry is the tail of g_M as
 offsets pack(u) - lead, u over the terms of g_M but its lead.  A step is
 then one table hit and one add per tail term, v + (pack(u) - lead) =
 pack(u * t / lt(g_M)), and v itself leaves the working set.  Only a miss
-takes the terms of g_M, from one walk at the family's width, for which
-M = (a_2, ..., a_k) is cut out of the lead, whether or not the family
-was built, and the table is the only place the reduction keeps it.  The
-entry is made in one pass over those terms, in the order they come, the
-lead left out: the table holds a tail as a set, and no step reads its
-order.
+makes an entry, in ``_tail``, which cuts M = (a_2, ..., a_k) out of the
+lead, whether or not the family was built.  When, for some (i, j) that
+M allows, the table already holds the three summands of the step that
+gives g_M, the tail is that step taken on the table: a summand's offsets
+from its own lead, its tail and 0, are offsets from the miss's lead once
+shifted by one constant of (i, j), so the tail is the symmetric
+difference of three shifted sets, 0 left out.  Otherwise g_M comes from
+one walk at the family's width, about half of the misses of a
+normal-bundle reduction.  Either way the entry is the same set, so the
+table holds exactly the keys and tails a walk per miss gives, and it is
+the only place the reduction keeps them: it holds a tail as a set, in
+no fixed order, and no step reads its order.
 
 The basis fixes the order of the work.  Every lead has exponent sum
 n+1 and every other term of g_M has sum <= n, so a step on a term of sum
@@ -275,6 +284,14 @@ class Packing:
         terms ^= {v + wj for v in b}
         terms.symmetric_difference_update(c)
         return tuple(sorted(terms, reverse=True))
+
+    def _offsets(self, i: int, j: int) -> tuple[int, int, int | None]:
+        """lead(g_S) - lead(g_T) in this packing, for T = M^{i,j} and each
+        summand S of its step in turn, M^j, M^{i-1} and M^{i-1,j+1}: the
+        last None when j = k-1, where that summand is absent."""
+        up = self.up
+        second = up[i - 1] - up[i] - up[j]
+        return -up[i], second, (second + up[j + 1] if j < self.k - 1 else None)
 
 
 def _check_index(ctx: GrassmannContext, m: MultiIndex) -> None:
@@ -490,10 +507,10 @@ class GroebnerFamily(Packing):
     ever build the indices they touch, and each once: ``reduce`` fills
     ``packed``, the family's one table ``{packed lead: tail}`` (the tail
     as the offsets pack(u) - lead over the other terms u of g_M, in no
-    fixed order), taking each g_M it touches from ``_g`` at the family's
-    width, unsorted, built family or not.  Both stores are dicts on the
-    instance: they live as long as the family, and two families never
-    share one.
+    fixed order), each entry by ``_tail`` at the family's width, from a
+    recurrence step on entries already there or else from ``_g``, built
+    family or not.  Both stores are dicts on the instance: they live as
+    long as the family, and two families never share one.
     """
 
     def __init__(self, context: GrassmannContext):
@@ -537,8 +554,10 @@ class GroebnerFamily(Packing):
     def _g(self, m: MultiIndex, packing: Packing) -> list[int]:
         """The terms of g_M, for M with S_M <= n+1, packed in ``packing``
         by one walk, in no fixed order; nothing is kept.  Every g_M but
-        the memo's comes from here: ``packed_terms`` walks in the build
-        packing and a table miss of ``reduce_packed`` in the family's."""
+        the memo's and the table's steps comes from here:
+        ``packed_terms`` walks in the build packing, and ``_tail`` in the
+        family's for a table miss whose summands are not all in the
+        table."""
         # g_M is homogeneous of its lead's degree, n+1 + weighted_degree(M);
         # by the leading-term law no term has exponent sum above the lead's,
         # n+1, the walk's bound, which both of the family's packings hold
@@ -570,8 +589,8 @@ class GroebnerFamily(Packing):
         """The normal form of a sum of distinct packed terms, each of
         weighted degree at most k*n, as a set of packed ints, all in the
         family's packing.  Fills ``packed`` with the tail of each g_M it
-        uses: a miss takes g_M from ``_g``, never from the memo, and keeps
-        the offsets of its terms but the lead, unsorted.
+        uses: a miss takes it from ``_tail``, never from the memo, by a
+        recurrence step on the table's own entries or else by one walk.
 
         Weighted degree <= k*n is a hard limit: the fields hold k*n and
         no more, and ``pack`` checks no field, so a term above it may
@@ -605,8 +624,7 @@ class GroebnerFamily(Packing):
                         e -= a
                 tail = table.get(lead)
                 if tail is None:
-                    m = tuple((lead >> s) & mask for s in shifts[1:])  # (a_2, ..., a_k)
-                    tail = table[lead] = tuple([p - lead for p in self._g(m, self) if p != lead])
+                    tail = table[lead] = self._tail(lead)
                 for u in tail:
                     u += v
                     level = work[u >> sum_shift]
@@ -619,6 +637,44 @@ class GroebnerFamily(Packing):
                 raise ValueError("a basis element has a tail term of exponent sum > n")
             level_sum = below
         return set().union(*work.values())
+
+    def _tail(self, lead: int) -> tuple[int, ...]:
+        """The tail of g_M for the packed lead ``lead`` of an index M that
+        ``packed`` lacks: the offsets pack(u) - lead over the terms u of
+        g_M but the lead, in no fixed order.  It adds nothing to the table.
+
+        M, cut out of the lead, is M'^{i,j} with M' nonnegative for each
+        1 <= i <= j <= k-1 with m_i, m_j >= 1, m_i >= 2 when i = j.  That
+        is read on M itself: for any other (i, j) a summand's lead is a
+        packed int that borrowed across fields, and it may key another
+        g_M.  For the first such (i, j) whose summands, at ``lead`` plus
+        ``_offsets(i, j)``, are all in the table, the recurrence step runs
+        on offsets.  A summand's terms are 0 and its tail, as offsets from
+        its own lead, so times its multiplier w_i, w_{j+1} or 1 they are
+        offsets from ``lead`` once shifted by the summand's offset plus the
+        packed multiplier.  The symmetric difference of the three shifted
+        sets holds 0, the lead's own offset, which is dropped.  Otherwise
+        ``_g`` walks g_M at the family's width."""
+        table, times, mask = self.packed, self.times, self.mask
+        m = tuple((lead >> s) & mask for s in self.shifts[1:])  # (a_2, ..., a_k)
+        for i in range(1, self.k):
+            for j in range(i, self.k):
+                if m[i - 1] < 1 + (i == j) or m[j - 1] < 1:
+                    continue
+                a, b, c = self._offsets(i, j)
+                ta, tb = table.get(lead + a), table.get(lead + b)
+                tc = () if c is None else table.get(lead + c)
+                if ta is None or tb is None or tc is None:
+                    continue
+                a += times[i]
+                b += times[j + 1]
+                terms = {a, *map(a.__add__, ta)}
+                terms ^= {b, *map(b.__add__, tb)}
+                if c is not None:
+                    terms ^= {c, *map(c.__add__, tc)}
+                terms.discard(0)
+                return tuple(terms)
+        return tuple([p - lead for p in self._g(m, self) if p != lead])
 
     def packed_product(self, f: Poly, g: Poly) -> dict[int, set[int]]:
         """The parts of f*g of weighted degree d <= k*n, keyed by d, each a
@@ -641,14 +697,6 @@ class GroebnerFamily(Packing):
                     for b in p2:
                         acc.symmetric_difference_update(map(b.__add__, p1))
         return parts
-
-    def _offsets(self, i: int, j: int) -> tuple[int, int, int | None]:
-        """lead(g_S) - lead(g_T) for T = M^{i,j} and each summand S of its
-        step in turn, M^j, M^{i-1} and M^{i-1,j+1}: the last None when
-        j = k-1, where that summand is absent; all in the build packing."""
-        up = self.build_packing.up
-        second = up[i - 1] - up[i] - up[j]
-        return -up[i], second, (second + up[j + 1] if j < self.k - 1 else None)
 
     def _materialise(self) -> dict[int, tuple[int, ...]]:
         """Build every g_M of the family into the memo and return it.
@@ -678,7 +726,7 @@ class GroebnerFamily(Packing):
                 for p in range(1, i + 1):
                     level[p, j] += map(up[p].__add__, leads)
             for i, j in sorted(level):
-                a, b, c = self._offsets(i, j)
+                a, b, c = build._offsets(i, j)
                 for v in level[i, j]:  # the lead of g_T
                     memo[v] = step(i, j, memo[v + a], memo[v + b], memo[v + c] if c else ())
         self._memo = memo

@@ -536,34 +536,35 @@ def test_indices_match_reference_on_the_grid(k, n):
 
 @pytest.mark.parametrize("k,n", FAMILY_GRID)
 def test_summand_offsets_match_raised_indices(k, n):
-    # every index T of sum >= 2 built by the step, T = M^{i,j} with i <= j
-    # its first and last nonzero positions: its lead plus each (i, j)
-    # offset is the lead of the summand raised and raised2 name
+    # every index T of sum >= 2 is T = M^{i,j} for each i <= j that leaves
+    # M nonnegative, its first and last nonzero positions among them: in
+    # both of the family's packings, its lead plus each (i, j) offset is
+    # the lead of the summand raised and raised2 name
     ctx = GrassmannContext(k, n)
     family = GroebnerFamily(ctx)
-
-    def lead(m):
-        return family.build_packing.pack(leading_term_of(ctx, m))
-
     seen = set()
-    for t in indices_up_to_reference(k, n + 1):
-        if sum(t) < 2:
-            continue
-        nonzero = [p for p, x in enumerate(t, start=1) if x]
-        i, j = nonzero[0], nonzero[-1]
-        m = list(t)
-        m[i - 1] -= 1
-        m[j - 1] -= 1
-        m = tuple(m)
-        assert raised2(m, i, j) == t
-        first, second, third = family._offsets(i, j)
-        assert lead(t) + first == lead(raised(m, j)), (t, i, j)
-        assert lead(t) + second == lead(raised(m, i - 1)), (t, i, j)
-        if j < k - 1:
-            assert lead(t) + third == lead(raised2(m, i - 1, j + 1)), (t, i, j)
-        else:
-            assert third is None, (t, i, j)
-        seen.add((i, j))
+    for packing in (family.build_packing, family):
+
+        def lead(m):
+            return packing.pack(leading_term_of(ctx, m))
+
+        for t in indices_up_to_reference(k, n + 1):
+            for i, j in itertools.combinations_with_replacement(range(1, k), 2):
+                m = list(t)
+                m[i - 1] -= 1
+                m[j - 1] -= 1
+                if min(m) < 0:
+                    continue
+                m = tuple(m)
+                assert raised2(m, i, j) == t
+                first, second, third = packing._offsets(i, j)
+                assert lead(t) + first == lead(raised(m, j)), (t, i, j)
+                assert lead(t) + second == lead(raised(m, i - 1)), (t, i, j)
+                if j < k - 1:
+                    assert lead(t) + third == lead(raised2(m, i - 1, j + 1)), (t, i, j)
+                else:
+                    assert third is None, (t, i, j)
+                seen.add((i, j))
     # every pair 1 <= i <= j <= k-1 is met, i = 1 and j = k-1 included
     assert seen == {(i, j) for i in range(1, k) for j in range(i, k)}
 
@@ -863,43 +864,87 @@ def walks(monkeypatch):
     return calls
 
 
-def test_one_walk_per_table_entry_of_the_normal_bundle(walks):
-    family = GroebnerFamily(GrassmannContext(5, 8))
-    first = normal_bundle_sw(8, family)
-    assert len(walks) == len(family.packed) == 277
-    walks.clear()
-    assert normal_bundle_sw(8, family) == first
-    assert not walks
+@pytest.fixture
+def fills(monkeypatch):
+    """The lead of every table fill, as the calls are made."""
+    calls = []
+    tail = GroebnerFamily._tail
+
+    def counted(self, lead):
+        calls.append(lead)
+        return tail(self, lead)
+
+    monkeypatch.setattr(GroebnerFamily, "_tail", counted)
+    return calls
 
 
-def _assert_one_walk_per_table_entry(walks, ctx):
+def _assert_one_fill_per_table_entry(walks, fills, ctx, run):
+    # run(family) reduces through the family and returns what it printed.
+    # Each table entry is filled once, by the step on entries already in
+    # the table or else by one walk, so there are strictly fewer walks
+    # than entries, and every tail is g_M's by the unpruned enumeration.
+    # A warm rerun fills nothing, and a family built whole, whose memo no
+    # reduction reads, fills the same table
     family = GroebnerFamily(ctx)
-    stream = _cup_stream(ctx, f"walks at ({ctx.k},{ctx.n})")
-    first = [cup(ctx, a, b, family) for a, b in stream]
-    assert len(walks) == len(family.packed) > 200
+    first = run(family)
+    assert len(fills) == len(family.packed) == len(set(fills))
+    assert 0 < len(walks) < len(family.packed)
     _assert_tails_match_g_direct(family)
     walks.clear()
-    assert [cup(ctx, a, b, family) for a, b in stream] == first
-    assert not walks
-    # on a family built whole, a miss walks its g_M at the family's width
-    # as on a fresh family: one walk per table entry, the same tails
+    fills.clear()
+    assert run(family) == first
+    assert not walks and not fills
+    built = build_family(ctx)
+    walks.clear()
+    assert run(built) == first
+    assert 0 < len(walks) < len(built.packed)
+    assert built.packed.keys() == family.packed.keys()
+    assert all(set(built.packed[lead]) == set(t) for lead, t in family.packed.items())
+    return family
+
+
+def test_one_walk_per_table_entry_of_the_normal_bundle(walks, fills):
+    family = _assert_one_fill_per_table_entry(
+        walks, fills, GrassmannContext(5, 8), lambda family: normal_bundle_sw(8, family)
+    )
+    assert len(family.packed) == 277
+
+
+def test_one_fill_per_table_entry_of_the_normal_bundle_at_16(walks, fills):
+    family = _assert_one_fill_per_table_entry(
+        walks, fills, GrassmannContext(5, 16), lambda family: normal_bundle_sw(16, family)
+    )
+    assert len(family.packed) == 1921
+
+
+def _assert_one_fill_per_table_entry_of_a_cup_stream(walks, fills, ctx):
+    stream = _cup_stream(ctx, f"walks at ({ctx.k},{ctx.n})")
+    family = _assert_one_fill_per_table_entry(
+        walks, fills, ctx, lambda family: [cup(ctx, a, b, family) for a, b in stream]
+    )
+    # reduce, from a Poly, meets the same table on a built family
     built = build_family(ctx)
     assert built.build_packing.width < built.width
-    walks.clear()
     products = [a.value * b.value for a, b in stream[:20]]
-    assert [built.reduce(f) for f in products] == [c.value for c in first[:20]]
-    assert [cup(ctx, a, b, built) for a, b in stream] == first
-    assert len(walks) == len(built.packed) and built.packed.keys() == family.packed.keys()
-    assert all(set(built.packed[lead]) == set(t) for lead, t in family.packed.items())
+    assert [built.reduce(f) for f in products] == [cup(ctx, a, b, family).value for a, b in stream[:20]]
+    assert built.packed.keys() <= family.packed.keys()
+    return family
 
 
-def test_one_walk_per_table_entry_of_a_cup_stream(walks):
-    _assert_one_walk_per_table_entry(walks, GrassmannContext(4, 10))
+def test_one_walk_per_table_entry_of_a_cup_stream(walks, fills):
+    family = _assert_one_fill_per_table_entry_of_a_cup_stream(walks, fills, GrassmannContext(4, 10))
+    assert len(family.packed) > 200
 
 
-def test_one_walk_per_table_entry_where_kn_fills_the_fields(walks):
+def test_one_walk_per_table_entry_where_kn_fills_the_fields(walks, fills):
     # k*n = 63 fills the family's fields, and the build's hold n+2 = 23
-    _assert_one_walk_per_table_entry(walks, GrassmannContext(3, 21))
+    family = _assert_one_fill_per_table_entry_of_a_cup_stream(walks, fills, GrassmannContext(3, 21))
+    assert len(family.packed) > 200
+
+
+def test_one_fill_per_table_entry_at_k_2(walks, fills):
+    # at k = 2 the only pair is i = j = k-1 = 1, with no third summand
+    _assert_one_fill_per_table_entry_of_a_cup_stream(walks, fills, GrassmannContext(2, 9))
 
 
 class _UnreadableMemo(Mapping):

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from reference import (
     alpha,
@@ -279,6 +281,12 @@ class TestNormalBundle:
             assert got[d] == expected[d], d
         # the packed path reduces by exactly the g_M the reference does
         assert packed.packed.keys() == {packed.pack(leading_term_of(ctx, m)) for m in used}
+
+    @pytest.mark.parametrize("n,prefix", [(8, "3836cea356ca17ea"), (16, "f578a70826c492ae")])
+    def test_classes_keep_their_bytes(self, n, prefix):
+        # every degree's class as printed, byte for byte, by its sha256
+        text = "".join(f"{d}:{c}\n" for d, c in normal_bundle_sw(n).items())
+        assert hashlib.sha256(text.encode()).hexdigest().startswith(prefix)
 
     def test_exponent_congruence(self):
         # 2^{r+1} - n - 5 = 3 and 3 mod 8 = 3 for n = 8

@@ -7,7 +7,11 @@ a wrong exit code.  No ``run:`` line may put a command after ``test`` or
 here too.  Neither -e nor pipefail sees the exit code of a command inside
 a process substitution ``<(...)`` either, so no ``run:`` line may run
 ``grassgb`` inside one: ``diff <(grassgb ...) <(echo ...)`` passes a
-``grassgb`` that prints the right text and then fails."""
+``grassgb`` that prints the right text and then fails.  Nor do they see
+one inside a command substitution ``$(...)`` that is an argument, as of
+``test``: ``test "$(grassgb ... | tail -n 1)" = ...`` passes a
+``grassgb`` that fails after its last line.  So ``grassgb`` runs under
+``exits``, and ``test`` reads the file it wrote."""
 
 import re
 import shutil
@@ -23,6 +27,13 @@ TEST_THEN_AND = re.compile(r"(?:^|[;&|({]|\b(?:do|then|else)\b)\s*(?:test|\[)\s.
 
 # the console script as a command inside <(...), before any nested paren
 GRASSGB_IN_SUBSTITUTION = re.compile(r"<\((?:[^()]*[\s;|&])?grassgb(?![\w.])")
+
+# the console script in command position inside $(...): after the opener,
+# whitespace or ; | &, past only words and whole quoted strings with no
+# paren, so a grassgb inside a quoted python -c program is not one
+GRASSGB_IN_COMMAND_SUBSTITUTION = re.compile(
+    r"""\$\((?:[^()'"]|"[^"()]*"|'[^'()]*')*?(?<=[\s;|&(])grassgb(?![\w.])"""
+)
 
 
 def _run_lines(text):
@@ -59,6 +70,20 @@ def test_no_run_line_runs_grassgb_inside_a_process_substitution():
     assert found("diff only.out <(grassgb generate -k 5 -n 8 | grep -F x)")
     assert not found("exits 0 grassgb dual -k 3 -r 200; diff out <(echo x)")
     assert not found('diff out <(python -c "from grassgb.f2poly import parse")')
+    lines = list(_run_lines(WORKFLOW.read_text()))
+    offenders = [f"{n}: {line.strip()}" for n, line in lines if found(line)]
+    assert not offenders, "\n".join(offenders)
+
+
+def test_no_run_line_runs_grassgb_inside_a_command_substitution():
+    found = GRASSGB_IN_COMMAND_SUBSTITUTION.search
+    assert found('test "$(grassgb basis -k 3 -n 4 | tail -n 1)" = "count: 35"')
+    assert found('test "$(timeout 60 grassgb basis -k 4 -n 36 | tail -n 1)" = "count: 91390"')
+    assert found('x=$(cd "$dir"; grassgb dual -k 2 -r 4)')
+    assert not found('exits 0 grassgb basis -k 3 -n 4; test "$(tail -n 1 out)" = "count: 35"')
+    assert not found("""src=$(python -c 'import grassgb, os; print(os.path.dirname(grassgb.__file__))')""")
+    assert not found('test "$(python -c "from grassgb.steenrod import sq; print(sq(1, f))")" = "w1^4"')
+    assert not found("""x=$(python -c 'import grassgb')""")
     lines = list(_run_lines(WORKFLOW.read_text()))
     offenders = [f"{n}: {line.strip()}" for n, line in lines if found(line)]
     assert not offenders, "\n".join(offenders)
