@@ -648,33 +648,41 @@ class GroebnerFamily(Packing):
         is read on M itself: for any other (i, j) a summand's lead is a
         packed int that borrowed across fields, and it may key another
         g_M.  For the first such (i, j) whose summands, at ``lead`` plus
-        ``_offsets(i, j)``, are all in the table, the recurrence step runs
-        on offsets.  A summand's terms are 0 and its tail, as offsets from
-        its own lead, so times its multiplier w_i, w_{j+1} or 1 they are
-        offsets from ``lead`` once shifted by the summand's offset plus the
-        packed multiplier.  The symmetric difference of the three shifted
-        sets holds 0, the lead's own offset, which is dropped.  Otherwise
-        ``_g`` walks g_M at the family's width."""
+        ``_offsets(i, j)``, are all in the table, the step of ``_step``
+        runs on offsets.  A summand's terms, as offsets from its own lead,
+        are 0 and its tail; moved by that lead's offset and by its packed
+        multiplier, w_i, w_{j+1} or 1, they are its terms of g_M as offsets
+        from ``lead``.  The symmetric difference of the three sets holds
+        0, the lead's own offset, which is dropped.  Otherwise ``_g``
+        walks g_M at the family's width."""
         table, times, mask = self.packed, self.times, self.mask
-        m = tuple((lead >> s) & mask for s in self.shifts[1:])  # (a_2, ..., a_k)
+        m = [(lead >> s) & mask for s in self.shifts[1:]]  # (a_2, ..., a_k)
         for i in range(1, self.k):
+            if not m[i - 1]:
+                continue
             for j in range(i, self.k):
-                if m[i - 1] < 1 + (i == j) or m[j - 1] < 1:
+                if m[j - 1] < 1 + (i == j):
                     continue
                 a, b, c = self._offsets(i, j)
-                ta, tb = table.get(lead + a), table.get(lead + b)
+                ta = table.get(lead + a)
+                if ta is None:
+                    break  # a, the offset of g_{T - e_i}, is the same for every j
+                tb = table.get(lead + b)
                 tc = () if c is None else table.get(lead + c)
-                if ta is None or tb is None or tc is None:
+                if tb is None or tc is None:
                     continue
                 a += times[i]
                 b += times[j + 1]
-                terms = {a, *map(a.__add__, ta)}
-                terms ^= {b, *map(b.__add__, tb)}
+                terms = {u + a for u in ta}
+                terms.add(a)
+                terms ^= {u + b for u in tb}
+                terms ^= {b}
                 if c is not None:
-                    terms ^= {c, *map(c.__add__, tc)}
+                    terms ^= {u + c for u in tc}
+                    terms ^= {c}
                 terms.discard(0)
                 return tuple(terms)
-        return tuple([p - lead for p in self._g(m, self) if p != lead])
+        return tuple([p - lead for p in self._g(tuple(m), self) if p != lead])
 
     def packed_product(self, f: Poly, g: Poly) -> dict[int, set[int]]:
         """The parts of f*g of weighted degree d <= k*n, keyed by d, each a
