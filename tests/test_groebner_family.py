@@ -879,16 +879,18 @@ def fills(monkeypatch):
 
 
 def _assert_one_fill_per_table_entry(walks, fills, ctx, run):
-    # run(family) reduces through the family and returns what it printed.
+    # run(family) reduces through the family and returns its results.
     # Each table entry is filled once, by the step on entries already in
-    # the table or else by one walk, so there are strictly fewer walks
-    # than entries, and every tail is g_M's by the unpruned enumeration.
-    # A warm rerun fills nothing, and a family built whole, whose memo no
-    # reduction reads, fills the same table
+    # the table or else by one walk: at most one walk per entry, and
+    # strictly fewer walks than entries.  Every tail is g_M's by the
+    # unpruned enumeration.  A warm rerun fills nothing, and a family
+    # built whole, whose memo no reduction reads, fills the same table
+    # with as many walks
     family = GroebnerFamily(ctx)
     first = run(family)
+    walked = len(walks)
     assert len(fills) == len(family.packed) == len(set(fills))
-    assert 0 < len(walks) < len(family.packed)
+    assert 0 < walked < len(family.packed)
     _assert_tails_match_g_direct(family)
     walks.clear()
     fills.clear()
@@ -897,7 +899,7 @@ def _assert_one_fill_per_table_entry(walks, fills, ctx, run):
     built = build_family(ctx)
     walks.clear()
     assert run(built) == first
-    assert 0 < len(walks) < len(built.packed)
+    assert len(walks) == walked
     assert built.packed.keys() == family.packed.keys()
     assert all(set(built.packed[lead]) == set(t) for lead, t in family.packed.items())
     return family
