@@ -370,8 +370,8 @@ TAIL_TERMS_ABOVE_N = [(6, 0, 0), (4, 1, 0)]
 
 
 def _family_with_a_tail_above_n(monkeypatch, ctx, extra):
-    # a table miss takes g_M from the walk, built family or not, and the
-    # walk is corrupted
+    # a table miss of M = 0, which no recurrence step gives, takes g_M
+    # from the walk, built family or not, and the walk is corrupted
     family = GroebnerFamily(ctx)
     walk = groebner_family._walk
     extra = family.pack(extra)
