@@ -673,6 +673,7 @@ class GroebnerFamily(Packing):
                     continue
                 a += times[i]
                 b += times[j + 1]
+                # each lead toggled alone: at i = j = 1, a == b and they cancel
                 terms = {u + a for u in ta}
                 terms.add(a)
                 terms ^= {u + b for u in tb}

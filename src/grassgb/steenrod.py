@@ -12,7 +12,7 @@ this module builds no field of its own and names no width, only the
 largest value a packing's fields must hold.  Every class the kernel
 meets has weighted degree at most deg(t) + i, and no exponent exceeds
 its weighted degree, so fields that hold that degree never overflow.
-``immersion_obstruction_check`` runs the kernel in the family of
+``immersion_obstruction_check`` runs the kernel in a fresh family of
 G_{5,n}, itself a ``Packing``, and hands its terms straight to
 ``GroebnerFamily.reduce_packed``; ``sq`` is the kernel's ``Poly`` edge,
 in a ``Packing`` whose fields hold f's largest weighted degree plus i,
@@ -37,24 +37,27 @@ coefficient binom(j-i+t-1, t) is the case x = t, c = j-i-1, read in
 generator.  The resultant's binom(p, q) is x = q, c = p-q.
 
 The normal classes multiply w(gamma (x) gamma) by w(gamma)^e with
-``GroebnerFamily.packed_product``, on packed ints in the packing of the
-family they are reduced in, one pair of weighted degrees at a time up to
+``GroebnerFamily.packed_product``, on packed ints in the packing of a
+fresh family of G_{5,n}, one pair of weighted degrees at a time up to
 the top degree k*n, and reduce each degree's packed terms with
 ``GroebnerFamily.reduce_packed``.  ``cohomology.cup`` runs the same
 product.
 
 Nothing is cached between calls: every square and every tensor square is
-computed afresh from its arguments.  The Cartan kernel memoizes Sq^i of
-each monomial it meets, keyed by (i, packed monomial), in one dict per
-``sq`` or ``immersion_obstruction_check`` call, which the two squares of
-the check share.
+computed afresh from its arguments, and ``normal_bundle_sw`` and
+``immersion_obstruction_check`` each take n alone and reduce in a fresh
+family from ``_g5n_family``, whose table lives for that call; a ring
+operation on a family the caller keeps is ``cohomology``'s.  The Cartan
+kernel memoizes Sq^i of each monomial it meets, keyed by (i, packed
+monomial), in one dict per ``sq`` or ``immersion_obstruction_check``
+call, which the two squares of the check share.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Collection
 
-from .cohomology import CohomologyClass, _family_of
+from .cohomology import CohomologyClass
 from .f2poly import MAX_EXPONENT, Poly, weighted_degree
 from .groebner_family import GrassmannContext, GroebnerFamily, Packing
 from .record import Record
@@ -222,17 +225,14 @@ def tensor_square_sw(k: int) -> Poly:
     return packing.to_poly(partial[(1 << k) - 1])
 
 
-def _g5n_family(n: int, family: GroebnerFamily | None) -> GroebnerFamily:
-    """A family for G_{5,n}, n a positive multiple of 8: the one given,
-    checked, or a fresh one."""
+def _g5n_family(n: int) -> GroebnerFamily:
+    """A fresh family for G_{5,n}, n a positive multiple of 8."""
     if n < 8 or n % 8:
         raise ValueError(f"n must be a positive multiple of 8, got {n}")
-    return _family_of(GrassmannContext(5, n), family)
+    return GroebnerFamily(GrassmannContext(5, n))
 
 
-def normal_bundle_sw(
-    n: int, family: GroebnerFamily | None = None
-) -> dict[int, CohomologyClass]:
+def normal_bundle_sw(n: int) -> dict[int, CohomologyClass]:
     """Stiefel-Whitney classes of the stable normal bundle of G_{5,n},
     n a positive multiple of 8, reduced to normal form per degree.
 
@@ -250,7 +250,7 @@ def normal_bundle_sw(
 
     of top degree k(k-1) + k e.  Only ``_g5n_family`` fixes k = 5.
 
-    The product runs on packed ints in the family's packing
+    The product runs on packed ints in the packing of a fresh family
     (``GroebnerFamily.packed_product``): each factor is split by weighted
     degree and packed once, and only the pairs of degrees summing to at
     most k*n are multiplied, since no standard monomial lies above k*n.
@@ -258,7 +258,7 @@ def normal_bundle_sw(
     ``GroebnerFamily.reduce_packed`` and are unpacked once, as its class.  w(gamma)^e stays a ``Poly``
     power, so an exponent past 2^31 - 1 still raises ``OverflowError``.
     """
-    family = _g5n_family(n, family)
+    family = _g5n_family(n)
     ctx, k = family.context, family.k
     e = 2 ** (n + k - 1).bit_length() - n - k
     total_w = sum((Poly.variable(k, j) for j in range(1, k + 1)), Poly.one(k))
@@ -269,21 +269,19 @@ def normal_bundle_sw(
     }
 
 
-def immersion_obstruction_check(
-    n: int, family: GroebnerFamily | None = None
-) -> ObstructionReport:
+def immersion_obstruction_check(n: int) -> ObstructionReport:
     """The two cohomology computations feeding the lifting argument:
     Sq^1(w4 w5^{n-1}) and (Sq^2 + w1^2 + w2)(w2 w5^{n-1}).
 
-    Both run in the family's packing.  w4 w5^{n-1} and w2 w5^{n-1} are
-    packed and squared by one ``_cartan`` kernel, whose memo they share;
+    Both run in the packing of a fresh family.  w4 w5^{n-1} and
+    w2 w5^{n-1} are packed and squared by one ``_cartan`` kernel, whose memo they share;
     the squares have degrees 5n and 5n-1, and the family's fields hold
     5n = k*n, and (w1^2 + w2) w2 w5^{n-1} is two more packed terms.  Both sums go
     straight to ``GroebnerFamily.reduce_packed``.  n past MAX_EXPONENT
     raises ``OverflowError`` first: Sq^1(w4 w5^{n-1}) holds w5^n, and no
     term of either sum has a larger exponent.
     """
-    family = _g5n_family(n, family)
+    family = _g5n_family(n)
     if n > MAX_EXPONENT:
         raise OverflowError(f"exponent overflow: w5^{n} in Sq^1(w4 w5^{n - 1})")
     ctx, w = family.context, family.times

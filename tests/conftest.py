@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from grassgb import steenrod
 from grassgb.f2poly import Poly, monomials_of_weighted_degree
 
 
@@ -22,3 +23,18 @@ def random_homogeneous(rng: random.Random, k: int, wdeg: int, max_terms: int = 5
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)
+
+
+@pytest.fixture
+def g5n_families(monkeypatch) -> list:
+    """Every family ``steenrod._g5n_family`` returns, as the calls are
+    made: the fresh family each G_{5,n} computation reduces in."""
+    families = []
+    make = steenrod._g5n_family
+
+    def recorded(n):
+        families.append(make(n))
+        return families[-1]
+
+    monkeypatch.setattr(steenrod, "_g5n_family", recorded)
+    return families

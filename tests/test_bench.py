@@ -69,13 +69,19 @@ def test_bench_files_match_the_benchmark():
                 assert (row["pairs"], row["lower"]) == (len(seeds), lower), (path.name, workload, name)
 
 
-@pytest.fixture
-def bench_pairs(monkeypatch):
-    """tools/bench_pairs.py, imported by its path, whose benchmark runs fail
-    the test: each refusal must come before the first one."""
+def _bench_pairs():
+    """tools/bench_pairs.py, imported by its path."""
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def bench_pairs(monkeypatch):
+    """tools/bench_pairs.py, whose benchmark runs fail the test: each
+    refusal must come before the first one."""
+    module = _bench_pairs()
 
     def run_once(*args):
         raise AssertionError("a benchmark run started")
@@ -192,6 +198,33 @@ def test_bench_pairs_refuses_runs_of_another_length(bench_pairs, tmp_path, capsy
     assert exit_.value.code == 2
     assert "unrecognized arguments: --seconds 20" in capsys.readouterr().err
     assert out.read_text() == before
+
+
+def test_bench_pairs_passes_trace_only_to_a_harness_that_defines_it(tmp_path, monkeypatch):
+    # a harness with the tracer is run untraced by --trace 0, and one
+    # without it gets no --trace, which it would refuse; the file records
+    # each side's command line
+    module = _bench_pairs()
+    parent, change = _trees(tmp_path)
+    (parent / "bench" / "run.py").write_text('parser.add_argument("--trace", type=int)\n')
+    (change / "bench" / "run.py").write_text('parser.add_argument("--seconds", type=float)\n')
+    calls = []
+
+    def run(args, cwd, **kwargs):
+        calls.append((cwd, args[1:]))
+        line = json.dumps({"metrics": {"wall_ref_s": {"unit": "ref_s", "value": 1.0}}})
+        return subprocess.CompletedProcess(args, 0, stdout=line + "\n")
+
+    monkeypatch.setattr(module.subprocess, "run", run)
+    monkeypatch.setattr(sys, "path", [*sys.path])  # main puts bench/ in front
+    out = tmp_path / "out.json"
+    assert _main(module, parent, change, out, "--seeds", "3") == 0
+    common = ["bench/run.py", "--workload", "cup", "--seed", "3", "--seconds", "20.0"]
+    assert calls == [(parent, [*common, "--trace", "0"]), (change, common)]
+    assert json.loads(out.read_text())["command"] == {
+        "parent": "python3 bench/run.py --workload W --seed S --seconds X --trace 0",
+        "change": "python3 bench/run.py --workload W --seed S --seconds X",
+    }
 
 
 def test_bench_pairs_summary_has_quartiles(bench_pairs):

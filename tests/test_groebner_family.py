@@ -1,4 +1,5 @@
 import bisect
+import hashlib
 import itertools
 import math
 import os
@@ -841,11 +842,11 @@ def _assert_tails_match_g_direct(family):
         assert set(tail) == {p - lead for p in terms - {lead}}, m
 
 
-def test_pruned_walk_matches_g_direct_on_the_normal_bundle_elements():
+def test_pruned_walk_matches_g_direct_on_the_normal_bundle_elements(g5n_families):
     # the dense elements a normal-bundle reduction touches, each walked
     # once under the bound n+1 and kept as its packed tail
-    family = GroebnerFamily(GrassmannContext(5, 16))
-    normal_bundle_sw(16, family)
+    normal_bundle_sw(16)
+    [family] = g5n_families
     assert len(family.packed) > 1000
     _assert_tails_match_g_direct(family)
 
@@ -878,20 +879,43 @@ def fills(monkeypatch):
     return calls
 
 
-def _assert_one_fill_per_table_entry(walks, fills, ctx, run):
-    # run(family) reduces through the family and returns its results.
-    # Each table entry is filled once, by the step on entries already in
-    # the table or else by one walk: at most one walk per entry, and
-    # strictly fewer walks than entries.  Every tail is g_M's by the
-    # unpruned enumeration.  A warm rerun fills nothing, and a family
-    # built whole, whose memo no reduction reads, fills the same table
-    # with as many walks
+def _assert_one_fill_per_table_entry(walks, fills, family):
+    # after one run of reductions on a fresh family: each table entry was
+    # filled once, by the step on entries already in the table or else by
+    # one walk, so at most one walk per entry and strictly fewer walks
+    # than entries, and every tail is g_M's by the unpruned enumeration
+    assert len(fills) == len(family.packed) == len(set(fills))
+    assert 0 < len(walks) < len(family.packed)
+    _assert_tails_match_g_direct(family)
+
+
+def test_one_walk_per_table_entry_of_the_normal_bundle(walks, fills, g5n_families):
+    normal_bundle_sw(8)
+    [family] = g5n_families
+    _assert_one_fill_per_table_entry(walks, fills, family)
+    assert len(family.packed) == 277
+
+
+def test_one_fill_per_table_entry_of_the_normal_bundle_at_16(walks, fills, g5n_families):
+    normal_bundle_sw(16)
+    [family] = g5n_families
+    _assert_one_fill_per_table_entry(walks, fills, family)
+    assert len(family.packed) == 1921
+
+
+def _assert_one_fill_per_table_entry_of_a_cup_stream(walks, fills, ctx):
+    # the stream's products on one family fill one entry each; a warm
+    # rerun fills nothing, and a family built whole, whose memo no
+    # reduction reads, fills the same table with as many walks
+    stream = _cup_stream(ctx, f"walks at ({ctx.k},{ctx.n})")
+
+    def run(family):
+        return [cup(ctx, a, b, family) for a, b in stream]
+
     family = GroebnerFamily(ctx)
     first = run(family)
     walked = len(walks)
-    assert len(fills) == len(family.packed) == len(set(fills))
-    assert 0 < walked < len(family.packed)
-    _assert_tails_match_g_direct(family)
+    _assert_one_fill_per_table_entry(walks, fills, family)
     walks.clear()
     fills.clear()
     assert run(family) == first
@@ -902,28 +926,6 @@ def _assert_one_fill_per_table_entry(walks, fills, ctx, run):
     assert len(walks) == walked
     assert built.packed.keys() == family.packed.keys()
     assert all(set(built.packed[lead]) == set(t) for lead, t in family.packed.items())
-    return family
-
-
-def test_one_walk_per_table_entry_of_the_normal_bundle(walks, fills):
-    family = _assert_one_fill_per_table_entry(
-        walks, fills, GrassmannContext(5, 8), lambda family: normal_bundle_sw(8, family)
-    )
-    assert len(family.packed) == 277
-
-
-def test_one_fill_per_table_entry_of_the_normal_bundle_at_16(walks, fills):
-    family = _assert_one_fill_per_table_entry(
-        walks, fills, GrassmannContext(5, 16), lambda family: normal_bundle_sw(16, family)
-    )
-    assert len(family.packed) == 1921
-
-
-def _assert_one_fill_per_table_entry_of_a_cup_stream(walks, fills, ctx):
-    stream = _cup_stream(ctx, f"walks at ({ctx.k},{ctx.n})")
-    family = _assert_one_fill_per_table_entry(
-        walks, fills, ctx, lambda family: [cup(ctx, a, b, family) for a, b in stream]
-    )
     # reduce, from a Poly, meets the same table on a built family
     built = build_family(ctx)
     assert built.build_packing.width < built.width
@@ -947,6 +949,38 @@ def test_one_walk_per_table_entry_where_kn_fills_the_fields(walks, fills):
 def test_one_fill_per_table_entry_at_k_2(walks, fills):
     # at k = 2 the only pair is i = j = k-1 = 1, with no third summand
     _assert_one_fill_per_table_entry_of_a_cup_stream(walks, fills, GrassmannContext(2, 9))
+
+
+def test_cup_stream_of_the_benchmark_keeps_its_bytes():
+    # the cup workload's own 100 products, reduced on one fresh family,
+    # as printed, byte for byte, by their sha256
+    ctx = GrassmannContext(4, 10)
+    family = GroebnerFamily(ctx)
+    results = [cup(ctx, a, b, family) for a, b in _cup_stream(ctx, "cup pairs k=4 n=10")]
+    text = "".join(f"{c}\n" for c in results)
+    assert hashlib.sha256(text.encode()).hexdigest().startswith("7b71fdd82ff5d666")
+    assert len(family.packed) == 353
+
+
+@pytest.mark.parametrize("k", (2, 3, 4, 5))
+def test_a_fill_at_i_equal_to_j_equal_to_1_matches_the_walk(walks, k):
+    # M = (2, 0, ..., 0) is M'^{1,1} with M' = 0, whose summands g_{e_1},
+    # g_0 and g_{e_2} (none at k = 2) are walked into the table; the leads
+    # of the first two, moved by w_1 and w_2, are one offset, which must
+    # cancel
+    ctx = GrassmannContext(k, 6)
+    family = GroebnerFamily(ctx)
+    zero = (0,) * (k - 1)
+    summands = [raised(zero, i) for i in range(min(k, 3))]
+    for s in summands:
+        lead = family.pack(leading_term_of(ctx, s))
+        family.packed[lead] = family._tail(lead)
+    assert len(walks) == len(summands)
+    m = (2,) + zero[1:]
+    lead = family.pack(leading_term_of(ctx, m))
+    tail = family._tail(lead)
+    assert len(walks) == len(summands)
+    assert sorted(tail) == sorted(p - lead for p in family._g(m, family) if p != lead)
 
 
 class _UnreadableMemo(Mapping):

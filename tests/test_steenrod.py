@@ -17,7 +17,6 @@ from grassgb.cohomology import CohomologyClass, normal_form
 from grassgb.groebner_family import (
     GrassmannContext,
     GroebnerFamily,
-    build_family,
     leading_term_of,
 )
 from grassgb import steenrod
@@ -250,24 +249,24 @@ class TestNormalBundle:
         assert max(nb) == 35
 
     @pytest.mark.parametrize("n", (8, 16))
-    def test_every_class_inverts_the_tangent_class(self, n):
+    def test_every_class_inverts_the_tangent_class(self, n, g5n_families):
         # w(nu) w(gamma)^{n+5} = w(gamma (x) gamma) in every degree, with
-        # no oracle: w(gamma)^{n+5} / w(gamma (x) gamma) is w(T)
+        # no oracle: w(gamma)^{n+5} / w(gamma (x) gamma) is w(T), reduced
+        # in the family the classes were reduced in
         ctx = GrassmannContext(5, n)
-        family = GroebnerFamily(ctx)
-        nu = sum((cls.value for cls in normal_bundle_sw(n, family).values()), Poly.zero(5))
+        nu = sum((cls.value for cls in normal_bundle_sw(n).values()), Poly.zero(5))
+        [family] = g5n_families
         total_w = sum((Poly.variable(5, j) for j in range(1, 6)), Poly.one(5))
         lhs = normal_form(ctx, nu * total_w ** (n + 5), family)
         assert lhs == normal_form(ctx, tensor_square_sw(5), family)
 
     @pytest.mark.parametrize("n", (8, 16))
-    @pytest.mark.parametrize("make", (GroebnerFamily, build_family))
-    def test_matches_poly_reference(self, n, make):
-        # on a fresh family and on a built one, against the reference, which
-        # reaches neither the packed product nor reduce_packed
+    def test_matches_poly_reference(self, n, g5n_families):
+        # against the reference, which reaches neither the packed product
+        # nor reduce_packed
         ctx = GrassmannContext(5, n)
-        packed = make(ctx)
-        got = normal_bundle_sw(n, packed)
+        got = normal_bundle_sw(n)
+        [packed] = g5n_families
         used = set()
 
         def record(ctx, family, term):
@@ -303,10 +302,10 @@ class TestNormalBundle:
         unreduced = tensor_square_sw(5) * total_w**3
         assert max(weighted_degree(t) for t in unreduced.terms) <= 35
 
-    def test_each_touched_element_kept_once(self):
+    def test_each_touched_element_kept_once(self, g5n_families):
         # a reduction keeps a touched g_M only as its packed tail
-        family = GroebnerFamily(GrassmannContext(5, 16))
-        normal_bundle_sw(16, family)
+        normal_bundle_sw(16)
+        [family] = g5n_families
         assert family.packed and not family._memo
 
     def test_guard(self):
@@ -373,9 +372,16 @@ class TestImmersionObstruction:
             with pytest.raises(AttributeError, match="cannot assign to field 'lift_possible'"):
                 report.lift_possible = True
 
-    def test_family_context_checked(self):
-        with pytest.raises(ValueError):
-            immersion_obstruction_check(8, GroebnerFamily(GrassmannContext(5, 16)))
+
+def test_g5n_computations_take_n_alone():
+    # each reduces in a fresh family of its own and takes no other, by
+    # position or by name
+    family = GroebnerFamily(GrassmannContext(5, 8))
+    for compute in (normal_bundle_sw, immersion_obstruction_check):
+        with pytest.raises(TypeError):
+            compute(8, family)
+        with pytest.raises(TypeError):
+            compute(8, family=family)
 
 
 class TestAlpha:

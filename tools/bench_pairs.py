@@ -5,14 +5,17 @@
         --workload family --seeds 1-10 --out BENCH_<n>.json
 
 DIR is a checkout of each side, made by ``git archive`` or a plain copy.
-Each pair runs ``bench/run.py --workload W --seed S --seconds X --trace 0``
-once in each tree, X being ``BENCHMARK.json``'s ``run_seconds``, each side
-with the harness of its own tree and with PYTHONDONTWRITEBYTECODE=1, so
-that neither tree gains a ``__pycache__`` the other lacks.  Odd pairs run
-the parent first, even pairs the change.
+Each pair runs ``bench/run.py --workload W --seed S --seconds X`` once in
+each tree, X being ``BENCHMARK.json``'s ``run_seconds``, with ``--trace 0``
+added for a tree whose ``bench/run.py`` defines ``--trace``, so pairs run
+across a harness with the tracer and one without.  Each side runs the
+harness of its own tree, with PYTHONDONTWRITEBYTECODE=1, so that neither
+tree gains a ``__pycache__`` the other lacks.  Odd pairs run the parent
+first, even pairs the change.
 
-The file keeps every raw record: workload, seed, pair, side, run order,
-commit, run length and the harness's result line.  It also keeps a
+The file keeps each side's command line and every raw record: workload,
+seed, pair, side, run order, commit, run length and the harness's result
+line.  It also keeps a
 summary per workload and end-to-end metric: each side's median and first
 and third quartiles over the records, and in how many pairs the change
 read lower.  Running the tool again on the same file adds records, so
@@ -79,11 +82,20 @@ def refusal(
     return None
 
 
+def harness_args(tree: Path, workload: str, seed, seconds) -> list[str]:
+    """The arguments of one untraced run of ``tree``'s harness: ``--trace
+    0`` only where its ``bench/run.py`` defines ``--trace``, since a
+    harness without the tracer refuses the option."""
+    args = ["bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    if 'add_argument("--trace"' in (tree / "bench" / "run.py").read_text():
+        args += ["--trace", "0"]
+    return args
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """The harness's result line for one untraced run in ``tree``."""
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+        [sys.executable, *harness_args(tree, workload, seed, seconds)],
         cwd=tree,
         capture_output=True,
         text=True,
@@ -153,7 +165,9 @@ def main(argv=None) -> int:
     from run import machine
 
     data["machine"] = machine()
-    data["command"] = "python3 bench/run.py --workload W --seed S --seconds X --trace 0"
+    data["command"] = {
+        side: " ".join(["python3", *harness_args(tree, "W", "S", "X")]) for side, tree in trees.items()
+    }
     for pair, seed in enumerate(args.seeds, start=1):
         order = SIDES if pair % 2 else SIDES[::-1]
         for position, side in enumerate(order):
