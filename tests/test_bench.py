@@ -200,14 +200,12 @@ def test_bench_pairs_refuses_runs_of_another_length(bench_pairs, tmp_path, capsy
     assert out.read_text() == before
 
 
-def test_bench_pairs_passes_trace_only_to_a_harness_that_defines_it(tmp_path, monkeypatch):
-    # a harness with the tracer is run untraced by --trace 0, and one
-    # without it gets no --trace, which it would refuse; the file records
-    # each side's command line
+def test_bench_pairs_passes_no_trace(tmp_path, monkeypatch):
+    # a harness with the tracer runs untraced by default, and one without
+    # it would refuse --trace, so no run passes it and the file records
+    # the one command line
     module = _bench_pairs()
     parent, change = _trees(tmp_path)
-    (parent / "bench" / "run.py").write_text('parser.add_argument("--trace", type=int)\n')
-    (change / "bench" / "run.py").write_text('parser.add_argument("--seconds", type=float)\n')
     calls = []
 
     def run(args, cwd, **kwargs):
@@ -220,11 +218,8 @@ def test_bench_pairs_passes_trace_only_to_a_harness_that_defines_it(tmp_path, mo
     out = tmp_path / "out.json"
     assert _main(module, parent, change, out, "--seeds", "3") == 0
     common = ["bench/run.py", "--workload", "cup", "--seed", "3", "--seconds", "20.0"]
-    assert calls == [(parent, [*common, "--trace", "0"]), (change, common)]
-    assert json.loads(out.read_text())["command"] == {
-        "parent": "python3 bench/run.py --workload W --seed S --seconds X --trace 0",
-        "change": "python3 bench/run.py --workload W --seed S --seconds X",
-    }
+    assert calls == [(parent, common), (change, common)]
+    assert json.loads(out.read_text())["command"] == "python3 bench/run.py --workload W --seed S --seconds X"
 
 
 def test_bench_pairs_summary_has_quartiles(bench_pairs):

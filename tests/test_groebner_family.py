@@ -947,7 +947,9 @@ def test_one_walk_per_table_entry_where_kn_fills_the_fields(walks, fills):
 
 
 def test_one_fill_per_table_entry_at_k_2(walks, fills):
-    # at k = 2 the only pair is i = j = k-1 = 1, with no third summand
+    # at k = 2 the only pair is i = j = k-1 = 1, with no third summand,
+    # and the two leads, moved by w_1 and w_2, are one offset that must
+    # cancel
     _assert_one_fill_per_table_entry_of_a_cup_stream(walks, fills, GrassmannContext(2, 9))
 
 
@@ -960,27 +962,6 @@ def test_cup_stream_of_the_benchmark_keeps_its_bytes():
     text = "".join(f"{c}\n" for c in results)
     assert hashlib.sha256(text.encode()).hexdigest().startswith("7b71fdd82ff5d666")
     assert len(family.packed) == 353
-
-
-@pytest.mark.parametrize("k", (2, 3, 4, 5))
-def test_a_fill_at_i_equal_to_j_equal_to_1_matches_the_walk(walks, k):
-    # M = (2, 0, ..., 0) is M'^{1,1} with M' = 0, whose summands g_{e_1},
-    # g_0 and g_{e_2} (none at k = 2) are walked into the table; the leads
-    # of the first two, moved by w_1 and w_2, are one offset, which must
-    # cancel
-    ctx = GrassmannContext(k, 6)
-    family = GroebnerFamily(ctx)
-    zero = (0,) * (k - 1)
-    summands = [raised(zero, i) for i in range(min(k, 3))]
-    for s in summands:
-        lead = family.pack(leading_term_of(ctx, s))
-        family.packed[lead] = family._tail(lead)
-    assert len(walks) == len(summands)
-    m = (2,) + zero[1:]
-    lead = family.pack(leading_term_of(ctx, m))
-    tail = family._tail(lead)
-    assert len(walks) == len(summands)
-    assert sorted(tail) == sorted(p - lead for p in family._g(m, family) if p != lead)
 
 
 class _UnreadableMemo(Mapping):

@@ -6,19 +6,18 @@
 
 DIR is a checkout of each side, made by ``git archive`` or a plain copy.
 Each pair runs ``bench/run.py --workload W --seed S --seconds X`` once in
-each tree, X being ``BENCHMARK.json``'s ``run_seconds``, with ``--trace 0``
-added for a tree whose ``bench/run.py`` defines ``--trace``, so pairs run
-across a harness with the tracer and one without.  Each side runs the
-harness of its own tree, with PYTHONDONTWRITEBYTECODE=1, so that neither
-tree gains a ``__pycache__`` the other lacks.  Odd pairs run the parent
-first, even pairs the change.
+each tree, X being ``BENCHMARK.json``'s ``run_seconds``.  No ``--trace`` is
+passed: a harness with the tracer runs untraced by default, and one
+without it would refuse the option, so pairs run across the tracer's
+removal.  Each side runs the harness of its own tree, with
+PYTHONDONTWRITEBYTECODE=1, so that neither tree gains a ``__pycache__``
+the other lacks.  Odd pairs run the parent first, even pairs the change.
 
-The file keeps each side's command line and every raw record: workload,
-seed, pair, side, run order, commit, run length and the harness's result
-line.  It also keeps a
-summary per workload and end-to-end metric: each side's median and first
-and third quartiles over the records, and in how many pairs the change
-read lower.  Running the tool again on the same file adds records, so
+The file keeps the command line and every raw record: workload, seed,
+pair, side, run order, commit, run length and the harness's result line.
+It also keeps a summary per workload and end-to-end metric: each side's
+median and first and third quartiles over the records, and in how many
+pairs the change read lower.  Running the tool again on the same file adds records, so
 workloads can be run one at a time, and the summary is rewritten from all
 of them.  ``tests/test_bench.py`` checks every ``BENCH_*.json`` at the
 root against ``BENCHMARK.json``.
@@ -82,20 +81,11 @@ def refusal(
     return None
 
 
-def harness_args(tree: Path, workload: str, seed, seconds) -> list[str]:
-    """The arguments of one untraced run of ``tree``'s harness: ``--trace
-    0`` only where its ``bench/run.py`` defines ``--trace``, since a
-    harness without the tracer refuses the option."""
-    args = ["bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-    if 'add_argument("--trace"' in (tree / "bench" / "run.py").read_text():
-        args += ["--trace", "0"]
-    return args
-
-
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """The harness's result line for one untraced run in ``tree``."""
     proc = subprocess.run(
-        [sys.executable, *harness_args(tree, workload, seed, seconds)],
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds)],
         cwd=tree,
         capture_output=True,
         text=True,
@@ -165,9 +155,7 @@ def main(argv=None) -> int:
     from run import machine
 
     data["machine"] = machine()
-    data["command"] = {
-        side: " ".join(["python3", *harness_args(tree, "W", "S", "X")]) for side, tree in trees.items()
-    }
+    data["command"] = "python3 bench/run.py --workload W --seed S --seconds X"
     for pair, seed in enumerate(args.seeds, start=1):
         order = SIDES if pair % 2 else SIDES[::-1]
         for position, side in enumerate(order):
