@@ -149,7 +149,11 @@ is at least e (one masked compare) has the lead v - e*w_1, one
 subtraction.  Only a v with a_1 < e walks the fields, and in the
 products of ``cup`` that is under a tenth of the steps.  The lead
 keys the family's one table ``packed``, whose entry is the tail of g_M as
-offsets pack(u) - lead, u over the terms of g_M but its lead.  A step is
+offsets pack(u) - lead, u over the terms of g_M but its lead.  Offsets
+keep the table small: CPython allocates the sum of two positive
+multi-digit ints one 30-bit digit longer than it needs, which pymalloc
+rounds up to a 48-byte block, while a negative offset plus a positive
+term subtracts magnitudes into a tight 32-byte block.  A step is
 then one table hit and one add per tail term, v + (pack(u) - lead) =
 pack(u * t / lt(g_M)), and v itself leaves the working set.  Only a miss
 makes an entry, in ``_tail``, which cuts M = (a_2, ..., a_k) out of the

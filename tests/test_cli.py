@@ -18,6 +18,7 @@ from reference import (
 import grassgb
 from grassgb import buchberger_oracle, cli
 from grassgb.cli import run
+from grassgb.dual_classes import wbar_recurrence
 from grassgb.f2poly import Poly, format_poly
 from grassgb.groebner_family import GrassmannContext, GroebnerFamily, g_direct
 
@@ -283,6 +284,14 @@ def test_dual(capsys):
     code, out, _ = invoke(capsys, "dual", "-k", "2", "-r", "4")
     assert code == 0
     assert out.strip() == "w1^4 + w1^2*w2 + w2^2"
+
+
+@pytest.mark.parametrize("r", [200, 256])
+def test_dual_matches_the_recurrence_past_r_60(capsys, r):
+    # dual prints the kernel's g_0; the recurrence is its independent check,
+    # which test_explicit_equals_recurrence runs up to r = 60
+    code, out, _ = invoke(capsys, "dual", "-k", "3", "-r", str(r))
+    assert (code, out) == (0, format_poly(wbar_recurrence(r, 3)) + "\n")
 
 
 def test_dual_rejects_r_below_1(capsys):

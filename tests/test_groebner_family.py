@@ -171,19 +171,6 @@ def test_closed_form_known_shapes():
     assert g_closed_form(ctx, (1, 1, 0, 0)) is None
 
 
-def test_recurrence_step_matches_direct():
-    ctx = GrassmannContext(3, 3)
-    lookup = lambda m: g_direct(ctx, m)
-    k, n = ctx.k, ctx.n
-    for m2 in range(n):
-        for m3 in range(n - m2):
-            m = (m2, m3)
-            for i in range(1, k):
-                for j in range(i, k):
-                    got = g_recurrence_step(ctx, m, i, j, lookup)
-                    assert got == g_direct(ctx, raised2(m, i, j)), (m, i, j)
-
-
 def test_recurrence_step_validates_indices():
     ctx = GrassmannContext(3, 3)
     lookup = lambda m: g_direct(ctx, m)
